@@ -22,9 +22,8 @@ from .norms import SpectralPoly, spectral_mul, spectral_pow
 from .polynomials import (
     Poly,
     TPoly,
+    pseudo_remainder,
     resultant,
-    tpoly_over_ratfunc,
-    tpoly_to_poly_coeffs,
     yun_squarefree,
 )
 
@@ -50,13 +49,11 @@ class FactoredSpectral:
 
 
 def squarefree_decompose(s: SpectralPoly) -> FactoredSpectral:
-    """Yun decomposition of s in t over Q(x); exact reconstruction holds and
-    every block inherits the graded degree bounds."""
-    blocks = yun_squarefree(tpoly_over_ratfunc(s.as_tpoly()))
-    out = []
-    for q, mult in blocks:
-        qp = tpoly_to_poly_coeffs(q)
-        out.append((SpectralPoly.from_tpoly(qp, s.deg_m), mult))
+    """Yun decomposition of s in t over Q(x), computed in Q[x][t]
+    (polynomials.yun_squarefree); exact reconstruction holds and every
+    block inherits the graded degree bounds."""
+    out = [(SpectralPoly.from_tpoly(q, s.deg_m), mult)
+           for q, mult in yun_squarefree(s.as_tpoly())]
     fac = FactoredSpectral(s.deg_m, tuple(out))
     if fac.reconstruct() != s:
         raise RuntimeError("squarefree decomposition failed to reconstruct")
@@ -65,15 +62,13 @@ def squarefree_decompose(s: SpectralPoly) -> FactoredSpectral:
 
 def verify_component_degree_bounds(s: SpectralPoly, factor) -> bool:
     """Check that a monic factor of s satisfies the graded degree bounds
-    deg(b_j) <= j * deg_m.  Raises if the candidate does not divide s."""
+    deg(b_j) <= j * deg_m.  Raises if the candidate does not divide s over
+    Q(x), decided by a zero pseudo-remainder over Q[x]."""
     if isinstance(factor, SpectralPoly):
         ft = factor.as_tpoly()
     else:
         ft = factor
-    num = tpoly_over_ratfunc(s.as_tpoly())
-    den = tpoly_over_ratfunc(ft)
-    _q, r = num.divmod(den)
-    if not r.is_zero():
+    if not pseudo_remainder(s.as_tpoly(), ft).is_zero():
         raise ValueError("candidate does not divide the spectral polynomial")
     d = ft.degree
     for j in range(1, d + 1):
@@ -237,11 +232,12 @@ def pullback_splits(cover: DoubleCoverData,
     Writing s_b = P + y*Q, the condition is P^2 - f*Q^2 = s_a, i.e. s_a is
     the norm of a monic degree-m polynomial over the quadratic function
     field K = Q(x)(y).  The search runs blockwise over the multiplicity
-    profile of s_a: each squarefree block is split over K by specializing x
-    at a good rational point, factoring over the resulting quadratic number
-    field, and Hensel-lifting each candidate half back to a polynomial
-    witness; a block with no witness contributes half its even multiplicity
-    y-free, and an odd multiplicity there means no witness exists at all.
+    profile of s_a (Yun's decomposition in Q[x][t], yun_squarefree): each
+    squarefree block is split over K by specializing x at a good rational
+    point, factoring over the resulting quadratic number field, and
+    Hensel-lifting each candidate half back to a polynomial witness; a
+    block with no witness contributes half its even multiplicity y-free,
+    and an odd multiplicity there means no witness exists at all.
     The assembled witness is certified by re-pushforward."""
     if s_a.n % 2 != 0:
         raise ValueError("pullback splitting needs even degree in t")
@@ -250,7 +246,7 @@ def pullback_splits(cover: DoubleCoverData,
     zero = YPair(Poly.zero(), Poly.zero(), f)
     one = YPair(Poly.one(), Poly.zero(), f)
     acc = TPoly((one,), zero)
-    for q, e in _sqf_blocks(s_a.as_tpoly()):
+    for q, e in yun_squarefree(s_a.as_tpoly()):
         w = _split_squarefree_block(cover, q, s_a.deg_m)
         if w is None:
             if e % 2 != 0:
@@ -307,33 +303,6 @@ class _QNum:
 
     def __truediv__(self, other: "_QNum") -> "_QNum":
         return self * other.inverse()
-
-
-def _sqf_blocks(p: TPoly) -> list[tuple[TPoly, int]]:
-    """Squarefree decomposition in t over Q(x) of a monic t-polynomial with
-    polynomial coefficients: pairwise coprime squarefree monic blocks with
-    multiplicities, each again with polynomial coefficients."""
-    x, t = sympy.symbols("x t")
-    expr = sympy.Integer(0)
-    for k in range(p.degree + 1):
-        c = p.coeff(k)
-        expr += sum(sympy.Rational(a.numerator, a.denominator) * x ** i
-                    for i, a in enumerate(c.coeffs)) * t ** k
-    sp = sympy.Poly(expr, t, domain=sympy.QQ.frac_field(x))
-    out = []
-    for fac, e in sp.sqf_list()[1]:
-        coeffs = []
-        for k in range(fac.degree() + 1):
-            ce = sympy.cancel(fac.nth(k))
-            if ce == 0:
-                coeffs.append(Poly.zero())
-                continue
-            cx = sympy.Poly(ce, x)
-            coeffs.append(Poly([Fraction(sympy.Rational(a).p,
-                                         sympy.Rational(a).q)
-                                for a in reversed(cx.all_coeffs())]))
-        out.append((TPoly(coeffs, Poly.zero()), int(e)))
-    return out
 
 
 def _is_square(q: Fraction) -> bool:
@@ -519,6 +488,5 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly,
 
 def factors_coprime(s_b: SpectralPoly, s_c: SpectralPoly) -> bool:
     """Coprimality over Q(x), decided by the resultant."""
-    r = resultant(tpoly_over_ratfunc(s_b.as_tpoly()),
-                  tpoly_over_ratfunc(s_c.as_tpoly()))
+    r = resultant(s_b.as_tpoly(), s_c.as_tpoly())
     return not r.is_zero()

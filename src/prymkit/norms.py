@@ -13,14 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import (
-    Poly,
-    RatFunc,
-    TPoly,
-    as_fraction,
-    resultant,
-    tpoly_over_ratfunc,
-)
+from .polynomials import Poly, TPoly, as_fraction, resultant
 
 
 class ParentMismatch(ValueError):
@@ -74,8 +67,7 @@ class SpectralPoly:
     def discriminant_at(self, x0) -> Fraction:
         """Resultant of s_a and ds_a/dt specialized at x0."""
         s = self.as_tpoly()
-        r = resultant(tpoly_over_ratfunc(s), tpoly_over_ratfunc(s.derivative()))
-        return r.as_poly()(x0)
+        return resultant(s, s.derivative())(x0)
 
     def one(self) -> "AlgebraElement":
         return AlgebraElement(self, (Poly.one(),) + (Poly.zero(),) * (self.n - 1))
@@ -179,13 +171,11 @@ def norm_element(s_a: SpectralPoly, u: AlgebraElement) -> Poly:
 
 def norm_resultant_oracle(s_a: SpectralPoly, u: AlgebraElement) -> Poly:
     """Independent route: for monic s_a, det(mu_u) equals Res_t(s_a, U)
-    where U is any t-polynomial representing u.  Computed by the Euclidean
-    remainder sequence over Q(x), not by the multiplication matrix."""
-    r = resultant(tpoly_over_ratfunc(s_a.as_tpoly()),
-                  tpoly_over_ratfunc(u.as_tpoly()))
-    if isinstance(r, RatFunc):
-        return r.as_poly()
-    return r
+    where U is any t-polynomial representing u.  Computed by the
+    subresultant pseudo-remainder sequence over Q[x] (polynomials.resultant),
+    which shares no code with the multiplication matrix or its Bareiss
+    determinant."""
+    return resultant(s_a.as_tpoly(), u.as_tpoly())
 
 
 def norm_multiplicativity_check(s_a: SpectralPoly, u: AlgebraElement,
@@ -213,8 +203,7 @@ def norm_component_law(s_b: SpectralPoly, s_c: SpectralPoly,
                        u: AlgebraElement) -> bool:
     """On the reducible algebra R[t]/(s_b * s_c) with coprime factors, the
     norm splits as the product of the two component norms."""
-    res = resultant(tpoly_over_ratfunc(s_b.as_tpoly()),
-                    tpoly_over_ratfunc(s_c.as_tpoly()))
+    res = resultant(s_b.as_tpoly(), s_c.as_tpoly())
     if res.is_zero():
         raise ValueError("factors are not coprime over Q(x)")
     prod_poly = spectral_mul(s_b, s_c)

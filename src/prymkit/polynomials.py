@@ -7,6 +7,10 @@ t whose coefficients may be Poly, RatFunc or any type supporting ring
 arithmetic.  TPoly division requires invertible (or monic) leading
 coefficients; with Poly coefficients this means the divisor must be monic
 in t, which is the only case the callers need.
+
+Resultants, gcds and Yun's decomposition of t-polynomials share one engine,
+the subresultant pseudo-remainder sequence, whose divisions are exact in the
+coefficient ring: over Q[x] no rational function in x is ever formed.
 """
 
 from __future__ import annotations
@@ -482,17 +486,10 @@ class TPoly:
         return q
 
     def monic(self) -> "TPoly":
-        inv = self._one_like() / self.lc
-        return self.scale(inv)
-
-    def gcd(self, other: "TPoly") -> "TPoly":
-        """Monic gcd; requires field coefficients (RatFunc)."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.monic()
+        """Divide by the leading coefficient, which must divide every
+        coefficient exactly (always so over a field)."""
+        lc = self.lc
+        return TPoly(tuple(c / lc for c in self.coeffs), self.czero)
 
     def derivative(self) -> "TPoly":
         out = []
@@ -526,44 +523,81 @@ def tpoly_to_poly_coeffs(p: TPoly) -> TPoly:
     return p.map_coeffs(lambda c: c.as_poly(), Poly.zero())
 
 
+def pseudo_remainder(a: TPoly, b: TPoly) -> TPoly:
+    """lc(b)^(deg a - deg b + 1) * a mod b, without division in the
+    coefficient ring; a itself when deg a < deg b."""
+    if b.is_zero():
+        raise ZeroDivisionError("pseudo-remainder by the zero polynomial")
+    r = list(a.coeffs)
+    *d, lb = b.coeffs
+    while len(r) > len(d):
+        c = r.pop()
+        j = len(r) - len(d)
+        r = [x * lb for x in r]
+        for k, dk in enumerate(d):
+            r[j + k] = r[j + k] - c * dk
+    return TPoly(r, a.czero)
+
+
+def _subresultant_prs(a: TPoly, b: TPoly):
+    """Subresultant pseudo-remainder sequence (Collins 1967; Brown-Traub
+    1971) of a and b, ordered so that deg a >= deg b.  Each step replaces
+    (a, b) by (b, prem(a, b) / (g * h^delta)); the bookkeeping of g and h
+    keeps every division exact in the coefficient ring.  Stops once b is
+    constant or zero and returns (a, b, h, sign), sign being the product
+    of (-1)^(deg a * deg b) over the swap and the steps."""
+    sign = 1
+    if a.degree < b.degree:
+        a, b, sign = b, a, (-1) ** (a.degree * b.degree)
+    g = h = a._one_like()
+    while b.degree > 0:
+        delta = a.degree - b.degree
+        if a.degree % 2 and b.degree % 2:
+            sign = -sign
+        r = pseudo_remainder(a, b)
+        if r.is_zero():
+            return b, r, h, sign
+        divisor = g * h ** delta
+        a, b = b, TPoly(tuple(c / divisor for c in r.coeffs), r.czero)
+        g = a.lc
+        if delta:
+            h = g ** delta / h ** (delta - 1)
+    return a, b, h, sign
+
+
 def resultant(a: TPoly, b: TPoly):
-    """Resultant of two t-polynomials over a coefficient field, by the
-    Euclidean pseudo-remainder sequence.  Coefficients must support field
-    division (use tpoly_over_ratfunc for polynomial input)."""
-    one = a._one_like() if not a.is_zero() else b._one_like()
-    da, db = a.degree, b.degree
-    if da < 0 or db < 0:
-        return a.czero
-    if da == 0:
-        return a.lc ** db
-    if db == 0:
-        return b.lc ** da
-    if da < db:
-        res = resultant(b, a)
-        if (da * db) % 2:
-            res = -res
-        return res
-    r = a % b
-    dr = r.degree
-    if r.is_zero():
-        return a.czero
-    res = resultant(b, r)
-    res = res * b.lc ** (da - dr)
-    if (da * db) % 2:
-        res = -res
-    return res
+    """Res_t(a, b), the last subresultant of a and b, computed by the
+    subresultant pseudo-remainder sequence.  Every division is exact in the
+    coefficient ring, so Poly coefficients give a Poly result directly;
+    field coefficients such as RatFunc work unchanged."""
+    a, b, h, sign = _subresultant_prs(a, b)
+    if b.is_zero():
+        return b.czero
+    res = b.lc ** a.degree / h ** max(a.degree - 1, 0)
+    return res if sign == 1 else -res
+
+
+def _monic_gcd(a: TPoly, b: TPoly) -> TPoly:
+    """Monic gcd over the fraction field of the coefficients, for a pair in
+    which one polynomial is monic: the last nonzero subresultant divided by
+    its leading coefficient, a division that Gauss's lemma makes exact over
+    Q[x]."""
+    a, b, _h, _sign = _subresultant_prs(a, b)
+    return (a if b.is_zero() else b).monic()
 
 
 def yun_squarefree(p: TPoly) -> list[tuple[TPoly, int]]:
-    """Yun's squarefree decomposition of a monic t-polynomial over a field
-    of characteristic zero.  Returns [(q_i, i)] with p = prod q_i^i, the q_i
-    squarefree, monic and pairwise coprime; blocks with q_i = 1 are omitted.
-    """
+    """Yun's squarefree decomposition in t of a monic t-polynomial, over the
+    fraction field of its coefficients (characteristic zero).  Returns
+    [(q_i, i)] with p = prod q_i^i, the q_i squarefree, monic and pairwise
+    coprime; blocks with q_i = 1 are omitted.  Every gcd has a monic
+    argument and every quotient a monic divisor, so Poly coefficients stay
+    in Q[x] throughout."""
     if p.degree < 1:
         return []
     p = p.monic()
     dp = p.derivative()
-    g = p.gcd(dp)
+    g = _monic_gcd(p, dp)
     if g.degree == 0:
         return [(p, 1)]
     c = p / g
@@ -571,7 +605,7 @@ def yun_squarefree(p: TPoly) -> list[tuple[TPoly, int]]:
     blocks = []
     i = 1
     while c.degree > 0:
-        q = c.gcd(d)
+        q = _monic_gcd(c, d)
         if q.degree > 0:
             blocks.append((q, i))
         c = c / q

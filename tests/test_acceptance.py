@@ -16,8 +16,10 @@ from prymkit.abelian import (
 )
 from prymkit.covers import (
     DoubleCoverData,
+    TwistedSpectralPoly,
     galois_pushforward,
     pullback_splits,
+    squarefree_decompose,
 )
 from prymkit.norms import (
     SpectralPoly,
@@ -293,3 +295,34 @@ def test_8_codimension_strict_inequality():
                 assert bound > (n * n - 1) * (g - 1), (n, g)
 
     _run(8, "degree bound exceeds the base dimension", 10.0, body)
+
+
+def _exact_poly(rng: random.Random, deg: int, bound: int = 5) -> Poly:
+    """random_poly drawn until its degree is exactly deg."""
+    while True:
+        p = random_poly(rng, deg, bound)
+        if p.degree == deg:
+            return p
+
+
+def test_9_stall_regimes():
+    """The two inputs on which the Euclidean algorithm over Q(x) ran for
+    minutes: the resultant oracle of an n = 5 norm, and Yun's decomposition
+    of a degree-6 pushforward with x-degrees up to 12."""
+    def body():
+        rng = random.Random(9)
+        s = SpectralPoly(5, 2, tuple(_exact_poly(rng, 2 * j) for j in range(1, 6)))
+        u = s.element(tuple(_exact_poly(rng, 3) for _ in range(5)))
+        assert norm_element(s, u) == norm_resultant_oracle(s, u)
+
+        cover = DoubleCoverData(random_squarefree(rng))
+        h = cover.half_degree
+        pairs = tuple((_exact_poly(rng, 2 * j, 3), _exact_poly(rng, 2 * j - h, 3))
+                      for j in range(1, 4))
+        pushed = galois_pushforward(cover, TwistedSpectralPoly(cover, 3, 2, pairs))
+        assert max(a.degree for a in pushed.coeffs) == 12
+        assert squarefree_decompose(pushed).factors == ((pushed, 1),)
+        square = spectral_pow(pushed, 2)
+        assert squarefree_decompose(square).factors == ((pushed, 2),)
+
+    _run(9, "n = 5 resultant oracle and degree-6 Yun", 10.0, body)

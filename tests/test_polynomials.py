@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prymkit.polynomials import (
@@ -18,6 +19,60 @@ from prymkit.polynomials import (
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 polys = st.lists(rationals, min_size=0, max_size=5).map(Poly)
+# t-polynomials over Q[x]: zero coefficients leave degree gaps in t, which
+# make the remainder sequence abnormal
+xpolys = st.one_of(st.just(Poly.zero()), st.lists(rationals, max_size=3).map(Poly))
+tpolys = st.lists(xpolys, max_size=5).map(lambda cs: TPoly(cs, Poly.zero()))
+monic_tpolys = st.lists(xpolys, min_size=1, max_size=2).map(
+    lambda cs: TPoly(cs + [Poly.one()], Poly.zero()))
+
+
+def tp(*rows) -> TPoly:
+    """t-polynomial from ascending rows of ascending x-coefficients."""
+    return TPoly([Poly(r) for r in rows], Poly.zero())
+
+
+def sylvester_resultant_at(a: TPoly, b: TPoly, x0: Fraction) -> Fraction:
+    """Res_t(a, b) at x = x0 as the determinant of the Sylvester matrix of
+    the formal degrees, by Gaussian elimination over Fraction."""
+    da, db = a.degree, b.degree
+    ca = [a.coeff(k)(x0) for k in range(da, -1, -1)]
+    cb = [b.coeff(k)(x0) for k in range(db, -1, -1)]
+    n, zero = da + db, Fraction(0)
+    m = [[zero] * i + ca + [zero] * (db - 1 - i) for i in range(db)]
+    m += [[zero] * i + cb + [zero] * (da - 1 - i) for i in range(da)]
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            for j in range(k, n):
+                m[i][j] -= f * m[k][j]
+    return det
+
+
+def sympy_sqf_blocks(p: TPoly) -> list[tuple[TPoly, int]]:
+    """Squarefree decomposition in t by sympy over QQ.frac_field(x),
+    converted back to monic t-polynomials with Poly coefficients."""
+    x, t = sympy.symbols("x t")
+    expr = sympy.Integer(0)
+    for k in range(p.degree + 1):
+        expr += sum(sympy.Rational(a.numerator, a.denominator) * x ** i
+                    for i, a in enumerate(p.coeff(k).coeffs)) * t ** k
+    sp = sympy.Poly(expr, t, domain=sympy.QQ.frac_field(x))
+    out = []
+    for fac, e in sp.sqf_list()[1]:
+        coeffs = [Poly([str(c) for c in reversed(
+                      sympy.Poly(sympy.cancel(fac.nth(k)), x).all_coeffs())])
+                  for k in range(fac.degree() + 1)]
+        out.append((TPoly(coeffs, Poly.zero()), int(e)))
+    return out
 
 
 class TestPoly:
@@ -101,6 +156,37 @@ class TestResultant:
         b = TPoly((RatFunc.zero(), two), RatFunc.zero())
         assert resultant(a, b).as_poly() == Poly((0, -4))
 
+    @settings(max_examples=60, deadline=None)
+    @given(tpolys, tpolys)
+    @example(tp((), (), (), (), (1,)), tp((1,), (), (0, 1)))     # gap 2 then 1
+    @example(tp((0, 1), (), (1,)), tp((3, 2)))                  # constant in t
+    @example(tp((0, 0, 2), (1, 1), (), (3,)), tp((1,), (0, 2), (5,)))
+    def test_matches_sylvester_determinant(self, a, b):
+        res = resultant(a, b)
+        if a.is_zero() or b.is_zero():
+            assert res.is_zero()
+            return
+        xdeg = lambda p: max(c.degree for c in p.coeffs)
+        bound = a.degree * xdeg(b) + b.degree * xdeg(a)
+        assert res.degree <= bound
+        for k in range(-1, bound + 1):      # bound + 2 points fix res
+            x0 = Fraction(k, 3)
+            assert res(x0) == sylvester_resultant_at(a, b, x0)
+        if (a.degree * b.degree) % 2 == 0:
+            assert resultant(b, a) == res
+        else:
+            assert resultant(b, a) == -res
+
+    @settings(max_examples=30, deadline=None)
+    @given(tpolys, tpolys, monic_tpolys)
+    def test_common_factor_gives_zero(self, a, b, f):
+        if a.is_zero() or b.is_zero():
+            return
+        a, b = a * f, b * f
+        assert resultant(a, b).is_zero()
+        for x0 in (Fraction(-1), Fraction(1, 2), Fraction(2)):
+            assert sylvester_resultant_at(a, b, x0) == 0
+
 
 class TestYun:
     def test_profile(self):
@@ -123,3 +209,13 @@ class TestYun:
         for q, m in blocks:
             acc = acc * q ** m
         assert acc == p
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(monic_tpolys, st.integers(1, 3)),
+                    min_size=1, max_size=3)
+           .filter(lambda fs: sum(q.degree * e for q, e in fs) <= 6))
+    def test_matches_sympy_sqf_list(self, factors):
+        p = TPoly((Poly.one(),), Poly.zero())
+        for q, e in factors:
+            p = p * q ** e
+        assert yun_squarefree(p) == sympy_sqf_blocks(p)
