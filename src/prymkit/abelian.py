@@ -9,7 +9,6 @@ All values are immutable and all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 
@@ -387,7 +386,7 @@ class TorsionSubgroup:
         if target.g != self.ambient.g:
             raise AmbientMismatch("embedding must preserve the genus")
         if M % M0 != 0:
-            raise ValueError(f"cannot embed Z/{M0} torsion into Z/{M}")
+            raise AmbientMismatch(f"cannot embed Z/{M0} torsion into Z/{M}")
         s = M // M0
         rows = [[e * s for e in self.generators.row(i)]
                 for i in range(self.generators.rows)]
@@ -462,27 +461,16 @@ def preimage_mul(m: int, h: TorsionSubgroup) -> TorsionSubgroup:
 
 
 def structure(h: TorsionSubgroup) -> FinAbGroup:
-    """Invariant factors of H as an abstract finite abelian group."""
+    """Invariant factors of H as an abstract finite abelian group.
+
+    The preimage lattice L of H in Z^k contains M*Z^k.  If the Smith
+    diagonal of L's basis is d_1 | ... | d_k, then in the Smith basis
+    L = (+) d_i*Z, so H = L / M*Z^k = (+) Z/(M/d_i): the invariant factors
+    are the values M/d_i that exceed 1, in ascending order."""
     basis = h._lattice_basis()
-    k = h.ambient.rank
     M = h.ambient.M
-    # relation matrix R with R*B = M*I, computed by back substitution over Q
-    rel = []
-    for i in range(k):
-        target = [Fraction(M) if j == i else Fraction(0) for j in range(k)]
-        coeffs = [Fraction(0)] * k
-        for r in range(k):
-            c = next(j for j, e in enumerate(basis[r]) if e != 0)
-            q = target[c] / basis[r][c]
-            coeffs[r] = q
-            if q:
-                for j in range(k):
-                    target[j] -= q * basis[r][j]
-        if any(target) or any(f.denominator != 1 for f in coeffs):
-            raise RuntimeError("lattice does not contain M*Z^k")  # unreachable
-        rel.append([int(f) for f in coeffs])
-    _u, d, _v = smith_normal_form(IntMatrix.from_rows(rel))
-    factors = [d.get(i, i) for i in range(k) if d.get(i, i) > 1]
+    _u, d, _v = smith_normal_form(IntMatrix.from_rows(basis))
+    factors = sorted(M // d.get(i, i) for i in range(d.rows) if d.get(i, i) < M)
     group = FinAbGroup(tuple(factors))
     assert group.order == h.order
     return group

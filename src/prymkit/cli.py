@@ -2,7 +2,8 @@
 
 Commands read JSON, dispatch to the library and emit deterministic reports
 (sorted keys, stable payloads).  Exit codes: 0 success, 1 failed
-verification, 2 malformed input or usage, 3 semantic invariant violation.
+verification, 2 malformed input or usage, 3 semantic invariant violation,
+4 internal error (an exception the library does not expect to raise).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .serialize import (
 from .spectral import (
     DescriptorError,
     InvariantViolation,
-    ambient_modulus,
     endoscopy_report,
     is_cn_cover,
     phi_surjection,
@@ -44,6 +44,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_SCHEMA = 2
 EXIT_INVARIANT = 3
+EXIT_INTERNAL = 4
 
 
 def _digest(data: bytes) -> str:
@@ -84,18 +85,20 @@ def _cmd_pi0(args) -> int:
     desc = descriptor_from_json(doc)
     k = prym_component_group(desc)
     group = pi0_prym(desc)
-    hom = phi_surjection(desc)
+    phi_surjection(desc)
+    order, bound = k.order, desc.n ** (2 * desc.g)
     payload = {
         "n": desc.n,
         "g": desc.g,
-        "ambient_modulus": ambient_modulus(desc),
+        "ambient_modulus": k.ambient.M,
         "k_generators": [list(k.generators.row(i))
                          for i in range(k.generators.rows)],
-        "k_order": k.order,
+        "k_order": order,
         "pi0_invariant_factors": list(group.invariant_factors),
         "pi0_order": group.order,
-        "order_bound": desc.n ** (2 * desc.g),
-        "phi_kernel_order": hom.kernel().order,
+        "order_bound": bound,
+        # the kernel order phi_surjection has just verified
+        "phi_kernel_order": bound // order,
         "is_cn": is_cn_cover(desc),
     }
     _emit(_report("pi0", digest, payload), args.format)
@@ -243,6 +246,9 @@ def main(argv=None) -> int:
     except (DescriptorError, InvariantViolation, AmbientMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

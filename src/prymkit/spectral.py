@@ -7,7 +7,8 @@ the C_n criterion, and the endoscopic dimension and bound formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from functools import cached_property
+from math import isqrt, lcm
 
 from .abelian import (
     AmbientMismatch,
@@ -79,6 +80,19 @@ class SpectralCoverDescriptor:
         if len(genera) != 1 or genera != {self.g}:
             raise DescriptorError("all component kernels must live at the base genus")
 
+    @cached_property
+    def k(self) -> TorsionSubgroup:
+        """K = intersection of the preimages [m_i]^(-1)(K_i), computed once
+        per descriptor in the common ambient (Z/M)^(2g) with
+        M = ambient_modulus(self)."""
+        ambient = TorsionAmbient(self.g, ambient_modulus(self))
+        k = ambient.full_subgroup()
+        for comp in self.components:
+            k = intersect(k, preimage_mul(comp.multiplicity, comp.kernel.embed(ambient)))
+        if not k.is_subgroup_of(ambient.torsion_subgroup(self.n)):
+            raise InvariantViolation("K escaped the n-torsion")  # unreachable
+        return k
+
 
 def ambient_modulus(desc: SpectralCoverDescriptor) -> int:
     """Smallest modulus M such that (Z/M)^(2g) contains the n-torsion and
@@ -89,33 +103,16 @@ def ambient_modulus(desc: SpectralCoverDescriptor) -> int:
 
 def prym_component_group(desc: SpectralCoverDescriptor) -> TorsionSubgroup:
     """K = intersection of the preimages [m_i]^(-1)(K_i), computed in the
-    common ambient (Z/M)^(2g) with M = ambient_modulus(desc)."""
-    M = ambient_modulus(desc)
-    ambient = TorsionAmbient(desc.g, M)
-    k = ambient.full_subgroup()
-    for comp in desc.components:
-        emb = _embed_kernel(comp.kernel, ambient)
-        pre = preimage_mul(comp.multiplicity, emb)
-        k = intersect(k, pre)
-    n_torsion = ambient.torsion_subgroup(desc.n)
-    if not k.is_subgroup_of(n_torsion):
-        raise InvariantViolation("K escaped the n-torsion")  # unreachable
-    return k
-
-
-def _embed_kernel(kernel: TorsionSubgroup, ambient: TorsionAmbient) -> TorsionSubgroup:
-    M0 = kernel.ambient.M
-    if ambient.M % M0 != 0:
-        raise AmbientMismatch(
-            f"kernel modulus {M0} does not divide ambient modulus {ambient.M}")
-    return kernel.embed(ambient)
+    common ambient (Z/M)^(2g) with M = ambient_modulus(desc).  K is computed
+    once per descriptor and held on it (``desc.k``); every function here
+    reads that value."""
+    return desc.k
 
 
 def pi0_prym(desc: SpectralCoverDescriptor) -> FinAbGroup:
     """Group of connected components of the Prym variety: the character
     group of K.  Its order is bounded by n^(2g)."""
-    k = prym_component_group(desc)
-    result = dual_group(structure(k))
+    result = dual_group(structure(desc.k))
     if result.order > desc.n ** (2 * desc.g):
         raise InvariantViolation("component group exceeds the n^(2g) bound")
     return result
@@ -123,14 +120,11 @@ def pi0_prym(desc: SpectralCoverDescriptor) -> FinAbGroup:
 
 def phi_surjection(desc: SpectralCoverDescriptor) -> GroupHom:
     """The surjection from the n-torsion of Pic^0(C) onto the component
-    group, realized as restriction of characters to K.  The kernel has
-    order n^(2g) / |K|."""
-    k = prym_component_group(desc)
-    ambient = k.ambient
-    n_torsion = ambient.torsion_subgroup(desc.n)
-    kn = intersect(k, n_torsion)
-    if kn != k:
-        raise InvariantViolation("K is not inside the n-torsion")  # unreachable
+    group, realized as restriction of characters to K.  K lies in the
+    n-torsion (checked when K is computed, and again by
+    ``dual_of_inclusion``); the kernel is verified to have order
+    n^(2g) / |K|."""
+    k = desc.k
     hom = dual_of_inclusion(k, desc.n)
     expected_kernel = desc.n ** (2 * desc.g) // k.order
     if hom.kernel().order != expected_kernel:
@@ -148,7 +142,7 @@ def is_cn_cover(desc: SpectralCoverDescriptor) -> bool:
              and desc.components[0].degree == 1
              and desc.components[0].multiplicity == desc.n
              and desc.components[0].kernel.is_trivial())
-    maximal = prym_component_group(desc).order == desc.n ** (2 * desc.g)
+    maximal = desc.k.order == desc.n ** (2 * desc.g)
     if shape and not maximal:
         raise InvariantViolation("C_n descriptor without maximal K")  # unreachable
     if maximal and not shape:
@@ -193,7 +187,10 @@ def variant_bound(n: int, g: int) -> tuple[int, int]:
 
 
 def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """Positive divisors of n in ascending order, found as the pairs
+    (d, n // d) with d <= isqrt(n)."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 @dataclass(frozen=True)
@@ -238,7 +235,7 @@ def gamma_in_k(desc: SpectralCoverDescriptor, gamma: TorsionSubgroup) -> bool:
             raise ValueError("gamma is not contained in the n-torsion")
     if gamma.ambient.g != desc.g:
         raise AmbientMismatch("gamma lives at a different genus")
-    k = prym_component_group(desc)
+    k = desc.k
     big = TorsionAmbient(desc.g, lcm(k.ambient.M, Mg))
     k_emb = k.embed(big)
     gamma_emb = gamma.embed(big)

@@ -1,6 +1,7 @@
 """Tests for the integer-matrix and finite-abelian-group engine."""
 
 import random
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +139,13 @@ class TestSubgroups:
         assert big.order == 2
         assert big.contains((3, 0))
 
+    def test_embed_needs_dividing_modulus(self):
+        h = TorsionAmbient(1, 4).full_subgroup()
+        with pytest.raises(AmbientMismatch):
+            h.embed(TorsionAmbient(1, 6))
+        with pytest.raises(AmbientMismatch):
+            h.embed(TorsionAmbient(2, 8))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6))
     def test_canonicality_random(self, seed):
@@ -215,6 +223,26 @@ class TestStructureAndDuals:
         # orders 2 and 3 on independent axes combine to a cyclic group
         assert structure(h).invariant_factors == (6,)
         assert len(h.elements()) == 6
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_counting_oracle(self, seed):
+        # a group with invariant factors f has prod(gcd(e, f)) elements
+        # killed by e; counting them in the element set uses no SNF
+        rng = random.Random(seed)
+        g = rng.choice([1, 1, 2, 3])
+        M = rng.randint(1, {1: 64, 2: 8, 3: 4}[g])
+        amb = TorsionAmbient(g, M)
+        rows = [[rng.randrange(M) * rng.choice([1, rng.randint(1, M)])
+                 for _ in range(amb.rank)]
+                for _ in range(rng.randint(0, amb.rank + 1))]
+        h = subgroup_from_generators(
+            amb, IntMatrix.from_rows(rows) if rows else IntMatrix(0, amb.rank, ()))
+        factors = structure(h).invariant_factors
+        elems = h.elements()
+        for e in (e for e in range(1, M + 1) if M % e == 0):
+            killed = sum(1 for x in elems if all((e * c) % M == 0 for c in x))
+            assert killed == prod(gcd(e, f) for f in factors)
 
     def test_dual_group_identity(self):
         assert dual_group(FinAbGroup(())).invariant_factors == ()

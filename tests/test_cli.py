@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from prymkit import cli, spectral
 from prymkit.cli import main
 from prymkit.covers import DoubleCoverData, galois_pushforward
 from prymkit.norms import SpectralPoly
@@ -111,6 +112,51 @@ class TestCli:
              "kernel_generators": []}]}
         path = self._write(tmp_path, "d.json", doc)
         assert main(["pi0", "--input", path]) == 3
+
+    def test_pi0_kernel_modulus_not_dividing_exit_3(self, tmp_path, capsys):
+        # ambient modulus lcm(2, 1 * 2) = 2 is not a multiple of 3
+        doc = {"n": 2, "g": 1, "components": [
+            {"degree": 1, "multiplicity": 2, "kernel_modulus": 3,
+             "kernel_generators": []}]}
+        path = self._write(tmp_path, "d.json", doc)
+        assert main(["pi0", "--input", path]) == 3
+        assert "cannot embed" in capsys.readouterr().err
+
+    def test_pi0_computes_k_once(self, tmp_path, capsys, monkeypatch):
+        calls = {"intersect": 0, "preimage_mul": 0}
+
+        def counting(name):
+            orig = getattr(spectral, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return orig(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(spectral, name, counting(name))
+        doc = {"n": 4, "g": 1, "components": [
+            {"degree": 1, "multiplicity": 2, "kernel_modulus": 1,
+             "kernel_generators": []},
+            {"degree": 2, "multiplicity": 1, "kernel_modulus": 2,
+             "kernel_generators": [[1, 0]]}]}
+        path = self._write(tmp_path, "d.json", doc)
+        assert main(["pi0", "--input", path]) == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert payload["phi_kernel_order"] == 4 ** 2 // payload["k_order"]
+        assert calls == {"intersect": 2, "preimage_mul": 2}
+
+    def test_internal_error_exit_4(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_endoscopy", broken)
+        assert main(["endoscopy", "--n", "6", "--g", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: internal: ")
+        assert "boom" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_unknown_command_exit_2(self):
         assert main(["bogus"]) == 2

@@ -11,6 +11,7 @@ from prymkit.spectral import (
     InvariantViolation,
     SpectralCoverDescriptor,
     ambient_modulus,
+    divisors,
     endoscopic_dim,
     endoscopy_report,
     gamma_in_k,
@@ -210,6 +211,19 @@ class TestEndoscopyFormulas:
                 p = smallest_prime_divisor(n)
                 assert c_n == endoscopic_dim(n, 1, g) - endoscopic_dim(n, p, g)
                 assert bound == 2 * c_n
+
+
+class TestDivisors:
+    def test_brute_force(self):
+        for n in range(1, 501):
+            assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+    def test_large_n(self):
+        # 10^12 = 2^12 * 5^12 has 13 * 13 divisors
+        ds = divisors(10 ** 12)
+        assert len(ds) == 169
+        assert ds == sorted(ds)
+        assert all(10 ** 12 % d == 0 for d in ds)
 
 
 class TestGammaMembership:
