@@ -9,6 +9,7 @@ All values are immutable and all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 
@@ -326,16 +327,18 @@ class TorsionSubgroup:
     ambient: TorsionAmbient
     generators: IntMatrix
 
-    def _lattice_basis(self) -> list[list[int]]:
-        """Full-rank HNF basis of the preimage lattice in Z^rank."""
+    @cached_property
+    def _lattice_basis(self) -> tuple[tuple[int, ...], ...]:
+        """Full-rank HNF basis of the preimage lattice in Z^rank, computed
+        once per subgroup; its rows are tuples, so no caller can change it."""
         k = self.ambient.rank
         rows = self.generators.to_rows()
         rows += [[self.ambient.M if i == j else 0 for j in range(k)] for i in range(k)]
-        return hermite_normal_form(rows)
+        return tuple(map(tuple, hermite_normal_form(rows)))
 
     @property
     def order(self) -> int:
-        basis = self._lattice_basis()
+        basis = self._lattice_basis
         det = prod(basis[i][i] for i in range(len(basis)))
         return self.ambient.M ** self.ambient.rank // det
 
@@ -343,7 +346,7 @@ class TorsionSubgroup:
         """Membership of an ambient coordinate vector."""
         if len(vec) != self.ambient.rank:
             raise ValueError("vector has wrong length")
-        basis = self._lattice_basis()
+        basis = self._lattice_basis
         v = list(vec)
         for row in basis:
             c = next(j for j, e in enumerate(row) if e != 0)
@@ -417,10 +420,10 @@ def intersect(h1: TorsionSubgroup, h2: TorsionSubgroup) -> TorsionSubgroup:
     """Setwise intersection of two subgroups of the same ambient."""
     if h1.ambient != h2.ambient:
         raise AmbientMismatch("intersection across different ambients")
-    b1 = h1._lattice_basis()
-    b2 = h2._lattice_basis()
+    b1 = h1._lattice_basis
+    b2 = h2._lattice_basis
     k = h1.ambient.rank
-    stacked = IntMatrix.from_rows(b1 + [[-e for e in row] for row in b2])
+    stacked = IntMatrix.from_rows(list(b1) + [[-e for e in row] for row in b2])
     gens = []
     for w in left_kernel(stacked):
         x = [0] * k
@@ -449,7 +452,7 @@ def preimage_mul(m: int, h: TorsionSubgroup) -> TorsionSubgroup:
     if m == 1:
         return h
     k = h.ambient.rank
-    basis = h._lattice_basis()
+    basis = h._lattice_basis
     # pairs (x, y) with m*x = y*B;  x spans the preimage lattice
     top = [[m if i == j else 0 for j in range(k)] for i in range(k)]
     stacked = IntMatrix.from_rows(top + [[-e for e in row] for row in basis])
@@ -467,7 +470,7 @@ def structure(h: TorsionSubgroup) -> FinAbGroup:
     diagonal of L's basis is d_1 | ... | d_k, then in the Smith basis
     L = (+) d_i*Z, so H = L / M*Z^k = (+) Z/(M/d_i): the invariant factors
     are the values M/d_i that exceed 1, in ascending order."""
-    basis = h._lattice_basis()
+    basis = h._lattice_basis
     M = h.ambient.M
     _u, d, _v = smith_normal_form(IntMatrix.from_rows(basis))
     factors = sorted(M // d.get(i, i) for i in range(d.rows) if d.get(i, i) < M)

@@ -108,8 +108,9 @@ def _cmd_pi0(args) -> int:
 def _cmd_endoscopy(args) -> int:
     if args.n is None or args.g is None:
         raise SchemaError("$", "endoscopy needs --n and --g")
-    if args.n < 2 or args.g < 1:
-        raise SchemaError("$", "endoscopy needs n >= 2 and g >= 1")
+    if not 2 <= args.n <= 10 ** 12 or args.g < 1:
+        # the divisor and primality loops run to sqrt(n)
+        raise SchemaError("$", "endoscopy needs 2 <= n <= 10^12 and g >= 1")
     rep = endoscopy_report(args.n, args.g)
     payload = {
         "n": rep.n,

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import sympy
-
 from .norms import SpectralPoly, spectral_mul, spectral_pow
 from .polynomials import (
     Poly,
@@ -238,7 +236,16 @@ def pullback_splits(cover: DoubleCoverData,
     Hensel-lifting each candidate half back to a polynomial witness; a
     block with no witness contributes half its even multiplicity y-free,
     and an odd multiplicity there means no witness exists at all.
-    The assembled witness is certified by re-pushforward."""
+    The assembled witness is certified by re-pushforward.
+
+    The assembled witness meets the graded bounds, so building it cannot
+    fail: its t-roots are roots of s_a, which (as deg a_j <= j*deg_m) have
+    pole order <= deg_m at the places over infinity, in units of the pole
+    order of x.  So b_j and its conjugate have pole order <= j*deg_m, and
+    u_j = (b_j + conj b_j)/2 has deg u_j <= j*deg_m, while y*v_j =
+    (b_j - conj b_j)/2, y of pole order deg f / 2, has deg v_j <= j*deg_m -
+    ceil(deg f / 2).  Were this false, the TwistedSpectralPoly constructor
+    would raise ValueError (exit 3) rather than return a wrong None."""
     if s_a.n % 2 != 0:
         raise ValueError("pullback splitting needs even degree in t")
     m = s_a.n // 2
@@ -255,14 +262,8 @@ def pullback_splits(cover: DoubleCoverData,
             acc = acc * lifted ** (e // 2)
         else:
             acc = acc * w ** e
-    pairs = []
-    for j in range(1, m + 1):
-        c = acc.coeff(m - j)
-        pairs.append((c.u, c.v))
-    try:
-        witness = TwistedSpectralPoly(cover, m, s_a.deg_m, tuple(pairs))
-    except ValueError:
-        return None       # degree bounds violated: not a bounded witness
+    pairs = tuple((c.u, c.v) for c in reversed(acc.coeffs[:m]))
+    witness = TwistedSpectralPoly(cover, m, s_a.deg_m, pairs)
     if galois_pushforward(cover, witness) != s_a:
         raise RuntimeError("splitter produced an uncertified witness")
     return witness
@@ -346,58 +347,47 @@ def _series_inv_sqrt(u: list, n: int) -> list:
     return h
 
 
-def _tpoly_xgcd(a: TPoly, b: TPoly) -> tuple[TPoly, TPoly, TPoly]:
-    """Extended Euclid over field coefficients: returns (g, s, t) with
-    s*a + t*b = g and g monic."""
+def _tpoly_xgcd(a: TPoly, b: TPoly) -> TPoly:
+    """Extended Euclid over field coefficients: returns the cofactor t
+    with s*a + t*b = g, g the monic gcd of a and b."""
     czero = a.czero
-    zero = TPoly((), czero)
-    one = TPoly((a._one_like(),), czero)
     r0, r1 = a, b
-    s0, s1 = one, zero
-    t0, t1 = zero, one
+    t0, t1 = TPoly((), czero), TPoly((a._one_like(),), czero)
     while not r1.is_zero():
         qt, rr = r0.divmod(r1)
         r0, r1 = r1, rr
-        s0, s1 = s1, s0 - qt * s1
         t0, t1 = t1, t0 - qt * t1
-    lc = r0.lc
-    inv = TPoly((r0._one_like() / lc,), czero)
-    return inv * r0, inv * s0, inv * t0
+    return t0.scale(r0._one_like() / r0.lc)
 
 
 def _factor_over_quadratic_field(qq: Poly, d: Fraction) -> list[TPoly]:
     """Monic irreducible factors of a squarefree rational polynomial over
     Q(sqrt(d)), as t-polynomials with quadratic-number coefficients, in a
     deterministic order."""
-    t = sympy.Symbol("t")
-    root = sympy.sqrt(sympy.Rational(d.numerator, d.denominator))
-    dom = sympy.QQ.algebraic_field(root)
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * t ** i
-               for i, c in enumerate(qq.coeffs))
-    _const, raw = sympy.Poly(expr, t, domain=dom).factor_list()
+    # imported here: pi0, endoscopy, norm and factor never need sympy
+    import sympy
+
+    dom = sympy.QQ.algebraic_field(
+        sympy.sqrt(sympy.Rational(d.numerator, d.denominator)))
+    coeffs = [sympy.Rational(c.numerator, c.denominator)
+              for c in reversed(qq.coeffs)]
+    _const, raw = sympy.Poly(coeffs, sympy.Symbol("t"),
+                             domain=dom).factor_list()
     czero = _QNum(Fraction(0), Fraction(0), d)
     out = []
     for fac, _e in raw:
         coeffs = []
-        for k in range(fac.degree() + 1):
-            rep = dom.from_sympy(sympy.sympify(fac.nth(k))).rep
+        for c in reversed(fac.rep.to_list()):
+            # c in descending powers of sqrt(d), at most two of them
             vals = [Fraction(int(v.numerator), int(v.denominator))
-                    for v in rep]   # descending powers of the root
-            if len(vals) > 2:
-                raise RuntimeError("coefficient not linear in the field root")
-            while len(vals) < 2:
-                vals.insert(0, Fraction(0))
-            coeffs.append(_QNum(vals[1], vals[0], d))
+                    for v in c.to_list()]
+            b, a = [Fraction(0)] * (2 - len(vals)) + vals
+            coeffs.append(_QNum(a, b, d))
         p = TPoly(coeffs, czero)
         out.append(p.scale(p.lc.inverse()))
     out.sort(key=lambda p: (p.degree,
                             [(c.a, c.b) for c in p.coeffs]))
     return out
-
-
-def _sympy_to_fraction(e) -> Fraction:
-    r = sympy.Rational(e)
-    return Fraction(r.p, r.q)
 
 
 def _split_squarefree_block(cover: DoubleCoverData, q: TPoly,
@@ -407,11 +397,16 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly,
     when q has a factor that stays irreducible over the cover's function
     field (which blocks any such factorization).
 
-    Strategy: specialize x at a rational point where q stays squarefree and
-    f is a nonzero non-square, factor the specialization over the quadratic
-    number field Q(sqrt(f(x0))), and Hensel-lift every half-degree monic
-    divisor back to a series in (x - x0); the true witness is a polynomial
-    of bounded degree, so it is recovered exactly and certified."""
+    Strategy: specialize x at a rational point x0 where q stays squarefree
+    and f is a nonzero non-square, and factor q(x0) over the quadratic
+    number field Q(sqrt(f(x0))).  Since q(x0) = W(x0) * conj(W(x0)) is
+    squarefree, a witness exists only if no factor is self-conjugate, and
+    then W(x0) takes exactly one factor from each conjugate pair.  W and
+    conj(W) are interchangeable, so the pair of factor 0 always gives
+    factor 0's partner, and 2^(pairs - 1) halves remain.  Each is
+    Hensel-lifted, together with its conjugate, to a series in (x - x0);
+    the true witness is a polynomial of bounded degree, so it is recovered
+    exactly and certified."""
     d = q.degree
     if d % 2 != 0:
         return None
@@ -420,57 +415,56 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly,
     yzero = YPair(Poly.zero(), Poly.zero(), f)
     q_lift = q.map_coeffs(lambda c: YPair(c, Poly.zero(), f), yzero)
 
-    x0 = None
     for trial in range(0, 40 * (d + f.degree + 4)):
-        cand = Fraction((-1) ** trial * ((trial + 1) // 2))
-        d0 = f(cand)
+        x0 = Fraction((-1) ** trial * ((trial + 1) // 2))
+        d0 = f(x0)
         if d0 == 0 or _is_square(d0):
             continue
-        qq = Poly([c(cand) for c in q.coeffs])
+        qq = Poly([c(x0) for c in q.coeffs])
         if qq.is_squarefree():
-            x0 = cand
             break
-    if x0 is None:
+    else:
         raise RuntimeError("no good specialization point found")
 
-    d0 = f(x0)
     czero = _QNum(Fraction(0), Fraction(0), d0)
-    cone = _QNum(Fraction(1), Fraction(0), d0)
-    factors = _factor_over_quadratic_field(Poly([c(x0) for c in q.coeffs]), d0)
+
+    def conj(p: TPoly) -> TPoly:
+        return p.map_coeffs(lambda c: _QNum(c.a, -c.b, d0), czero)
+
+    factors = _factor_over_quadratic_field(qq, d0)
+    partner = [factors.index(conj(p)) for p in factors]
+    if any(i == j for i, j in enumerate(partner)):
+        return None
 
     prec = half * max(deg_m, 1) + 2
     # q and f re-expanded around x0: coefficients of powers of z = x - x0
     q_shift = [_poly_shift(c, x0) for c in q.coeffs]
-    s_terms = []
-    for k in range(prec):
-        s_terms.append(TPoly(
-            [_QNum(cz.coeffs[k] if k <= cz.degree else Fraction(0),
-                   Fraction(0), d0) for cz in q_shift], czero))
+    s_terms = [TPoly([_QNum(cz.coeffs[k] if k <= cz.degree else Fraction(0),
+                            Fraction(0), d0) for cz in q_shift], czero)
+               for k in range(prec)]
     f_shift = _poly_shift(f, x0)
     u = [c / d0 for c in f_shift.coeffs] + [Fraction(0)] * prec
     g_inv = _series_inv_sqrt(u, prec)
 
-    for picks in itertools.product([False, True], repeat=len(factors)):
-        a0 = TPoly((cone,), czero)
-        for chosen, p in zip(picks, factors):
-            if chosen:
-                a0 = a0 * p
-        if a0.degree != half:
-            continue
-        b0 = TPoly((cone,), czero)
-        for chosen, p in zip(picks, factors):
-            if not chosen:
-                b0 = b0 * p
-        _g, sig, tau = _tpoly_xgcd(a0, b0)
+    # the other pairs by ascending lower index, partner first: a fixed
+    # order, which decides the witness returned when several exist
+    rest = [(j, i) for i, j in enumerate(partner) if 0 < i < j]
+    for picks in itertools.product(*rest):
+        a0 = factors[partner[0]]
+        for i in picks:
+            a0 = a0 * factors[i]
+        b0 = conj(a0)
+        tau = _tpoly_xgcd(a0, b0)
+        # the lift of b0 is the conjugate of the lift of a0 (Hensel
+        # lifting is unique), so only a0's half is solved for
         a_terms, b_terms = [a0], [b0]
         for k in range(1, prec):
             err = s_terms[k]
             for i in range(1, k):
                 err = err - a_terms[i] * b_terms[k - i]
             ak = (tau * err) % a0
-            bk = (err - ak * b0) / a0
             a_terms.append(ak)
-            b_terms.append(bk)
+            b_terms.append(conj(ak))
         # reassemble: coefficient j of W is P_j + y*Q_j with
         # a-part = P_j(x0 + z) and b-part = g(z)*Q_j(x0 + z), y = sqrt(d0)*g
         coeffs = []

@@ -132,6 +132,29 @@ class TestSubgroups:
         assert h.contains((6, 4))   # 3 * (2,4) = (6, 12) = (6, 4)
         assert not h.contains((1, 0))
 
+    def test_lattice_basis_once_per_subgroup(self, monkeypatch):
+        from prymkit import abelian
+
+        gens = IntMatrix.from_rows([[2, 4], [3, 0]])
+        ref = subgroup_from_generators(TorsionAmbient(1, 12), gens)
+        expected = (ref.order, ref.contains((6, 0)), ref.contains((1, 0)),
+                    structure(ref))
+        h = subgroup_from_generators(TorsionAmbient(1, 12), gens)
+        calls = []
+
+        def counting(rows):
+            calls.append(1)
+            return hermite_normal_form(rows)
+
+        monkeypatch.setattr(abelian, "hermite_normal_form", counting)
+        for _ in range(2):
+            assert (h.order, h.contains((6, 0)), h.contains((1, 0)),
+                    structure(h)) == expected
+        assert len(calls) == 1
+        basis = h._lattice_basis
+        assert isinstance(basis, tuple)
+        assert all(isinstance(row, tuple) for row in basis)
+
     def test_embed_scales_generators(self):
         small = TorsionAmbient(1, 2)
         h = subgroup_from_generators(small, IntMatrix.from_rows([[1, 0]]))

@@ -1,7 +1,12 @@
 """Tests for JSON schemas and the command-line interface."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +175,20 @@ class TestCli:
 
     def test_endoscopy_bad_args(self, capsys):
         assert main(["endoscopy", "--n", "1", "--g", "2"]) == 2
+
+    def test_endoscopy_huge_n_refused_at_once(self, capsys):
+        t0 = time.perf_counter()
+        for n in (10 ** 12 + 1, 10 ** 18):
+            assert main(["endoscopy", "--n", str(n), "--g", "2"]) == 2
+            assert "n <= 10^12" in capsys.readouterr().err
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_import_leaves_sympy_unloaded(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c",
+                        "import prymkit.cli, sys; assert 'sympy' not in sys.modules"],
+                       env=env, check=True)
 
     def test_norm(self, tmp_path, capsys):
         s = SpectralPoly(2, 1, (Poly.zero(), -X))

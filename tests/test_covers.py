@@ -222,3 +222,74 @@ class TestPullbackSplits:
             back = pullback_splits(cover, pushed)
             assert back is not None
             assert galois_pushforward(cover, back) == pushed
+
+
+def _surely_not_square(p: Poly) -> bool:
+    """Odd degree or a negative leading coefficient: not a square in Q[x]."""
+    return p.degree % 2 == 1 or p.coeffs[-1] < 0
+
+
+class TestSplitOracle:
+    """Ground truth by construction, sharing no code with the splitter.
+    A norm N(W) = W * conj(W) splits.  If neither a nor a*f is a square in
+    Q[x], then a is no square in K = Q(x)(y), so t^2 - a is irreducible
+    over K and coprime to the norm of a product of linear factors; hence
+    N(W) * (t^2 - a)^e splits exactly when e is even."""
+
+    CASES = [  # (f, deg_m, a)
+        (X * X - 2, 1, 3 * X - 1),
+        (X, 1, -(X * X) - 1),
+        (2 * X + 1, 1, Poly.constant(-5)),
+        (X * X * X - X, 2, -2 * X ** 4 + X),
+    ]
+
+    @staticmethod
+    def _norm_of_linears(rng, cover, deg_m, count=2):
+        s = None
+        for _ in range(count):
+            piece = galois_pushforward(cover, random_twisted(rng, cover, 1, deg_m))
+            s = piece if s is None else spectral_mul(s, piece)
+        return s
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_inert_factor_splits_iff_even(self, case):
+        f, deg_m, a = self.CASES[case]
+        assert _surely_not_square(a) and _surely_not_square(a * f)
+        cover = DoubleCoverData(f)
+        inert = spoly(2, deg_m, Poly.zero(), -a)
+        rng = random.Random(case)
+        for e in range(4):
+            s = self._norm_of_linears(rng, cover, deg_m)
+            if e:
+                s = spectral_mul(s, spectral_pow(inert, e))
+            w = pullback_splits(cover, s)
+            assert (w is not None) == (e % 2 == 0), (case, e)
+            if w is not None:
+                assert galois_pushforward(cover, w) == s
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_norm_of_y_multiple_splits(self, case):
+        f, deg_m, _a = self.CASES[case]
+        cover = DoubleCoverData(f)
+        h = Poly.constant(3)
+        s = spectral_mul(self._norm_of_linears(random.Random(case), cover, deg_m),
+                         spoly(2, deg_m, Poly.zero(), -(f * h * h)))
+        w = pullback_splits(cover, s)
+        assert w is not None
+        assert galois_pushforward(cover, w) == s
+
+    def test_two_pair_block_witness_pinned(self):
+        # N(W1) * N(W2) has four witnesses W1^(+-) * W2^(+-); the splitter
+        # returns conj(W1) * W2, so a change of search order shows here
+        one = Poly.one()
+        cover = DoubleCoverData(X * X + one)
+        w1 = TwistedSpectralPoly(cover, 1, 1, ((X, one),))                # t + x + y
+        w2 = TwistedSpectralPoly(cover, 1, 1, ((Poly.constant(2), -one),))  # t + 2 - y
+        s = spectral_mul(galois_pushforward(cover, w1),
+                         galois_pushforward(cover, w2))
+        w = pullback_splits(cover, s)
+        assert w is not None and galois_pushforward(cover, w) == s
+        assert w.pairs == (
+            (X + 2, Poly.constant(-2)),
+            (X * X + 2 * X + 1, -X - 2),
+        )
