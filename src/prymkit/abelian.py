@@ -3,14 +3,18 @@
 Subgroups of (Z/M)^(2g) are represented by the Hermite normal form of their
 preimage lattice in Z^(2g); since that lattice is unique for the subgroup,
 two subgroups are equal iff their canonical generator matrices are equal.
-All values are immutable and all operations are pure functions.
+Every subgroup operation (intersection, multiplication preimage, kernel) is
+one Hermite form of a stacked lattice that contains M*Z^(2k), read off the
+rows whose pivots lie in the right-hand block; the Smith form serves only
+``structure()``.  All values are immutable and all operations are pure
+functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
+from math import gcd, prod
 
 
 class AmbientMismatch(ValueError):
@@ -238,14 +242,17 @@ def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
     return [row for row in work[:r] if any(row)]
 
 
+def _right_block(rows: list[list[int]], j: int) -> list[list[int]]:
+    """Hermite basis of {x : (0, x) in the lattice spanned by rows}, with 0
+    of length j: the tails of the Hermite rows whose pivot lies past
+    column j."""
+    return [r[j:] for r in hermite_normal_form(rows) if not any(r[:j])]
+
+
 def left_kernel(a: IntMatrix) -> list[list[int]]:
-    """Basis of the lattice {w : w * A = 0} of integer row vectors."""
-    u, d, _v = smith_normal_form(a)
-    rank = 0
-    for i in range(min(a.rows, a.cols)):
-        if d.get(i, i) != 0:
-            rank = i + 1
-    return [list(u.row(i)) for i in range(rank, a.rows)]
+    """Hermite basis of the lattice {w : w * A = 0} of integer row vectors:
+    the right-hand block of the lattice spanned by the rows of [A | I]."""
+    return _right_block(_augment(a.to_rows()), a.cols)
 
 
 @dataclass(frozen=True)
@@ -300,20 +307,16 @@ class TorsionAmbient:
         return self.M ** self.rank
 
     def full_subgroup(self) -> "TorsionSubgroup":
-        return subgroup_from_generators(self, IntMatrix.identity(self.rank))
+        return _subgroup(self, _diagonal([1] * self.rank))
 
     def trivial_subgroup(self) -> "TorsionSubgroup":
-        return subgroup_from_generators(self, IntMatrix(0, self.rank, ()))
+        return _subgroup(self, [])
 
     def torsion_subgroup(self, n: int) -> "TorsionSubgroup":
         """The n-torsion subgroup; requires n | M."""
         if self.M % n != 0:
             raise ValueError(f"{n}-torsion needs {n} | {self.M}")
-        step = self.M // n
-        return subgroup_from_generators(
-            self, IntMatrix(self.rank, self.rank,
-                            tuple(step if i == j else 0
-                                  for i in range(self.rank) for j in range(self.rank))))
+        return _subgroup(self, _diagonal([self.M // n] * self.rank))
 
 
 @dataclass(frozen=True)
@@ -331,10 +334,13 @@ class TorsionSubgroup:
     def _lattice_basis(self) -> tuple[tuple[int, ...], ...]:
         """Full-rank HNF basis of the preimage lattice in Z^rank, computed
         once per subgroup; its rows are tuples, so no caller can change it."""
-        k = self.ambient.rank
-        rows = self.generators.to_rows()
-        rows += [[self.ambient.M if i == j else 0 for j in range(k)] for i in range(k)]
+        rows = self.generators.to_rows() + _diagonal([self.ambient.M] * self.ambient.rank)
         return tuple(map(tuple, hermite_normal_form(rows)))
+
+    @property
+    def exponent(self) -> int:
+        """Least e with e*H = 0: M over the gcd of M and every generator entry."""
+        return self.ambient.M // gcd(self.ambient.M, *self.generators.entries)
 
     @property
     def order(self) -> int:
@@ -391,60 +397,61 @@ class TorsionSubgroup:
         if M % M0 != 0:
             raise AmbientMismatch(f"cannot embed Z/{M0} torsion into Z/{M}")
         s = M // M0
-        rows = [[e * s for e in self.generators.row(i)]
-                for i in range(self.generators.rows)]
-        return subgroup_from_generators(target, IntMatrix.from_rows(rows)
-                                        if rows else IntMatrix(0, target.rank, ()))
+        return _subgroup(target, [[e * s for e in self.generators.row(i)]
+                                  for i in range(self.generators.rows)])
 
 
 def subgroup_from_generators(ambient: TorsionAmbient, rows: IntMatrix) -> TorsionSubgroup:
     """Canonical subgroup of (Z/M)^(2g) generated by the given rows."""
-    k = ambient.rank
-    if rows.cols != k:
-        raise ValueError(f"generators have {rows.cols} columns, ambient rank is {k}")
-    M = ambient.M
-    work = [[e % M for e in rows.row(i)] for i in range(rows.rows)]
-    work += [[M if i == j else 0 for j in range(k)] for i in range(k)]
-    basis = hermite_normal_form(work)
-    reduced = []
-    for row in basis:
-        r = [e % M for e in row]
-        if any(r):
-            reduced.append(r)
-    canonical = (IntMatrix.from_rows(reduced) if reduced
-                 else IntMatrix(0, k, ()))
-    return TorsionSubgroup(ambient, canonical)
+    if rows.cols != ambient.rank:
+        raise ValueError(f"generators have {rows.cols} columns, "
+                         f"ambient rank is {ambient.rank}")
+    return _subgroup(ambient, rows.to_rows())
+
+
+def _subgroup(ambient: TorsionAmbient, rows: list[list[int]]) -> TorsionSubgroup:
+    """Canonical subgroup generated by a (possibly empty) list of rows: the
+    Hermite basis of the preimage lattice, reduced mod M, zero rows dropped."""
+    M, k = ambient.M, ambient.rank
+    basis = hermite_normal_form([[e % M for e in r] for r in rows] + _diagonal([M] * k))
+    reduced = [[e % M for e in r] for r in basis]
+    entries = tuple(e for r in reduced if any(r) for e in r)
+    return TorsionSubgroup(ambient, IntMatrix(len(entries) // k, k, entries))
+
+
+def _diagonal(d: list[int]) -> list[list[int]]:
+    """Rows of the diagonal matrix with diagonal d."""
+    return [[e if i == j else 0 for j in range(len(d))] for i, e in enumerate(d)]
+
+
+def _augment(rows: list[list[int]]) -> list[list[int]]:
+    """The rows of [A | I] for A given by its rows."""
+    return [r + [int(i == j) for j in range(len(rows))] for i, r in enumerate(rows)]
 
 
 def intersect(h1: TorsionSubgroup, h2: TorsionSubgroup) -> TorsionSubgroup:
-    """Setwise intersection of two subgroups of the same ambient."""
+    """Setwise intersection of two subgroups of the same ambient: x lies in
+    H1 and H2 exactly when (0, x) lies in the lattice spanned by (g, g) for
+    g in H1, (h, 0) for h in H2 and M*Z^(2k)."""
     if h1.ambient != h2.ambient:
         raise AmbientMismatch("intersection across different ambients")
-    b1 = h1._lattice_basis
-    b2 = h2._lattice_basis
-    k = h1.ambient.rank
-    stacked = IntMatrix.from_rows(list(b1) + [[-e for e in row] for row in b2])
-    gens = []
-    for w in left_kernel(stacked):
-        x = [0] * k
-        for i, c in enumerate(w[:len(b1)]):
-            if c:
-                for j in range(k):
-                    x[j] += c * b1[i][j]
-        gens.append(x)
-    return subgroup_from_generators(
-        h1.ambient, IntMatrix.from_rows(gens) if gens else IntMatrix(0, k, ()))
+    k, M = h1.ambient.rank, h1.ambient.M
+    rows = [g + g for g in h1.generators.to_rows()]
+    rows += [h + [0] * k for h in h2.generators.to_rows()]
+    return _subgroup(h1.ambient, _right_block(rows + _diagonal([M] * 2 * k), k))
 
 
 def preimage_mul(m: int, h: TorsionSubgroup) -> TorsionSubgroup:
-    """Full preimage {x : m*x in H} under multiplication by m.
+    """Full preimage {x : m*x in H} under multiplication by m: x lies in it
+    exactly when (0, x) lies in the lattice spanned by (m*e_i, e_i),
+    (h, 0) for h in H and M*Z^(2k).
 
     Precondition: m * exponent(H) divides the ambient modulus, so the finite
     model captures the whole preimage inside the torsion of Pic^0(C)."""
     if m < 1:
         raise ValueError("multiplier must be positive")
     M = h.ambient.M
-    exp = structure(h).exponent
+    exp = h.exponent
     if M % (m * exp) != 0:
         raise ValueError(
             f"preimage under [{m}] needs {m}*exponent({exp}) | modulus {M}; "
@@ -452,15 +459,9 @@ def preimage_mul(m: int, h: TorsionSubgroup) -> TorsionSubgroup:
     if m == 1:
         return h
     k = h.ambient.rank
-    basis = h._lattice_basis
-    # pairs (x, y) with m*x = y*B;  x spans the preimage lattice
-    top = [[m if i == j else 0 for j in range(k)] for i in range(k)]
-    stacked = IntMatrix.from_rows(top + [[-e for e in row] for row in basis])
-    gens = []
-    for w in left_kernel(stacked):
-        gens.append(list(w[:k]))
-    return subgroup_from_generators(
-        h.ambient, IntMatrix.from_rows(gens) if gens else IntMatrix(0, k, ()))
+    rows = _augment(_diagonal([m] * k))
+    rows += [g + [0] * k for g in h.generators.to_rows()]
+    return _subgroup(h.ambient, _right_block(rows + _diagonal([M] * 2 * k), k))
 
 
 def structure(h: TorsionSubgroup) -> FinAbGroup:
@@ -498,10 +499,8 @@ class GroupHom:
         if self.matrix.rows != self.domain.rank or self.matrix.cols != self.codomain.rank:
             raise ValueError("matrix shape does not match domain/codomain ranks")
         # well-definedness: M_dom * e_i must map into the codomain relations
-        for i in range(self.matrix.rows):
-            for j in range(self.matrix.cols):
-                if (self.domain.M * self.matrix.get(i, j)) % self.codomain.M != 0:
-                    raise ValueError("homomorphism not well defined on relations")
+        if any(self.domain.M * e % self.codomain.M for e in self.matrix.entries):
+            raise ValueError("homomorphism not well defined on relations")
 
     def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         if len(vec) != self.domain.rank:
@@ -512,21 +511,17 @@ class GroupHom:
             for j in range(self.codomain.rank))
 
     def kernel(self) -> TorsionSubgroup:
-        kd = self.domain.rank
-        kc = self.codomain.rank
-        Mc = self.codomain.M
-        bottom = [[Mc if i == j else 0 for j in range(kc)] for i in range(kc)]
-        stacked = IntMatrix.from_rows(self.matrix.to_rows() + bottom)
-        gens = [list(w[:kd]) for w in left_kernel(stacked)]
-        return subgroup_from_generators(
-            self.domain,
-            IntMatrix.from_rows(gens) if gens else IntMatrix(0, kd, ()))
+        """x lies in the kernel exactly when (0, x) lies in the lattice
+        spanned by (e_i*A, e_i), Mc*Z on the left block and Md*Z on the
+        right (the Md rows lie in the span of the others, as the well
+        definedness check gives Md*A = 0 mod Mc)."""
+        kd, kc = self.domain.rank, self.codomain.rank
+        rows = _augment(self.matrix.to_rows())
+        rows += _diagonal([self.codomain.M] * kc + [self.domain.M] * kd)
+        return _subgroup(self.domain, _right_block(rows, kc))
 
     def image(self) -> TorsionSubgroup:
-        return subgroup_from_generators(
-            self.codomain,
-            IntMatrix.from_rows(self.matrix.to_rows()) if self.matrix.rows
-            else IntMatrix(0, self.codomain.rank, ()))
+        return subgroup_from_generators(self.codomain, self.matrix)
 
 
 def dual_of_inclusion(k_sub: TorsionSubgroup, n: int) -> GroupHom:
@@ -541,16 +536,12 @@ def dual_of_inclusion(k_sub: TorsionSubgroup, n: int) -> GroupHom:
     amb = k_sub.ambient
     if amb.M % n != 0:
         raise ValueError(f"ambient modulus {amb.M} is not divisible by {n}")
+    if n % k_sub.exponent != 0:
+        raise ValueError("subgroup is not contained in the n-torsion")
     step = amb.M // n
     rank = amb.rank
-    rows = []
-    for i in range(k_sub.generators.rows):
-        r = k_sub.generators.row(i)
-        if any((n * e) % amb.M != 0 for e in r):
-            raise ValueError("subgroup is not contained in the n-torsion")
-        rows.append([e // step for e in r])
-    while len(rows) < rank:
-        rows.append([0] * rank)
+    rows = [[e // step for e in g] for g in k_sub.generators.to_rows()]
+    rows += [[0] * rank] * (rank - len(rows))
     small = TorsionAmbient(amb.g, n)
     mat = IntMatrix.from_rows(rows).transpose()
     return GroupHom(small, small, mat)

@@ -15,6 +15,10 @@ from .norms import AlgebraElement, SpectralPoly
 from .polynomials import Poly
 from .spectral import ComponentData, SpectralCoverDescriptor
 
+# Largest genus a descriptor may have: a component kernel is a 2g x 2g
+# Hermite form, so g is refused up front instead of allocating for it.
+MAX_GENUS = 64
+
 
 class SchemaError(ValueError):
     """Malformed input document; carries the path of the offending field."""
@@ -127,6 +131,7 @@ def descriptor_from_json(value, path: str = "$") -> SpectralCoverDescriptor:
     obj = _expect_dict(value, path)
     n = _expect_int(_expect_key(obj, "n", path), f"{path}.n")
     g = _expect_int(_expect_key(obj, "g", path), f"{path}.g")
+    _require(1 <= g <= MAX_GENUS, f"{path}.g", f"genus must lie in 1..{MAX_GENUS}")
     comps_raw = _expect_list(_expect_key(obj, "components", path), f"{path}.components")
     comps = []
     for i, raw in enumerate(comps_raw):
@@ -138,7 +143,6 @@ def descriptor_from_json(value, path: str = "$") -> SpectralCoverDescriptor:
                               f"{cp}.kernel_modulus")
         gens_raw = _expect_list(_expect_key(cobj, "kernel_generators", cp),
                                 f"{cp}.kernel_generators")
-        _require(g >= 1, f"{path}.g", "genus must be >= 1")
         _require(modulus >= 1, f"{cp}.kernel_modulus", "modulus must be >= 1")
         rank = 2 * g
         rows = []

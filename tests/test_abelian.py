@@ -1,6 +1,7 @@
 """Tests for the integer-matrix and finite-abelian-group engine."""
 
 import random
+from itertools import product
 from math import gcd, prod
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from prymkit.abelian import (
     AmbientMismatch,
     FinAbGroup,
+    GroupHom,
     IntMatrix,
     TorsionAmbient,
     dual_group,
@@ -77,6 +79,21 @@ class TestSmithNormalForm:
                     for j in range(a.cols)]
             assert all(e == 0 for e in prod)
         assert len(left_kernel(a)) == 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10 ** 6))
+    def test_left_kernel_spans_smith_kernel(self, rows, cols, seed):
+        # the Smith rows U[rank:] span {w : w * A = 0}; tall, wide and
+        # rank-deficient shapes all occur (A = B * C with an inner rank)
+        rng = random.Random(seed)
+        inner = rng.randint(0, min(rows, cols))
+        b = IntMatrix(rows, inner, tuple(rng.randint(-5, 5) for _ in range(rows * inner)))
+        c = IntMatrix(inner, cols, tuple(rng.randint(-5, 5) for _ in range(inner * cols)))
+        a = b @ c if inner else IntMatrix.zero(rows, cols)
+        u, d, _v = smith_normal_form(a)
+        rank = sum(1 for e in _snf_diag(d) if e != 0)
+        smith_rows = [list(u.row(i)) for i in range(rank, a.rows)]
+        assert hermite_normal_form(left_kernel(a)) == hermite_normal_form(smith_rows)
 
 
 class TestHermiteNormalForm:
@@ -185,6 +202,38 @@ class TestSubgroups:
         assert h2 == h
 
 
+class TestExponent:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_against_structure_and_elements(self, seed):
+        rng = random.Random(seed)
+        g = rng.randint(1, 2)
+        M = rng.randint(1, {1: 24, 2: 6}[g])
+        amb = TorsionAmbient(g, M)
+        kind = rng.choice(["trivial", "full", "random", "random"])
+        if kind == "trivial":
+            h = amb.trivial_subgroup()
+        elif kind == "full":
+            h = amb.full_subgroup()
+        else:
+            rows = [[rng.randrange(M) * rng.choice([1, rng.randint(1, M)])
+                     for _ in range(amb.rank)]
+                    for _ in range(rng.randint(0, amb.rank + 1))]
+            h = subgroup_from_generators(
+                amb, IntMatrix.from_rows(rows) if rows else IntMatrix(0, amb.rank, ()))
+        elems = h.elements()
+        least = next(e for e in range(1, M + 1)
+                     if all((e * c) % M == 0 for x in elems for c in x))
+        assert h.exponent == structure(h).exponent == least
+
+    def test_examples(self):
+        amb = TorsionAmbient(1, 12)
+        assert amb.trivial_subgroup().exponent == 1
+        assert amb.full_subgroup().exponent == 12
+        h = subgroup_from_generators(amb, IntMatrix.from_rows([[6, 0], [0, 4]]))
+        assert h.exponent == 6
+
+
 class TestPreimage:
     def test_identity_multiplier(self):
         amb = TorsionAmbient(1, 4)
@@ -277,6 +326,43 @@ class TestStructureAndDuals:
             FinAbGroup((1, 2))
         with pytest.raises(ValueError):
             FinAbGroup((4, 2))
+
+
+class TestGroupHomKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_kernel_brute_force_mixed_moduli(self, seed):
+        # (Z/Md)^(2g) -> (Z/Mc)^(2g) with Mc | Md, Mc < Md: every integer
+        # matrix is well defined, and the kernel is found by enumeration
+        rng = random.Random(seed)
+        g = rng.randint(1, 2)
+        Md = rng.randint(2, 12)
+        Mc = rng.choice([c for c in range(1, Md) if Md % c == 0])
+        k = 2 * g
+        mat = IntMatrix(k, k, tuple(rng.randrange(Mc) for _ in range(k * k)))
+        hom = GroupHom(TorsionAmbient(g, Md), TorsionAmbient(g, Mc), mat)
+        zero = (0,) * k
+        expected = {x for x in product(range(Md), repeat=k) if hom.apply(x) == zero}
+        ker = hom.kernel()
+        assert ker.elements() == expected
+        assert ker.order == len(expected)
+
+    def test_operations_use_no_smith_form(self, monkeypatch):
+        from prymkit import abelian
+
+        def forbidden(*args):
+            raise AssertionError("Smith form called")
+
+        for name in ("smith_normal_form", "left_kernel", "structure"):
+            monkeypatch.setattr(abelian, name, forbidden)
+        amb = TorsionAmbient(1, 12)
+        h1 = subgroup_from_generators(amb, IntMatrix.from_rows([[2, 0], [0, 3]]))
+        h2 = subgroup_from_generators(amb, IntMatrix.from_rows([[3, 0], [0, 2]]))
+        assert intersect(h1, h2).order == 4
+        h3 = subgroup_from_generators(amb, IntMatrix.from_rows([[6, 0], [0, 4]]))
+        assert preimage_mul(2, h3).order == 24
+        hom = GroupHom(amb, TorsionAmbient(1, 4), IntMatrix.from_rows([[1, 0], [0, 2]]))
+        assert hom.kernel().order == 12 * 12 // 8
 
 
 class TestDualOfInclusion:

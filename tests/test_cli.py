@@ -16,6 +16,7 @@ from prymkit.covers import DoubleCoverData, galois_pushforward
 from prymkit.norms import SpectralPoly
 from prymkit.polynomials import Poly
 from prymkit.serialize import (
+    MAX_GENUS,
     SchemaError,
     cover_from_json,
     cover_to_json,
@@ -150,6 +151,17 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)["payload"]
         assert payload["phi_kernel_order"] == 4 ** 2 // payload["k_order"]
         assert calls == {"intersect": 2, "preimage_mul": 2}
+
+    def test_pi0_huge_genus_refused_at_once(self, tmp_path, capsys):
+        # a 2g x 2g kernel matrix at g = 10^6 would hold 4 * 10^12 entries
+        doc = {"n": 2, "g": 10 ** 6, "components": [
+            {"degree": 1, "multiplicity": 2, "kernel_modulus": 1,
+             "kernel_generators": []}]}
+        path = self._write(tmp_path, "d.json", doc)
+        t0 = time.perf_counter()
+        assert main(["pi0", "--input", path]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert f"genus must lie in 1..{MAX_GENUS}" in capsys.readouterr().err
 
     def test_internal_error_exit_4(self, capsys, monkeypatch):
         def broken(args):
