@@ -5,9 +5,11 @@ preimage lattice in Z^(2g); since that lattice is unique for the subgroup,
 two subgroups are equal iff their canonical generator matrices are equal.
 Every subgroup operation (intersection, multiplication preimage, kernel) is
 one Hermite form of a stacked lattice that contains M*Z^(2k), read off the
-rows whose pivots lie in the right-hand block; the Smith form serves only
-``structure()``.  All values are immutable and all operations are pure
-functions.
+rows whose pivots lie in the right-hand block; those rows already are the
+Hermite basis of the result, which is built from them with no further
+elimination.  The Hermite form is the only elimination kernel: the Smith
+form, which serves only ``structure()``, is built from alternating Hermite
+forms.  All values are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -109,99 +111,48 @@ class IntMatrix:
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: U, D, V with U*A*V = D, U and V unimodular, D
-    diagonal with nonnegative entries and d_1 | d_2 | ...
+    diagonal with nonnegative entries, d_1 | d_2 | ... and zeros last.
 
-    Pivoting picks the minimal-absolute-value nonzero entry, which keeps
-    coefficient growth modest without randomization.
+    Alternating Hermite forms (Kannan-Bachem): the row HNF of [A | U], then
+    the row HNF of [A^T | V^T], until A is diagonal.  U and V ride along as
+    the right-hand block, and no row vanishes because that block stays
+    unimodular.  A pair d_i, d_j with d_i not dividing d_j is repaired by
+    adding column j to column i; the next row HNF puts gcd(d_i, d_j) at
+    (i, i).
     """
-    rows, cols = a.rows, a.cols
-    m = a.to_rows()
-    u = IntMatrix.identity(rows).to_rows()
-    v = IntMatrix.identity(cols).to_rows()
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def addmul_row(dst, src, q):
-        # row_dst += q * row_src (dst != src always holds at call sites)
-        for k in range(cols):
-            m[dst][k] += q * m[src][k]
-        for k in range(rows):
-            u[dst][k] += q * u[src][k]
-
-    def addmul_col(dst, src, q):
-        for r in m:
-            r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
-
-    t = 0
-    while t < min(rows, cols):
-        # locate minimal-|.| nonzero pivot in the trailing block
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                e = m[i][j]
-                if e != 0 and (best is None or abs(e) < abs(best[2])):
-                    best = (i, j, e)
-        if best is None:
+    r, c = a.rows, a.cols
+    m, u, vt = a.to_rows(), _diagonal([1] * r), _diagonal([1] * c)
+    while True:
+        m, u = _carried_hnf(m, u, c)
+        mt, vt = _carried_hnf(_transpose(m, c), vt, r)
+        m = _transpose(mt, r)
+        if any(e for i, row in enumerate(m) for j, e in enumerate(row) if i != j):
+            continue
+        d = [m[i][i] for i in range(min(r, c)) if m[i][i]]
+        pair = next(((i, j) for i in range(len(d)) for j in range(i + 1, len(d))
+                     if d[j] % d[i]), None)
+        if pair is None:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    addmul_row(i, t, -q)
-                    if m[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    addmul_col(j, t, -q)
-                    if m[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # enforce pivot | trailing block
-            piv = m[t][t]
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if m[i][j] % piv != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            addmul_row(t, offender, 1)
-        t += 1
+        i, j = pair
+        for row in m:
+            row[i] += row[j]
+        vt[i] = [x + y for x, y in zip(vt[i], vt[j])]
+    return (IntMatrix(r, r, tuple(e for row in u for e in row)),
+            IntMatrix(r, c, tuple(e for row in m for e in row)),
+            IntMatrix(c, c, tuple(e for row in _transpose(vt, c) for e in row)))
 
-    # normalize signs
-    for i in range(min(rows, cols)):
-        if m[i][i] < 0:
-            for k in range(cols):
-                m[i][k] = -m[i][k]
-            for k in range(rows):
-                u[i][k] = -u[i][k]
 
-    return (IntMatrix.from_rows(u) if rows else IntMatrix(0, 0, ()),
-            IntMatrix.from_rows(m) if rows else IntMatrix(0, cols, ()),
-            IntMatrix.from_rows(v) if cols else IntMatrix(0, 0, ()))
+def _carried_hnf(m: list[list[int]], carry: list[list[int]],
+                 width: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Row HNF of [m | carry], split back into its two blocks; m has width
+    columns, and carry is unimodular, so no row is dropped."""
+    h = hermite_normal_form([x + y for x, y in zip(m, carry)])
+    return [row[:width] for row in h], [row[width:] for row in h]
+
+
+def _transpose(rows: list[list[int]], cols: int) -> list[list[int]]:
+    """Transpose of a matrix given by its rows, each of length cols."""
+    return [[row[j] for row in rows] for j in range(cols)]
 
 
 def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
@@ -307,16 +258,16 @@ class TorsionAmbient:
         return self.M ** self.rank
 
     def full_subgroup(self) -> "TorsionSubgroup":
-        return _subgroup(self, _diagonal([1] * self.rank))
+        return _from_basis(self, _diagonal([1] * self.rank))
 
     def trivial_subgroup(self) -> "TorsionSubgroup":
-        return _subgroup(self, [])
+        return _from_basis(self, _diagonal([self.M] * self.rank))
 
     def torsion_subgroup(self, n: int) -> "TorsionSubgroup":
         """The n-torsion subgroup; requires n | M."""
         if self.M % n != 0:
             raise ValueError(f"{n}-torsion needs {n} | {self.M}")
-        return _subgroup(self, _diagonal([self.M // n] * self.rank))
+        return _from_basis(self, _diagonal([self.M // n] * self.rank))
 
 
 @dataclass(frozen=True)
@@ -333,7 +284,8 @@ class TorsionSubgroup:
     @cached_property
     def _lattice_basis(self) -> tuple[tuple[int, ...], ...]:
         """Full-rank HNF basis of the preimage lattice in Z^rank, computed
-        once per subgroup; its rows are tuples, so no caller can change it."""
+        once per subgroup (``_from_basis`` fills it in from the basis it
+        already has); its rows are tuples, so no caller can change it."""
         rows = self.generators.to_rows() + _diagonal([self.ambient.M] * self.ambient.rank)
         return tuple(map(tuple, hermite_normal_form(rows)))
 
@@ -410,13 +362,22 @@ def subgroup_from_generators(ambient: TorsionAmbient, rows: IntMatrix) -> Torsio
 
 
 def _subgroup(ambient: TorsionAmbient, rows: list[list[int]]) -> TorsionSubgroup:
-    """Canonical subgroup generated by a (possibly empty) list of rows: the
-    Hermite basis of the preimage lattice, reduced mod M, zero rows dropped."""
+    """Canonical subgroup generated by a (possibly empty) list of rows."""
+    M = ambient.M
+    return _from_basis(ambient, hermite_normal_form(
+        [[e % M for e in r] for r in rows] + _diagonal([M] * ambient.rank)))
+
+
+def _from_basis(ambient: TorsionAmbient, basis: list[list[int]]) -> TorsionSubgroup:
+    """The subgroup whose preimage lattice (which contains M*Z^k) has the
+    given Hermite basis: its rows reduced mod M, zero rows dropped, are the
+    canonical generators, and the basis itself is kept as _lattice_basis."""
     M, k = ambient.M, ambient.rank
-    basis = hermite_normal_form([[e % M for e in r] for r in rows] + _diagonal([M] * k))
     reduced = [[e % M for e in r] for r in basis]
     entries = tuple(e for r in reduced if any(r) for e in r)
-    return TorsionSubgroup(ambient, IntMatrix(len(entries) // k, k, entries))
+    h = TorsionSubgroup(ambient, IntMatrix(len(entries) // k, k, entries))
+    h.__dict__["_lattice_basis"] = tuple(map(tuple, basis))
+    return h
 
 
 def _diagonal(d: list[int]) -> list[list[int]]:
@@ -438,7 +399,7 @@ def intersect(h1: TorsionSubgroup, h2: TorsionSubgroup) -> TorsionSubgroup:
     k, M = h1.ambient.rank, h1.ambient.M
     rows = [g + g for g in h1.generators.to_rows()]
     rows += [h + [0] * k for h in h2.generators.to_rows()]
-    return _subgroup(h1.ambient, _right_block(rows + _diagonal([M] * 2 * k), k))
+    return _from_basis(h1.ambient, _right_block(rows + _diagonal([M] * 2 * k), k))
 
 
 def preimage_mul(m: int, h: TorsionSubgroup) -> TorsionSubgroup:
@@ -461,7 +422,7 @@ def preimage_mul(m: int, h: TorsionSubgroup) -> TorsionSubgroup:
     k = h.ambient.rank
     rows = _augment(_diagonal([m] * k))
     rows += [g + [0] * k for g in h.generators.to_rows()]
-    return _subgroup(h.ambient, _right_block(rows + _diagonal([M] * 2 * k), k))
+    return _from_basis(h.ambient, _right_block(rows + _diagonal([M] * 2 * k), k))
 
 
 def structure(h: TorsionSubgroup) -> FinAbGroup:
@@ -518,7 +479,7 @@ class GroupHom:
         kd, kc = self.domain.rank, self.codomain.rank
         rows = _augment(self.matrix.to_rows())
         rows += _diagonal([self.codomain.M] * kc + [self.domain.M] * kd)
-        return _subgroup(self.domain, _right_block(rows, kc))
+        return _from_basis(self.domain, _right_block(rows, kc))
 
     def image(self) -> TorsionSubgroup:
         return subgroup_from_generators(self.codomain, self.matrix)

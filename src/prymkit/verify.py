@@ -161,11 +161,6 @@ def _record(results: list, name: str, passed: bool, detail: str = ""):
     results.append({"property": name, "passed": bool(passed), "detail": detail})
 
 
-def _matmul_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-             for j in range(len(b[0]))] for i in range(len(a))]
-
-
 # -- suites ---------------------------------------------------------------
 
 def suite_abelian(seed: int) -> list[dict]:

@@ -1,6 +1,8 @@
 """Tests for the integer-matrix and finite-abelian-group engine."""
 
 import random
+import signal
+import time
 from itertools import product
 from math import gcd, prod
 
@@ -41,17 +43,54 @@ class TestSmithNormalForm:
         _u, d, _v = smith_normal_form(a)
         assert _snf_diag(d) == [1, 0]
 
-    def test_two_by_two_invariant_factors(self):
-        a = IntMatrix.from_rows([[2, 4], [6, 8]])
+    @pytest.mark.parametrize("rows, diag", [
+        ([[2, 4], [6, 8]], [2, 4]),
+        # diagonal inputs whose divisibility needs repairing
+        ([[2, 0], [0, 3]], [1, 6]),
+        ([[6, 0, 0], [0, 4, 0], [0, 0, 9]], [1, 6, 36]),
+        ([[0, 0], [0, 5]], [5, 0]),
+        ([[5, 0, 0], [0, 0, 0], [0, 0, 3]], [1, 15, 0]),
+    ], ids=["2x2", "diag(2,3)", "diag(6,4,9)", "diag(0,5)", "diag(5,0,3)"])
+    def test_invariant_factors(self, rows, diag):
+        a = IntMatrix.from_rows(rows)
         u, d, v = smith_normal_form(a)
-        assert _snf_diag(d) == [2, 4]
+        assert _snf_diag(d) == diag
         assert (u @ a) @ v == d
         assert u.is_unimodular() and v.is_unimodular()
 
-    def test_zero_matrix(self):
-        a = IntMatrix.zero(2, 3)
-        _u, d, _v = smith_normal_form(a)
-        assert _snf_diag(d) == [0, 0]
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 3), (3, 0), (0, 0)],
+                             ids=["2x3", "0x3", "3x0", "0x0"])
+    def test_zero_matrix(self, shape):
+        r, c = shape
+        assert smith_normal_form(IntMatrix.zero(r, c)) == (
+            IntMatrix.identity(r), IntMatrix.zero(r, c), IntMatrix.identity(c))
+
+    def test_scale_soundness(self):
+        # seeded random n x n matrices with entries in +-50; the alarm turns
+        # coefficient blow-up into a failure instead of a hang
+        def overrun(signum, frame):
+            raise TimeoutError("Smith forms exceeded their 3 s budget")
+
+        previous = signal.signal(signal.SIGALRM, overrun)
+        signal.setitimer(signal.ITIMER_REAL, 3.0)
+        try:
+            for n in (10, 14, 20):
+                rng = random.Random(n)
+                a = IntMatrix(n, n, tuple(rng.randint(-50, 50) for _ in range(n * n)))
+                start = time.perf_counter()
+                u, d, v = smith_normal_form(a)
+                elapsed = time.perf_counter() - start
+                assert (u @ a) @ v == d
+                assert u.is_unimodular() and v.is_unimodular()
+                diag = _snf_diag(d)
+                assert all(b % a_ == 0 for a_, b in zip(diag, diag[1:]))
+                # Bareiss shares no code with the Hermite form
+                assert prod(diag) == abs(a.det())
+                assert diag[0] == gcd(*a.entries)
+            assert elapsed < 0.1, f"20x20 Smith form took {elapsed:.3f} s"
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 10 ** 6))
@@ -160,17 +199,53 @@ class TestSubgroups:
         calls = []
 
         def counting(rows):
-            calls.append(1)
+            # only Hermite forms of width 2 are of the subgroup's lattice;
+            # the Smith form inside structure() takes wider ones
+            if rows and len(rows[0]) == 2:
+                calls.append(1)
             return hermite_normal_form(rows)
 
         monkeypatch.setattr(abelian, "hermite_normal_form", counting)
         for _ in range(2):
             assert (h.order, h.contains((6, 0)), h.contains((1, 0)),
                     structure(h)) == expected
-        assert len(calls) == 1
+        assert len(calls) == 0
         basis = h._lattice_basis
         assert isinstance(basis, tuple)
         assert all(isinstance(row, tuple) for row in basis)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_lattice_basis_is_hermite_form(self, seed):
+        # every constructor fills in _lattice_basis; it must be the Hermite
+        # form of generators + M*I, computed afresh
+        rng = random.Random(seed)
+        g = rng.randint(1, 3)
+        M = rng.randint(1, {1: 60, 2: 30, 3: 12}[g])
+        amb = TorsionAmbient(g, M)
+        k = amb.rank
+
+        def random_subgroup(ambient):
+            rows = [[rng.randrange(ambient.M) for _ in range(k)]
+                    for _ in range(rng.randint(0, k))]
+            return subgroup_from_generators(
+                ambient, IntMatrix.from_rows(rows) if rows else IntMatrix(0, k, ()))
+
+        h1, h2 = random_subgroup(amb), random_subgroup(amb)
+        m = rng.choice([m for m in range(1, M + 1) if M % (m * h1.exponent) == 0])
+        Mc = rng.choice([c for c in range(1, M + 1) if M % c == 0])
+        hom = GroupHom(amb, TorsionAmbient(g, Mc),
+                       IntMatrix(k, k, tuple(rng.randrange(Mc) for _ in range(k * k))))
+        results = [h1, intersect(h1, h2), preimage_mul(m, h1), hom.kernel(),
+                   h1.embed(TorsionAmbient(g, M * rng.randint(1, 60 // M))),
+                   amb.full_subgroup(), amb.trivial_subgroup(),
+                   amb.torsion_subgroup(rng.choice([d for d in range(1, M + 1)
+                                                    if M % d == 0]))]
+        for h in results:
+            fresh = hermite_normal_form(
+                h.generators.to_rows() + [[h.ambient.M * (i == j) for j in range(k)]
+                                          for i in range(k)])
+            assert h._lattice_basis == tuple(map(tuple, fresh))
 
     def test_embed_scales_generators(self):
         small = TorsionAmbient(1, 2)
