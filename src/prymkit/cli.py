@@ -1,14 +1,19 @@
 """Batch command-line front door.
 
-Commands read JSON, dispatch to the library and emit deterministic reports
-(sorted keys, stable payloads).  Exit codes: 0 success, 1 failed
-verification, 2 malformed input or usage, 3 semantic invariant violation,
-4 internal error (an exception the library does not expect to raise).
+Each command reads its input, dispatches to the library and returns
+``(input_digest, payload)``.  ``main()`` alone wraps that in the report,
+emits it (sorted keys, stable payloads) and picks the exit code: 0 success,
+1 a ``verify`` payload whose ``all_passed`` is false, 2 malformed input or
+usage, 3 semantic invariant violation, 4 internal error (an exception the
+library does not expect to raise).  The parser is built on the first
+``main()`` call and reused, so ``main(argv)`` may be called repeatedly in
+one process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -80,14 +85,14 @@ def _emit(report: dict, fmt: str):
             print(f"{key}: {json.dumps(report['payload'][key], sort_keys=True)}")
 
 
-def _cmd_pi0(args) -> int:
+def _cmd_pi0(args) -> tuple[str, dict]:
     doc, digest = _load_input(args.input)
     desc = descriptor_from_json(doc)
     k = prym_component_group(desc)
     group = pi0_prym(desc)
     phi_surjection(desc)
     order, bound = k.order, desc.n ** (2 * desc.g)
-    payload = {
+    return digest, {
         "n": desc.n,
         "g": desc.g,
         "ambient_modulus": k.ambient.M,
@@ -101,30 +106,25 @@ def _cmd_pi0(args) -> int:
         "phi_kernel_order": bound // order,
         "is_cn": is_cn_cover(desc),
     }
-    _emit(_report("pi0", digest, payload), args.format)
-    return EXIT_OK
 
 
-def _cmd_endoscopy(args) -> int:
+def _cmd_endoscopy(args) -> tuple[str, dict]:
     if args.n is None or args.g is None:
         raise SchemaError("$", "endoscopy needs --n and --g")
     if not 2 <= args.n <= 10 ** 12 or args.g < 1:
-        # the divisor and primality loops run to sqrt(n)
+        # the one trial-division pass that factors n runs to sqrt(n)
         raise SchemaError("$", "endoscopy needs 2 <= n <= 10^12 and g >= 1")
     rep = endoscopy_report(args.n, args.g)
-    payload = {
+    return _digest(f"{args.n},{args.g}".encode()), {
         "n": rep.n,
         "g": rep.g,
         "dims": {str(d): v for d, v in sorted(rep.dims.items())},
         "c_n": rep.c_n,
         "bound": rep.bound,
     }
-    _emit(_report("endoscopy", _digest(f"{args.n},{args.g}".encode()), payload),
-          args.format)
-    return EXIT_OK
 
 
-def _cmd_norm(args) -> int:
+def _cmd_norm(args) -> tuple[str, dict]:
     doc, digest = _load_input(args.input)
     if not isinstance(doc, dict) or "spectral" not in doc or "element" not in doc:
         raise SchemaError("$", "norm input needs 'spectral' and 'element' fields")
@@ -132,28 +132,24 @@ def _cmd_norm(args) -> int:
     u = element_from_json(s, doc["element"], "$.element")
     det = norm_element(s, u)
     oracle = norm_resultant_oracle(s, u)
-    payload = {
+    return digest, {
         "norm": poly_to_json(det),
         "resultant_oracle_agrees": det == oracle,
     }
-    _emit(_report("norm", digest, payload), args.format)
-    return EXIT_OK
 
 
-def _cmd_factor(args) -> int:
+def _cmd_factor(args) -> tuple[str, dict]:
     doc, digest = _load_input(args.input)
     s = spectral_from_json(doc)
     fac = squarefree_decompose(s)
-    payload = {
+    return digest, {
         "deg_m": fac.deg_m,
         "blocks": [{"poly": spectral_to_json(q), "multiplicity": m}
                    for q, m in fac.factors],
     }
-    _emit(_report("factor", digest, payload), args.format)
-    return EXIT_OK
 
 
-def _cmd_galois(args) -> int:
+def _cmd_galois(args) -> tuple[str, dict]:
     doc, digest = _load_input(args.input)
     if not isinstance(doc, dict) or "cover" not in doc:
         raise SchemaError("$", "galois input needs a 'cover' field")
@@ -161,86 +157,73 @@ def _cmd_galois(args) -> int:
     if "twisted" in doc:
         tw = twisted_from_json(doc["twisted"], "$.twisted")
         pushed = galois_pushforward(cover, tw)
-        payload = {"direction": "pushforward",
-                   "pushforward": spectral_to_json(pushed)}
-    elif "spectral" in doc:
+        return digest, {"direction": "pushforward",
+                        "pushforward": spectral_to_json(pushed)}
+    if "spectral" in doc:
         s = spectral_from_json(doc["spectral"], "$.spectral")
         witness = pullback_splits(cover, s)
-        payload = {"direction": "split",
-                   "splits": witness is not None,
-                   "witness": twisted_to_json(witness) if witness else None}
-    else:
-        raise SchemaError("$", "galois input needs 'twisted' or 'spectral'")
-    _emit(_report("galois", digest, payload), args.format)
-    return EXIT_OK
+        return digest, {"direction": "split",
+                        "splits": witness is not None,
+                        "witness": twisted_to_json(witness) if witness else None}
+    raise SchemaError("$", "galois input needs 'twisted' or 'spectral'")
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, dict]:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("PRYMKIT_SEED", "0"))
+        raw = os.environ.get("PRYMKIT_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise SchemaError("$", f"PRYMKIT_SEED is not an integer: {raw!r}") from None
     try:
         results = run_suite(args.suite, seed)
     except KeyError as exc:
         raise SchemaError("$", str(exc.args[0])) from None
-    all_passed = all(r["passed"] for r in results)
-    payload = {"suite": args.suite, "seed": seed,
-               "results": results, "all_passed": all_passed}
-    _emit(_report("verify", _digest(f"{args.suite},{seed}".encode()), payload),
-          args.format)
-    return EXIT_OK if all_passed else EXIT_FAILED
+    return _digest(f"{args.suite},{seed}".encode()), {
+        "suite": args.suite, "seed": seed, "results": results,
+        "all_passed": all(r["passed"] for r in results)}
 
 
+# name, help text, options besides --format (a command listing none takes --input)
+_INPUT = (("--input", {"required": True, "help": "input JSON file"}),)
+_COMMANDS = (
+    ("pi0", "component group of the Prym variety", ()),
+    ("endoscopy", "endoscopic dimension table and bound",
+     (("--n", {"type": int}), ("--g", {"type": int}))),
+    ("norm", "norm of an algebra element", ()),
+    ("factor", "squarefree multiplicity profile", ()),
+    ("galois", "degree-2 pushforward or splitting test", ()),
+    ("verify", "run a seeded verification suite",
+     (("--suite", {"required": True}), ("--seed", {"type": int, "default": None}))),
+)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="prymkit",
         description="Exact computations for component groups of Prym varieties, "
                     "norm maps on quotient algebras and spectral polynomials.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input=False):
-        if needs_input:
-            p.add_argument("--input", required=True, help="input JSON file")
+    for name, help_text, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options or _INPUT:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--format", choices=["json", "table"], default="json")
-
-    p = sub.add_parser("pi0", help="component group of the Prym variety")
-    common(p, needs_input=True)
-    p.set_defaults(func=_cmd_pi0)
-
-    p = sub.add_parser("endoscopy", help="endoscopic dimension table and bound")
-    p.add_argument("--n", type=int)
-    p.add_argument("--g", type=int)
-    common(p)
-    p.set_defaults(func=_cmd_endoscopy)
-
-    p = sub.add_parser("norm", help="norm of an algebra element")
-    common(p, needs_input=True)
-    p.set_defaults(func=_cmd_norm)
-
-    p = sub.add_parser("factor", help="squarefree multiplicity profile")
-    common(p, needs_input=True)
-    p.set_defaults(func=_cmd_factor)
-
-    p = sub.add_parser("galois", help="degree-2 pushforward or splitting test")
-    common(p, needs_input=True)
-    p.set_defaults(func=_cmd_galois)
-
-    p = sub.add_parser("verify", help="run a seeded verification suite")
-    p.add_argument("--suite", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_SCHEMA if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # looked up at call time, so a patched command is the one that runs
+        digest, payload = globals()[f"_cmd_{args.command}"](args)
+        _emit(_report(args.command, digest, payload), args.format)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -250,6 +233,9 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    if args.command == "verify" and not payload["all_passed"]:
+        return EXIT_FAILED
+    return EXIT_OK
 
 
 if __name__ == "__main__":

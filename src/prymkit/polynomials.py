@@ -501,13 +501,6 @@ class TPoly:
     def map_coeffs(self, fn, new_zero) -> "TPoly":
         return TPoly(tuple(fn(c) for c in self.coeffs), new_zero)
 
-    def eval_coeff(self, value):
-        """Substitute a coefficient-ring value for t (Horner)."""
-        acc = self.czero
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
     def __repr__(self):
         return f"TPoly({list(self.coeffs)!r})"
 

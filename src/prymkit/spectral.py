@@ -6,9 +6,10 @@ the C_n criterion, and the endoscopic dimension and bound formulas.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt, lcm
+from math import lcm
 
 from .abelian import (
     AmbientMismatch,
@@ -159,65 +160,81 @@ def endoscopic_dim(n: int, d: int, g: int) -> int:
     return (n * n // d - 1) * (g - 1)
 
 
+def _prime_factors(n: int):
+    """The prime factors of n with multiplicity, in ascending order, by trial
+    division up to sqrt(n); reading only the first stops the division there."""
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            yield p
+            n //= p
+        p += 1
+    if n > 1:
+        yield n
+
+
 def smallest_prime_divisor(n: int) -> int:
     if n < 2:
         raise ValueError("need n >= 2")
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 1
-    return n
+    return next(_prime_factors(n))
 
 
-def variant_bound(n: int, g: int) -> tuple[int, int]:
+def variant_bound(n: int, g: int, p: int | None = None) -> tuple[int, int]:
     """Codimension c_n = n^2 (1 - 1/p)(g - 1) for p the smallest prime
-    divisor of n, and the derived cohomological degree bound 2*c_n."""
+    divisor of n, and the derived cohomological degree bound 2*c_n.  A
+    caller that has already factored n passes p."""
     if n < 2:
         raise ValueError("need n >= 2")
     if g < 1:
         raise ValueError("need g >= 1")
-    p = smallest_prime_divisor(n)
+    if p is None:
+        p = smallest_prime_divisor(n)
     c_n = n * n * (p - 1) * (g - 1) // p
     assert c_n == endoscopic_dim(n, 1, g) - endoscopic_dim(n, p, g)
     return c_n, 2 * c_n
 
 
 def divisors(n: int) -> list[int]:
-    """Positive divisors of n in ascending order, found as the pairs
-    (d, n // d) with d <= isqrt(n)."""
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
+    """Positive divisors of n >= 1 in ascending order."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return _divisors(Counter(_prime_factors(n)))
+
+
+def _divisors(factors: dict[int, int]) -> list[int]:
+    divs = [1]
+    for p, e in factors.items():
+        divs = [d * p ** k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 @dataclass(frozen=True)
 class EndoscopyReport:
     """Dimension table of the endoscopic loci for one (n, g), the
-    codimension c_n and the degree bound 2*c_n."""
+    codimension c_n, the degree bound 2*c_n, and the distinct prime
+    factors of n in ascending order."""
 
     n: int
     g: int
     dims: dict[int, int]
     c_n: int
     bound: int
+    primes: tuple[int, ...]
 
     def __post_init__(self):
-        p = smallest_prime_divisor(self.n)
-        prime_max = max(self.dims[d] for d in self.dims if d != 1 and _is_prime(d))
+        prime_max = max(self.dims[p] for p in self.primes)
         if self.c_n != self.dims[1] - prime_max:
             raise InvariantViolation("codimension inconsistent with dimension table")
-        if self.dims[p] != prime_max:
+        if self.dims[self.primes[0]] != prime_max:
             raise InvariantViolation("largest endoscopic locus not at the smallest prime")
 
 
-def _is_prime(d: int) -> bool:
-    return d >= 2 and smallest_prime_divisor(d) == d
-
-
 def endoscopy_report(n: int, g: int) -> EndoscopyReport:
-    dims = {d: endoscopic_dim(n, d, g) for d in divisors(n)}
-    c_n, bound = variant_bound(n, g)
-    return EndoscopyReport(n=n, g=g, dims=dims, c_n=c_n, bound=bound)
+    factors = Counter(_prime_factors(n))  # the one trial division of n
+    dims = {d: endoscopic_dim(n, d, g) for d in _divisors(factors)}
+    c_n, bound = variant_bound(n, g, min(factors, default=None))
+    return EndoscopyReport(n=n, g=g, dims=dims, c_n=c_n, bound=bound,
+                           primes=tuple(factors))
 
 
 def gamma_in_k(desc: SpectralCoverDescriptor, gamma: TorsionSubgroup) -> bool:

@@ -1,5 +1,6 @@
 """Tests for JSON schemas and the command-line interface."""
 
+import argparse
 import json
 import os
 import random
@@ -267,3 +268,34 @@ class TestCli:
                      "--format", "table"]) == 0
         out = capsys.readouterr().out
         assert "c_n: 2" in out
+
+    def test_seed_env_not_an_integer_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("PRYMKIT_SEED", "abc")
+        assert main(["verify", "--suite", "abelian"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: $: PRYMKIT_SEED is not an integer: 'abc'\n"
+        assert captured.out == ""
+
+    def test_failed_verification_exit_1(self, capsys, monkeypatch):
+        def failing(name, seed):
+            return [{"property": "p", "passed": False, "detail": "broken"}]
+
+        monkeypatch.setattr(cli, "run_suite", failing)
+        assert main(["verify", "--suite", "abelian", "--seed", "0"]) == 1
+        out = capsys.readouterr().out
+        assert '"all_passed": false' in out
+        assert json.loads(out)["payload"]["results"][0]["detail"] == "broken"
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["endoscopy", "--n", "6", "--g", "2"]) == 0
+        after_first = len(built)
+        assert main(["endoscopy", "--n", "6", "--g", "2"]) == 0
+        assert len(built) == after_first

@@ -1,6 +1,7 @@
 """Tests for spectral-cover descriptors, component groups and endoscopy."""
 
 import random
+from math import isqrt
 
 import pytest
 
@@ -190,6 +191,9 @@ class TestEndoscopyFormulas:
         assert smallest_prime_divisor(9) == 3
         assert smallest_prime_divisor(35) == 5
         assert smallest_prime_divisor(13) == 13
+        # 10^12 - 11 is prime; 963,761,198,400 = 2^6 3^4 5^2 7 11 13 17 19 23
+        assert smallest_prime_divisor(999_999_999_989) == 999_999_999_989
+        assert smallest_prime_divisor(963_761_198_400) == 2
 
     def test_variant_bound_plug_ins(self):
         assert variant_bound(2, 2) == (2, 4)
@@ -217,6 +221,12 @@ class TestDivisors:
     def test_brute_force(self):
         for n in range(1, 501):
             assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+        # beyond that range, pair each d <= sqrt(n) with n // d
+        for n, count in ((999_999_999_989, 2), (963_761_198_400, 6_720)):
+            small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+            ds = divisors(n)
+            assert ds == sorted(set(small + [n // d for d in small]))
+            assert len(ds) == count
 
     def test_large_n(self):
         # 10^12 = 2^12 * 5^12 has 13 * 13 divisors
