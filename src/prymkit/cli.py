@@ -43,7 +43,7 @@ from .spectral import (
     pi0_prym,
     prym_component_group,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -176,10 +176,10 @@ def _cmd_verify(args) -> tuple[str, dict]:
             seed = int(raw)
         except ValueError:
             raise SchemaError("$", f"PRYMKIT_SEED is not an integer: {raw!r}") from None
-    try:
-        results = run_suite(args.suite, seed)
-    except KeyError as exc:
-        raise SchemaError("$", str(exc.args[0])) from None
+    if args.suite not in SUITES:
+        raise SchemaError(
+            "$", f"unknown suite {args.suite!r}; available: {sorted(SUITES)}")
+    results = run_suite(args.suite, seed)
     return _digest(f"{args.suite},{seed}".encode()), {
         "suite": args.suite, "seed": seed, "results": results,
         "all_passed": all(r["passed"] for r in results)}

@@ -5,7 +5,9 @@ pushforward with its bounded inverse (the membership test for descent
 along a double cover).
 
 The double cover is modeled concretely as y^2 = f(x) with f squarefree;
-functions on it are pairs u + y*v reduced modulo the defining relation.
+a function on it is a Surd u + y*v, reduced modulo the defining relation.
+The same type, a + b*sqrt(d) with rational a, b, is the arithmetic of the
+quadratic number field Q(sqrt(f(x0))) at a specialization point x0.
 """
 
 from __future__ import annotations
@@ -127,40 +129,66 @@ class DoubleCoverData:
 
 
 @dataclass(frozen=True)
-class YPair:
-    """Function u + y*v on the double cover, reduced mod y^2 = f."""
+class Surd:
+    """Element a + b*sqrt(d) of R[sqrt(d)], R an exact coefficient ring.
 
-    u: Poly
-    v: Poly
-    f: Poly
+    On the double cover R = Q[x] and d = f, so sqrt(d) is y and the element
+    is the function a + y*b reduced mod y^2 = f.  At a specialization point
+    x0, R = Q and d = f(x0) is a non-square, so R[sqrt(d)] is a field."""
+
+    a: object
+    b: object
+    d: object
 
     def is_zero(self) -> bool:
-        return self.u.is_zero() and self.v.is_zero()
+        return not self.a and not self.b
 
-    def one_like(self) -> "YPair":
-        return YPair(Poly.one(), Poly.zero(), self.f)
+    def one_like(self) -> "Surd":
+        # d ** 0 and d * 0 are the one and zero of R, whichever ring it is
+        return Surd(self.d ** 0, self.d * 0, self.d)
 
-    def _check(self, other: "YPair"):
-        if self.f != other.f:
+    def _check(self, other: "Surd"):
+        if self.d is not other.d and self.d != other.d:
             raise ValueError("operands live on different double covers")
 
-    def __add__(self, other: "YPair") -> "YPair":
+    def __add__(self, other: "Surd") -> "Surd":
         self._check(other)
-        return YPair(self.u + other.u, self.v + other.v, self.f)
+        return Surd(self.a + other.a, self.b + other.b, self.d)
 
-    def __neg__(self) -> "YPair":
-        return YPair(-self.u, -self.v, self.f)
+    def __neg__(self) -> "Surd":
+        return Surd(-self.a, -self.b, self.d)
 
-    def __sub__(self, other: "YPair") -> "YPair":
+    def __sub__(self, other: "Surd") -> "Surd":
         return self + (-other)
 
-    def __mul__(self, other: "YPair") -> "YPair":
+    def __mul__(self, other: "Surd") -> "Surd":
         self._check(other)
-        return YPair(self.u * other.u + self.f * (self.v * other.v),
-                     self.u * other.v + other.u * self.v, self.f)
+        return Surd(self.a * other.a + self.d * (self.b * other.b),
+                    self.a * other.b + other.a * self.b, self.d)
 
-    def conjugate(self) -> "YPair":
-        return YPair(self.u, -self.v, self.f)
+    def conjugate(self) -> "Surd":
+        return Surd(self.a, -self.b, self.d)
+
+    def inverse(self) -> "Surd":
+        # the norm a^2 - d*b^2 is nonzero because d is not a square
+        n = self.a * self.a - self.d * self.b * self.b
+        return Surd(self.a / n, -self.b / n, self.d)
+
+    def __truediv__(self, other: "Surd") -> "Surd":
+        return self * other.inverse()
+
+
+def _lift(coeffs, d) -> TPoly:
+    """The t-polynomial with coefficients c + 0*sqrt(d), for c in coeffs
+    (ascending): from Q[x][t] to the cover when d = f, from Q[t] to
+    Q(sqrt(d))[t] when d = f(x0)."""
+    zero = d * 0
+    return TPoly([Surd(c, zero, d) for c in coeffs], Surd(zero, zero, d))
+
+
+def _conj(p: TPoly) -> TPoly:
+    """p with sqrt(d) -> -sqrt(d) in every coefficient."""
+    return p.map_coeffs(Surd.conjugate, p.czero)
 
 
 @dataclass(frozen=True)
@@ -189,17 +217,11 @@ class TwistedSpectralPoly:
                     f"deg(v_{j}) exceeds the bound {j}*{self.deg_m} - {h}")
 
     def as_tpoly(self) -> TPoly:
+        """s_b = P + y*Q with P = t^m + sum u_j t^(m-j), Q = sum v_j t^(m-j)."""
         f = self.cover.f
-        zero = YPair(Poly.zero(), Poly.zero(), f)
-        cs = [zero] * (self.m + 1)
-        cs[self.m] = YPair(Poly.one(), Poly.zero(), f)
-        for j, (u, v) in enumerate(self.pairs, start=1):
-            cs[self.m - j] = YPair(u, v, f)
-        return TPoly(cs, zero)
-
-    def conjugate(self) -> "TwistedSpectralPoly":
-        return TwistedSpectralPoly(self.cover, self.m, self.deg_m,
-                                   tuple((u, -v) for u, v in self.pairs))
+        y = Surd(Poly.zero(), Poly.one(), f)
+        p = _lift([u for u, _ in reversed(self.pairs)] + [Poly.one()], f)
+        return p + _lift([v for _, v in reversed(self.pairs)], f).scale(y)
 
 
 def galois_pushforward(cover: DoubleCoverData,
@@ -210,13 +232,13 @@ def galois_pushforward(cover: DoubleCoverData,
     invariant part of b_1."""
     if s_b.cover != cover:
         raise ValueError("twisted polynomial lives on a different cover")
-    prod = s_b.as_tpoly() * s_b.conjugate().as_tpoly()
+    w = s_b.as_tpoly()
     coeffs = []
-    for c in prod.coeffs:
-        if not c.v.is_zero():
+    for c in (w * _conj(w)).coeffs:
+        if c.b:
             raise RuntimeError("pushforward retained y-dependence; "
                                "conjugate-product arithmetic is broken")
-        coeffs.append(c.u)
+        coeffs.append(c.a)
     return SpectralPoly.from_tpoly(TPoly(coeffs, Poly.zero()), s_b.deg_m)
 
 
@@ -249,61 +271,20 @@ def pullback_splits(cover: DoubleCoverData,
     if s_a.n % 2 != 0:
         raise ValueError("pullback splitting needs even degree in t")
     m = s_a.n // 2
-    f = cover.f
-    zero = YPair(Poly.zero(), Poly.zero(), f)
-    one = YPair(Poly.one(), Poly.zero(), f)
-    acc = TPoly((one,), zero)
+    acc = _lift([Poly.one()], cover.f)
     for q, e in yun_squarefree(s_a.as_tpoly()):
         w = _split_squarefree_block(cover, q, s_a.deg_m)
         if w is None:
             if e % 2 != 0:
                 return None
-            lifted = q.map_coeffs(lambda c: YPair(c, Poly.zero(), f), zero)
-            acc = acc * lifted ** (e // 2)
+            acc = acc * _lift(q.coeffs, cover.f) ** (e // 2)
         else:
             acc = acc * w ** e
-    pairs = tuple((c.u, c.v) for c in reversed(acc.coeffs[:m]))
+    pairs = tuple((c.a, c.b) for c in reversed(acc.coeffs[:m]))
     witness = TwistedSpectralPoly(cover, m, s_a.deg_m, pairs)
     if galois_pushforward(cover, witness) != s_a:
         raise RuntimeError("splitter produced an uncertified witness")
     return witness
-
-
-@dataclass(frozen=True)
-class _QNum:
-    """Element a + b*sqrt(d) of a real quadratic number field, d a
-    non-square rational."""
-
-    a: Fraction
-    b: Fraction
-    d: Fraction
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def one_like(self) -> "_QNum":
-        return _QNum(Fraction(1), Fraction(0), self.d)
-
-    def __add__(self, other: "_QNum") -> "_QNum":
-        return _QNum(self.a + other.a, self.b + other.b, self.d)
-
-    def __neg__(self) -> "_QNum":
-        return _QNum(-self.a, -self.b, self.d)
-
-    def __sub__(self, other: "_QNum") -> "_QNum":
-        return self + (-other)
-
-    def __mul__(self, other: "_QNum") -> "_QNum":
-        return _QNum(self.a * other.a + self.d * self.b * other.b,
-                     self.a * other.b + other.a * self.b, self.d)
-
-    def inverse(self) -> "_QNum":
-        # the norm a^2 - d*b^2 is nonzero because d is not a square
-        n = self.a * self.a - self.d * self.b * self.b
-        return _QNum(self.a / n, -self.b / n, self.d)
-
-    def __truediv__(self, other: "_QNum") -> "_QNum":
-        return self * other.inverse()
 
 
 def _is_square(q: Fraction) -> bool:
@@ -352,12 +333,12 @@ def _tpoly_xgcd(a: TPoly, b: TPoly) -> TPoly:
     with s*a + t*b = g, g the monic gcd of a and b."""
     czero = a.czero
     r0, r1 = a, b
-    t0, t1 = TPoly((), czero), TPoly((a._one_like(),), czero)
+    t0, t1 = TPoly((), czero), TPoly((czero.one_like(),), czero)
     while not r1.is_zero():
         qt, rr = r0.divmod(r1)
         r0, r1 = r1, rr
         t0, t1 = t1, t0 - qt * t1
-    return t0.scale(r0._one_like() / r0.lc)
+    return t0.scale(r0.lc.inverse())
 
 
 def _factor_over_quadratic_field(qq: Poly, d: Fraction) -> list[TPoly]:
@@ -373,7 +354,7 @@ def _factor_over_quadratic_field(qq: Poly, d: Fraction) -> list[TPoly]:
               for c in reversed(qq.coeffs)]
     _const, raw = sympy.Poly(coeffs, sympy.Symbol("t"),
                              domain=dom).factor_list()
-    czero = _QNum(Fraction(0), Fraction(0), d)
+    czero = Surd(Fraction(0), Fraction(0), d)
     out = []
     for fac, _e in raw:
         coeffs = []
@@ -382,7 +363,7 @@ def _factor_over_quadratic_field(qq: Poly, d: Fraction) -> list[TPoly]:
             vals = [Fraction(int(v.numerator), int(v.denominator))
                     for v in c.to_list()]
             b, a = [Fraction(0)] * (2 - len(vals)) + vals
-            coeffs.append(_QNum(a, b, d))
+            coeffs.append(Surd(a, b, d))
         p = TPoly(coeffs, czero)
         out.append(p.scale(p.lc.inverse()))
     out.sort(key=lambda p: (p.degree,
@@ -412,8 +393,6 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly,
         return None
     half = d // 2
     f = cover.f
-    yzero = YPair(Poly.zero(), Poly.zero(), f)
-    q_lift = q.map_coeffs(lambda c: YPair(c, Poly.zero(), f), yzero)
 
     for trial in range(0, 40 * (d + f.degree + 4)):
         x0 = Fraction((-1) ** trial * ((trial + 1) // 2))
@@ -426,22 +405,16 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly,
     else:
         raise RuntimeError("no good specialization point found")
 
-    czero = _QNum(Fraction(0), Fraction(0), d0)
-
-    def conj(p: TPoly) -> TPoly:
-        return p.map_coeffs(lambda c: _QNum(c.a, -c.b, d0), czero)
-
     factors = _factor_over_quadratic_field(qq, d0)
-    partner = [factors.index(conj(p)) for p in factors]
+    partner = [factors.index(_conj(p)) for p in factors]
     if any(i == j for i, j in enumerate(partner)):
         return None
 
     prec = half * max(deg_m, 1) + 2
     # q and f re-expanded around x0: coefficients of powers of z = x - x0
     q_shift = [_poly_shift(c, x0) for c in q.coeffs]
-    s_terms = [TPoly([_QNum(cz.coeffs[k] if k <= cz.degree else Fraction(0),
-                            Fraction(0), d0) for cz in q_shift], czero)
-               for k in range(prec)]
+    s_terms = [_lift([cz.coeffs[k] if k <= cz.degree else Fraction(0)
+                      for cz in q_shift], d0) for k in range(prec)]
     f_shift = _poly_shift(f, x0)
     u = [c / d0 for c in f_shift.coeffs] + [Fraction(0)] * prec
     g_inv = _series_inv_sqrt(u, prec)
@@ -449,11 +422,12 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly,
     # the other pairs by ascending lower index, partner first: a fixed
     # order, which decides the witness returned when several exist
     rest = [(j, i) for i, j in enumerate(partner) if 0 < i < j]
+    q_lift = _lift(q.coeffs, f)
     for picks in itertools.product(*rest):
         a0 = factors[partner[0]]
         for i in picks:
             a0 = a0 * factors[i]
-        b0 = conj(a0)
+        b0 = _conj(a0)
         tau = _tpoly_xgcd(a0, b0)
         # the lift of b0 is the conjugate of the lift of a0 (Hensel
         # lifting is unique), so only a0's half is solved for
@@ -464,7 +438,7 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly,
                 err = err - a_terms[i] * b_terms[k - i]
             ak = (tau * err) % a0
             a_terms.append(ak)
-            b_terms.append(conj(ak))
+            b_terms.append(_conj(ak))
         # reassemble: coefficient j of W is P_j + y*Q_j with
         # a-part = P_j(x0 + z) and b-part = g(z)*Q_j(x0 + z), y = sqrt(d0)*g
         coeffs = []
@@ -473,9 +447,9 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly,
             b_ser = [term.coeff(j).b for term in b_terms]
             p_j = _poly_shift(Poly(a_ser), -x0)
             q_j = _poly_shift(Poly(_series_mul(b_ser, g_inv, prec)), -x0)
-            coeffs.append(YPair(p_j, q_j, f))
-        w = TPoly(coeffs, yzero)
-        if w * w.map_coeffs(lambda c: c.conjugate(), yzero) == q_lift:
+            coeffs.append(Surd(p_j, q_j, f))
+        w = TPoly(coeffs, q_lift.czero)
+        if w * _conj(w) == q_lift:
             return w
     return None
 

@@ -4,9 +4,9 @@ Everything here is dense, immutable and exact (fractions.Fraction
 coefficients).  ``Poly`` is a polynomial in one base variable x, ``RatFunc``
 its field of fractions, and ``TPoly`` a dense polynomial in an outer variable
 t whose coefficients may be Poly, RatFunc or any type supporting ring
-arithmetic.  TPoly division requires invertible (or monic) leading
-coefficients; with Poly coefficients this means the divisor must be monic
-in t, which is the only case the callers need.
+arithmetic, is_zero() and one_like().  TPoly division requires invertible
+(or monic) leading coefficients; with Poly coefficients this means the
+divisor must be monic in t, which is the only case the callers need.
 
 Resultants, gcds and Yun's decomposition of t-polynomials share one engine,
 the subresultant pseudo-remainder sequence, whose divisions are exact in the
@@ -70,6 +70,9 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def one_like(self) -> "Poly":
+        return Poly.one()
 
     @property
     def lc(self) -> Fraction:
@@ -292,6 +295,9 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def one_like(self) -> "RatFunc":
+        return RatFunc.one()
+
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
 
@@ -363,8 +369,9 @@ class RatFunc:
 class TPoly:
     """Dense polynomial in the spectral variable t over an exact coefficient ring.
 
-    Coefficients are any objects implementing +, -, *, is_zero() and (where
-    division is needed) /.  Ascending order, no trailing zeros.
+    Coefficients are any objects implementing +, -, *, is_zero(), one_like()
+    (the unit of their ring) and, where division is needed, /.  Ascending
+    order, no trailing zeros.
     """
 
     __slots__ = ("coeffs", "czero")
@@ -437,7 +444,7 @@ class TPoly:
     def __pow__(self, k: int) -> "TPoly":
         if k < 0:
             raise ValueError("negative power")
-        result = TPoly((self._one_like(),), self.czero)
+        result = TPoly((self.czero.one_like(),), self.czero)
         base = self
         while k:
             if k & 1:
@@ -445,16 +452,6 @@ class TPoly:
             base = base * base
             k >>= 1
         return result
-
-    def _one_like(self):
-        z = self.czero
-        if isinstance(z, Poly):
-            return Poly.one()
-        if isinstance(z, RatFunc):
-            return RatFunc.one()
-        if hasattr(z, "one_like"):
-            return z.one_like()
-        raise TypeError(f"no unit known for coefficient type {type(z)}")
 
     def divmod(self, other: "TPoly") -> tuple["TPoly", "TPoly"]:
         """Division; the leading coefficient of ``other`` must be invertible
@@ -542,7 +539,7 @@ def _subresultant_prs(a: TPoly, b: TPoly):
     sign = 1
     if a.degree < b.degree:
         a, b, sign = b, a, (-1) ** (a.degree * b.degree)
-    g = h = a._one_like()
+    g = h = a.czero.one_like()
     while b.degree > 0:
         delta = a.degree - b.degree
         if a.degree % 2 and b.degree % 2:

@@ -162,13 +162,14 @@ def endoscopic_dim(n: int, d: int, g: int) -> int:
 
 def _prime_factors(n: int):
     """The prime factors of n with multiplicity, in ascending order, by trial
-    division up to sqrt(n); reading only the first stops the division there."""
+    division by 2 and the odd numbers up to sqrt(n); reading only the first
+    stops the division there."""
     p = 2
     while p * p <= n:
         while n % p == 0:
             yield p
             n //= p
-        p += 1
+        p += 1 if p == 2 else 2
     if n > 1:
         yield n
 

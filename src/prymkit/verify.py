@@ -9,19 +9,23 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import prod
+from itertools import product
 
 from .abelian import (
     IntMatrix,
     TorsionAmbient,
     TorsionSubgroup,
+    dual_of_inclusion,
     hermite_normal_form,
+    intersect,
+    preimage_mul,
     smith_normal_form,
     subgroup_from_generators,
 )
 from .covers import (
     DoubleCoverData,
     TwistedSpectralPoly,
+    factors_coprime,
     galois_pushforward,
     phi_k,
     phi_pair,
@@ -204,10 +208,9 @@ def suite_abelian(seed: int) -> list[dict]:
         ambient = TorsionAmbient(1, M)
         h = random_subgroup(rng, ambient)
         m = rng.choice([d for d in divisors(M) if M % (d * h.exponent) == 0])
-        from .abelian import preimage_mul
         pre = preimage_mul(m, h)
         helems = h.elements()
-        expected = {v for v in _all_vectors(M, ambient.rank)
+        expected = {v for v in product(range(M), repeat=ambient.rank)
                     if tuple((m * e) % M for e in v) in helems}
         if pre.elements() != expected:
             ok, detail = False, f"preimage mismatch at M={M}, m={m}"
@@ -215,7 +218,6 @@ def suite_abelian(seed: int) -> list[dict]:
     _record(results, "preimage_adjunction", ok, detail)
 
     ok, detail = True, ""
-    from .abelian import intersect
     for _ in range(15):
         M = rng.choice([4, 6, 8])
         ambient = TorsionAmbient(1, M)
@@ -227,12 +229,11 @@ def suite_abelian(seed: int) -> list[dict]:
     _record(results, "intersection_exhaustive", ok, detail)
 
     ok, detail = True, ""
-    from .abelian import dual_of_inclusion
     for n in (2, 3, 4):
         ambient = TorsionAmbient(1, n)
         seen = set()
-        for v1 in _all_vectors(n, 2):
-            for v2 in _all_vectors(n, 2):
+        for v1 in product(range(n), repeat=2):
+            for v2 in product(range(n), repeat=2):
                 h = subgroup_from_generators(ambient, IntMatrix.from_rows([list(v1), list(v2)]))
                 if h.generators in seen:
                     continue
@@ -244,15 +245,6 @@ def suite_abelian(seed: int) -> list[dict]:
             break
     _record(results, "character_restriction_kernel", ok, detail)
     return results
-
-
-def _all_vectors(M: int, k: int):
-    if k == 0:
-        yield ()
-        return
-    for rest in _all_vectors(M, k - 1):
-        for e in range(M):
-            yield (e,) + rest
 
 
 def suite_spectral(seed: int) -> list[dict]:
@@ -344,7 +336,6 @@ def suite_norm(seed: int) -> list[dict]:
     while count < 15:
         b = random_spectral(rng, max_n=2)
         c = random_spectral(rng, max_n=2)
-        from .covers import factors_coprime
         if not factors_coprime(b, c):
             continue
         count += 1

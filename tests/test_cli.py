@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from prymkit import cli, spectral
+from prymkit import cli, spectral, verify
 from prymkit.cli import main
 from prymkit.covers import DoubleCoverData, galois_pushforward
 from prymkit.norms import SpectralPoly
@@ -174,6 +174,23 @@ class TestCli:
         assert captured.err.startswith("error: internal: ")
         assert "boom" in captured.err
         assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_key_error_inside_suite_exit_4(self, capsys, monkeypatch):
+        def broken(seed):
+            return {}["missing"]
+
+        monkeypatch.setitem(verify.SUITES, "abelian", broken)
+        assert main(["verify", "--suite", "abelian", "--seed", "0"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: internal: KeyError")
+        assert captured.out == ""
+
+    def test_unknown_suite_exit_2(self, capsys):
+        assert main(["verify", "--suite", "nope", "--seed", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: $: unknown suite 'nope'; available: "
+                                "['abelian', 'galois', 'norm', 'spectral']\n")
         assert captured.out == ""
 
     def test_unknown_command_exit_2(self):

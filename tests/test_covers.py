@@ -2,11 +2,13 @@
 translation, power/product maps, and the degree-2 Galois machinery."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from prymkit.covers import (
     DoubleCoverData,
+    Surd,
     TwistedSpectralPoly,
     factors_coprime,
     galois_pushforward,
@@ -192,6 +194,45 @@ class TestDoubleCover:
             pushed = galois_pushforward(cover, tw)
             assert pushed.n == 2 * m
             assert pushed.coeffs[0] == tw.pairs[0][0].scale(2)
+
+
+class TestSurd:
+    def test_different_covers_rejected(self):
+        a = Surd(X, Poly.one(), X * X - 1)
+        b = Surd(X, Poly.one(), X * X - 2)
+        with pytest.raises(ValueError):
+            a + b
+        with pytest.raises(ValueError):
+            a * b
+
+    def test_pushforward_on_another_cover_rejected(self):
+        tw = TwistedSpectralPoly(DoubleCoverData(X * X - 1), 1, 1,
+                                 ((Poly.zero(), Poly.constant(-1)),))
+        with pytest.raises(ValueError):
+            galois_pushforward(DoubleCoverData(X * X - 2), tw)
+
+    def test_one_like_in_both_rings(self):
+        f = X * X - 1
+        assert Surd(X, X, f).one_like() == Surd(Poly.one(), Poly.zero(), f)
+        d = Fraction(5, 3)
+        assert Surd(Fraction(2), Fraction(7), d).one_like() == Surd(1, 0, d)
+
+    def test_quadratic_field_inverse_and_conjugation(self):
+        rng = random.Random(11)
+        d = Fraction(5, 3)     # not a square in Q
+
+        def nonzero():
+            while True:
+                x = Surd(Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
+                         Fraction(rng.randint(-20, 20), rng.randint(1, 9)), d)
+                if not x.is_zero():
+                    return x
+
+        for _ in range(25):
+            x, y = nonzero(), nonzero()
+            assert x * x.inverse() == x.one_like()
+            assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+            assert (x * y) / y == x
 
 
 class TestPullbackSplits:
