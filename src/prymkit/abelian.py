@@ -3,13 +3,13 @@
 Subgroups of (Z/M)^(2g) are represented by the Hermite normal form of their
 preimage lattice in Z^(2g); since that lattice is unique for the subgroup,
 two subgroups are equal iff their canonical generator matrices are equal.
-Every subgroup operation (intersection, multiplication preimage, kernel) is
-one Hermite form of a stacked lattice that contains M*Z^(2k), read off the
-rows whose pivots lie in the right-hand block; those rows already are the
-Hermite basis of the result, which is built from them with no further
-elimination.  The Hermite form is the only elimination kernel: the Smith
-form, which serves only ``structure()``, is built from alternating Hermite
-forms.  All values are immutable and all operations are pure functions.
+Intersection, multiplication preimage and kernel are one restriction
+{x in H : image(x) in L}: one Hermite form of rows stacked from the Hermite
+bases of H and L, whose right-hand rows are the result's Hermite basis.
+``embed`` scales a Hermite basis and runs no elimination.  The Hermite form
+is the only elimination kernel: the Smith form is built from alternating
+Hermite forms, which ``structure()`` runs with no transforms carried.  All
+values are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -111,17 +111,24 @@ class IntMatrix:
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: U, D, V with U*A*V = D, U and V unimodular, D
-    diagonal with nonnegative entries, d_1 | d_2 | ... and zeros last.
-
-    Alternating Hermite forms (Kannan-Bachem): the row HNF of [A | U], then
-    the row HNF of [A^T | V^T], until A is diagonal.  U and V ride along as
-    the right-hand block, and no row vanishes because that block stays
-    unimodular.  A pair d_i, d_j with d_i not dividing d_j is repaired by
-    adding column j to column i; the next row HNF puts gcd(d_i, d_j) at
-    (i, i).
-    """
+    diagonal with nonnegative entries, d_1 | d_2 | ... and zeros last."""
     r, c = a.rows, a.cols
-    m, u, vt = a.to_rows(), _diagonal([1] * r), _diagonal([1] * c)
+    m, u, vt = _smith_alternation(a.to_rows(), c, _diagonal([1] * r), _diagonal([1] * c))
+    return (IntMatrix(r, r, tuple(e for row in u for e in row)),
+            IntMatrix(r, c, tuple(e for row in m for e in row)),
+            IntMatrix(c, c, tuple(e for row in _transpose(vt, c) for e in row)))
+
+
+def _smith_alternation(m: list[list[int]], c: int, u: list[list[int]],
+                       vt: list[list[int]]) -> tuple[list[list[int]], ...]:
+    """Diagonalise m (rows of width c) by alternating Hermite forms
+    (Kannan-Bachem): the row HNF of [m | u], then the row HNF of
+    [m^T | vt], until m is diagonal with d_1 | d_2 | ....  u and vt ride
+    along as right-hand blocks; no row vanishes if they are unimodular, or
+    if they have zero width and m is nonsingular.  A pair d_i, d_j with d_i
+    not dividing d_j is repaired by adding column j to column i; the next
+    row HNF puts gcd(d_i, d_j) at (i, i).  Returns m, u and vt."""
+    r = len(m)
     while True:
         m, u = _carried_hnf(m, u, c)
         mt, vt = _carried_hnf(_transpose(m, c), vt, r)
@@ -132,20 +139,17 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         pair = next(((i, j) for i in range(len(d)) for j in range(i + 1, len(d))
                      if d[j] % d[i]), None)
         if pair is None:
-            break
+            return m, u, vt
         i, j = pair
         for row in m:
             row[i] += row[j]
         vt[i] = [x + y for x, y in zip(vt[i], vt[j])]
-    return (IntMatrix(r, r, tuple(e for row in u for e in row)),
-            IntMatrix(r, c, tuple(e for row in m for e in row)),
-            IntMatrix(c, c, tuple(e for row in _transpose(vt, c) for e in row)))
 
 
 def _carried_hnf(m: list[list[int]], carry: list[list[int]],
                  width: int) -> tuple[list[list[int]], list[list[int]]]:
     """Row HNF of [m | carry], split back into its two blocks; m has width
-    columns, and carry is unimodular, so no row is dropped."""
+    columns, and no row may vanish (see ``_smith_alternation``)."""
     h = hermite_normal_form([x + y for x, y in zip(m, carry)])
     return [row[:width] for row in h], [row[width:] for row in h]
 
@@ -203,7 +207,8 @@ def _right_block(rows: list[list[int]], j: int) -> list[list[int]]:
 def left_kernel(a: IntMatrix) -> list[list[int]]:
     """Hermite basis of the lattice {w : w * A = 0} of integer row vectors:
     the right-hand block of the lattice spanned by the rows of [A | I]."""
-    return _right_block(_augment(a.to_rows()), a.cols)
+    return _right_block([r + e for r, e in zip(a.to_rows(), _diagonal([1] * a.rows))],
+                        a.cols)
 
 
 @dataclass(frozen=True)
@@ -348,9 +353,9 @@ class TorsionSubgroup:
             raise AmbientMismatch("embedding must preserve the genus")
         if M % M0 != 0:
             raise AmbientMismatch(f"cannot embed Z/{M0} torsion into Z/{M}")
+        # s times L's Hermite basis is that of s*L, the image's preimage lattice
         s = M // M0
-        return _subgroup(target, [[e * s for e in self.generators.row(i)]
-                                  for i in range(self.generators.rows)])
+        return _from_basis(target, [[e * s for e in r] for r in self._lattice_basis])
 
 
 def subgroup_from_generators(ambient: TorsionAmbient, rows: IntMatrix) -> TorsionSubgroup:
@@ -358,14 +363,9 @@ def subgroup_from_generators(ambient: TorsionAmbient, rows: IntMatrix) -> Torsio
     if rows.cols != ambient.rank:
         raise ValueError(f"generators have {rows.cols} columns, "
                          f"ambient rank is {ambient.rank}")
-    return _subgroup(ambient, rows.to_rows())
-
-
-def _subgroup(ambient: TorsionAmbient, rows: list[list[int]]) -> TorsionSubgroup:
-    """Canonical subgroup generated by a (possibly empty) list of rows."""
     M = ambient.M
     return _from_basis(ambient, hermite_normal_form(
-        [[e % M for e in r] for r in rows] + _diagonal([M] * ambient.rank)))
+        [[e % M for e in r] for r in rows.to_rows()] + _diagonal([M] * ambient.rank)))
 
 
 def _from_basis(ambient: TorsionAmbient, basis: list[list[int]]) -> TorsionSubgroup:
@@ -385,27 +385,30 @@ def _diagonal(d: list[int]) -> list[list[int]]:
     return [[e if i == j else 0 for j in range(len(d))] for i, e in enumerate(d)]
 
 
-def _augment(rows: list[list[int]]) -> list[list[int]]:
-    """The rows of [A | I] for A given by its rows."""
-    return [r + [int(i == j) for j in range(len(rows))] for i, r in enumerate(rows)]
+def _restrict(h: TorsionSubgroup, image, lattice) -> TorsionSubgroup:
+    """{x in H : image(x) in L}, for image linear from Z^k to Z^j (modulo
+    L) and L a lattice given by a basis: the right-hand block of one
+    Hermite form of (image(b), b), b in the Hermite basis of H's preimage
+    lattice, and (l, 0), l in L.
+
+    Condition: M*image(Z^k) lies in L, M the modulus of H's ambient, so the
+    result contains M*Z^k, as ``_from_basis`` requires; each caller says
+    why the condition holds."""
+    k = h.ambient.rank
+    rows = [[*image(b), *b] for b in h._lattice_basis] + [[*l] + [0] * k for l in lattice]
+    return _from_basis(h.ambient, _right_block(rows, len(rows[0]) - k))
 
 
 def intersect(h1: TorsionSubgroup, h2: TorsionSubgroup) -> TorsionSubgroup:
-    """Setwise intersection of two subgroups of the same ambient: x lies in
-    H1 and H2 exactly when (0, x) lies in the lattice spanned by (g, g) for
-    g in H1, (h, 0) for h in H2 and M*Z^(2k)."""
+    """Setwise intersection of two subgroups of the same ambient."""
     if h1.ambient != h2.ambient:
         raise AmbientMismatch("intersection across different ambients")
-    k, M = h1.ambient.rank, h1.ambient.M
-    rows = [g + g for g in h1.generators.to_rows()]
-    rows += [h + [0] * k for h in h2.generators.to_rows()]
-    return _from_basis(h1.ambient, _right_block(rows + _diagonal([M] * 2 * k), k))
+    # M*Z^k lies in H2's preimage lattice, as in every Hermite basis here
+    return _restrict(h1, lambda x: x, h2._lattice_basis)
 
 
 def preimage_mul(m: int, h: TorsionSubgroup) -> TorsionSubgroup:
-    """Full preimage {x : m*x in H} under multiplication by m: x lies in it
-    exactly when (0, x) lies in the lattice spanned by (m*e_i, e_i),
-    (h, 0) for h in H and M*Z^(2k).
+    """Full preimage {x : m*x in H} under multiplication by m.
 
     Precondition: m * exponent(H) divides the ambient modulus, so the finite
     model captures the whole preimage inside the torsion of Pic^0(C)."""
@@ -419,10 +422,9 @@ def preimage_mul(m: int, h: TorsionSubgroup) -> TorsionSubgroup:
             "enlarge the ambient modulus")
     if m == 1:
         return h
-    k = h.ambient.rank
-    rows = _augment(_diagonal([m] * k))
-    rows += [g + [0] * k for g in h.generators.to_rows()]
-    return _from_basis(h.ambient, _right_block(rows + _diagonal([M] * 2 * k), k))
+    # m*M*Z^k lies in M*Z^k, which H's preimage lattice contains
+    return _restrict(h.ambient.full_subgroup(), lambda x: [m * e for e in x],
+                     h._lattice_basis)
 
 
 def structure(h: TorsionSubgroup) -> FinAbGroup:
@@ -433,9 +435,10 @@ def structure(h: TorsionSubgroup) -> FinAbGroup:
     L = (+) d_i*Z, so H = L / M*Z^k = (+) Z/(M/d_i): the invariant factors
     are the values M/d_i that exceed 1, in ascending order."""
     basis = h._lattice_basis
-    M = h.ambient.M
-    _u, d, _v = smith_normal_form(IntMatrix.from_rows(basis))
-    factors = sorted(M // d.get(i, i) for i in range(d.rows) if d.get(i, i) < M)
+    M, k = h.ambient.M, h.ambient.rank
+    # zero-width carried blocks: the basis is nonsingular, so no row vanishes
+    d, _, _ = _smith_alternation([list(r) for r in basis], k, [[]] * k, [[]] * k)
+    factors = sorted(M // d[i][i] for i in range(k) if d[i][i] < M)
     group = FinAbGroup(tuple(factors))
     assert group.order == h.order
     return group
@@ -472,14 +475,10 @@ class GroupHom:
             for j in range(self.codomain.rank))
 
     def kernel(self) -> TorsionSubgroup:
-        """x lies in the kernel exactly when (0, x) lies in the lattice
-        spanned by (e_i*A, e_i), Mc*Z on the left block and Md*Z on the
-        right (the Md rows lie in the span of the others, as the well
-        definedness check gives Md*A = 0 mod Mc)."""
-        kd, kc = self.domain.rank, self.codomain.rank
-        rows = _augment(self.matrix.to_rows())
-        rows += _diagonal([self.codomain.M] * kc + [self.domain.M] * kd)
-        return _from_basis(self.domain, _right_block(rows, kc))
+        """{x : x*A in Mc*Z^kc}, restricted from the full domain."""
+        # well defined: Md*A = 0 mod Mc, so Md*Z^kd maps into Mc*Z^kc
+        return _restrict(self.domain.full_subgroup(), self.apply,
+                         _diagonal([self.codomain.M] * self.codomain.rank))
 
     def image(self) -> TorsionSubgroup:
         return subgroup_from_generators(self.codomain, self.matrix)

@@ -166,6 +166,10 @@ class Surd:
         return Surd(self.a * other.a + self.d * (self.b * other.b),
                     self.a * other.b + other.a * self.b, self.d)
 
+    def __rmul__(self, n: int) -> "Surd":
+        # an integer scalar, as in TPoly.derivative: scale both parts
+        return Surd(n * self.a, n * self.b, self.d)
+
     def conjugate(self) -> "Surd":
         return Surd(self.a, -self.b, self.d)
 

@@ -369,9 +369,9 @@ class RatFunc:
 class TPoly:
     """Dense polynomial in the spectral variable t over an exact coefficient ring.
 
-    Coefficients are any objects implementing +, -, *, is_zero(), one_like()
-    (the unit of their ring) and, where division is needed, /.  Ascending
-    order, no trailing zeros.
+    Coefficients are any objects implementing +, -, *, an integer scalar on
+    the left (i * c), is_zero(), one_like() (the unit of their ring) and,
+    where division is needed, /.  Ascending order, no trailing zeros.
     """
 
     __slots__ = ("coeffs", "czero")
@@ -489,11 +489,7 @@ class TPoly:
         return TPoly(tuple(c / lc for c in self.coeffs), self.czero)
 
     def derivative(self) -> "TPoly":
-        out = []
-        for i, c in enumerate(self.coeffs):
-            if i:
-                out.append(c.scale(i) if hasattr(c, "scale") else c * i)
-        return TPoly(out, self.czero)
+        return TPoly([i * c for i, c in enumerate(self.coeffs) if i], self.czero)
 
     def map_coeffs(self, fn, new_zero) -> "TPoly":
         return TPoly(tuple(fn(c) for c in self.coeffs), new_zero)

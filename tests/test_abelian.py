@@ -199,9 +199,10 @@ class TestSubgroups:
         calls = []
 
         def counting(rows):
-            # only Hermite forms of width 2 are of the subgroup's lattice;
-            # the Smith form inside structure() takes wider ones
-            if rows and len(rows[0]) == 2:
+            # _lattice_basis stacks the generators on M*I, so its input has
+            # more rows than columns; the Hermite forms structure() takes of
+            # the basis itself are square
+            if rows and len(rows) > len(rows[0]) == 2:
                 calls.append(1)
             return hermite_normal_form(rows)
 
@@ -253,6 +254,38 @@ class TestSubgroups:
         big = h.embed(TorsionAmbient(1, 6))
         assert big.order == 2
         assert big.contains((3, 0))
+
+    def test_embed_scales_hermite_basis_without_elimination(self, monkeypatch):
+        from prymkit import abelian
+
+        rng = random.Random(9)
+        cases = []
+        for _ in range(60):
+            g = rng.randint(1, 3)
+            M0 = rng.randint(1, {1: 30, 2: 12, 3: 6}[g])
+            k = 2 * g
+            rows = [[rng.randrange(M0) for _ in range(k)]
+                    for _ in range(rng.randint(0, k))]
+            gens = IntMatrix.from_rows(rows) if rows else IntMatrix(0, k, ())
+            h = subgroup_from_generators(TorsionAmbient(g, M0), gens)
+            cases.append((h, TorsionAmbient(g, M0 * rng.randint(1, 6))))
+        calls = []
+
+        def counting(rows):
+            calls.append(1)
+            return hermite_normal_form(rows)
+
+        monkeypatch.setattr(abelian, "hermite_normal_form", counting)
+        embedded = [h.embed(target) for h, target in cases]
+        assert calls == []
+        monkeypatch.undo()
+        for (h, target), big in zip(cases, embedded):
+            s = target.M // h.ambient.M
+            gens = h.generators
+            ref = subgroup_from_generators(target, IntMatrix(
+                gens.rows, gens.cols, tuple(s * e for e in gens.entries)))
+            assert big == ref
+            assert big._lattice_basis == ref._lattice_basis
 
     def test_embed_needs_dividing_modulus(self):
         h = TorsionAmbient(1, 4).full_subgroup()

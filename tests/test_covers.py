@@ -10,6 +10,7 @@ from prymkit.covers import (
     DoubleCoverData,
     Surd,
     TwistedSpectralPoly,
+    _lift,
     factors_coprime,
     galois_pushforward,
     phi_k,
@@ -216,6 +217,13 @@ class TestSurd:
         assert Surd(X, X, f).one_like() == Surd(Poly.one(), Poly.zero(), f)
         d = Fraction(5, 3)
         assert Surd(Fraction(2), Fraction(7), d).one_like() == Surd(1, 0, d)
+
+    def test_derivative_on_the_cover(self):
+        # TPoly.derivative takes i * c for every coefficient type, Surd too
+        f = X * X - 1
+        assert _lift([X, X, Poly.one()], f).derivative() == \
+            _lift([X, Poly.constant(2)], f)
+        assert 3 * Surd(X, Poly.one(), f) == Surd(3 * X, Poly.constant(3), f)
 
     def test_quadratic_field_inverse_and_conjugation(self):
         rng = random.Random(11)
