@@ -7,13 +7,16 @@ Intersection, multiplication preimage and kernel are one restriction
 {x in H : image(x) in L}: one Hermite form of rows stacked from the Hermite
 bases of H and L, whose right-hand rows are the result's Hermite basis.
 ``embed`` scales a Hermite basis and runs no elimination.  The Hermite form
-is the only elimination kernel: the Smith form is built from alternating
-Hermite forms, which ``structure()`` runs with no transforms carried.  All
-values are immutable and all operations are pure functions.
+is the only normal-form kernel: the Smith form is built from alternating
+Hermite forms, which ``structure()`` runs with no transforms carried.
+``bareiss_det``, fraction-free over any integral domain, is the determinant
+of ``IntMatrix`` and of the norm engine.  All values are immutable and all
+operations are pure functions.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
@@ -83,30 +86,38 @@ class IntMatrix:
         """Exact determinant (fraction-free Bareiss)."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        return bareiss_det(self.to_rows(), 1, operator.floordiv)
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.det()) == 1
+
+
+def bareiss_det(rows, one, exact_div):
+    """Determinant of a square matrix over an integral domain by
+    fraction-free Bareiss elimination (Bareiss 1968): each exact_div(a, b)
+    is an exact division in the ring, so no fraction is ever formed.  one
+    is the ring's unit and zero tests use truthiness; a singular matrix
+    returns its zero pivot, the ring's own zero."""
+    n = len(rows)
+    if n == 0:
+        return one
+    m = [list(row) for row in rows]
+    sign = 1
+    prev = one
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = exact_div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
+        prev = m[k][k]
+    return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

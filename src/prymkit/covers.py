@@ -22,6 +22,7 @@ from .norms import SpectralPoly, spectral_mul, spectral_pow
 from .polynomials import (
     Poly,
     TPoly,
+    horner,
     pseudo_remainder,
     resultant,
     yun_squarefree,
@@ -81,11 +82,8 @@ def trace_translate(s: SpectralPoly) -> SpectralPoly:
     """Change of variables t -> t - a_1/n, killing the t^(n-1) coefficient
     while preserving the graded degree bounds.  Idempotent."""
     shift = s.coeffs[0].scale(Fraction(-1, s.n))
-    shift_poly = TPoly((shift, Poly.one()), Poly.zero())
-    acc = TPoly((), Poly.zero())
-    src = s.as_tpoly()
-    for k in range(src.degree, -1, -1):
-        acc = acc * shift_poly + TPoly((src.coeff(k),), Poly.zero())
+    acc = horner([TPoly((c,), Poly.zero()) for c in s.as_tpoly().coeffs],
+                 TPoly((shift, Poly.one()), Poly.zero()), TPoly((), Poly.zero()))
     out = SpectralPoly.from_tpoly(acc, s.deg_m)
     if not out.coeffs[0].is_zero():
         raise RuntimeError("translation failed to kill the trace")  # unreachable
@@ -300,11 +298,7 @@ def _is_square(q: Fraction) -> bool:
 
 def _poly_shift(p: Poly, a: Fraction) -> Poly:
     """p(x + a), by Horner."""
-    acc = Poly.zero()
-    shift = Poly((a, 1))
-    for c in reversed(p.coeffs):
-        acc = acc * shift + Poly.constant(c)
-    return acc
+    return horner(p.coeffs, Poly((a, 1)), Poly.zero())
 
 
 def _series_mul(a: list, b: list, n: int) -> list:

@@ -2,18 +2,22 @@
 
 The norm of an algebra element u is the determinant of the multiplication
 map by u on B, viewed as a free rank-n R-module with basis 1, t, ...,
-t^(n-1).  Determinants are computed fraction-free (Bareiss) so everything
-stays inside the polynomial ring.  The multiplicativity, pullback, reduced
-and multiplicity laws are shipped as executable checks, together with the
-divisor-level norm for smooth covers and a resultant cross-validation.
+t^(n-1).  The determinant is ``abelian.bareiss_det``, the fraction-free
+Bareiss elimination behind ``IntMatrix.det``, with exact division in Q[x],
+so everything stays inside the polynomial ring.  The multiplicativity,
+pullback, reduced and multiplicity laws are shipped as executable checks,
+together with the divisor-level norm for smooth covers and a resultant
+cross-validation.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import Poly, TPoly, as_fraction, resultant
+from .abelian import bareiss_det
+from .polynomials import Poly, TPoly, as_fraction, horner, resultant
 
 
 class ParentMismatch(ValueError):
@@ -58,26 +62,15 @@ class SpectralPoly:
         return TPoly(cs, Poly.zero())
 
     def evaluate(self, x0, t0) -> Fraction:
-        x0, t0 = as_fraction(x0), as_fraction(t0)
-        acc = Fraction(1)
-        for a in self.coeffs:
-            acc = acc * t0 + a(x0)
-        return acc
-
-    def discriminant_at(self, x0) -> Fraction:
-        """Resultant of s_a and ds_a/dt specialized at x0."""
-        s = self.as_tpoly()
-        return resultant(s, s.derivative())(x0)
+        x0 = as_fraction(x0)
+        return horner([c(x0) for c in self.as_tpoly().coeffs], as_fraction(t0),
+                      Fraction(0))
 
     def one(self) -> "AlgebraElement":
         return AlgebraElement(self, (Poly.one(),) + (Poly.zero(),) * (self.n - 1))
 
     def t(self) -> "AlgebraElement":
-        if self.n == 1:
-            return AlgebraElement(self, (-self.coeffs[0],))
-        coords = [Poly.zero()] * self.n
-        coords[1] = Poly.one()
-        return AlgebraElement(self, tuple(coords))
+        return self.element_from_tpoly(TPoly((Poly.zero(), Poly.one()), Poly.zero()))
 
     def element(self, coords) -> "AlgebraElement":
         return AlgebraElement(self, tuple(coords))
@@ -115,13 +108,6 @@ class AlgebraElement:
         """Image in the quotient by a monic divisor of the parent polynomial."""
         return target.element_from_tpoly(self.as_tpoly())
 
-    def evaluate(self, x0, t0) -> Fraction:
-        x0, t0 = as_fraction(x0), as_fraction(t0)
-        acc = Fraction(0)
-        for c in reversed(self.coords):
-            acc = acc * t0 + c(x0)
-        return acc
-
 
 def mul_matrix(s_a: SpectralPoly, u: AlgebraElement) -> list[list[Poly]]:
     """Matrix of multiplication by u on B in the basis 1, t, ..., t^(n-1);
@@ -140,28 +126,7 @@ def mul_matrix(s_a: SpectralPoly, u: AlgebraElement) -> list[list[Poly]]:
 
 def poly_matrix_det(m: list[list[Poly]]) -> Poly:
     """Exact determinant over Q[x] by fraction-free Bareiss elimination."""
-    n = len(m)
-    if n == 0:
-        return Poly.one()
-    work = [row[:] for row in m]
-    sign = 1
-    prev = Poly.one()
-    for k in range(n - 1):
-        if work[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not work[i][k].is_zero():
-                    work[k], work[i] = work[i], work[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) / prev
-            work[i][k] = Poly.zero()
-        prev = work[k][k]
-    det = work[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return bareiss_det(m, Poly.one(), operator.truediv)
 
 
 def norm_element(s_a: SpectralPoly, u: AlgebraElement) -> Poly:
@@ -285,8 +250,10 @@ def norm_consistency_check(s_a: SpectralPoly, u: AlgebraElement,
     if u.parent != s_a or d_u.parent != s_a:
         raise ParentMismatch("operands attached to different covers")
     xs = sorted({x0 for (x0, _t0), _m in d_u.points})
+    s = s_a.as_tpoly()
+    disc = resultant(s, s.derivative())
     for x0 in xs:
-        if s_a.discriminant_at(x0) == 0:
+        if disc(x0) == 0:
             raise ValueError(f"discriminant vanishes at sampled x = {x0}")
     det = norm_element(s_a, u)
     if det.is_zero():

@@ -11,6 +11,8 @@ divisor must be monic in t, which is the only case the callers need.
 Resultants, gcds and Yun's decomposition of t-polynomials share one engine,
 the subresultant pseudo-remainder sequence, whose divisions are exact in the
 coefficient ring: over Q[x] no rational function in x is ever formed.
+Horner's rule (``horner``) and repeated squaring (``power``) are written
+once, for any ring.
 """
 
 from __future__ import annotations
@@ -27,6 +29,29 @@ def as_fraction(v: Scalar) -> Fraction:
     if isinstance(v, (int, str)):
         return Fraction(v)
     raise TypeError(f"cannot interpret {v!r} as a rational number")
+
+
+def horner(coeffs: Sequence, x, acc):
+    """The polynomial with ascending coefficients coeffs evaluated at x by
+    Horner's rule; acc is the zero of the result's ring."""
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def power(base, k: int, one):
+    """base ** k by repeated squaring; one is the unit of base's ring.  No
+    square is taken past the top bit of k, where it would go unused."""
+    if k < 0:
+        raise ValueError("negative power")
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
 
 
 class Poly:
@@ -145,16 +170,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = Poly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, Poly.one())
 
     def scale(self, c: Scalar) -> "Poly":
         c = as_fraction(c)
@@ -210,11 +226,7 @@ class Poly:
         return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
     def __call__(self, x0: Scalar) -> Fraction:
-        x0 = as_fraction(x0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
+        return horner(self.coeffs, as_fraction(x0), Fraction(0))
 
     def root_multiplicity(self, x0: Scalar) -> int:
         """Order of vanishing at x0 (0 if not a root)."""
@@ -442,16 +454,7 @@ class TPoly:
         return TPoly(tuple(a * c for a in self.coeffs), self.czero)
 
     def __pow__(self, k: int) -> "TPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = TPoly((self.czero.one_like(),), self.czero)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, TPoly((self.czero.one_like(),), self.czero))
 
     def divmod(self, other: "TPoly") -> tuple["TPoly", "TPoly"]:
         """Division; the leading coefficient of ``other`` must be invertible

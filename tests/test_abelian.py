@@ -65,6 +65,12 @@ class TestSmithNormalForm:
         assert smith_normal_form(IntMatrix.zero(r, c)) == (
             IntMatrix.identity(r), IntMatrix.zero(r, c), IntMatrix.identity(c))
 
+    def test_det_singular_and_empty(self):
+        # a zero column, a zero last pivot, and the empty matrix
+        for rows, expected in (([[0, 1], [0, 2]], 0), ([[1, 2], [2, 4]], 0), ([], 1)):
+            det = IntMatrix.from_rows(rows).det()
+            assert type(det) is int and det == expected
+
     def test_scale_soundness(self):
         # seeded random n x n matrices with entries in +-50; the alarm turns
         # coefficient blow-up into a failure instead of a hang

@@ -7,6 +7,7 @@ from itertools import permutations
 
 import pytest
 
+from prymkit import norms
 from prymkit.norms import (
     AlgebraElement,
     ParentMismatch,
@@ -25,7 +26,7 @@ from prymkit.norms import (
     spectral_mul,
     spectral_pow,
 )
-from prymkit.polynomials import Poly
+from prymkit.polynomials import Poly, resultant
 from prymkit.verify import random_element, random_spectral
 
 X = Poly.x()
@@ -58,9 +59,14 @@ class TestMulMatrix:
                 assert m[i][j] == (Poly.one() if i == j else Poly.zero())
 
     def test_t_on_square_root_cover(self):
-        s = SpectralPoly(2, 1, (Poly.zero(), -X))   # t^2 - x
-        m = mul_matrix(s, s.t())
-        assert m == [[Poly.zero(), X], [Poly.one(), Poly.zero()]]
+        cases = [
+            (SpectralPoly(2, 1, (Poly.zero(), -X)),   # t^2 - x
+             (Poly.zero(), Poly.one()), [[Poly.zero(), X], [Poly.one(), Poly.zero()]]),
+            (SpectralPoly(1, 1, (X,)), (-X,), [[-X]]),  # t + x, where t = -x
+        ]
+        for s, t_coords, matrix in cases:
+            assert s.t() == s.element(t_coords)
+            assert mul_matrix(s, s.t()) == matrix
 
     def test_companion_shape(self):
         a3 = Poly((1, 0, 0, 2))
@@ -85,6 +91,16 @@ class TestDeterminant:
             m = [[Poly([rng.randint(-3, 3) for _ in range(2)])
                   for _ in range(n)] for _ in range(n)]
             assert poly_matrix_det(m) == naive_det(m)
+
+    def test_singular_and_empty(self):
+        # a zero column, a zero last pivot, and the empty matrix: the
+        # ring's own zero and one, never a bare int
+        zero_column = [[Poly.zero(), X], [Poly.zero(), Poly.one()]]
+        rank_one = [[X, X + 1], [X * X, X * X + X]]
+        for m, expected in ((zero_column, Poly.zero()), (rank_one, Poly.zero()),
+                            ([], Poly.one())):
+            det = poly_matrix_det(m)
+            assert type(det) is Poly and det == expected
 
     def test_companion_determinant_pinned(self):
         # det of multiplication by t on R[t]/(t^n + a_n) is (-1)^n * a_n,
@@ -233,3 +249,17 @@ class TestDivisors:
         s = self.cover()
         d = PointDivisor.build(s, [])
         assert norm_consistency_check(s, s.one(), d)
+
+    def test_discriminant_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting_resultant(a, b):
+            calls.append((a, b))
+            return resultant(a, b)
+
+        monkeypatch.setattr(norms, "resultant", counting_resultant)
+        s = self.cover()
+        u = s.element((Poly.constant(-1), Poly.one()))
+        d = PointDivisor.build(s, [((1, 1), 1), ((4, 2), 0)])
+        assert norm_consistency_check(s, u, d)
+        assert len(calls) == 1

@@ -110,9 +110,31 @@ class TestPoly:
     def test_evaluation_and_roots(self):
         p = Poly((-1, 0, 1))   # x^2 - 1
         assert p(1) == 0 and p(2) == 3
+        assert p("1/2") == Fraction(-3, 4)
         assert p.root_multiplicity(1) == 1
         assert (p * p).root_multiplicity(-1) == 2
         assert p.root_multiplicity(3) == 0
+
+    def test_power_edges(self):
+        x = Poly.x()
+        t = TPoly((Poly.zero(), Poly.one()), Poly.zero())
+        for base, one in ((x, Poly.one()), (t, TPoly((Poly.one(),), Poly.zero()))):
+            assert base ** 0 == one
+            with pytest.raises(ValueError):
+                base ** -1
+
+    def test_power_squares_only_what_it_uses(self, monkeypatch):
+        # x ** 5, 5 = 0b101: two products into the result and two squarings
+        calls = []
+        mul = Poly.__mul__
+
+        def counting_mul(a, b):
+            calls.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(Poly, "__mul__", counting_mul)
+        assert Poly.x() ** 5 == Poly((0, 0, 0, 0, 0, 1))
+        assert len(calls) == 4
 
     def test_squarefree_predicate(self):
         assert Poly((-1, 0, 1)).is_squarefree()
