@@ -254,12 +254,15 @@ def pullback_splits(cover: DoubleCoverData,
     Writing s_b = P + y*Q, the condition is P^2 - f*Q^2 = s_a, i.e. s_a is
     the norm of a monic degree-m polynomial over the quadratic function
     field K = Q(x)(y).  The search runs blockwise over the multiplicity
-    profile of s_a (Yun's decomposition in Q[x][t], yun_squarefree): each
-    squarefree block is split over K by specializing x at a good rational
-    point, factoring over the resulting quadratic number field, and
-    Hensel-lifting each candidate half back to a polynomial witness; a
-    block with no witness contributes half its even multiplicity y-free,
-    and an odd multiplicity there means no witness exists at all.
+    profile of s_a: [(s_a, 1)] when s_a(x0, t) is squarefree at the first
+    good point x0 (_good_points), which certifies that s_a, monic in t,
+    has disc_t(s_a)(x0) != 0 and so is squarefree over Q(x); otherwise
+    Yun's decomposition in Q[x][t] (yun_squarefree).  Each squarefree
+    block is split over K by specializing x at a good rational point (x0
+    for a certified s_a), factoring over the resulting quadratic number
+    field, and Hensel-lifting each candidate half back to a polynomial
+    witness; a block with no witness contributes half its even
+    multiplicity y-free, and an odd one there rules out any witness.
     The assembled witness is certified by re-pushforward.
 
     The assembled witness meets the graded bounds, so building it cannot
@@ -273,9 +276,13 @@ def pullback_splits(cover: DoubleCoverData,
     if s_a.n % 2 != 0:
         raise ValueError("pullback splitting needs even degree in t")
     m = s_a.n // 2
+    s = s_a.as_tpoly()
+    point = next(_good_points(cover.f, s), None)
+    if point is not None and not point[2].is_squarefree():
+        point = None  # the first good point does not certify s_a
     acc = _lift([Poly.one()], cover.f)
-    for q, e in yun_squarefree(s_a.as_tpoly()):
-        w = _split_squarefree_block(cover, q, s_a.deg_m)
+    for q, e in yun_squarefree(s) if point is None else [(s, 1)]:
+        w = _split_squarefree_block(cover, q, s_a.deg_m, point)
         if w is None:
             if e % 2 != 0:
                 return None
@@ -294,6 +301,16 @@ def _is_square(q: Fraction) -> bool:
         return False
     rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
     return rn * rn == q.numerator and rd * rd == q.denominator
+
+
+def _good_points(f: Poly, q: TPoly):
+    """(x0, f(x0), q(x0, t)) at the good points x0 in the order 0, -1, 1,
+    -2, ...: those where f(x0) is a nonzero non-square."""
+    for trial in range(0, 40 * (q.degree + f.degree + 4)):
+        x0 = Fraction((-1) ** trial * ((trial + 1) // 2))
+        d0 = f(x0)
+        if d0 != 0 and not _is_square(d0):
+            yield x0, d0, Poly([c(x0) for c in q.coeffs])
 
 
 def _poly_shift(p: Poly, a: Fraction) -> Poly:
@@ -369,15 +386,16 @@ def _factor_over_quadratic_field(qq: Poly, d: Fraction) -> list[TPoly]:
     return out
 
 
-def _split_squarefree_block(cover: DoubleCoverData, q: TPoly,
-                            deg_m: int) -> Optional[TPoly]:
+def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, deg_m: int,
+                            point: Optional[tuple] = None) -> Optional[TPoly]:
     """Witness for a squarefree monic block: a monic t-polynomial W with
     coefficients on the double cover such that W * conj(W) = q, or None
     when q has a factor that stays irreducible over the cover's function
     field (which blocks any such factorization).
 
-    Strategy: specialize x at a rational point x0 where q stays squarefree
-    and f is a nonzero non-square, and factor q(x0) over the quadratic
+    Strategy: specialize x at the first good point x0 (_good_points) where
+    q stays squarefree, or at the given point (x0, f(x0), q(x0)) at which
+    pullback_splits certified q, and factor q(x0) over the quadratic
     number field Q(sqrt(f(x0))).  Since q(x0) = W(x0) * conj(W(x0)) is
     squarefree, a witness exists only if no factor is self-conjugate, and
     then W(x0) takes exactly one factor from each conjugate pair.  W and
@@ -385,23 +403,20 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly,
     factor 0's partner, and 2^(pairs - 1) halves remain.  Each is
     Hensel-lifted, together with its conjugate, to a series in (x - x0);
     the true witness is a polynomial of bounded degree, so it is recovered
-    exactly and certified."""
+    exactly and certified.  q is monic in t, so a squarefree q(x0) means
+    disc_t(q)(x0) != 0: q is squarefree over Q(x) too."""
     d = q.degree
     if d % 2 != 0:
         return None
     half = d // 2
     f = cover.f
 
-    for trial in range(0, 40 * (d + f.degree + 4)):
-        x0 = Fraction((-1) ** trial * ((trial + 1) // 2))
-        d0 = f(x0)
-        if d0 == 0 or _is_square(d0):
-            continue
-        qq = Poly([c(x0) for c in q.coeffs])
-        if qq.is_squarefree():
-            break
-    else:
-        raise RuntimeError("no good specialization point found")
+    if point is None:
+        point = next((p for p in _good_points(f, q) if p[2].is_squarefree()),
+                     None)
+        if point is None:
+            raise RuntimeError("no good specialization point found")
+    x0, d0, qq = point
 
     factors = _factor_over_quadratic_field(qq, d0)
     partner = [factors.index(_conj(p)) for p in factors]

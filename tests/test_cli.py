@@ -258,6 +258,19 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["payload"]["splits"] is True
 
+    def test_galois_readme_example(self, tmp_path, capsys):
+        # t^2 - x on y^2 = x is the norm of t - y
+        doc = {"cover": {"f": ["0/1", "1/1"]},
+               "spectral": {"n": 2, "deg_m": 1, "coeffs": [[], ["0/1", "-1/1"]]}}
+        path = self._write(tmp_path, "g2.json", doc)
+        assert main(["galois", "--input", path]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"] == {
+            "direction": "split",
+            "splits": True,
+            "witness": {"cover": {"f": ["0/1", "1/1"]}, "deg_m": 1, "m": 1,
+                        "pairs": [{"u": [], "v": ["-1/1"]}]},
+        }
+
     def test_verify_suite(self, capsys):
         assert main(["verify", "--suite", "abelian", "--seed", "1"]) == 0
         out = json.loads(capsys.readouterr().out)

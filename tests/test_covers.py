@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from prymkit import covers
 from prymkit.covers import (
     DoubleCoverData,
     Surd,
@@ -22,7 +23,7 @@ from prymkit.covers import (
     verify_component_degree_bounds,
 )
 from prymkit.norms import SpectralPoly, spectral_mul, spectral_pow
-from prymkit.polynomials import Poly
+from prymkit.polynomials import Poly, yun_squarefree
 from prymkit.verify import (
     random_spectral,
     random_squarefree,
@@ -271,6 +272,55 @@ class TestPullbackSplits:
             back = pullback_splits(cover, pushed)
             assert back is not None
             assert galois_pushforward(cover, back) == pushed
+
+    @staticmethod
+    def _count_yun(monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return yun_squarefree(p)
+        monkeypatch.setattr(covers, "yun_squarefree", counting)
+        return calls
+
+    def test_squarefree_input_skips_yun(self, monkeypatch):
+        # f(0) = 1 is a square, so the first good point is x0 = -1, where
+        # s(-1, t) is squarefree: that point certifies s without Yun
+        calls = self._count_yun(monkeypatch)
+        one = Poly.one()
+        cover = DoubleCoverData(X * X + one)
+        s = spectral_mul(
+            galois_pushforward(cover, TwistedSpectralPoly(cover, 1, 1, ((X, one),))),
+            galois_pushforward(cover, TwistedSpectralPoly(
+                cover, 1, 1, ((Poly.constant(2), -one),))))
+        w = pullback_splits(cover, s)
+        assert w is not None and galois_pushforward(cover, w) == s
+        assert calls == []
+
+    def test_non_squarefree_input_runs_yun(self, monkeypatch):
+        calls = self._count_yun(monkeypatch)
+        cover = DoubleCoverData(X * X - 2)
+        inert = spoly(2, 1, Poly.zero(), -(3 * X - 1))
+        tw = random_twisted(random.Random(5), cover, 2, deg_m=1)
+        s = spectral_mul(galois_pushforward(cover, tw), spectral_pow(inert, 2))
+        w = pullback_splits(cover, s)
+        assert w is not None and galois_pushforward(cover, w) == s
+        assert len(calls) == 1
+
+    def test_degenerate_first_point_falls_back(self, monkeypatch):
+        # (t^2 - x)((t - x - 1)^2 - x) is squarefree over Q(x), but at the
+        # first good point x0 = -1 of y^2 = x it becomes (t^2 + 1)^2
+        calls = self._count_yun(monkeypatch)
+        cover = DoubleCoverData(X)
+        s = spectral_mul(spoly(2, 1, Poly.zero(), -X),
+                         spoly(2, 1, (X + 1).scale(-2), X * X + X + 1))
+        w = pullback_splits(cover, s)
+        assert len(calls) == 1
+        assert w is not None and galois_pushforward(cover, w) == s
+        assert w.pairs == (
+            (-X - 1, Poly.constant(-2)),
+            (X, X + 1),
+        )
 
 
 def _surely_not_square(p: Poly) -> bool:
