@@ -1,8 +1,9 @@
 """Exact integer-matrix and finite-abelian-group engine.
 
-Subgroups of (Z/M)^(2g) are represented by the Hermite normal form of their
-preimage lattice in Z^(2g); since that lattice is unique for the subgroup,
-two subgroups are equal iff their canonical generator matrices are equal.
+Subgroups of (Z/M)^(2g) are represented by the Hermite basis of their
+preimage lattice in Z^(2g), the only form stored; since that basis is unique
+for the subgroup, two subgroups are equal iff their stored bases are equal.
+Canonical generators (the basis mod M) are derived for output only.
 Intersection, multiplication preimage and kernel are one restriction
 {x in H : image(x) in L}: one Hermite form of rows stacked from the Hermite
 bases of H and L, whose right-hand rows are the result's Hermite basis.
@@ -274,55 +275,58 @@ class TorsionAmbient:
         return self.M ** self.rank
 
     def full_subgroup(self) -> "TorsionSubgroup":
-        return _from_basis(self, _diagonal([1] * self.rank))
+        return TorsionSubgroup(self, _diagonal([1] * self.rank))
 
     def trivial_subgroup(self) -> "TorsionSubgroup":
-        return _from_basis(self, _diagonal([self.M] * self.rank))
+        return TorsionSubgroup(self, _diagonal([self.M] * self.rank))
 
     def torsion_subgroup(self, n: int) -> "TorsionSubgroup":
         """The n-torsion subgroup; requires n | M."""
         if self.M % n != 0:
             raise ValueError(f"{n}-torsion needs {n} | {self.M}")
-        return _from_basis(self, _diagonal([self.M // n] * self.rank))
+        return TorsionSubgroup(self, _diagonal([self.M // n] * self.rank))
 
 
 @dataclass(frozen=True)
 class TorsionSubgroup:
-    """Subgroup of a TorsionAmbient, held in canonical (Hermite) form.
+    """Subgroup of a TorsionAmbient, held as the Hermite basis of its
+    preimage lattice in Z^rank (a lattice containing M*Z^rank).
 
-    ``generators`` rows span the subgroup; equality of subgroups is equality
-    of the dataclass (same ambient, identical canonical matrix).
+    The basis is unique for the subgroup, so equality of subgroups is
+    equality of the dataclass (same ambient, identical basis).  Its rows are
+    stored as tuples, so no caller can change them.
     """
 
     ambient: TorsionAmbient
-    generators: IntMatrix
+    basis: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "basis", tuple(map(tuple, self.basis)))
 
     @cached_property
-    def _lattice_basis(self) -> tuple[tuple[int, ...], ...]:
-        """Full-rank HNF basis of the preimage lattice in Z^rank, computed
-        once per subgroup (``_from_basis`` fills it in from the basis it
-        already has); its rows are tuples, so no caller can change it."""
-        rows = self.generators.to_rows() + _diagonal([self.ambient.M] * self.ambient.rank)
-        return tuple(map(tuple, hermite_normal_form(rows)))
+    def generators(self) -> IntMatrix:
+        """Canonical generators: the basis rows reduced mod M, zero rows dropped."""
+        M, k = self.ambient.M, self.ambient.rank
+        reduced = [[e % M for e in r] for r in self.basis]
+        entries = tuple(e for r in reduced if any(r) for e in r)
+        return IntMatrix(len(entries) // k, k, entries)
 
     @property
     def exponent(self) -> int:
-        """Least e with e*H = 0: M over the gcd of M and every generator entry."""
-        return self.ambient.M // gcd(self.ambient.M, *self.generators.entries)
+        """Least e with e*H = 0: M over the gcd of M and every basis entry."""
+        return self.ambient.M // gcd(self.ambient.M, *(e for r in self.basis for e in r))
 
     @property
     def order(self) -> int:
-        basis = self._lattice_basis
-        det = prod(basis[i][i] for i in range(len(basis)))
+        det = prod(self.basis[i][i] for i in range(len(self.basis)))
         return self.ambient.M ** self.ambient.rank // det
 
     def contains(self, vec: tuple[int, ...]) -> bool:
         """Membership of an ambient coordinate vector."""
         if len(vec) != self.ambient.rank:
             raise ValueError("vector has wrong length")
-        basis = self._lattice_basis
         v = list(vec)
-        for row in basis:
+        for row in self.basis:
             c = next(j for j, e in enumerate(row) if e != 0)
             if v[c] % row[c] == 0:
                 q = v[c] // row[c]
@@ -334,22 +338,20 @@ class TorsionSubgroup:
     def is_subgroup_of(self, other: "TorsionSubgroup") -> bool:
         if self.ambient != other.ambient:
             raise AmbientMismatch("subgroup comparison across ambients")
-        return all(other.contains(self.generators.row(i))
-                   for i in range(self.generators.rows))
+        return all(other.contains(row) for row in self.basis)
 
     def is_trivial(self) -> bool:
-        return self.generators.rows == 0
+        return self.order == 1
 
     def elements(self) -> set[tuple[int, ...]]:
         """Exhaustive element set (desk scale only)."""
         M = self.ambient.M
         k = self.ambient.rank
-        gens = [self.generators.row(i) for i in range(self.generators.rows)]
         seen = {(0,) * k}
         frontier = [(0,) * k]
         while frontier:
             cur = frontier.pop()
-            for gvec in gens:
+            for gvec in self.basis:
                 nxt = tuple((a + b) % M for a, b in zip(cur, gvec))
                 if nxt not in seen:
                     seen.add(nxt)
@@ -366,7 +368,7 @@ class TorsionSubgroup:
             raise AmbientMismatch(f"cannot embed Z/{M0} torsion into Z/{M}")
         # s times L's Hermite basis is that of s*L, the image's preimage lattice
         s = M // M0
-        return _from_basis(target, [[e * s for e in r] for r in self._lattice_basis])
+        return TorsionSubgroup(target, [[e * s for e in r] for r in self.basis])
 
 
 def subgroup_from_generators(ambient: TorsionAmbient, rows: IntMatrix) -> TorsionSubgroup:
@@ -375,20 +377,8 @@ def subgroup_from_generators(ambient: TorsionAmbient, rows: IntMatrix) -> Torsio
         raise ValueError(f"generators have {rows.cols} columns, "
                          f"ambient rank is {ambient.rank}")
     M = ambient.M
-    return _from_basis(ambient, hermite_normal_form(
+    return TorsionSubgroup(ambient, hermite_normal_form(
         [[e % M for e in r] for r in rows.to_rows()] + _diagonal([M] * ambient.rank)))
-
-
-def _from_basis(ambient: TorsionAmbient, basis: list[list[int]]) -> TorsionSubgroup:
-    """The subgroup whose preimage lattice (which contains M*Z^k) has the
-    given Hermite basis: its rows reduced mod M, zero rows dropped, are the
-    canonical generators, and the basis itself is kept as _lattice_basis."""
-    M, k = ambient.M, ambient.rank
-    reduced = [[e % M for e in r] for r in basis]
-    entries = tuple(e for r in reduced if any(r) for e in r)
-    h = TorsionSubgroup(ambient, IntMatrix(len(entries) // k, k, entries))
-    h.__dict__["_lattice_basis"] = tuple(map(tuple, basis))
-    return h
 
 
 def _diagonal(d: list[int]) -> list[list[int]]:
@@ -403,11 +393,11 @@ def _restrict(h: TorsionSubgroup, image, lattice) -> TorsionSubgroup:
     lattice, and (l, 0), l in L.
 
     Condition: M*image(Z^k) lies in L, M the modulus of H's ambient, so the
-    result contains M*Z^k, as ``_from_basis`` requires; each caller says
+    result contains M*Z^k, as a ``TorsionSubgroup`` basis must; each caller says
     why the condition holds."""
     k = h.ambient.rank
-    rows = [[*image(b), *b] for b in h._lattice_basis] + [[*l] + [0] * k for l in lattice]
-    return _from_basis(h.ambient, _right_block(rows, len(rows[0]) - k))
+    rows = [[*image(b), *b] for b in h.basis] + [[*l] + [0] * k for l in lattice]
+    return TorsionSubgroup(h.ambient, _right_block(rows, len(rows[0]) - k))
 
 
 def intersect(h1: TorsionSubgroup, h2: TorsionSubgroup) -> TorsionSubgroup:
@@ -415,7 +405,7 @@ def intersect(h1: TorsionSubgroup, h2: TorsionSubgroup) -> TorsionSubgroup:
     if h1.ambient != h2.ambient:
         raise AmbientMismatch("intersection across different ambients")
     # M*Z^k lies in H2's preimage lattice, as in every Hermite basis here
-    return _restrict(h1, lambda x: x, h2._lattice_basis)
+    return _restrict(h1, lambda x: x, h2.basis)
 
 
 def preimage_mul(m: int, h: TorsionSubgroup) -> TorsionSubgroup:
@@ -435,7 +425,7 @@ def preimage_mul(m: int, h: TorsionSubgroup) -> TorsionSubgroup:
         return h
     # m*M*Z^k lies in M*Z^k, which H's preimage lattice contains
     return _restrict(h.ambient.full_subgroup(), lambda x: [m * e for e in x],
-                     h._lattice_basis)
+                     h.basis)
 
 
 def structure(h: TorsionSubgroup) -> FinAbGroup:
@@ -445,10 +435,9 @@ def structure(h: TorsionSubgroup) -> FinAbGroup:
     diagonal of L's basis is d_1 | ... | d_k, then in the Smith basis
     L = (+) d_i*Z, so H = L / M*Z^k = (+) Z/(M/d_i): the invariant factors
     are the values M/d_i that exceed 1, in ascending order."""
-    basis = h._lattice_basis
     M, k = h.ambient.M, h.ambient.rank
     # zero-width carried blocks: the basis is nonsingular, so no row vanishes
-    d, _, _ = _smith_alternation([list(r) for r in basis], k, [[]] * k, [[]] * k)
+    d, _, _ = _smith_alternation([list(r) for r in h.basis], k, [[]] * k, [[]] * k)
     factors = sorted(M // d[i][i] for i in range(k) if d[i][i] < M)
     group = FinAbGroup(tuple(factors))
     assert group.order == h.order

@@ -64,7 +64,7 @@ def _load_input(path: str) -> tuple[dict, str]:
         raise SchemaError("$", f"cannot read input file: {exc}") from None
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from None
     return doc, _digest(raw)
 
@@ -96,8 +96,7 @@ def _cmd_pi0(args) -> tuple[str, dict]:
         "n": desc.n,
         "g": desc.g,
         "ambient_modulus": k.ambient.M,
-        "k_generators": [list(k.generators.row(i))
-                         for i in range(k.generators.rows)],
+        "k_generators": k.generators.to_rows(),
         "k_order": order,
         "pi0_invariant_factors": list(group.invariant_factors),
         "pi0_order": group.order,

@@ -61,14 +61,11 @@ def squarefree_decompose(s: SpectralPoly) -> FactoredSpectral:
     return fac
 
 
-def verify_component_degree_bounds(s: SpectralPoly, factor) -> bool:
+def verify_component_degree_bounds(s: SpectralPoly, factor: SpectralPoly) -> bool:
     """Check that a monic factor of s satisfies the graded degree bounds
     deg(b_j) <= j * deg_m.  Raises if the candidate does not divide s over
     Q(x), decided by a zero pseudo-remainder over Q[x]."""
-    if isinstance(factor, SpectralPoly):
-        ft = factor.as_tpoly()
-    else:
-        ft = factor
+    ft = factor.as_tpoly()
     if not pseudo_remainder(s.as_tpoly(), ft).is_zero():
         raise ValueError("candidate does not divide the spectral polynomial")
     d = ft.degree
@@ -91,9 +88,8 @@ def trace_translate(s: SpectralPoly) -> SpectralPoly:
 
 
 def phi_k(s_b: SpectralPoly, k: int) -> SpectralPoly:
-    """The k-th power map between characteristic spaces: s -> s^k."""
-    if k < 1:
-        raise ValueError("power must be >= 1")
+    """The k-th power map between characteristic spaces: s -> s^k;
+    spectral_pow rejects k < 1."""
     return spectral_pow(s_b, k)
 
 

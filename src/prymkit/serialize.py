@@ -121,8 +121,7 @@ def descriptor_to_json(desc: SpectralCoverDescriptor) -> dict:
             "degree": c.degree,
             "multiplicity": c.multiplicity,
             "kernel_modulus": c.kernel.ambient.M,
-            "kernel_generators": [list(c.kernel.generators.row(i))
-                                  for i in range(c.kernel.generators.rows)],
+            "kernel_generators": c.kernel.generators.to_rows(),
         })
     return {"n": desc.n, "g": desc.g, "components": comps}
 

@@ -235,9 +235,9 @@ def suite_abelian(seed: int) -> list[dict]:
         for v1 in product(range(n), repeat=2):
             for v2 in product(range(n), repeat=2):
                 h = subgroup_from_generators(ambient, IntMatrix.from_rows([list(v1), list(v2)]))
-                if h.generators in seen:
+                if h in seen:
                     continue
-                seen.add(h.generators)
+                seen.add(h)
                 hom = dual_of_inclusion(h, n)
                 if hom.kernel().order * h.order != n ** 2:
                     ok, detail = False, f"kernel size wrong for subgroup of (Z/{n})^2"

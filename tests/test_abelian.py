@@ -194,6 +194,37 @@ class TestSubgroups:
         assert h.contains((6, 4))   # 3 * (2,4) = (6, 12) = (6, 4)
         assert not h.contains((1, 0))
 
+    def test_is_subgroup_of_all_subgroups_small(self):
+        for n in (2, 4, 6):
+            amb = TorsionAmbient(1, n)
+            vecs = [[a, b] for a in range(n) for b in range(n)]
+            subs = {subgroup_from_generators(amb, IntMatrix.from_rows([v1, v2]))
+                    for v1 in vecs for v2 in vecs}
+            for h1 in subs:
+                for h2 in subs:
+                    assert h1.is_subgroup_of(h2) == (h1.elements() <= h2.elements())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_generators_reduced_and_generating(self, seed):
+        # the derived generators: entries in [0, M), no zero row, and they
+        # generate the subgroup they were read from
+        rng = random.Random(seed)
+        g = rng.randint(1, 2)
+        amb = TorsionAmbient(g, rng.randint(1, 12))
+        k = amb.rank
+        rows = [[rng.randrange(amb.M) for _ in range(k)]
+                for _ in range(rng.randint(0, k))]
+        for h in (subgroup_from_generators(
+                      amb, IntMatrix.from_rows(rows) if rows else IntMatrix(0, k, ())),
+                  amb.full_subgroup(), amb.trivial_subgroup()):
+            gens = h.generators
+            assert gens.cols == k
+            assert all(0 <= e < amb.M for e in gens.entries)
+            assert all(any(gens.row(i)) for i in range(gens.rows))
+            assert subgroup_from_generators(amb, gens) == h
+        assert amb.trivial_subgroup().generators.rows == 0
+
     def test_lattice_basis_once_per_subgroup(self, monkeypatch):
         from prymkit import abelian
 
@@ -205,9 +236,9 @@ class TestSubgroups:
         calls = []
 
         def counting(rows):
-            # _lattice_basis stacks the generators on M*I, so its input has
-            # more rows than columns; the Hermite forms structure() takes of
-            # the basis itself are square
+            # a Hermite form of the generators stacked on M*I has more rows
+            # than columns; the Hermite forms structure() takes of the basis
+            # itself are square
             if rows and len(rows) > len(rows[0]) == 2:
                 calls.append(1)
             return hermite_normal_form(rows)
@@ -217,15 +248,15 @@ class TestSubgroups:
             assert (h.order, h.contains((6, 0)), h.contains((1, 0)),
                     structure(h)) == expected
         assert len(calls) == 0
-        basis = h._lattice_basis
+        basis = h.basis
         assert isinstance(basis, tuple)
         assert all(isinstance(row, tuple) for row in basis)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10 ** 6))
     def test_lattice_basis_is_hermite_form(self, seed):
-        # every constructor fills in _lattice_basis; it must be the Hermite
-        # form of generators + M*I, computed afresh
+        # every constructor stores a basis; it must be the Hermite form of
+        # generators + M*I, computed afresh
         rng = random.Random(seed)
         g = rng.randint(1, 3)
         M = rng.randint(1, {1: 60, 2: 30, 3: 12}[g])
@@ -252,7 +283,7 @@ class TestSubgroups:
             fresh = hermite_normal_form(
                 h.generators.to_rows() + [[h.ambient.M * (i == j) for j in range(k)]
                                           for i in range(k)])
-            assert h._lattice_basis == tuple(map(tuple, fresh))
+            assert h.basis == tuple(map(tuple, fresh))
 
     def test_embed_scales_generators(self):
         small = TorsionAmbient(1, 2)
@@ -291,7 +322,7 @@ class TestSubgroups:
             ref = subgroup_from_generators(target, IntMatrix(
                 gens.rows, gens.cols, tuple(s * e for e in gens.entries)))
             assert big == ref
-            assert big._lattice_basis == ref._lattice_basis
+            assert big.basis == ref.basis
 
     def test_embed_needs_dividing_modulus(self):
         h = TorsionAmbient(1, 4).full_subgroup()

@@ -113,6 +113,15 @@ class TestCli:
         p.write_text("{not json")
         assert main(["pi0", "--input", str(p)]) == 2
 
+    def test_pi0_deeply_nested_json_exit_2(self, tmp_path, capsys):
+        # the decoder recurses once per nesting level
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100000 + "]" * 100000)
+        assert main(["pi0", "--input", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: $: invalid JSON")
+        assert "Traceback" not in err
+
     def test_pi0_invariant_error_exit_3(self, tmp_path):
         doc = {"n": 3, "g": 1, "components": [
             {"degree": 1, "multiplicity": 2, "kernel_modulus": 1,

@@ -128,6 +128,14 @@ class TestPowerAndProductMaps:
         s = spoly(2, 1, X, Poly.zero())
         assert phi_k(s, 1) == s
 
+    def test_power_below_one_rejected(self):
+        s = spoly(1, 1, -X)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="power must be >= 1"):
+                phi_k(s, k)
+            with pytest.raises(ValueError, match="power must be >= 1"):
+                spectral_pow(s, k)
+
     def test_binomial_square(self):
         s = spoly(1, 1, -X)
         assert phi_k(s, 2) == spoly(2, 1, X.scale(-2), X * X)

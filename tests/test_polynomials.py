@@ -183,6 +183,8 @@ class TestResultant:
     @example(tp((), (), (), (), (1,)), tp((1,), (), (0, 1)))     # gap 2 then 1
     @example(tp((0, 1), (), (1,)), tp((3, 2)))                  # constant in t
     @example(tp((0, 0, 2), (1, 1), (), (3,)), tp((1,), (0, 2), (5,)))
+    # degrees 5, 4, 2, ...: a gap of 2 once h != 1, so h's update is read
+    @example(tp((), (), (-3,), (), (-1, 1), (1,)), tp((0, 2), (2, -2), (), (), (3,)))
     def test_matches_sylvester_determinant(self, a, b):
         res = resultant(a, b)
         if a.is_zero() or b.is_zero():

@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 
-from prymkit.abelian import IntMatrix, TorsionAmbient, subgroup_from_generators
+from prymkit.abelian import IntMatrix, TorsionAmbient, structure, subgroup_from_generators
 from prymkit.spectral import (
     ComponentData,
     DescriptorError,
@@ -105,6 +105,23 @@ class TestComponentGroup:
             k = prym_component_group(desc)
             brute = _brute_force_k(desc, M)
             assert k.elements() == brute
+
+    def test_k_and_structure_build_no_int_matrix(self, monkeypatch):
+        # K and its structure are read off Hermite bases; the generator
+        # matrix is derived only when an output asks for it
+        rng = random.Random(12)
+        descs = [random_descriptor(rng, max_n=8, max_g=3) for _ in range(20)]
+        built = []
+        orig = IntMatrix.__post_init__
+
+        def counting(self):
+            built.append(1)
+            orig(self)
+
+        monkeypatch.setattr(IntMatrix, "__post_init__", counting)
+        for desc in descs:
+            assert structure(desc.k).order == desc.k.order
+        assert built == []
 
     def test_phi_surjection_kernel(self):
         amb = TorsionAmbient(1, 2)
