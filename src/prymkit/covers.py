@@ -172,9 +172,6 @@ class Surd:
         n = self.a * self.a - self.d * self.b * self.b
         return Surd(self.a / n, -self.b / n, self.d)
 
-    def __truediv__(self, other: "Surd") -> "Surd":
-        return self * other.inverse()
-
 
 def _lift(coeffs, d) -> TPoly:
     """The t-polynomial with coefficients c + 0*sqrt(d), for c in coeffs
@@ -254,8 +251,8 @@ def pullback_splits(cover: DoubleCoverData,
     good point x0 (_good_points), which certifies that s_a, monic in t,
     has disc_t(s_a)(x0) != 0 and so is squarefree over Q(x); otherwise
     Yun's decomposition in Q[x][t] (yun_squarefree).  Each squarefree
-    block is split over K by specializing x at a good rational point (x0
-    for a certified s_a), factoring over the resulting quadratic number
+    block is split over K at its first good point where it stays squarefree
+    (x0 for a certified s_a), factoring over the resulting quadratic number
     field, and Hensel-lifting each candidate half back to a polynomial
     witness; a block with no witness contributes half its even
     multiplicity y-free, and an odd one there rules out any witness.
@@ -274,11 +271,10 @@ def pullback_splits(cover: DoubleCoverData,
     m = s_a.n // 2
     s = s_a.as_tpoly()
     point = next(_good_points(cover.f, s), None)
-    if point is not None and not point[2].is_squarefree():
-        point = None  # the first good point does not certify s_a
+    certified = point is not None and point[2].is_squarefree()
     acc = _lift([Poly.one()], cover.f)
-    for q, e in yun_squarefree(s) if point is None else [(s, 1)]:
-        w = _split_squarefree_block(cover, q, s_a.deg_m, point)
+    for q, e in [(s, 1)] if certified else yun_squarefree(s):
+        w = _split_squarefree_block(cover, q, s_a.deg_m)
         if w is None:
             if e % 2 != 0:
                 return None
@@ -340,16 +336,17 @@ def _series_inv_sqrt(u: list, n: int) -> list:
 
 
 def _tpoly_xgcd(a: TPoly, b: TPoly) -> TPoly:
-    """Extended Euclid over field coefficients: returns the cofactor t
-    with s*a + t*b = g, g the monic gcd of a and b."""
-    czero = a.czero
+    """Extended Euclid as a monic remainder sequence over field coefficients:
+    the cofactor t with s*a + t*b = g, g the monic gcd of a and b."""
     r0, r1 = a, b
-    t0, t1 = TPoly((), czero), TPoly((czero.one_like(),), czero)
+    t0, t1 = TPoly((), a.czero), TPoly((a.czero.one_like(),), a.czero)
     while not r1.is_zero():
+        u = r1.lc.inverse()
+        r1, t1 = r1.scale(u), t1.scale(u)
         qt, rr = r0.divmod(r1)
         r0, r1 = r1, rr
         t0, t1 = t1, t0 - qt * t1
-    return t0.scale(r0.lc.inverse())
+    return t0
 
 
 def _factor_over_quadratic_field(qq: Poly, d: Fraction) -> list[TPoly]:
@@ -382,17 +379,16 @@ def _factor_over_quadratic_field(qq: Poly, d: Fraction) -> list[TPoly]:
     return out
 
 
-def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, deg_m: int,
-                            point: Optional[tuple] = None) -> Optional[TPoly]:
+def _split_squarefree_block(cover: DoubleCoverData, q: TPoly,
+                            deg_m: int) -> Optional[TPoly]:
     """Witness for a squarefree monic block: a monic t-polynomial W with
     coefficients on the double cover such that W * conj(W) = q, or None
     when q has a factor that stays irreducible over the cover's function
     field (which blocks any such factorization).
 
     Strategy: specialize x at the first good point x0 (_good_points) where
-    q stays squarefree, or at the given point (x0, f(x0), q(x0)) at which
-    pullback_splits certified q, and factor q(x0) over the quadratic
-    number field Q(sqrt(f(x0))).  Since q(x0) = W(x0) * conj(W(x0)) is
+    q stays squarefree, and factor q(x0) over the quadratic number field
+    Q(sqrt(f(x0))).  Since q(x0) = W(x0) * conj(W(x0)) is
     squarefree, a witness exists only if no factor is self-conjugate, and
     then W(x0) takes exactly one factor from each conjugate pair.  W and
     conj(W) are interchangeable, so the pair of factor 0 always gives
@@ -407,11 +403,9 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, deg_m: int,
     half = d // 2
     f = cover.f
 
+    point = next((p for p in _good_points(f, q) if p[2].is_squarefree()), None)
     if point is None:
-        point = next((p for p in _good_points(f, q) if p[2].is_squarefree()),
-                     None)
-        if point is None:
-            raise RuntimeError("no good specialization point found")
+        raise RuntimeError("no good specialization point found")
     x0, d0, qq = point
 
     factors = _factor_over_quadratic_field(qq, d0)

@@ -4,9 +4,9 @@ Everything here is dense, immutable and exact (fractions.Fraction
 coefficients).  ``Poly`` is a polynomial in one base variable x, ``RatFunc``
 its field of fractions, and ``TPoly`` a dense polynomial in an outer variable
 t whose coefficients may be Poly, RatFunc or any type supporting ring
-arithmetic, is_zero() and one_like().  TPoly division requires invertible
-(or monic) leading coefficients; with Poly coefficients this means the
-divisor must be monic in t, which is the only case the callers need.
+arithmetic, is_zero() and one_like().  A t-polynomial is divided only by a
+monic divisor, so t-division needs ring operations alone and keeps Poly
+coefficients in Q[x].
 
 Resultants, gcds and Yun's decomposition of t-polynomials share one engine,
 the subresultant pseudo-remainder sequence, whose divisions are exact in the
@@ -382,8 +382,8 @@ class TPoly:
     """Dense polynomial in the spectral variable t over an exact coefficient ring.
 
     Coefficients are any objects implementing +, -, *, an integer scalar on
-    the left (i * c), is_zero(), one_like() (the unit of their ring) and,
-    where division is needed, /.  Ascending order, no trailing zeros.
+    the left (i * c), is_zero() and one_like() (the unit of their ring);
+    ``monic`` alone also needs /.  Ascending order, no trailing zeros.
     """
 
     __slots__ = ("coeffs", "czero")
@@ -457,24 +457,20 @@ class TPoly:
         return power(self, k, TPoly((self.czero.one_like(),), self.czero))
 
     def divmod(self, other: "TPoly") -> tuple["TPoly", "TPoly"]:
-        """Division; the leading coefficient of ``other`` must be invertible
-        (monic in t suffices for Poly coefficients)."""
+        """Division by a monic divisor (else ValueError): each quotient
+        coefficient is the remainder's popped leading coefficient."""
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        r = list(self.coeffs)
-        d = other.coeffs
-        dd = len(d) - 1
-        if len(r) - 1 < dd:
-            return TPoly((), self.czero), self
-        q = [self.czero] * (len(r) - dd)
-        for i in range(len(r) - 1, dd - 1, -1):
-            if r[i].is_zero():
-                continue
-            f = r[i] / d[-1]
-            q[i - dd] = f
-            for j, c in enumerate(d):
-                r[i - dd + j] = r[i - dd + j] - f * c
-        return TPoly(q, self.czero), TPoly(r[:dd], self.czero)
+        *d, ld = other.coeffs
+        if ld != self.czero.one_like():
+            raise ValueError("t-polynomials divide only by monic divisors")
+        r, q = list(self.coeffs), []
+        while len(r) > len(d):
+            q.append(r.pop())
+            j = len(r) - len(d)
+            for k, dk in enumerate(d):
+                r[j + k] = r[j + k] - q[-1] * dk
+        return TPoly(q[::-1], self.czero), TPoly(r, self.czero)
 
     def __mod__(self, other: "TPoly") -> "TPoly":
         return self.divmod(other)[1]

@@ -1,12 +1,14 @@
 """JSON schemas for the toolkit's data types.
 
 Rationals are serialized as strings "p/q" (denominator always present) so
-every JSON implementation round-trips them losslessly; all loaders report
-failures with the path of the offending field.  Round-trips are bit-exact.
+every JSON implementation round-trips them losslessly, and are read back only
+in that form, -?[0-9]+/-?[0-9]+ in ASCII digits with q != 0; all loaders
+report failures with the path of the offending field.  Round-trips are bit-exact.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .abelian import IntMatrix, TorsionAmbient, subgroup_from_generators
@@ -66,9 +68,11 @@ def rational_from_json(value, path: str) -> Fraction:
              f"expected a rational string 'p/q', got {value!r}")
     parts = value.split("/")
     _require(len(parts) == 2, path, f"rational {value!r} is not of the form 'p/q'")
+    _require(all(re.fullmatch(r"-?[0-9]+", p) for p in parts), path,
+             f"rational {value!r} has non-integer parts")
     try:
         num, den = int(parts[0]), int(parts[1])
-    except ValueError:
+    except ValueError:  # a digit string past the interpreter's limit
         raise SchemaError(path, f"rational {value!r} has non-integer parts") from None
     _require(den != 0, path, "rational has zero denominator")
     return Fraction(num, den)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import lcm
 
 from .abelian import (
@@ -84,9 +84,8 @@ class SpectralCoverDescriptor:
         per descriptor in the common ambient (Z/M)^(2g) with
         M = ambient_modulus(self)."""
         ambient = TorsionAmbient(self.g, ambient_modulus(self))
-        k = ambient.full_subgroup()
-        for comp in self.components:
-            k = intersect(k, preimage_mul(comp.multiplicity, comp.kernel.embed(ambient)))
+        k = reduce(intersect, (preimage_mul(c.multiplicity, c.kernel.embed(ambient))
+                               for c in self.components))
         if self.n % k.exponent != 0:
             raise InvariantViolation("K escaped the n-torsion")  # unreachable
         return k
@@ -132,14 +131,12 @@ def phi_surjection(desc: SpectralCoverDescriptor) -> GroupHom:
 
 def is_cn_cover(desc: SpectralCoverDescriptor) -> bool:
     """True iff the descriptor is the non-reduced cover with trivial
-    nilpotent structure of order n: a single component with d = 1, m = n and
-    trivial kernel.  Cross-checked against |K| = n^(2g), which for
-    geometrically meaningful kernels (K_i proper in the d_i-torsion when
-    d_i > 1) is an equivalent characterization."""
-    shape = (len(desc.components) == 1
-             and desc.components[0].degree == 1
-             and desc.components[0].multiplicity == desc.n
-             and desc.components[0].kernel.is_trivial())
+    nilpotent structure of order n: a single component with m = n (d*m = n
+    then gives d = 1, and exp(K) | d a trivial kernel).  Cross-checked
+    against |K| = n^(2g), which for geometrically meaningful kernels (K_i
+    proper in the d_i-torsion when d_i > 1) is an equivalent
+    characterization."""
+    shape = len(desc.components) == 1 and desc.components[0].multiplicity == desc.n
     maximal = desc.k.order == desc.n ** (2 * desc.g)
     if shape and not maximal:
         raise InvariantViolation("C_n descriptor without maximal K")  # unreachable

@@ -82,6 +82,10 @@ MUTANTS = [
      "maximal = desc.k.order == desc.n ** (2 * desc.g)",
      "maximal = shape",
      ["tests/test_spectral.py"]),
+    ("C_n shape without m = n", "spectral.py",
+     " and desc.components[0].multiplicity == desc.n\n",
+     "\n",
+     ["tests/test_spectral.py"]),
     # -- polynomials -------------------------------------------------------------
     ("subresultant without the h update", "polynomials.py",
      "h = g ** delta / h ** (delta - 1)",
@@ -90,6 +94,11 @@ MUTANTS = [
     ("Yun labels every block multiplicity 1", "polynomials.py",
      "blocks.append((q, i))",
      "blocks.append((q, 1))",
+     ["tests/test_polynomials.py"]),
+    ("t-division without the monic check", "polynomials.py",
+     "        if ld != self.czero.one_like():\n"
+     "            raise ValueError(\"t-polynomials divide only by monic divisors\")\n",
+     "",
      ["tests/test_polynomials.py"]),
     # -- covers: R[sqrt(d)] arithmetic -----------------------------------------
     ("Surd skips the different-covers check", "covers.py",
@@ -106,8 +115,8 @@ MUTANTS = [
      ["tests/test_covers.py"]),
     # -- covers: the Galois splitter ---------------------------------------------
     ("certify without the squarefree test at x0", "covers.py",
-     "if point is not None and not point[2].is_squarefree():",
-     "if False:",
+     "certified = point is not None and point[2].is_squarefree()",
+     "certified = point is not None",
      ["tests/test_covers.py"]),
     ("certify at the second good point", "covers.py",
      "    point = next(_good_points(cover.f, s), None)\n",
@@ -115,8 +124,12 @@ MUTANTS = [
      "    point = next(points, None) and next(points, None)\n",
      ["tests/test_covers.py"]),
     ("no Yun fallback", "covers.py",
-     "for q, e in yun_squarefree(s) if point is None else [(s, 1)]:",
+     "for q, e in [(s, 1)] if certified else yun_squarefree(s):",
      "for q, e in [(s, 1)]:",
+     ["tests/test_covers.py"]),
+    ("xgcd without scaling the remainder monic", "covers.py",
+     "r1, t1 = r1.scale(u), t1.scale(u)",
+     "t1 = t1.scale(u)",
      ["tests/test_covers.py"]),
     ("odd multiplicity of an unsplit block not rejected", "covers.py",
      "            if e % 2 != 0:\n                return None\n",

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -52,9 +53,14 @@ class TestSchemas:
         assert rational_to_json(Fraction(5)) == "5/1"
 
     def test_rational_rejects_malformed(self):
-        for bad in ("3", "a/b", "1/0", 3, None):
+        # int() alone would read the first four as 10/3, 2/3, 2/3 and 3/4
+        for bad in ("1_0/3", " 2/3", "+2/3", "\u0663/4", "2/ 3", "2/3\n",
+                    "3", "a/b", "1/0", 3, None):
             with pytest.raises(SchemaError):
                 rational_from_json(bad, "$")
+
+    def test_rational_negative_denominator_accepted(self):
+        assert rational_from_json("1/-2", "$") == Fraction(-1, 2)
 
     def test_spectral_round_trip(self):
         rng = random.Random(3)
@@ -160,7 +166,8 @@ class TestCli:
         assert main(["pi0", "--input", path]) == 0
         payload = json.loads(capsys.readouterr().out)["payload"]
         assert payload["phi_kernel_order"] == 4 ** 2 // payload["k_order"]
-        assert calls == {"intersect": 2, "preimage_mul": 2}
+        # one preimage per component, folded by one intersection per extra one
+        assert calls == {"intersect": 1, "preimage_mul": 2}
 
     def test_pi0_huge_genus_refused_at_once(self, tmp_path, capsys):
         # a 2g x 2g kernel matrix at g = 10^6 would hold 4 * 10^12 entries
@@ -279,6 +286,15 @@ class TestCli:
             "witness": {"cover": {"f": ["0/1", "1/1"]}, "deg_m": 1, "m": 1,
                         "pairs": [{"u": [], "v": ["-1/1"]}]},
         }
+
+    def test_galois_lenient_rational_exit_2(self, tmp_path, capsys):
+        for bad in ("1_0/3", " 2/3", "+2/3", "\u0663/4"):
+            doc = {"cover": {"f": [bad, "1/1"]},
+                   "spectral": {"n": 2, "deg_m": 1, "coeffs": [[], ["0/1", "-1/1"]]}}
+            path = self._write(tmp_path, "g.json", doc)
+            assert main(["galois", "--input", path]) == 2, bad
+            err = capsys.readouterr().err
+            assert "has non-integer parts" in err and "Traceback" not in err
 
     def test_verify_suite(self, capsys):
         assert main(["verify", "--suite", "abelian", "--seed", "1"]) == 0

@@ -12,6 +12,7 @@ from prymkit.covers import (
     Surd,
     TwistedSpectralPoly,
     _lift,
+    _tpoly_xgcd,
     factors_coprime,
     galois_pushforward,
     phi_k,
@@ -249,7 +250,28 @@ class TestSurd:
             x, y = nonzero(), nonzero()
             assert x * x.inverse() == x.one_like()
             assert (x * y).conjugate() == x.conjugate() * y.conjugate()
-            assert (x * y) / y == x
+            assert (x * y) * y.inverse() == x
+
+    def test_tpoly_divides_only_by_monic_divisors(self):
+        d = Fraction(5, 3)
+        a = _lift([Fraction(c) for c in (1, 0, 1)], d)       # t^2 + 1
+        for op in (a.divmod, a.__mod__, a.__truediv__):
+            with pytest.raises(ValueError):
+                op(_lift([Fraction(1), Fraction(2)], d))    # 2t + 1
+        b = _lift([Fraction(1), Fraction(1)], d)             # t + 1
+        q, r = a.divmod(b)
+        assert q * b + r == a and r.degree < b.degree
+
+    def test_xgcd_cofactor_of_a_non_monic_pair(self):
+        # every remainder after b is scaled monic before it divides
+        d = Fraction(5, 3)
+        rt = Surd(Fraction(0), Fraction(1), d)               # sqrt(d)
+        a = _lift([Fraction(1), Fraction(0), Fraction(1)], d) + \
+            _lift([Fraction(0), Fraction(1)], d).scale(rt)   # t^2 + sqrt(d) t + 1
+        b = _lift([Fraction(0), Fraction(2)], d) - _lift([Fraction(1)], d).scale(rt)
+        tau = _tpoly_xgcd(a, b)
+        assert tau.degree < a.degree
+        assert (tau * b) % a == _lift([Fraction(1)], d)
 
 
 class TestPullbackSplits:

@@ -27,7 +27,7 @@ from prymkit.norms import (
     spectral_pow,
 )
 from prymkit.polynomials import Poly, resultant
-from prymkit.verify import random_element, random_spectral
+from prymkit.verify import random_element, random_poly, random_spectral
 
 X = Poly.x()
 
@@ -75,6 +75,23 @@ class TestMulMatrix:
         assert m[0] == [Poly.zero(), Poly.zero(), -a3]
         assert m[1] == [Poly.one(), Poly.zero(), Poly.zero()]
         assert m[2] == [Poly.zero(), Poly.one(), Poly.zero()]
+
+    def test_reduction_divides_no_coefficient(self, monkeypatch):
+        # s_a is monic in t, so reducing u * t^j mod s_a needs no Poly division
+        rng = random.Random(4)
+        s = SpectralPoly(4, 2, tuple(random_poly(rng, 2 * j) for j in range(1, 5)))
+        u = random_element(rng, s)
+        calls = []
+        orig = Poly.divmod
+
+        def counting(self, other):
+            calls.append(1)
+            return orig(self, other)
+
+        monkeypatch.setattr(Poly, "divmod", counting)
+        m = mul_matrix(s, u)
+        assert calls == []
+        assert m[0][0] == u.coords[0]
 
     def test_parent_mismatch(self):
         s1 = SpectralPoly(2, 1, (Poly.zero(), -X))

@@ -141,6 +141,28 @@ class TestPoly:
         assert not (Poly((0, 1)) * Poly((0, 1))).is_squarefree()
 
 
+class TestTPolyDivmod:
+    @settings(max_examples=60, deadline=None)
+    @given(tpolys, monic_tpolys)
+    def test_identity_by_monic_divisor(self, a, b):
+        q, r = a.divmod(b)
+        assert q * b + r == a
+        assert r.degree < b.degree
+
+    def test_non_monic_divisor_refused(self):
+        # a t-polynomial divides only by a monic divisor, so no coefficient
+        # is ever divided: leading coefficient 2 (or x) is a ValueError
+        a = tp((1,), (0, 1), (1,))
+        for divisor in (tp((1,), (2,)), tp((0, 1), (0, 1))):
+            for op in (a.divmod, a.__mod__, a.__truediv__):
+                with pytest.raises(ValueError):
+                    op(divisor)
+        with pytest.raises(ValueError):       # even past a shorter dividend
+            tp((1,)).divmod(tp((1,), (), (2,)))
+        with pytest.raises(ZeroDivisionError):
+            a.divmod(TPoly((), Poly.zero()))
+
+
 class TestRatFunc:
     def test_normalization(self):
         r = RatFunc(Poly((0, 2)), Poly((0, 0, 4)))   # 2x / 4x^2 = 1/(2x)

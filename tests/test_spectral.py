@@ -5,6 +5,7 @@ from math import isqrt
 
 import pytest
 
+from prymkit import spectral
 from prymkit.abelian import IntMatrix, TorsionAmbient, structure, subgroup_from_generators
 from prymkit.spectral import (
     ComponentData,
@@ -122,6 +123,26 @@ class TestComponentGroup:
         for desc in descs:
             assert structure(desc.k).order == desc.k.order
         assert built == []
+
+    def test_k_folds_the_preimages(self, monkeypatch):
+        # K is the first preimage intersected with the others: one component
+        # makes no intersect call, two components make one
+        calls = []
+        orig = spectral.intersect
+
+        def counting(h1, h2):
+            calls.append(1)
+            return orig(h1, h2)
+
+        monkeypatch.setattr(spectral, "intersect", counting)
+        for desc in (cn_descriptor(4, 1), integral_descriptor(3, 2)):
+            assert desc.k.order in (4 ** 2, 1)
+        assert calls == []
+        amb = TorsionAmbient(1, 2)
+        two = SpectralCoverDescriptor(4, 1, (ComponentData(1, 2, amb.trivial_subgroup()),
+                                             ComponentData(1, 2, amb.trivial_subgroup())))
+        assert two.k.order == 2 ** 2
+        assert len(calls) == 1
 
     def test_phi_surjection_kernel(self):
         amb = TorsionAmbient(1, 2)
