@@ -79,9 +79,7 @@ def trace_translate(s: SpectralPoly) -> SpectralPoly:
     """Change of variables t -> t - a_1/n, killing the t^(n-1) coefficient
     while preserving the graded degree bounds.  Idempotent."""
     shift = s.coeffs[0].scale(Fraction(-1, s.n))
-    acc = horner([TPoly((c,), Poly.zero()) for c in s.as_tpoly().coeffs],
-                 TPoly((shift, Poly.one()), Poly.zero()), TPoly((), Poly.zero()))
-    out = SpectralPoly.from_tpoly(acc, s.deg_m)
+    out = SpectralPoly.from_tpoly(_tpoly_shift(s.as_tpoly(), shift), s.deg_m)
     if not out.coeffs[0].is_zero():
         raise RuntimeError("translation failed to kill the trace")  # unreachable
     return out
@@ -251,10 +249,10 @@ def pullback_splits(cover: DoubleCoverData,
     good point x0 (_good_points), which certifies that s_a, monic in t,
     has disc_t(s_a)(x0) != 0 and so is squarefree over Q(x); otherwise
     Yun's decomposition in Q[x][t] (yun_squarefree).  Each squarefree
-    block is split over K at its first good point where it stays squarefree
-    (x0 for a certified s_a), factoring over the resulting quadratic number
-    field, and Hensel-lifting each candidate half back to a polynomial
-    witness; a block with no witness contributes half its even
+    block is split over K at x0 for a certified s_a, else at its first good
+    point where it stays squarefree, factoring over the resulting quadratic
+    number field and Hensel-lifting each candidate half back to a
+    polynomial witness; a block with no witness contributes half its even
     multiplicity y-free, and an odd one there rules out any witness.
     The assembled witness is certified by re-pushforward.
 
@@ -274,7 +272,9 @@ def pullback_splits(cover: DoubleCoverData,
     certified = point is not None and point[2].is_squarefree()
     acc = _lift([Poly.one()], cover.f)
     for q, e in [(s, 1)] if certified else yun_squarefree(s):
-        w = _split_squarefree_block(cover, q, s_a.deg_m)
+        if not certified:
+            point = next((p for p in _good_points(cover.f, q) if p[2].is_squarefree()), None)
+        w = _split_squarefree_block(cover, q, s_a.deg_m, point)
         if w is None:
             if e % 2 != 0:
                 return None
@@ -310,6 +310,13 @@ def _poly_shift(p: Poly, a: Fraction) -> Poly:
     return horner(p.coeffs, Poly((a, 1)), Poly.zero())
 
 
+def _tpoly_shift(p: TPoly, a) -> TPoly:
+    """p(t + a), by Horner, for a in the coefficient ring of p."""
+    z = p.czero
+    return horner([TPoly((c,), z) for c in p.coeffs], TPoly((a, z.one_like()), z),
+                  TPoly((), z))
+
+
 def _series_mul(a: list, b: list, n: int) -> list:
     out = [Fraction(0)] * n
     for i, ai in enumerate(a[:n]):
@@ -335,9 +342,9 @@ def _series_inv_sqrt(u: list, n: int) -> list:
     return h
 
 
-def _tpoly_xgcd(a: TPoly, b: TPoly) -> TPoly:
+def _tpoly_xgcd(a: TPoly, b: TPoly) -> tuple[TPoly, TPoly]:
     """Extended Euclid as a monic remainder sequence over field coefficients:
-    the cofactor t with s*a + t*b = g, g the monic gcd of a and b."""
+    the monic gcd g of a and b (b nonzero) and the t with s*a + t*b = g."""
     r0, r1 = a, b
     t0, t1 = TPoly((), a.czero), TPoly((a.czero.one_like(),), a.czero)
     while not r1.is_zero():
@@ -346,49 +353,64 @@ def _tpoly_xgcd(a: TPoly, b: TPoly) -> TPoly:
         qt, rr = r0.divmod(r1)
         r0, r1 = r1, rr
         t0, t1 = t1, t0 - qt * t1
-    return t0
+    return r0, t0
 
 
-def _factor_over_quadratic_field(qq: Poly, d: Fraction) -> list[TPoly]:
-    """Monic irreducible factors of a squarefree rational polynomial over
-    Q(sqrt(d)), as t-polynomials with quadratic-number coefficients, in a
-    deterministic order."""
+def _factor_over_q(p: Poly) -> list[Poly]:
+    """The distinct monic irreducible factors of p over Q, by sympy."""
     # imported here: pi0, endoscopy, norm and factor never need sympy
     import sympy
 
-    dom = sympy.QQ.algebraic_field(
-        sympy.sqrt(sympy.Rational(d.numerator, d.denominator)))
-    coeffs = [sympy.Rational(c.numerator, c.denominator)
-              for c in reversed(qq.coeffs)]
-    _const, raw = sympy.Poly(coeffs, sympy.Symbol("t"),
-                             domain=dom).factor_list()
-    czero = Surd(Fraction(0), Fraction(0), d)
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    _const, raw = sympy.Poly(coeffs, sympy.Symbol("t"), domain=sympy.QQ).factor_list()
+    return [Poly(Fraction(int(c.numerator), int(c.denominator))
+                 for c in reversed(fac.rep.to_list())).monic() for fac, _e in raw]
+
+
+def _factor_over_quadratic_field(qq: Poly, d: Fraction) -> list[TPoly]:
+    """Monic irreducible factors of a squarefree rational qq over K =
+    Q(sqrt(d)), d not a square, sorted, by Trager's algorithm (SYMSAC 1976):
+    sympy factors over Q only.  A Q-irreducible factor p of odd degree stays
+    irreducible over K, for Gal(K/Q) would swap its K-factors, making p =
+    g * conj(g) of even degree.  An even-degree p is shifted to p_c(t) =
+    p(t - c*sqrt(d)), c = 1, 2, ..., until N = p_c * conj(p_c) in Q[t] is
+    squarefree; then (Trager) the gcds of p_c with the Q-factors of N are
+    its K-factors, so p stays irreducible when N does, else p = g * conj(g),
+    g = gcd(N_1, p_c) shifted t -> t + c*sqrt(d).  c fails only when two
+    roots of p differ by 2c*sqrt(d), at most one c per ordered pair of
+    roots, so c <= deg p * (deg p - 1) + 1 (c = 0 gives N = p^2)."""
+    rt = Surd(Fraction(0), Fraction(1), d)
     out = []
-    for fac, _e in raw:
-        coeffs = []
-        for c in reversed(fac.rep.to_list()):
-            # c in descending powers of sqrt(d), at most two of them
-            vals = [Fraction(int(v.numerator), int(v.denominator))
-                    for v in c.to_list()]
-            b, a = [Fraction(0)] * (2 - len(vals)) + vals
-            coeffs.append(Surd(a, b, d))
-        p = TPoly(coeffs, czero)
-        out.append(p.scale(p.lc.inverse()))
-    out.sort(key=lambda p: (p.degree,
-                            [(c.a, c.b) for c in p.coeffs]))
+    for p in _factor_over_q(qq):
+        pk = _lift(p.coeffs, d)
+        if p.degree % 2 == 0:
+            for c in range(1, p.degree * (p.degree - 1) + 2):
+                pc = _tpoly_shift(pk, -c * rt)
+                norm = Poly(w.a for w in (pc * _conj(pc)).coeffs)
+                if norm.is_squarefree():
+                    break
+            else:
+                raise RuntimeError("no shift makes the norm squarefree")  # unreachable
+            n1, *rest = _factor_over_q(norm)
+            if rest:
+                g = _tpoly_shift(_tpoly_xgcd(_lift(n1.coeffs, d), pc)[0], c * rt)
+                out += [g, _conj(g)]
+                continue
+        out.append(pk)
+    out.sort(key=lambda p: (p.degree, [(c.a, c.b) for c in p.coeffs]))
     return out
 
 
-def _split_squarefree_block(cover: DoubleCoverData, q: TPoly,
-                            deg_m: int) -> Optional[TPoly]:
+def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, deg_m: int,
+                            point) -> Optional[TPoly]:
     """Witness for a squarefree monic block: a monic t-polynomial W with
     coefficients on the double cover such that W * conj(W) = q, or None
     when q has a factor that stays irreducible over the cover's function
     field (which blocks any such factorization).
 
-    Strategy: specialize x at the first good point x0 (_good_points) where
-    q stays squarefree, and factor q(x0) over the quadratic number field
-    Q(sqrt(f(x0))).  Since q(x0) = W(x0) * conj(W(x0)) is
+    Strategy: specialize x at point = (x0, f(x0), q(x0, t)), a good point
+    (_good_points) where q stays squarefree, and factor q(x0) over the
+    quadratic number field Q(sqrt(f(x0))).  Since q(x0) = W(x0) * conj(W(x0)) is
     squarefree, a witness exists only if no factor is self-conjugate, and
     then W(x0) takes exactly one factor from each conjugate pair.  W and
     conj(W) are interchangeable, so the pair of factor 0 always gives
@@ -402,8 +424,6 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly,
         return None
     half = d // 2
     f = cover.f
-
-    point = next((p for p in _good_points(f, q) if p[2].is_squarefree()), None)
     if point is None:
         raise RuntimeError("no good specialization point found")
     x0, d0, qq = point
@@ -431,7 +451,7 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly,
         for i in picks:
             a0 = a0 * factors[i]
         b0 = _conj(a0)
-        tau = _tpoly_xgcd(a0, b0)
+        _g, tau = _tpoly_xgcd(a0, b0)
         # the lift of b0 is the conjugate of the lift of a0 (Hensel
         # lifting is unique), so only a0's half is solved for
         a_terms, b_terms = [a0], [b0]

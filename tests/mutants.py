@@ -127,6 +127,10 @@ MUTANTS = [
      "for q, e in [(s, 1)] if certified else yun_squarefree(s):",
      "for q, e in [(s, 1)]:",
      ["tests/test_covers.py"]),
+    ("Yun block split at its first good point, squarefree or not", "covers.py",
+     "for p in _good_points(cover.f, q) if p[2].is_squarefree()",
+     "for p in _good_points(cover.f, q)",
+     ["tests/test_covers.py"]),
     ("xgcd without scaling the remainder monic", "covers.py",
      "r1, t1 = r1.scale(u), t1.scale(u)",
      "t1 = t1.scale(u)",
@@ -134,6 +138,27 @@ MUTANTS = [
     ("odd multiplicity of an unsplit block not rejected", "covers.py",
      "            if e % 2 != 0:\n                return None\n",
      "",
+     ["tests/test_covers.py"]),
+    # -- covers: Trager's factoring over Q(sqrt(d)) ------------------------------
+    ("Trager norm as p_c * p_c", "covers.py",
+     "(pc * _conj(pc)).coeffs",
+     "(pc * pc).coeffs",
+     ["tests/test_covers.py"]),
+    ("Trager shifts back with the wrong sign", "covers.py",
+     "_tpoly_xgcd(_lift(n1.coeffs, d), pc)[0], c * rt)",
+     "_tpoly_xgcd(_lift(n1.coeffs, d), pc)[0], -c * rt)",
+     ["tests/test_covers.py"]),
+    ("Trager tries only c = 1", "covers.py",
+     "for c in range(1, p.degree * (p.degree - 1) + 2):",
+     "for c in range(1, 2):",
+     ["tests/test_covers.py"]),
+    ("Trager pairs a split factor with itself", "covers.py",
+     "out += [g, _conj(g)]",
+     "out += [g, g]",
+     ["tests/test_covers.py"]),
+    ("Trager keeps even-degree factors whole", "covers.py",
+     "if p.degree % 2 == 0:",
+     "if False:",
      ["tests/test_covers.py"]),
     # -- serialize ---------------------------------------------------------------
     ("rational with a zero denominator accepted", "serialize.py",

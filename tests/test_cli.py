@@ -287,6 +287,23 @@ class TestCli:
                         "pairs": [{"u": [], "v": ["-1/1"]}]},
         }
 
+    def test_galois_never_builds_an_algebraic_field(self, tmp_path, capsys, monkeypatch):
+        # the splitter factors over Q(sqrt(d)) by Trager's norm: sympy only
+        # factors over QQ
+        import sympy
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("algebraic field built")
+        monkeypatch.setattr(type(sympy.QQ), "algebraic_field", refuse)
+        assert main(["verify", "--suite", "galois", "--seed", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["all_passed"] is True
+        cover = DoubleCoverData(X * X - 3)
+        pushed = galois_pushforward(cover, random_twisted(random.Random(3), cover, 3, deg_m=1))
+        path = self._write(tmp_path, "g.json", {"cover": cover_to_json(cover),
+                                                "spectral": spectral_to_json(pushed)})
+        assert main(["galois", "--input", path]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["splits"] is True
+
     def test_galois_lenient_rational_exit_2(self, tmp_path, capsys):
         for bad in ("1_0/3", " 2/3", "+2/3", "\u0663/4"):
             doc = {"cover": {"f": [bad, "1/1"]},

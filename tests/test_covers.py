@@ -5,12 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from prymkit import covers
 from prymkit.covers import (
     DoubleCoverData,
     Surd,
     TwistedSpectralPoly,
+    _factor_over_quadratic_field,
     _lift,
     _tpoly_xgcd,
     factors_coprime,
@@ -24,7 +26,7 @@ from prymkit.covers import (
     verify_component_degree_bounds,
 )
 from prymkit.norms import SpectralPoly, spectral_mul, spectral_pow
-from prymkit.polynomials import Poly, yun_squarefree
+from prymkit.polynomials import Poly, TPoly, yun_squarefree
 from prymkit.verify import (
     random_spectral,
     random_squarefree,
@@ -269,9 +271,10 @@ class TestSurd:
         a = _lift([Fraction(1), Fraction(0), Fraction(1)], d) + \
             _lift([Fraction(0), Fraction(1)], d).scale(rt)   # t^2 + sqrt(d) t + 1
         b = _lift([Fraction(0), Fraction(2)], d) - _lift([Fraction(1)], d).scale(rt)
-        tau = _tpoly_xgcd(a, b)
+        g, tau = _tpoly_xgcd(a, b)
+        assert g == _lift([Fraction(1)], d)
         assert tau.degree < a.degree
-        assert (tau * b) % a == _lift([Fraction(1)], d)
+        assert (tau * b) % a == g
 
 
 class TestPullbackSplits:
@@ -337,6 +340,24 @@ class TestPullbackSplits:
         assert w is not None and galois_pushforward(cover, w) == s
         assert len(calls) == 1
 
+    def test_certified_split_tests_its_point_once(self, monkeypatch):
+        # the block is split at the point that certified s; Trager's norms
+        # make squarefree tests of their own, so only calls on q(x0) count
+        cover = DoubleCoverData(X * X - 3)
+        s = galois_pushforward(cover, random_twisted(random.Random(3), cover, 3, deg_m=1))
+        _x0, _d0, qq = next(covers._good_points(cover.f, s.as_tpoly()))
+        calls = []
+        is_squarefree = Poly.is_squarefree
+
+        def counting(p):
+            if p == qq:
+                calls.append(p)
+            return is_squarefree(p)
+        monkeypatch.setattr(Poly, "is_squarefree", counting)
+        w = pullback_splits(cover, s)
+        assert w is not None and galois_pushforward(cover, w) == s
+        assert len(calls) == 1
+
     def test_degenerate_first_point_falls_back(self, monkeypatch):
         # (t^2 - x)((t - x - 1)^2 - x) is squarefree over Q(x), but at the
         # first good point x0 = -1 of y^2 = x it becomes (t^2 + 1)^2
@@ -351,6 +372,83 @@ class TestPullbackSplits:
             (-X - 1, Poly.constant(-2)),
             (X, X + 1),
         )
+
+
+def _sympy_factors(qq: Poly, d: Fraction) -> list[TPoly]:
+    """The monic factors of qq over Q(sqrt(d)) from sympy's algebraic-field
+    domain, whose elements are listed in descending powers of sqrt(d)."""
+    dom = sympy.QQ.algebraic_field(sympy.sqrt(sympy.Rational(d.numerator, d.denominator)))
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(qq.coeffs)]
+    _const, raw = sympy.Poly(coeffs, sympy.Symbol("t"), domain=dom).factor_list()
+    out = []
+    for fac, _e in raw:
+        coeffs = []
+        for c in reversed(fac.rep.to_list()):
+            vals = [Fraction(int(v.numerator), int(v.denominator)) for v in c.to_list()]
+            b, a = [Fraction(0)] * (2 - len(vals)) + vals
+            coeffs.append(Surd(a, b, d))
+        p = TPoly(coeffs, Surd(Fraction(0), Fraction(0), d))
+        out.append(p.scale(p.lc.inverse()))
+    return out
+
+
+class TestQuadraticFieldFactoring:
+    """Trager's factoring over K = Q(sqrt(d)) against sympy's factoring over
+    the algebraic field, on d negative, fractional and with a square factor."""
+
+    DS = [Fraction(-3), Fraction(8, 3), Fraction(12)]
+
+    @staticmethod
+    def _check(qq, d):
+        got = _factor_over_quadratic_field(qq, d)
+        assert sorted(got, key=repr) == sorted(_sympy_factors(qq, d), key=repr), (qq, d)
+        assert [p.degree for p in got] == sorted(p.degree for p in got)
+        return got
+
+    @staticmethod
+    def _t(*coeffs):
+        return Poly([Fraction(c) for c in coeffs])
+
+    @pytest.mark.parametrize("d", DS)
+    def test_t_squared_minus_d_needs_a_second_shift(self, d):
+        # at c = 1 the norm of t^2 - d is t^2 (t^2 - 4d), not squarefree
+        got = self._check(Poly([-d, 0, 1]), d)
+        t = _lift([Fraction(0), Fraction(1)], d)
+        rt = _lift([Fraction(1)], d).scale(Surd(Fraction(0), Fraction(1), d))
+        assert set(got) == {t - rt, t + rt}
+
+    @pytest.mark.parametrize("d", DS)
+    def test_fixed_cases(self, d):
+        t = self._t
+        # t^4 + 1 splits only over Q(i), Q(sqrt 2) and Q(sqrt -2)
+        assert self._check(t(1, 0, 0, 0, 1), d) == [_lift(t(1, 0, 0, 0, 1).coeffs, d)]
+        assert len(self._check(t(-2, 0, 0, 1), d)) == 1
+        # the minimal polynomial of sqrt 2 + sqrt 3, split over Q(sqrt 12)
+        self._check(t(1, 0, -10, 0, 1) * t(-3, 1), d)
+        assert len(self._check(t(1, 0, -10, 0, 1), Fraction(12))) == 2
+
+    @pytest.mark.parametrize("d", DS)
+    def test_random_products(self, d):
+        rng = random.Random(int(d * 3))
+        rt = Surd(Fraction(0), Fraction(1), d)
+
+        def rat():
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+        seen = 0
+        while seen < 20:
+            qq = Poly.one()
+            for _ in range(rng.randint(1, 3)):
+                k = rng.randint(1, 3)
+                if rng.random() < 0.5:     # g * conj(g), g over K
+                    g = _lift([rat() for _ in range(k)] + [Fraction(1)], d) + \
+                        _lift([rat() for _ in range(k)], d).scale(rt)
+                    qq = qq * Poly(c.a for c in (g * covers._conj(g)).coeffs)
+                else:
+                    qq = qq * Poly([rat() for _ in range(k)] + [Fraction(1)])
+            if 0 < qq.degree <= 8 and qq.is_squarefree():
+                self._check(qq, d)
+                seen += 1
 
 
 def _surely_not_square(p: Poly) -> bool:
