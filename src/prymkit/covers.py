@@ -7,13 +7,17 @@ along a double cover).
 The double cover is modeled concretely as y^2 = f(x) with f squarefree;
 a function on it is a Surd u + y*v, reduced modulo the defining relation.
 The same type, a + b*sqrt(d) with rational a, b, is the arithmetic of the
-quadratic number field Q(sqrt(f(x0))) at a specialization point x0.
+quadratic number field Q(sqrt(f(x0))) at a specialization point x0.  The
+splitter factors over that field on integer polynomials mod prime powers:
+by Zassenhaus over Q, then through a prime that splits in the field.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -188,7 +192,7 @@ def _conj(p: TPoly) -> TPoly:
 class TwistedSpectralPoly:
     """Monic degree-m polynomial in t whose coefficients b_j = u_j + y*v_j
     are functions on the double cover, with the graded bounds inherited from
-    the pulled-back line bundle: deg(u_j) <= j*deg_m and
+    the pulled-back line bundle: deg(u_j) <= j*deg_m and, unless v_j = 0,
     deg(v_j) <= j*deg_m - ceil(deg f / 2)."""
 
     cover: DoubleCoverData
@@ -205,7 +209,7 @@ class TwistedSpectralPoly:
         for j, (u, v) in enumerate(self.pairs, start=1):
             if u.degree > j * self.deg_m:
                 raise ValueError(f"deg(u_{j}) exceeds the bound {j}*{self.deg_m}")
-            if v.degree > j * self.deg_m - h:
+            if v and v.degree > j * self.deg_m - h:
                 raise ValueError(
                     f"deg(v_{j}) exceeds the bound {j}*{self.deg_m} - {h}")
 
@@ -317,16 +321,6 @@ def _tpoly_shift(p: TPoly, a) -> TPoly:
                   TPoly((), z))
 
 
-def _series_mul(a: list, b: list, n: int) -> list:
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a[:n]):
-        if ai:
-            for j, bj in enumerate(b[:n - i]):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
 def _series_inv_sqrt(u: list, n: int) -> list:
     """(1 + w)^(-1/2) mod z^n for u = 1 + w, by Newton iteration."""
     if u[0] != 1:
@@ -335,10 +329,10 @@ def _series_inv_sqrt(u: list, n: int) -> list:
     k = 1
     while k < n:
         k = min(2 * k, n)
-        hh = _series_mul(h, h, k)
-        corr = [-c for c in _series_mul(u, hh, k)]
+        hh = _mul(h, h)[:k]
+        corr = [-c for c in _mul(u[:k], hh)[:k]]
         corr[0] += 3
-        h = [c / 2 for c in _series_mul(h, corr, k)]
+        h = [c / 2 for c in _mul(h, corr)[:k]]
     return h
 
 
@@ -356,49 +350,205 @@ def _tpoly_xgcd(a: TPoly, b: TPoly) -> tuple[TPoly, TPoly]:
     return r0, t0
 
 
-def _factor_over_q(p: Poly) -> list[Poly]:
-    """The distinct monic irreducible factors of p over Q, by sympy."""
-    # imported here: pi0, endoscopy, norm and factor never need sympy
-    import sympy
+# -- factoring over Q and over Q(sqrt(d)), on integer polynomials: lists of
+# ints, ascending, with no trailing zeros and, reduced mod m, entries in [0, m)
 
-    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
-    _const, raw = sympy.Poly(coeffs, sympy.Symbol("t"), domain=sympy.QQ).factor_list()
-    return [Poly(Fraction(int(c.numerator), int(c.denominator))
-                 for c in reversed(fac.rep.to_list())).monic() for fac, _e in raw]
+
+def _mod(a: list, m: int, sym: bool = False) -> list:
+    """a mod m, with entries in (-m/2, m/2] when sym."""
+    a = [c % m for c in a]
+    while a and not a[-1]:
+        a.pop()
+    return [c - m if 2 * c > m else c for c in a] if sym else a
+
+
+def _add(a: list, b: list, k: int = 1) -> list:
+    """a + k*b, perhaps with trailing zeros."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] += k * c
+    return out
+
+
+def _mul(a: list, b: list) -> list:
+    """a*b; also of rational power series, as it writes every entry."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _prod(fs: list, m: int) -> list:
+    return functools.reduce(lambda acc, g: _mod(_mul(acc, g), m), fs, [1])
+
+
+def _divmod(a: list, b: list, m: int) -> tuple[list, list]:
+    """Quotient and remainder of a by b mod m, b monic."""
+    r = _mod(a, m)
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + len(b) - 1] % m
+        for j, y in enumerate(b):
+            r[i + j] -= c * y
+    return q, _mod(r[:len(b) - 1], m)
+
+
+def _xgcd(a: list, b: list, p: int) -> tuple[list, list]:
+    """(g, t): g = gcd(a, b) mod the prime p, monic if a is or b != 0, t*b = g mod a."""
+    r0, r1, t0, t1 = _mod(a, p), _mod(b, p), [], [1]
+    while r1:
+        inv = pow(r1[-1], -1, p)
+        r1, t1 = [c * inv % p for c in r1], [c * inv % p for c in t1]
+        q, r = _divmod(r0, r1, p)
+        r0, r1, t0, t1 = r1, r, t1, _mod(_add(t0, _mul(q, t1), -1), p)
+    return r0, t0
+
+
+def _powmod(a: list, k: int, f: list, p: int) -> list:
+    """a^k mod (f, p), f monic, by squaring."""
+    if k == 0:
+        return [1]
+    h = _powmod(_divmod(_mul(a, a), f, p)[1], k // 2, f, p)
+    return _divmod(_mul(h, a), f, p)[1] if k & 1 else h
+
+
+def _factor_mod(f: list, p: int) -> list:
+    """The monic irreducible factors of f, monic and squarefree mod the odd
+    prime p: those of degree i make up g = gcd(f, t^(p^i) - t) once smaller
+    degrees are divided out, and g splits by gcd(g, a^((p^i - 1)/2) - 1) for
+    random a, seeded from f (MCA Algs. 14.3 and 14.8)."""
+    out, h, i, rng = [], [0, 1], 0, random.Random(hash(tuple(f)))
+    while len(f) > 2 * i + 2:
+        i += 1
+        h = _powmod(h, p, f, p)
+        g = _xgcd(f, _add(h, [0, 1], -1), p)[0]
+        f, todo = _divmod(f, g, p)[0], [g] * (len(g) > 1)
+        while todo:
+            g = todo.pop()
+            if len(g) == i + 1:
+                out.append(g)
+                continue
+            a = [rng.randrange(p) for _ in g[1:]]
+            b = _xgcd(g, _add(_powmod(a, (p ** i - 1) // 2, g, p), [1], -1), p)[0]
+            todo += [b, _divmod(g, b, p)[0]] if 1 < len(b) < len(g) else [g]
+    return out + [f] * (len(f) > 1)
+
+
+def _hensel(f: list, fs: list, p: int, m: int) -> list:
+    """The monic factors of f mod m = p^(2^j) that are fs mod p, for f monic
+    and fs pairwise coprime with product f mod p: a factor tree (MCA §15.5)
+    of quadratic Hensel steps (MCA Alg. 15.10) on g*h = f and s*g + t*h = 1."""
+    if len(fs) == 1:
+        return [_mod(f, m)]
+    k = len(fs) // 2
+    g, h = _prod(fs[:k], p), _prod(fs[k:], p)
+    q, t = p, _xgcd(g, h, p)[1]
+    s = _divmod(_add([1], _mul(t, h), -1), g, p)[0]
+    while q < m:
+        q *= q
+        e = _mod(_add(f, _mul(g, h), -1), q)
+        c, r = _divmod(_mul(s, e), h, q)
+        g, h = _mod(_add(g, _add(_mul(t, e), _mul(c, g))), q), _mod(_add(h, r), q)
+        b = _mod(_add(_add(_mul(s, g), _mul(t, h)), [1], -1), q)
+        c, r = _divmod(_mul(s, b), h, q)
+        s, t = _mod(_add(s, r, -1), q), _mod(_add(t, _add(_mul(t, b), _mul(c, g)), -1), q)
+    return _hensel(g, fs[:k], p, m) + _hensel(h, fs[k:], p, m)
+
+
+def _lifted_factors(f: list, bound: int, good=lambda p: True) -> tuple[list, int, int]:
+    """(fs, m, p): p is the first odd prime with good(p), lc(f) a unit and f
+    squarefree mod p; fs are f's monic factors mod m, the first p^(2^j) >
+    bound.  Primes failing the last two tests divide Res(f, f'), which is
+    below ((n + 1) max|f_i|)^(2n), so more of them prove it zero (ValueError)."""
+    bad = 2 * len(f) * (len(f) * max(map(abs, f))).bit_length()
+    for p in (p for p in itertools.count(3, 2)
+              if all(p % k for k in range(3, math.isqrt(p) + 1, 2)) and good(p)):
+        if f[-1] % p and len(_xgcd(f, [i * c for i, c in enumerate(f)][1:], p)[0]) == 1:
+            break
+        if (bad := bad - 1) < 0:
+            raise ValueError("cannot factor a polynomial that is not squarefree")
+    m = p
+    while m <= bound:
+        m *= m
+    monic = _mod([c * pow(f[-1], -1, m) for c in f], m)
+    return _hensel(monic, _factor_mod(_mod(monic, p), p), p, m), m, p
+
+
+def _factor_over_q(p: Poly) -> list[Poly]:
+    """The monic irreducible factors of a squarefree p over Q (Zassenhaus,
+    MCA Alg. 15.19).  p/lc(p) times its denominators' lcm is a primitive f in
+    Z[t], whose factors mod a prime l are lifted mod l^M > 2*lc(f)*2^n*
+    ||f||_2, twice Mignotte's bound on lc(f) times a monic factor of f.  So
+    lc(f) times k lifted factors, k = 1, 2, ..., in the symmetric range is a
+    factor of f over Q exactly when it divides f."""
+    den = math.lcm(*(c.denominator for c in p.monic().coeffs))
+    f = [int(c * den) for c in p.monic().coeffs]
+    bound = 2 * f[-1] * 2 ** (len(f) - 1) * (math.isqrt(sum(c * c for c in f)) + 1)
+    fs, m, _p = _lifted_factors(f, bound)
+    out, k = [], 1
+    while 2 * k <= len(fs):
+        for sub in itertools.combinations(range(len(fs)), k):
+            g = _mod([f[-1] * c for c in _prod([fs[i] for i in sub], m)], m, sym=True)
+            quo, rem = Poly(f).divmod(Poly(g).scale(Fraction(1, math.gcd(*g))))
+            if not rem:     # the primitive part of g divides f, so quo is in Z[t]
+                out.append(g)
+                f, fs = [int(c) for c in quo.coeffs], [h for i, h in enumerate(fs) if i not in sub]
+                break
+        else:
+            k += 1
+    return [Poly(g).monic() for g in out + [f]]
+
+
+def _split_over_k(p: Poly, d: Fraction) -> Optional[TPoly]:
+    """A monic g over K = Q(sqrt(d)) with p = g * conj(g), or None when p, of
+    even degree 2k and irreducible over Q, stays irreducible over K (there is
+    no third case), through a prime l split in K (Belabas, van Hoeij, Kluners
+    and Steel, JTNB 21, 2009).  Let p(t) = P(L t)/L^(2k), P monic in Z[t], and
+    sqrt(d) = sqrt(e)/den, e = num*den.  If P = G * conj(G), the coefficients
+    c = a + b*sqrt(e) of G, symmetric in roots of P, are algebraic integers,
+    so the rationals 2a = c + conj(c) and 2be = (c - conj(c))*sqrt(e) are
+    integers.  With l odd, prime to e, e = r^2 mod l^M and P squarefree mod
+    l, K embeds in Q_l by sqrt(e) -> r, taking G and conj(G) to complementary
+    products G1, G2 of P's lifted factors: G1 + G2 = 2a, (G1 - G2)*r = 2be mod
+    l^M.  As |c| <= 2^k R^k, R = 1 + max|P_i| bounding P's roots, l^M >
+    4*2^k*R^k*(isqrt|e| + 1) makes the symmetric residues A, B exact.  Only
+    subsets with factor 0 are tried, as conj swaps G1 and G2; e*A^2 - B^2 =
+    4e*P is G0^2 - d*G1^2 = p, g = G0 + sqrt(d)*G1, tested exactly in Z[t]."""
+    k, lcm = p.degree // 2, math.lcm(*(c.denominator for c in p.coeffs))
+    big = [int(c * lcm ** (2 * k - i)) for i, c in enumerate(p.coeffs)]
+    e = d.numerator * d.denominator
+    bound = 4 * 2 ** k * (1 + max(map(abs, big))) ** k * (math.isqrt(abs(e)) + 1)
+    fs, m, ell = _lifted_factors(big, bound, lambda l: e % l and pow(e, l // 2, l) == 1)
+    r, q = next(r for r in range(ell) if (r * r - e) % ell == 0), ell
+    while q < m:
+        q *= q
+        r = (r - (r * r - e) * pow(2 * r, -1, q)) % q
+    for pick in itertools.chain.from_iterable(
+            itertools.combinations(range(1, len(fs)), j) for j in range(len(fs))):
+        if sum(len(fs[i]) - 1 for i in (0,) + pick) != k:
+            continue
+        g1 = _prod([fs[i] for i in (0,) + pick], m)
+        g2 = _prod([h for i, h in enumerate(fs[1:], 1) if i not in pick], m)
+        a = _mod(_add(g1, g2), m, sym=True)
+        b = _mod([r * c for c in _add(g1, g2, -1)], m, sym=True)
+        if _add(_mul([e], _mul(a, a)), _mul(b, b), -1) == [4 * e * c for c in big]:
+            scale = [Fraction(lcm ** i, 2 * lcm ** k) for i in range(k + 1)]
+            return (_lift([x * s for x, s in zip(a, scale)], d) +
+                    _lift([x * s / d.numerator for x, s in zip(b, scale)], d)
+                    .scale(Surd(Fraction(0), Fraction(1), d)))
+    return None
 
 
 def _factor_over_quadratic_field(qq: Poly, d: Fraction) -> list[TPoly]:
-    """Monic irreducible factors of a squarefree rational qq over K =
-    Q(sqrt(d)), d not a square, sorted, by Trager's algorithm (SYMSAC 1976):
-    sympy factors over Q only.  A Q-irreducible factor p of odd degree stays
-    irreducible over K, for Gal(K/Q) would swap its K-factors, making p =
-    g * conj(g) of even degree.  An even-degree p is shifted to p_c(t) =
-    p(t - c*sqrt(d)), c = 1, 2, ..., until N = p_c * conj(p_c) in Q[t] is
-    squarefree; then (Trager) the gcds of p_c with the Q-factors of N are
-    its K-factors, so p stays irreducible when N does, else p = g * conj(g),
-    g = gcd(N_1, p_c) shifted t -> t + c*sqrt(d).  c fails only when two
-    roots of p differ by 2c*sqrt(d), at most one c per ordered pair of
-    roots, so c <= deg p * (deg p - 1) + 1 (c = 0 gives N = p^2)."""
-    rt = Surd(Fraction(0), Fraction(1), d)
+    """Monic irreducible factors over K = Q(sqrt(d)), d not a square, of a
+    squarefree rational qq, sorted: those over Q, each of even degree split
+    by _split_over_k (one of odd degree cannot be g * conj(g))."""
     out = []
     for p in _factor_over_q(qq):
-        pk = _lift(p.coeffs, d)
-        if p.degree % 2 == 0:
-            for c in range(1, p.degree * (p.degree - 1) + 2):
-                pc = _tpoly_shift(pk, -c * rt)
-                norm = Poly(w.a for w in (pc * _conj(pc)).coeffs)
-                if norm.is_squarefree():
-                    break
-            else:
-                raise RuntimeError("no shift makes the norm squarefree")  # unreachable
-            n1, *rest = _factor_over_q(norm)
-            if rest:
-                g = _tpoly_shift(_tpoly_xgcd(_lift(n1.coeffs, d), pc)[0], c * rt)
-                out += [g, _conj(g)]
-                continue
-        out.append(pk)
-    out.sort(key=lambda p: (p.degree, [(c.a, c.b) for c in p.coeffs]))
-    return out
+        g = _split_over_k(p, d) if p.degree % 2 == 0 else None
+        out += [_lift(p.coeffs, d)] if g is None else [g, _conj(g)]
+    return sorted(out, key=lambda p: (p.degree, [(c.a, c.b) for c in p.coeffs]))
 
 
 def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, deg_m: int,
@@ -408,17 +558,17 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, deg_m: int,
     when q has a factor that stays irreducible over the cover's function
     field (which blocks any such factorization).
 
-    Strategy: specialize x at point = (x0, f(x0), q(x0, t)), a good point
-    (_good_points) where q stays squarefree, and factor q(x0) over the
-    quadratic number field Q(sqrt(f(x0))).  Since q(x0) = W(x0) * conj(W(x0)) is
-    squarefree, a witness exists only if no factor is self-conjugate, and
-    then W(x0) takes exactly one factor from each conjugate pair.  W and
-    conj(W) are interchangeable, so the pair of factor 0 always gives
-    factor 0's partner, and 2^(pairs - 1) halves remain.  Each is
-    Hensel-lifted, together with its conjugate, to a series in (x - x0);
-    the true witness is a polynomial of bounded degree, so it is recovered
-    exactly and certified.  q is monic in t, so a squarefree q(x0) means
-    disc_t(q)(x0) != 0: q is squarefree over Q(x) too."""
+    Strategy: at point = (x0, f(x0), q(x0, t)), a good point (_good_points)
+    where q stays squarefree, factor q(x0) over K = Q(sqrt(f(x0))) with
+    _factor_over_quadratic_field (l-adic lifts of factors mod a prime l).
+    As q(x0) = W(x0) * conj(W(x0)) is squarefree, a witness exists only if
+    no factor is self-conjugate, and W(x0) then takes one factor from each
+    conjugate pair; as W and conj(W) are interchangeable, it takes factor
+    0's partner, and 2^(pairs - 1) halves remain.  Each is Hensel-lifted
+    with its conjugate to a series in (x - x0), once per candidate; the
+    witness, of bounded degree, is recovered exactly and certified.  q is
+    monic in t, so a squarefree q(x0) means disc_t(q)(x0) != 0: q is
+    squarefree over Q(x)."""
     d = q.degree
     if d % 2 != 0:
         return None
@@ -469,7 +619,7 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, deg_m: int,
             a_ser = [term.coeff(j).a for term in a_terms]
             b_ser = [term.coeff(j).b for term in b_terms]
             p_j = _poly_shift(Poly(a_ser), -x0)
-            q_j = _poly_shift(Poly(_series_mul(b_ser, g_inv, prec)), -x0)
+            q_j = _poly_shift(Poly(_mul(b_ser, g_inv)[:prec]), -x0)
             coeffs.append(Surd(p_j, q_j, f))
         w = TPoly(coeffs, q_lift.czero)
         if w * _conj(w) == q_lift:

@@ -139,26 +139,38 @@ MUTANTS = [
      "            if e % 2 != 0:\n                return None\n",
      "",
      ["tests/test_covers.py"]),
-    # -- covers: Trager's factoring over Q(sqrt(d)) ------------------------------
-    ("Trager norm as p_c * p_c", "covers.py",
-     "(pc * _conj(pc)).coeffs",
-     "(pc * pc).coeffs",
+    ("zero v_j held to its degree bound", "covers.py",
+     "if v and v.degree > j * self.deg_m - h:",
+     "if v.degree > j * self.deg_m - h:",
      ["tests/test_covers.py"]),
-    ("Trager shifts back with the wrong sign", "covers.py",
-     "_tpoly_xgcd(_lift(n1.coeffs, d), pc)[0], c * rt)",
-     "_tpoly_xgcd(_lift(n1.coeffs, d), pc)[0], -c * rt)",
+    # -- covers: factoring over Q and over Q(sqrt(d)) ---------------------------
+    ("no bad prime allowed before the squarefree one", "covers.py",
+     "    bad = 2 * len(f) * (len(f) * max(map(abs, f))).bit_length()\n",
+     "    bad = 0\n",
      ["tests/test_covers.py"]),
-    ("Trager tries only c = 1", "covers.py",
-     "for c in range(1, p.degree * (p.degree - 1) + 2):",
-     "for c in range(1, 2):",
+    ("recombination only over single factors", "covers.py",
+     "        else:\n            k += 1\n",
+     "        else:\n            break\n",
      ["tests/test_covers.py"]),
-    ("Trager pairs a split factor with itself", "covers.py",
-     "out += [g, _conj(g)]",
-     "out += [g, g]",
+    ("the lift one squaring short", "covers.py",
+     "    while m <= bound:\n",
+     "    while m * m <= bound:\n",
      ["tests/test_covers.py"]),
-    ("Trager keeps even-degree factors whole", "covers.py",
-     "if p.degree % 2 == 0:",
-     "if False:",
+    ("Hensel step without the s, t update", "covers.py",
+     "        s, t = _mod(_add(s, r, -1), q), _mod(_add(t, _add(_mul(t, b), _mul(c, g)), -1), q)\n",
+     "",
+     ["tests/test_covers.py"]),
+    ("split prime chosen without the square test", "covers.py",
+     "lambda l: e % l and pow(e, l // 2, l) == 1",
+     "lambda l: e % l",
+     ["tests/test_covers.py"]),
+    ("no exact G0^2 - d*G1^2 check", "covers.py",
+     "if _add(_mul([e], _mul(a, a)), _mul(b, b), -1) == [4 * e * c for c in big]:",
+     "if True:",
+     ["tests/test_covers.py"]),
+    ("even-degree Q-factors kept whole over K", "covers.py",
+     "g = _split_over_k(p, d) if p.degree % 2 == 0 else None",
+     "g = None",
      ["tests/test_covers.py"]),
     # -- serialize ---------------------------------------------------------------
     ("rational with a zero denominator accepted", "serialize.py",

@@ -14,8 +14,8 @@ import pytest
 
 from prymkit import cli, spectral, verify
 from prymkit.cli import main
-from prymkit.covers import DoubleCoverData, galois_pushforward
-from prymkit.norms import SpectralPoly
+from prymkit.covers import DoubleCoverData, TwistedSpectralPoly, galois_pushforward
+from prymkit.norms import SpectralPoly, spectral_mul
 from prymkit.polynomials import Poly
 from prymkit.serialize import (
     MAX_GENUS,
@@ -236,6 +236,39 @@ class TestCli:
                         "import prymkit.cli, sys; assert 'sympy' not in sys.modules"],
                        env=env, check=True)
 
+    def test_galois_split_leaves_sympy_unloaded(self, tmp_path):
+        # two conjugate pairs: q(x0) has a Q-factor of even degree that
+        # splits over Q(sqrt(f(x0))), so both factoring stages run
+        one = Poly.one()
+        cover = DoubleCoverData(X * X + one)
+        s = galois_pushforward(cover, TwistedSpectralPoly(cover, 1, 1, ((X, one),)))
+        s = spectral_mul(s, galois_pushforward(cover, TwistedSpectralPoly(
+            cover, 1, 1, ((Poly.constant(2), -one),))))
+        path = self._write(tmp_path, "g.json", {"cover": cover_to_json(cover),
+                                                "spectral": spectral_to_json(s)})
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = ("import sys\nfrom prymkit.cli import main\n"
+                f"rc = main(['galois', '--input', {path!r}])\n"
+                "assert 'sympy' not in sys.modules\nsys.exit(rc)")
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             check=True, capture_output=True, text=True).stdout
+        assert json.loads(out)["payload"]["splits"] is True
+
+    def test_galois_zero_v_witness(self, tmp_path, capsys):
+        # y^2 = x^3 + 1 with deg_m = 0 bounds deg v_1 by -2: the witness
+        # W = t of s = t^2 has v_1 = 0, which meets it
+        cover = {"f": ["1/1", "0/1", "0/1", "1/1"]}
+        path = self._write(tmp_path, "s.json", {"cover": cover, "spectral": {
+            "n": 2, "deg_m": 0, "coeffs": [[], []]}})
+        assert main(["galois", "--input", path]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["witness"]["pairs"] == [
+            {"u": [], "v": []}]
+        path = self._write(tmp_path, "w.json", {"cover": cover, "twisted": {
+            "cover": cover, "m": 1, "deg_m": 0, "pairs": [{"u": [], "v": []}]}})
+        assert main(["galois", "--input", path]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["pushforward"] == {
+            "n": 2, "deg_m": 0, "coeffs": [[], []]}
+
     def test_norm(self, tmp_path, capsys):
         s = SpectralPoly(2, 1, (Poly.zero(), -X))
         doc = {"spectral": spectral_to_json(s),
@@ -288,8 +321,8 @@ class TestCli:
         }
 
     def test_galois_never_builds_an_algebraic_field(self, tmp_path, capsys, monkeypatch):
-        # the splitter factors over Q(sqrt(d)) by Trager's norm: sympy only
-        # factors over QQ
+        # the splitter factors over Q(sqrt(d)) on its own, through a prime
+        # that splits there; sympy, loaded here only to watch, is not asked
         import sympy
 
         def refuse(*_args, **_kwargs):

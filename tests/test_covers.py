@@ -12,6 +12,7 @@ from prymkit.covers import (
     DoubleCoverData,
     Surd,
     TwistedSpectralPoly,
+    _factor_over_q,
     _factor_over_quadratic_field,
     _lift,
     _tpoly_xgcd,
@@ -185,6 +186,26 @@ class TestDoubleCover:
         with pytest.raises(ValueError):
             TwistedSpectralPoly(cover, 1, 1, ((Poly.zero(), X),))
 
+    def test_zero_v_meets_any_bound(self):
+        # on y^2 = x^3 + 1 with deg_m = 0 the bound on v_1 is 0 - 2 = -2, and
+        # a zero v_1 (degree -1) meets it: s = t^2 is the norm of W = t
+        cover = DoubleCoverData(X ** 3 + Poly.one())
+        w = TwistedSpectralPoly(cover, 1, 0, ((Poly.zero(), Poly.zero()),))
+        assert galois_pushforward(cover, w) == spoly(2, 0, Poly.zero(), Poly.zero())
+        with pytest.raises(ValueError):
+            TwistedSpectralPoly(cover, 1, 0, ((Poly.zero(), Poly.one()),))
+
+    @pytest.mark.parametrize("f", [X ** 3 + Poly.one(), X * X + Poly.one()])
+    def test_split_with_zero_v(self, f):
+        cover = DoubleCoverData(f)
+        one, zero = Poly.one(), Poly.zero()
+        w = pullback_splits(cover, spoly(2, 0, zero, zero))               # t^2
+        assert w is not None and w.pairs == ((zero, zero),)
+        s = spoly(4, 0, zero, -2 * one, zero, one)                        # (t^2 - 1)^2
+        w = pullback_splits(cover, s)
+        assert w is not None and w.pairs == ((zero, zero), (-one, zero))
+        assert galois_pushforward(cover, w) == s
+
     def test_pushforward_conjugate_pair(self):
         cover = DoubleCoverData(X * X - 1)
         tw = TwistedSpectralPoly(cover, 1, 1, ((Poly.zero(), Poly.constant(-1)),))
@@ -341,8 +362,8 @@ class TestPullbackSplits:
         assert len(calls) == 1
 
     def test_certified_split_tests_its_point_once(self, monkeypatch):
-        # the block is split at the point that certified s; Trager's norms
-        # make squarefree tests of their own, so only calls on q(x0) count
+        # the block is split at the point that certified s, so q(x0) itself
+        # is tested once; squarefree tests of other polynomials do not count
         cover = DoubleCoverData(X * X - 3)
         s = galois_pushforward(cover, random_twisted(random.Random(3), cover, 3, deg_m=1))
         _x0, _d0, qq = next(covers._good_points(cover.f, s.as_tpoly()))
@@ -374,6 +395,65 @@ class TestPullbackSplits:
         )
 
 
+def _sympy_factors_q(p: Poly) -> list[Poly]:
+    """The monic factors of p over Q from sympy's factor_list over QQ."""
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    _const, raw = sympy.Poly(coeffs, sympy.Symbol("t"), domain=sympy.QQ).factor_list()
+    return [Poly(Fraction(int(c.numerator), int(c.denominator))
+                 for c in reversed(fac.rep.to_list())).monic() for fac, _e in raw]
+
+
+class TestFactorOverQ:
+    """Zassenhaus over Q against sympy's factoring over QQ."""
+
+    @staticmethod
+    def _check(p):
+        got = _factor_over_q(p)
+        assert sorted(got, key=repr) == sorted(_sympy_factors_q(p), key=repr), p
+        return got
+
+    def test_random_products(self):
+        rng = random.Random(2024)
+
+        def rat():
+            return Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+
+        seen = 0
+        while seen < 60:
+            p = Poly.constant(Fraction(rng.choice([1, -1, 3, 5, -7]), rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 5)):
+                k = rng.randint(1, 4)
+                p = p * Poly([rat() for _ in range(k)] + [Fraction(rng.randint(1, 9))])
+            if 0 < p.degree <= 12 and p.is_squarefree():
+                self._check(p)
+                seen += 1
+
+    def test_recombination(self):
+        # t^4 - 10t^2 + 1 and t^4 + 1 are irreducible over Q but split mod
+        # every prime, so their factors mod l must be recombined
+        t = TestQuadraticFieldFactoring._t
+        p1, p2 = t(1, 0, -10, 0, 1), t(1, 0, 0, 0, 1)
+        assert sorted(self._check(p1 * p2), key=repr) == sorted([p1, p2], key=repr)
+        assert len(self._check(p1 * p2 * t(-1, 3) * t(2, 0, -5))) == 4
+
+    def test_not_squarefree_refused(self):
+        # squarefree mod no prime: the search gives up after the bad primes
+        # that a nonzero Res(f, f') could account for
+        t = TestQuadraticFieldFactoring._t
+        with pytest.raises(ValueError):
+            _factor_over_q(t(1, 1) * t(1, 1) * t(3, 0, 1))
+
+    def test_factor_needs_the_full_lift(self):
+        # l = 5 and the lift goes to 5^16.  One squaring short, 5^8 = 390625
+        # cannot hold lc * 49006 = 1372168 in its symmetric range, and the
+        # quadratic factor splits mod 5, so t - 49006 is not left over as
+        # the last cofactor: it has to be recovered from the lift
+        t = TestQuadraticFieldFactoring._t
+        p = t(-49006, 1) * t(-150, -729, 28)
+        assert t(-49006, 1) in self._check(p)
+        assert t(-49006, 1) in self._check(p.scale(Fraction(-2, 3)))
+
+
 def _sympy_factors(qq: Poly, d: Fraction) -> list[TPoly]:
     """The monic factors of qq over Q(sqrt(d)) from sympy's algebraic-field
     domain, whose elements are listed in descending powers of sqrt(d)."""
@@ -393,10 +473,13 @@ def _sympy_factors(qq: Poly, d: Fraction) -> list[TPoly]:
 
 
 class TestQuadraticFieldFactoring:
-    """Trager's factoring over K = Q(sqrt(d)) against sympy's factoring over
-    the algebraic field, on d negative, fractional and with a square factor."""
+    """Factoring over K = Q(sqrt(d)) (over Q, then through a prime that
+    splits in K) against sympy's factoring over the algebraic field, on d
+    negative, fractional, with a square factor and on both sides of 1."""
 
-    DS = [Fraction(-3), Fraction(8, 3), Fraction(12)]
+    DS = [Fraction(-12), Fraction(-7, 5), Fraction(-3), Fraction(-1), Fraction(1, 2),
+          Fraction(2), Fraction(5), Fraction(8, 3), Fraction(12), Fraction(50),
+          Fraction(99, 7)]
 
     @staticmethod
     def _check(qq, d):
@@ -410,8 +493,8 @@ class TestQuadraticFieldFactoring:
         return Poly([Fraction(c) for c in coeffs])
 
     @pytest.mark.parametrize("d", DS)
-    def test_t_squared_minus_d_needs_a_second_shift(self, d):
-        # at c = 1 the norm of t^2 - d is t^2 (t^2 - 4d), not squarefree
+    def test_t_squared_minus_d_splits(self, d):
+        # t^2 - d = (t - sqrt(d))(t + sqrt(d)), the degree-2 split
         got = self._check(Poly([-d, 0, 1]), d)
         t = _lift([Fraction(0), Fraction(1)], d)
         rt = _lift([Fraction(1)], d).scale(Surd(Fraction(0), Fraction(1), d))
@@ -421,7 +504,11 @@ class TestQuadraticFieldFactoring:
     def test_fixed_cases(self, d):
         t = self._t
         # t^4 + 1 splits only over Q(i), Q(sqrt 2) and Q(sqrt -2)
-        assert self._check(t(1, 0, 0, 0, 1), d) == [_lift(t(1, 0, 0, 0, 1).coeffs, d)]
+        got = self._check(t(1, 0, 0, 0, 1), d)
+        if any(covers._is_square(d / c) for c in (-1, 2, -2)):
+            assert len(got) == 2
+        else:
+            assert got == [_lift(t(1, 0, 0, 0, 1).coeffs, d)]
         assert len(self._check(t(-2, 0, 0, 1), d)) == 1
         # the minimal polynomial of sqrt 2 + sqrt 3, split over Q(sqrt 12)
         self._check(t(1, 0, -10, 0, 1) * t(-3, 1), d)
@@ -446,7 +533,7 @@ class TestQuadraticFieldFactoring:
                     qq = qq * Poly(c.a for c in (g * covers._conj(g)).coeffs)
                 else:
                     qq = qq * Poly([rat() for _ in range(k)] + [Fraction(1)])
-            if 0 < qq.degree <= 8 and qq.is_squarefree():
+            if 0 < qq.degree <= 12 and qq.is_squarefree():
                 self._check(qq, d)
                 seen += 1
 
