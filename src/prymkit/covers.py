@@ -482,8 +482,7 @@ def _factor_over_q(p: Poly) -> list[Poly]:
     ||f||_2, twice Mignotte's bound on lc(f) times a monic factor of f.  So
     lc(f) times k lifted factors, k = 1, 2, ..., in the symmetric range is a
     factor of f over Q exactly when it divides f."""
-    den = math.lcm(*(c.denominator for c in p.monic().coeffs))
-    f = [int(c * den) for c in p.monic().coeffs]
+    f = list(p.monic().ints)
     bound = 2 * f[-1] * 2 ** (len(f) - 1) * (math.isqrt(sum(c * c for c in f)) + 1)
     fs, m, _p = _lifted_factors(f, bound)
     out, k = [], 1
@@ -493,7 +492,7 @@ def _factor_over_q(p: Poly) -> list[Poly]:
             quo, rem = Poly(f).divmod(Poly(g).scale(Fraction(1, math.gcd(*g))))
             if not rem:     # the primitive part of g divides f, so quo is in Z[t]
                 out.append(g)
-                f, fs = [int(c) for c in quo.coeffs], [h for i, h in enumerate(fs) if i not in sub]
+                f, fs = list(quo.ints), [h for i, h in enumerate(fs) if i not in sub]
                 break
         else:
             k += 1
@@ -515,8 +514,8 @@ def _split_over_k(p: Poly, d: Fraction) -> Optional[TPoly]:
     4*2^k*R^k*(isqrt|e| + 1) makes the symmetric residues A, B exact.  Only
     subsets with factor 0 are tried, as conj swaps G1 and G2; e*A^2 - B^2 =
     4e*P is G0^2 - d*G1^2 = p, g = G0 + sqrt(d)*G1, tested exactly in Z[t]."""
-    k, lcm = p.degree // 2, math.lcm(*(c.denominator for c in p.coeffs))
-    big = [int(c * lcm ** (2 * k - i)) for i, c in enumerate(p.coeffs)]
+    k, lcm = p.degree // 2, p.denom
+    big = [c * lcm ** (2 * k - i) // lcm for i, c in enumerate(p.ints)]
     e = d.numerator * d.denominator
     bound = 4 * 2 ** k * (1 + max(map(abs, big))) ** k * (math.isqrt(abs(e)) + 1)
     fs, m, ell = _lifted_factors(big, bound, lambda l: e % l and pow(e, l // 2, l) == 1)

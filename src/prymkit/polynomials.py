@@ -1,12 +1,15 @@
 """Exact univariate polynomial and rational-function arithmetic over Q.
 
-Everything here is dense, immutable and exact (fractions.Fraction
-coefficients).  ``Poly`` is a polynomial in one base variable x, ``RatFunc``
-its field of fractions, and ``TPoly`` a dense polynomial in an outer variable
-t whose coefficients may be Poly, RatFunc or any type supporting ring
-arithmetic, is_zero() and one_like().  A t-polynomial is divided only by a
-monic divisor, so t-division needs ring operations alone and keeps Poly
-coefficients in Q[x].
+Everything here is dense, immutable and exact.  ``Poly`` is a polynomial in
+one base variable x, held as integer numerators over one positive common
+denominator (the form of FLINT's fmpq_poly; von zur Gathen-Gerhard, Modern
+Computer Algebra, ch. 8), so its arithmetic runs on Python ints with one
+normalising gcd per result; its ``coeffs`` are read as fractions.Fraction.
+``RatFunc`` is its field of fractions, and ``TPoly`` a dense polynomial in an
+outer variable t whose coefficients may be Poly, RatFunc or any type
+supporting ring arithmetic, is_zero() and one_like().  A t-polynomial is
+divided only by a monic divisor, so t-division needs ring operations alone
+and keeps Poly coefficients in Q[x].
 
 Resultants, gcds and Yun's decomposition of t-polynomials share one engine,
 the subresultant pseudo-remainder sequence, whose divisions are exact in the
@@ -18,6 +21,9 @@ once, for any ring.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import starmap, zip_longest
+from math import gcd, lcm
+from operator import add, sub
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, str]
@@ -55,15 +61,17 @@ def power(base, k: int, one):
 
 
 class Poly:
-    """Polynomial over Q, coefficients ascending, no trailing zeros."""
+    """Polynomial over Q: coefficient i is ints[i] / denom.  The pair is
+    canonical (ascending, no trailing zeros, denom > 0, gcd(content, denom)
+    = 1, zero is ((), 1)), so == and hash compare it; ``coeffs``, the
+    Fraction coefficients, is built on first read."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "denom", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        _init(self, [c.numerator * (den // c.denominator) for c in cs], den)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -72,51 +80,63 @@ class Poly:
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls(())
+        return _poly([], 1)
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((1,))
+        return _poly([1], 1)
 
     @classmethod
     def constant(cls, c: Scalar) -> "Poly":
-        return cls((c,))
+        c = as_fraction(c)
+        return _poly([c.numerator], c.denominator)
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls((0, 1))
+        return _poly([0, 1], 1)
 
     # -- basic queries ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        try:
+            return self._coeffs
+        except AttributeError:
+            cs = tuple(Fraction(c, self.denom) for c in self.ints)
+            object.__setattr__(self, "_coeffs", cs)
+            return cs
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def one_like(self) -> "Poly":
         return Poly.one()
 
     @property
     def lc(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.denom)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.ints == other.ints and self.denom == other.denom
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        if self.degree < 1:     # a constant hashes like its value, which it equals
+            return hash(self(0))
+        return hash((self.ints, self.denom))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     # -- ring operations --------------------------------------------------
 
@@ -128,44 +148,45 @@ class Poly:
             return Poly.constant(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _plus(self, other, op):
+        """self op other for op add or sub, over the lcm of the denominators."""
         other = Poly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        a, b, den = self.ints, other.ints, self.denom
+        if den != other.denom:
+            g = gcd(den, other.denom)
+            a = [c * (other.denom // g) for c in a]
+            b = [c * (den // g) for c in b]
+            den *= other.denom // g
+        return _poly(list(starmap(op, zip_longest(a, b, fillvalue=0))), den)
+
+    def __add__(self, other):
+        return self._plus(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return _poly([-c for c in self.ints], self.denom)
 
     def __sub__(self, other):
-        other = Poly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, sub)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        other = Poly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        if not isinstance(other, Poly):
+            return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
+        a, b = self.ints, other.ints
+        if not a or not b:
             return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _poly(out, self.denom * other.denom)
 
     __rmul__ = __mul__
 
@@ -174,26 +195,31 @@ class Poly:
 
     def scale(self, c: Scalar) -> "Poly":
         c = as_fraction(c)
-        return Poly(tuple(a * c for a in self.coeffs))
+        return _poly([a * c.numerator for a in self.ints], self.denom * c.denominator)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Euclidean division over Q."""
+        """Euclidean division over Q, by pseudo-division over Z: with B the
+        primitive part of other's numerators, s * ints = Q * B + R for an
+        integer s that grows only when a leading coefficient is not
+        divisible by lc(B), never for an exact division (Gauss's lemma)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coeffs)
-        d = other.coeffs
-        dd = len(d) - 1
-        if len(r) - 1 < dd:
+        k = other.degree
+        if self.degree < k:
             return Poly.zero(), self
-        q = [Fraction(0)] * (len(r) - dd)
-        inv = 1 / d[-1]
-        for i in range(len(r) - 1, dd - 1, -1):
-            f = r[i] * inv
-            if f:
-                q[i - dd] = f
-                for j, c in enumerate(d):
-                    r[i - dd + j] -= f * c
-        return Poly(q), Poly(r[:dd])
+        cb = gcd(*other.ints)
+        *low, lb = [c // cb for c in other.ints]
+        r, q, s = list(self.ints), [], 1
+        while len(r) > k:
+            c = r.pop()
+            f = abs(lb) // gcd(c, lb)
+            if f != 1:
+                r, q, s, c = [x * f for x in r], [x * f for x in q], s * f, c * f
+            q.append(c // lb)
+            j = len(r) - k
+            r[j:] = map(sub, r[j:], [q[-1] * x for x in low])
+        den = s * self.denom
+        return _poly([c * other.denom for c in q[::-1]], den * cb), _poly(r, den)
 
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
@@ -220,13 +246,20 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             raise ValueError("cannot normalize the zero polynomial")
-        return self.scale(1 / self.lc)
+        return _poly(list(self.ints), self.ints[-1])
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return _poly([i * c for i, c in enumerate(self.ints) if i], self.denom)
 
     def __call__(self, x0: Scalar) -> Fraction:
-        return horner(self.coeffs, as_fraction(x0), Fraction(0))
+        """Horner's rule on the integers: sum ints[i] p^i q^(deg - i) for
+        x0 = p/q, over denom * q^deg."""
+        x0 = as_fraction(x0)
+        p, q = x0.numerator, x0.denominator
+        acc, qk = 0, 1
+        for c in reversed(self.ints):
+            acc, qk = acc * p + c * qk, qk * q
+        return Fraction(acc * q, self.denom * qk)
 
     def root_multiplicity(self, x0: Scalar) -> int:
         """Order of vanishing at x0 (0 if not a root)."""
@@ -260,6 +293,28 @@ class Poly:
             else:
                 terms.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
         return "Poly(" + " + ".join(terms) + ")"
+
+
+def _init(p: Poly, ints: list, den: int):
+    """Set p to ints / den in canonical form: trailing zeros dropped, the
+    sign moved into the numerators and the common gcd divided out."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if den < 0:
+        ints, den = [-c for c in ints], -den
+    if den != 1:
+        g = gcd(den, *ints)
+        if g != 1:
+            ints, den = [c // g for c in ints], den // g
+    object.__setattr__(p, "ints", tuple(ints))
+    object.__setattr__(p, "denom", den)
+
+
+def _poly(ints: list, den: int) -> Poly:
+    """The Poly ints / den, the list ints consumed."""
+    p = object.__new__(Poly)
+    _init(p, ints, den)
+    return p
 
 
 class RatFunc:
@@ -325,7 +380,7 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
+        return hash(("RatFunc", self.num, self.den))
 
     def __add__(self, other):
         other = RatFunc._coerce(other)

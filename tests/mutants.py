@@ -87,6 +87,18 @@ MUTANTS = [
      "\n",
      ["tests/test_spectral.py"]),
     # -- polynomials -------------------------------------------------------------
+    ("Poly without the gcd normalisation", "polynomials.py",
+     "        if g != 1:\n            ints, den = [c // g for c in ints], den // g\n",
+     "",
+     ["tests/test_polynomials.py"]),
+    ("Poly denominator's sign left negative", "polynomials.py",
+     "    if den < 0:\n        ints, den = [-c for c in ints], -den\n",
+     "",
+     ["tests/test_polynomials.py"]),
+    ("pseudo-division quotient not rescaled by the divisor's denominator", "polynomials.py",
+     "_poly([c * other.denom for c in q[::-1]], den * cb)",
+     "_poly(q[::-1], den * cb)",
+     ["tests/test_polynomials.py"]),
     ("subresultant without the h update", "polynomials.py",
      "h = g ** delta / h ** (delta - 1)",
      "h = g ** delta",

@@ -1,6 +1,7 @@
 """Tests for the exact polynomial / rational-function arithmetic layer."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -139,6 +140,125 @@ class TestPoly:
     def test_squarefree_predicate(self):
         assert Poly((-1, 0, 1)).is_squarefree()
         assert not (Poly((0, 1)) * Poly((0, 1))).is_squarefree()
+
+
+def ref(cs) -> tuple:
+    """Reference form of a polynomial: Fraction coefficients, ascending,
+    trailing zeros dropped."""
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b, sign=1) -> tuple:
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return ref(x + sign * y for x, y in zip(a, b))
+
+
+def ref_mul(a, b) -> tuple:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref(out)
+
+
+def ref_divmod(a, b) -> tuple[tuple, tuple]:
+    """Schoolbook long division over Q."""
+    r, k = list(a), len(b) - 1
+    q = [Fraction(0)] * max(len(a) - k, 0)
+    for i in range(len(a) - 1 - k, -1, -1):
+        q[i] = r[i + k] / b[-1]
+        for j, c in enumerate(b):
+            r[i + j] -= q[i] * c
+    return ref(q), ref(r[:k])
+
+
+def assert_canonical(p: Poly):
+    """Positive denominator prime to the content, no trailing zero, zero
+    stored as ((), 1), and coeffs its Fraction reading."""
+    assert p.denom > 0 and gcd(p.denom, *p.ints) == 1
+    assert not p.ints or p.ints[-1] != 0
+    assert p.ints or p.denom == 1
+    assert p.coeffs == tuple(Fraction(c, p.denom) for c in p.ints)
+
+
+big_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+coeff_lists = st.lists(big_rationals, max_size=7).map(ref)
+divisors = coeff_lists.filter(bool)
+# non-monic divisors with fractional coefficients, the leading one negative
+FRACTIONAL = (Fraction(1, 3), Fraction(-2, 5), Fraction(-5, 6))
+
+
+class TestPolyIntegerCore:
+    """The integer numerators over one denominator against the Fraction
+    reference above."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(coeff_lists, coeff_lists, big_rationals)
+    @example((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2),), Fraction(2))
+    def test_ring_operations(self, a, b, c):
+        pa, pb = Poly(a), Poly(b)
+        for got, want in ((pa + pb, ref_add(a, b)), (pa - pb, ref_add(a, b, -1)),
+                          (pa * pb, ref_mul(a, b)), (pa.scale(c), ref_mul(a, (c,))),
+                          (-pa, ref_add((), a, -1)), (pa * c, ref_mul(a, (c,)))):
+            assert_canonical(got)
+            assert got.coeffs == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(coeff_lists, divisors)
+    @example((1, 2, 3, 4), FRACTIONAL)
+    def test_divmod_by_non_monic_divisors(self, a, b):
+        q, r = Poly(a).divmod(Poly(b))
+        assert_canonical(q)
+        assert_canonical(r)
+        assert (q.coeffs, r.coeffs) == ref_divmod(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coeff_lists, divisors, big_rationals)
+    @example((1,), FRACTIONAL, Fraction(1, 7))
+    def test_exact_division(self, a, b, c):
+        prod = Poly(a) * Poly(b)
+        assert prod / Poly(b) == Poly(a)
+        if len(b) > 1 and c:
+            with pytest.raises(ValueError, match="inexact"):
+                (prod + c) / Poly(b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(coeff_lists, big_rationals)
+    @example(FRACTIONAL, Fraction(-3, 4))
+    def test_evaluation_derivative_monic(self, a, x0):
+        p = Poly(a)
+        assert p(x0) == sum(c * x0 ** i for i, c in enumerate(a))
+        assert_canonical(p.derivative())
+        assert p.derivative().coeffs == ref(i * c for i, c in enumerate(a) if i)
+        if a:
+            assert_canonical(p.monic())
+            assert p.monic().coeffs == ref(c / a[-1] for c in a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coeff_lists, coeff_lists)
+    @example((2, 4), (Fraction(1, 3),))
+    def test_canonical_pairs(self, a, b):
+        # one polynomial reached two ways is one (ints, denom) pair
+        pa, pb = Poly(a), Poly(b)
+        for p, other in ((pa, pa + pb - pb), (pa, pa * Poly.constant(3) / 3),
+                         (pa, Poly([str(c) for c in a])), (pb, pb * pa - pb * pa + pb)):
+            assert_canonical(other)
+            assert (p.ints, p.denom) == (other.ints, other.denom)
+            assert p == other and hash(p) == hash(other)
+        zero = pa - pa
+        assert (zero.ints, zero.denom) == ((), 1) and zero == Poly.zero()
+
+    def test_constants_hash_like_their_values(self):
+        for v in (0, 3, -7, Fraction(1, 2), Fraction(-5, 3)):
+            p = Poly.constant(v)
+            assert p == v and hash(p) == hash(v)
+            assert v in {p} and p in {v}
+        assert {Poly.zero(): "zero"}[0] == "zero"
+        assert Poly.x() != 0 and Poly.x() not in {0, 1}
 
 
 class TestTPolyDivmod:
