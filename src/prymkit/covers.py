@@ -9,7 +9,9 @@ a function on it is a Surd u + y*v, reduced modulo the defining relation.
 The same type, a + b*sqrt(d) with rational a, b, is the arithmetic of the
 quadratic number field Q(sqrt(f(x0))) at a specialization point x0.  The
 splitter factors over that field on integer polynomials mod prime powers:
-by Zassenhaus over Q, then through a prime that splits in the field.
+by Zassenhaus over Q, then through a prime that splits in the field.  It
+lifts a half P + sqrt(f(x0))*Q in x - x0 on pairs of Poly in t, solving
+each Hensel step in Q[t].
 """
 
 from __future__ import annotations
@@ -169,11 +171,6 @@ class Surd:
     def conjugate(self) -> "Surd":
         return Surd(self.a, -self.b, self.d)
 
-    def inverse(self) -> "Surd":
-        # the norm a^2 - d*b^2 is nonzero because d is not a square
-        n = self.a * self.a - self.d * self.b * self.b
-        return Surd(self.a / n, -self.b / n, self.d)
-
 
 def _lift(coeffs, d) -> TPoly:
     """The t-polynomial with coefficients c + 0*sqrt(d), for c in coeffs
@@ -321,33 +318,51 @@ def _tpoly_shift(p: TPoly, a) -> TPoly:
                   TPoly((), z))
 
 
-def _series_inv_sqrt(u: list, n: int) -> list:
-    """(1 + w)^(-1/2) mod z^n for u = 1 + w, by Newton iteration."""
-    if u[0] != 1:
+def _series_inv_sqrt(u: Poly, n: int) -> Poly:
+    """(1 + w)^(-1/2) mod z^n for the series u = 1 + w, by Newton iteration."""
+    if u.truncate(1) != 1:
         raise ValueError("series must have constant term 1")
-    h = [Fraction(1)]
-    k = 1
+    h, k = Poly.one(), 1
     while k < n:
         k = min(2 * k, n)
-        hh = _mul(h, h)[:k]
-        corr = [-c for c in _mul(u[:k], hh)[:k]]
-        corr[0] += 3
-        h = [c / 2 for c in _mul(h, corr)[:k]]
+        corr = 3 - (u * (h * h).truncate(k)).truncate(k)
+        h = (h * corr).truncate(k).scale(Fraction(1, 2))
     return h
 
 
-def _tpoly_xgcd(a: TPoly, b: TPoly) -> tuple[TPoly, TPoly]:
-    """Extended Euclid as a monic remainder sequence over field coefficients:
-    the monic gcd g of a and b (b nonzero) and the t with s*a + t*b = g."""
-    r0, r1 = a, b
-    t0, t1 = TPoly((), a.czero), TPoly((a.czero.one_like(),), a.czero)
-    while not r1.is_zero():
-        u = r1.lc.inverse()
-        r1, t1 = r1.scale(u), t1.scale(u)
-        qt, rr = r0.divmod(r1)
-        r0, r1 = r1, rr
-        t0, t1 = t1, t0 - qt * t1
+def _transpose(ps: list, n: int) -> list[Poly]:
+    """[sum_i ps[i]_j v^i for j < n]: coefficients in one variable, read in the other."""
+    return [Poly(p.coeffs[j] if j <= p.degree else 0 for p in ps) for j in range(n)]
+
+
+def _poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Extended Euclid over Q as a monic remainder sequence: the monic gcd
+    g of a and b (b nonzero) and the t with s*a + t*b = g."""
+    r0, r1, t0, t1 = a, b, Poly.zero(), Poly.one()
+    while r1:
+        r1, t1 = r1.monic(), t1.scale(1 / r1.lc)
+        q, r = r0.divmod(r1)
+        r0, r1, t0, t1 = r1, r, t1, t0 - q * t1
     return r0, t0
+
+
+def _x_adic_lift(s: list[Poly], a: Poly, b: Poly, d: Fraction) -> tuple[list, list]:
+    """Linear Hensel lifting in z (MCA §15.4) of a + sqrt(d)*b, a monic and
+    prime to b, to W = sum (P_k + sqrt(d)*Q_k) z^k with W * conj(W) = sum
+    s_k z^k mod z^len(s), s_0 = a^2 - d*b^2 and deg s_k < 2 deg a.  Term k
+    solves 2*(P_k*a - d*Q_k*b) = err_k in Q[t] (the sqrt(d) parts cancel in
+    pairs): Q_k = err_k*v mod a, v = (-2*d*b)^-1 mod a, and P_k is an exact
+    quotient by a; deg P_k, deg Q_k < deg a makes them unique."""
+    v = _poly_xgcd(a, b)[1].scale(-1 / (2 * d))
+    P, Q = [a], [b]
+    for k in range(1, len(s)):
+        err = s[k]
+        for i in range(1, k):
+            err = err - P[i] * P[k - i] + (Q[i] * Q[k - i]).scale(d)
+        qk = (err * v) % a
+        P.append((err.scale(Fraction(1, 2)) + (qk * b).scale(d)) / a)
+        Q.append(qk)
+    return P, Q
 
 
 # -- factoring over Q and over Q(sqrt(d)), on integer polynomials: lists of
@@ -371,7 +386,7 @@ def _add(a: list, b: list, k: int = 1) -> list:
 
 
 def _mul(a: list, b: list) -> list:
-    """a*b; also of rational power series, as it writes every entry."""
+    """a*b."""
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -564,15 +579,13 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, deg_m: int,
     no factor is self-conjugate, and W(x0) then takes one factor from each
     conjugate pair; as W and conj(W) are interchangeable, it takes factor
     0's partner, and 2^(pairs - 1) halves remain.  Each is Hensel-lifted
-    with its conjugate to a series in (x - x0), once per candidate; the
-    witness, of bounded degree, is recovered exactly and certified.  q is
-    monic in t, so a squarefree q(x0) means disc_t(q)(x0) != 0: q is
-    squarefree over Q(x)."""
-    d = q.degree
-    if d % 2 != 0:
+    to a series in (x - x0) whose terms are pairs of t-polynomials over Q
+    (_x_adic_lift), once per candidate; the witness, of bounded degree, is
+    recovered exactly and certified.  q is monic in t, so a squarefree q(x0)
+    means disc_t(q)(x0) != 0: q is squarefree over Q(x)."""
+    if q.degree % 2 != 0:
         return None
-    half = d // 2
-    f = cover.f
+    half, f = q.degree // 2, cover.f
     if point is None:
         raise RuntimeError("no good specialization point found")
     x0, d0, qq = point
@@ -583,44 +596,26 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, deg_m: int,
         return None
 
     prec = half * max(deg_m, 1) + 2
-    # q and f re-expanded around x0: coefficients of powers of z = x - x0
-    q_shift = [_poly_shift(c, x0) for c in q.coeffs]
-    s_terms = [_lift([cz.coeffs[k] if k <= cz.degree else Fraction(0)
-                      for cz in q_shift], d0) for k in range(prec)]
-    f_shift = _poly_shift(f, x0)
-    u = [c / d0 for c in f_shift.coeffs] + [Fraction(0)] * prec
-    g_inv = _series_inv_sqrt(u, prec)
+    # q and f re-expanded around x0: series in z = x - x0, s_k in Q[t]
+    s_terms = _transpose([_poly_shift(c, x0) for c in q.coeffs], prec)
+    g_inv = _series_inv_sqrt(_poly_shift(f, x0).scale(1 / d0), prec)
 
     # the other pairs by ascending lower index, partner first: a fixed
     # order, which decides the witness returned when several exist
     rest = [(j, i) for i, j in enumerate(partner) if 0 < i < j]
     q_lift = _lift(q.coeffs, f)
     for picks in itertools.product(*rest):
-        a0 = factors[partner[0]]
-        for i in picks:
-            a0 = a0 * factors[i]
-        b0 = _conj(a0)
-        _g, tau = _tpoly_xgcd(a0, b0)
-        # the lift of b0 is the conjugate of the lift of a0 (Hensel
+        a0 = functools.reduce(lambda g, i: g * factors[i], picks, factors[partner[0]])
+        # the lift of conj(a0) is the conjugate of the lift of a0 (Hensel
         # lifting is unique), so only a0's half is solved for
-        a_terms, b_terms = [a0], [b0]
-        for k in range(1, prec):
-            err = s_terms[k]
-            for i in range(1, k):
-                err = err - a_terms[i] * b_terms[k - i]
-            ak = (tau * err) % a0
-            a_terms.append(ak)
-            b_terms.append(_conj(ak))
-        # reassemble: coefficient j of W is P_j + y*Q_j with
-        # a-part = P_j(x0 + z) and b-part = g(z)*Q_j(x0 + z), y = sqrt(d0)*g
-        coeffs = []
-        for j in range(half + 1):
-            a_ser = [term.coeff(j).a for term in a_terms]
-            b_ser = [term.coeff(j).b for term in b_terms]
-            p_j = _poly_shift(Poly(a_ser), -x0)
-            q_j = _poly_shift(Poly(_mul(b_ser, g_inv)[:prec]), -x0)
-            coeffs.append(Surd(p_j, q_j, f))
-        w = TPoly(coeffs, q_lift.czero)
+        P, Q = _x_adic_lift(s_terms, Poly(c.a for c in a0.coeffs),
+                            Poly(c.b for c in a0.coeffs), d0)
+        # reassemble W, the conjugate of the lift: with y = sqrt(d0)*g, g =
+        # sqrt(f(x0 + z)/d0), its t^j coefficient is u_j + y*v_j, where
+        # u_j(x0 + z) = sum_k P_k[j] z^k and g*v_j(x0 + z) = -sum_k Q_k[j] z^k
+        w = TPoly([Surd(_poly_shift(pj, -x0), _poly_shift(-(qj * g_inv).truncate(prec), -x0), f)
+                   for pj, qj in zip(_transpose(P, half + 1), _transpose(Q, half + 1))],
+                  q_lift.czero)
         if w * _conj(w) == q_lift:
             return w
     return None

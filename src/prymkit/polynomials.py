@@ -251,6 +251,10 @@ class Poly:
     def derivative(self) -> "Poly":
         return _poly([i * c for i, c in enumerate(self.ints) if i], self.denom)
 
+    def truncate(self, k: int) -> "Poly":
+        """self mod x^k: a power series cut at order k."""
+        return _poly(list(self.ints[:k]), self.denom)
+
     def __call__(self, x0: Scalar) -> Fraction:
         """Horner's rule on the integers: sum ints[i] p^i q^(deg - i) for
         x0 = p/q, over denom * q^deg."""

@@ -117,10 +117,6 @@ MUTANTS = [
      '            raise ValueError("operands live on different double covers")',
      "            pass",
      ["tests/test_covers.py"]),
-    ("Surd.inverse with the wrong sign", "covers.py",
-     "Surd(self.a / n, -self.b / n, self.d)",
-     "Surd(self.a / n, self.b / n, self.d)",
-     ["tests/test_covers.py"]),
     ("Surd.one_like returns sqrt(d)", "covers.py",
      "Surd(self.d ** 0, self.d * 0, self.d)",
      "Surd(self.d * 0, self.d ** 0, self.d)",
@@ -144,9 +140,25 @@ MUTANTS = [
      "for p in _good_points(cover.f, q)",
      ["tests/test_covers.py"]),
     ("xgcd without scaling the remainder monic", "covers.py",
-     "r1, t1 = r1.scale(u), t1.scale(u)",
-     "t1 = t1.scale(u)",
+     "r1, t1 = r1.monic(), t1.scale(1 / r1.lc)",
+     "t1 = t1.scale(1 / r1.lc)",
      ["tests/test_covers.py"]),
+    ("x-adic lift drops the 1/2 from P_k", "covers.py",
+     "P.append((err.scale(Fraction(1, 2)) + (qk * b).scale(d)) / a)",
+     "P.append((err + (qk * b).scale(d)) / a)",
+     ["tests/test_covers.py"]),
+    ("x-adic lift flips the sign of d*Q_i*Q_(k-i) in err_k", "covers.py",
+     "err = err - P[i] * P[k - i] + (Q[i] * Q[k - i]).scale(d)",
+     "err = err - P[i] * P[k - i] - (Q[i] * Q[k - i]).scale(d)",
+     ["tests/test_covers.py"]),
+    ("x-adic lift leaves Q_k unreduced mod A0", "covers.py",
+     "qk = (err * v) % a",
+     "qk = err * v",
+     ["tests/test_covers.py"]),
+    ("candidate halves tried in reverse order", "covers.py",
+     "for picks in itertools.product(*rest):",
+     "for picks in reversed([*itertools.product(*rest)]):",
+     ["tests/test_covers.py", "tests/test_cli.py"]),
     ("odd multiplicity of an unsplit block not rejected", "covers.py",
      "            if e % 2 != 0:\n                return None\n",
      "",

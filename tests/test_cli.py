@@ -320,6 +320,45 @@ class TestCli:
                         "pairs": [{"u": [], "v": ["-1/1"]}]},
         }
 
+    @pytest.mark.parametrize("name, draws, m, seed, lifts", [
+        # the product of three degree-2 pushforwards from one rng
+        ("galois_split_k3.json", 3, 2, 3, 1),
+        # one block with three pairs at x0 = 0; the first two candidate
+        # halves do not lift to a witness, the third does
+        ("galois_split_three_pairs.json", 1, 3, 22, 3),
+    ])
+    def test_galois_split_witness_bytes(self, tmp_path, capsys, monkeypatch,
+                                        name, draws, m, seed, lifts):
+        # the exact report, witness included: the candidate order and the
+        # lift decide which of several witnesses is printed
+        from prymkit import covers
+        calls = {"factors": [], "lifts": 0}
+        factor, lift = covers._factor_over_quadratic_field, covers._x_adic_lift
+
+        def counting_factor(*args):
+            out = factor(*args)
+            calls["factors"].append(len(out))
+            return out
+
+        def counting_lift(*args):
+            calls["lifts"] += 1
+            return lift(*args)
+        monkeypatch.setattr(covers, "_factor_over_quadratic_field", counting_factor)
+        monkeypatch.setattr(covers, "_x_adic_lift", counting_lift)
+        cover = DoubleCoverData(X - 3)
+        rng = random.Random(seed)
+        s = galois_pushforward(cover, random_twisted(rng, cover, m, 1))
+        for _ in range(draws - 1):
+            s = spectral_mul(s, galois_pushforward(cover, random_twisted(rng, cover, m, 1)))
+        path = self._write(tmp_path, "g.json", {"cover": cover_to_json(cover),
+                                                "spectral": spectral_to_json(s)})
+        assert main(["galois", "--input", path]) == 0
+        expected = (Path(__file__).resolve().parent / "pinned" / name).read_text()
+        assert capsys.readouterr().out == expected
+        assert calls["lifts"] == lifts
+        if lifts > 1:
+            assert calls["factors"] == [6]
+
     def test_galois_never_builds_an_algebraic_field(self, tmp_path, capsys, monkeypatch):
         # the splitter factors over Q(sqrt(d)) on its own, through a prime
         # that splits there; sympy, loaded here only to watch, is not asked

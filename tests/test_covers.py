@@ -15,7 +15,8 @@ from prymkit.covers import (
     _factor_over_q,
     _factor_over_quadratic_field,
     _lift,
-    _tpoly_xgcd,
+    _poly_xgcd,
+    _x_adic_lift,
     factors_coprime,
     galois_pushforward,
     phi_k,
@@ -39,6 +40,13 @@ X = Poly.x()
 
 def spoly(n, deg_m, *coeffs):
     return SpectralPoly(n, deg_m, tuple(coeffs))
+
+
+def _inv(c: Surd) -> Surd:
+    """1/c in Q(sqrt(d)) as conj(c)/N(c); N(c) = a^2 - d*b^2 is nonzero
+    for c nonzero, as d is not a square."""
+    n = c.a * c.a - c.d * c.b * c.b
+    return Surd(c.a / n, -c.b / n, c.d)
 
 
 class TestSquarefreeDecompose:
@@ -271,9 +279,11 @@ class TestSurd:
 
         for _ in range(25):
             x, y = nonzero(), nonzero()
-            assert x * x.inverse() == x.one_like()
+            assert x * _inv(x) == x.one_like()
             assert (x * y).conjugate() == x.conjugate() * y.conjugate()
-            assert (x * y) * y.inverse() == x
+            assert (x * y) * _inv(y) == x
+            assert x.conjugate().conjugate() == x
+            assert (x + y).conjugate() == x.conjugate() + y.conjugate()
 
     def test_tpoly_divides_only_by_monic_divisors(self):
         d = Fraction(5, 3)
@@ -286,16 +296,18 @@ class TestSurd:
         assert q * b + r == a and r.degree < b.degree
 
     def test_xgcd_cofactor_of_a_non_monic_pair(self):
-        # every remainder after b is scaled monic before it divides
-        d = Fraction(5, 3)
-        rt = Surd(Fraction(0), Fraction(1), d)               # sqrt(d)
-        a = _lift([Fraction(1), Fraction(0), Fraction(1)], d) + \
-            _lift([Fraction(0), Fraction(1)], d).scale(rt)   # t^2 + sqrt(d) t + 1
-        b = _lift([Fraction(0), Fraction(2)], d) - _lift([Fraction(1)], d).scale(rt)
-        g, tau = _tpoly_xgcd(a, b)
-        assert g == _lift([Fraction(1)], d)
+        # every remainder after b is scaled monic before it divides, so the
+        # gcd comes out monic and tau * b = g mod a
+        a = Poly([Fraction(1, 3), Fraction(-2), Fraction(0), Fraction(5, 2)])
+        b = Poly([Fraction(-7, 4), Fraction(2, 3), Fraction(3)])
+        g, tau = _poly_xgcd(a, b)
+        assert g == Poly.one()
         assert tau.degree < a.degree
         assert (tau * b) % a == g
+        c = Poly([Fraction(2, 5), Fraction(-3)])             # a common factor
+        g, tau = _poly_xgcd(a * c, b * c)
+        assert g == c.monic()
+        assert (tau * b * c - g) % (a * c) == Poly.zero()
 
 
 class TestPullbackSplits:
@@ -468,7 +480,7 @@ def _sympy_factors(qq: Poly, d: Fraction) -> list[TPoly]:
             b, a = [Fraction(0)] * (2 - len(vals)) + vals
             coeffs.append(Surd(a, b, d))
         p = TPoly(coeffs, Surd(Fraction(0), Fraction(0), d))
-        out.append(p.scale(p.lc.inverse()))
+        out.append(p.scale(_inv(p.lc)))
     return out
 
 
@@ -607,3 +619,69 @@ class TestSplitOracle:
             (X + 2, Poly.constant(-2)),
             (X * X + 2 * X + 1, -X - 2),
         )
+
+
+class TestXAdicLift:
+    """The lift in z = x - x0 on pairs of rational t-polynomials, against
+    W * conj(W) = q(x0 + z) mod z^prec and against the step it replaced,
+    both written here over K = Q(sqrt(d)) on Surd coefficients: a_k =
+    (tau * err_k) mod a0 with tau * conj(a0) = 1 mod a0."""
+
+    PREC = 5
+
+    @staticmethod
+    def _k_xgcd(a: TPoly, b: TPoly) -> tuple[TPoly, TPoly]:
+        """(g, tau): the monic gcd of a and b over K and tau * b = g mod a,
+        by a remainder sequence scaled monic with _inv."""
+        zero = a.czero
+        r0, r1, t0, t1 = a, b, TPoly((), zero), TPoly((zero.one_like(),), zero)
+        while not r1.is_zero():
+            u = _inv(r1.lc)
+            r1, t1 = r1.scale(u), t1.scale(u)
+            q, r = r0.divmod(r1)
+            r0, r1, t0, t1 = r1, r, t1, t0 - q * t1
+        return r0, t0
+
+    @pytest.mark.parametrize("d", [Fraction(-3), Fraction(-7, 5), Fraction(8, 3), Fraction(5)])
+    @pytest.mark.parametrize("pairs", [1, 2, 3])
+    def test_lift_against_k_arithmetic(self, d, pairs):
+        rng = random.Random(f"{d}:{pairs}")
+        rt = Surd(Fraction(0), Fraction(1), d)
+        one = _lift([Fraction(1)], d)
+
+        def rat():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+        for _ in range(3):
+            # a candidate half: one factor of degree 1 or 2 from each of
+            # `pairs` conjugate pairs, prime to its conjugate
+            g = None
+            while g != one:
+                a0 = one
+                for _ in range(pairs):
+                    k = rng.randint(1, 2)
+                    a0 = a0 * (_lift([rat() for _ in range(k)] + [Fraction(1)], d) +
+                               _lift([rat() for _ in range(k)], d).scale(rt))
+                g, tau = self._k_xgcd(a0, covers._conj(a0))
+            h = a0.degree
+            # s_k is the z^k coefficient of q(x0 + z), with q(x0) = a0 * conj(a0)
+            s = [Poly(c.a for c in (a0 * covers._conj(a0)).coeffs)]
+            s += [Poly([rat() for _ in range(2 * h)]) for _ in range(1, self.PREC)]
+            P, Q = _x_adic_lift(s, Poly(c.a for c in a0.coeffs),
+                                Poly(c.b for c in a0.coeffs), d)
+            assert len(P) == len(Q) == self.PREC
+            assert all(p.degree < h and q.degree < h for p, q in zip(P[1:], Q[1:]))
+            w = [_lift(p.coeffs, d) + _lift(q.coeffs, d).scale(rt) for p, q in zip(P, Q)]
+            assert w[0] == a0
+            for k in range(self.PREC):
+                acc = TPoly((), one.czero)
+                for i in range(k + 1):
+                    acc = acc + w[i] * covers._conj(w[k - i])
+                assert acc == _lift(s[k].coeffs, d), (k, acc)
+            old = [a0]
+            for k in range(1, self.PREC):
+                err = _lift(s[k].coeffs, d)
+                for i in range(1, k):
+                    err = err - old[i] * covers._conj(old[k - i])
+                old.append((tau * err) % a0)
+            assert w == old

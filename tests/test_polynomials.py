@@ -237,6 +237,9 @@ class TestPolyIntegerCore:
         if a:
             assert_canonical(p.monic())
             assert p.monic().coeffs == ref(c / a[-1] for c in a)
+        for k in range(len(a) + 1):      # mod x^k: the gcd with denom may drop
+            assert_canonical(p.truncate(k))
+            assert p.truncate(k).coeffs == ref(a[:k])
 
     @settings(max_examples=100, deadline=None)
     @given(coeff_lists, coeff_lists)
