@@ -6,12 +6,11 @@ along a double cover).
 
 The double cover is modeled concretely as y^2 = f(x) with f squarefree;
 a function on it is a Surd u + y*v, reduced modulo the defining relation.
-The same type, a + b*sqrt(d) with rational a, b, is the arithmetic of the
-quadratic number field Q(sqrt(f(x0))) at a specialization point x0.  The
-splitter factors over that field on integer polynomials mod prime powers:
-by Zassenhaus over Q, then through a prime that splits in the field.  It
-lifts a half P + sqrt(f(x0))*Q in x - x0 on pairs of Poly in t, solving
-each Hensel step in Q[t].
+The same type over Q[t], A + sqrt(d0)*B, is a factor of q(x0, t) over the
+field Q(sqrt(d0)), d0 = f(x0), at a point x0.  The splitter finds those
+factors from one lift of q(x0)'s factors mod a prime split in the field
+(Zassenhaus over Q, then each even Q-factor split from its own lifted
+factors), and lifts a half P + sqrt(d0)*Q in x - x0 on pairs of Poly in t.
 """
 
 from __future__ import annotations
@@ -132,7 +131,8 @@ class Surd:
 
     On the double cover R = Q[x] and d = f, so sqrt(d) is y and the element
     is the function a + y*b reduced mod y^2 = f.  At a specialization point
-    x0, R = Q and d = f(x0) is a non-square, so R[sqrt(d)] is a field."""
+    x0, R = Q[t] and d = f(x0) is a non-square: the element is a polynomial
+    in t over the quadratic number field Q(sqrt(d))."""
 
     a: object
     b: object
@@ -174,8 +174,7 @@ class Surd:
 
 def _lift(coeffs, d) -> TPoly:
     """The t-polynomial with coefficients c + 0*sqrt(d), for c in coeffs
-    (ascending): from Q[x][t] to the cover when d = f, from Q[t] to
-    Q(sqrt(d))[t] when d = f(x0)."""
+    (ascending): from Q[x][t] to the cover when d = f."""
     zero = d * 0
     return TPoly([Surd(c, zero, d) for c in coeffs], Surd(zero, zero, d))
 
@@ -471,98 +470,82 @@ def _hensel(f: list, fs: list, p: int, m: int) -> list:
     return _hensel(g, fs[:k], p, m) + _hensel(h, fs[k:], p, m)
 
 
-def _lifted_factors(f: list, bound: int, good=lambda p: True) -> tuple[list, int, int]:
-    """(fs, m, p): p is the first odd prime with good(p), lc(f) a unit and f
-    squarefree mod p; fs are f's monic factors mod m, the first p^(2^j) >
-    bound.  Primes failing the last two tests divide Res(f, f'), which is
-    below ((n + 1) max|f_i|)^(2n), so more of them prove it zero (ValueError)."""
+def _lifted_factors(f: list, bound: int, e: int) -> tuple[list, int, int]:
+    """(fs, m, r): for the first odd prime l prime to e with e a square mod
+    l, lc(f) a unit and f squarefree mod l, fs are f's monic factors mod m,
+    the first l^(2^j) > bound, and r^2 = e mod m (Newton's method).  Primes
+    failing the last two tests divide Res(f, f'), which is below ((n + 1)
+    max|f_i|)^(2n), so more of them prove it zero (ValueError)."""
     bad = 2 * len(f) * (len(f) * max(map(abs, f))).bit_length()
     for p in (p for p in itertools.count(3, 2)
-              if all(p % k for k in range(3, math.isqrt(p) + 1, 2)) and good(p)):
+              if all(p % k for k in range(3, math.isqrt(p) + 1, 2))
+              and e % p and pow(e, p // 2, p) == 1):
         if f[-1] % p and len(_xgcd(f, [i * c for i, c in enumerate(f)][1:], p)[0]) == 1:
             break
         if (bad := bad - 1) < 0:
             raise ValueError("cannot factor a polynomial that is not squarefree")
-    m = p
+    m, r = p, next(r for r in range(p) if (r * r - e) % p == 0)
     while m <= bound:
         m *= m
+        r = (r - (r * r - e) * pow(2 * r, -1, m)) % m
     monic = _mod([c * pow(f[-1], -1, m) for c in f], m)
-    return _hensel(monic, _factor_mod(_mod(monic, p), p), p, m), m, p
+    return _hensel(monic, _factor_mod(_mod(monic, p), p), p, m), m, r
 
 
-def _factor_over_q(p: Poly) -> list[Poly]:
-    """The monic irreducible factors of a squarefree p over Q (Zassenhaus,
-    MCA Alg. 15.19).  p/lc(p) times its denominators' lcm is a primitive f in
-    Z[t], whose factors mod a prime l are lifted mod l^M > 2*lc(f)*2^n*
-    ||f||_2, twice Mignotte's bound on lc(f) times a monic factor of f.  So
-    lc(f) times k lifted factors, k = 1, 2, ..., in the symmetric range is a
-    factor of f over Q exactly when it divides f."""
-    f = list(p.monic().ints)
-    bound = 2 * f[-1] * 2 ** (len(f) - 1) * (math.isqrt(sum(c * c for c in f)) + 1)
-    fs, m, _p = _lifted_factors(f, bound)
-    out, k = [], 1
-    while 2 * k <= len(fs):
-        for sub in itertools.combinations(range(len(fs)), k):
-            g = _mod([f[-1] * c for c in _prod([fs[i] for i in sub], m)], m, sym=True)
-            quo, rem = Poly(f).divmod(Poly(g).scale(Fraction(1, math.gcd(*g))))
-            if not rem:     # the primitive part of g divides f, so quo is in Z[t]
-                out.append(g)
-                f, fs = list(quo.ints), [h for i, h in enumerate(fs) if i not in sub]
+def _factor_over_quadratic_field(qq: Poly, d: Fraction) -> list[Surd]:
+    """Monic irreducible factors A + sqrt(d)*B over K = Q(sqrt(d)), d not a
+    square, of a squarefree rational qq, as Surds over Q[t], sorted.
+
+    The primitive f = c*t^n + ... of qq is factored mod the first prime l
+    that splits in K (e = num(d)*den(d) = r^2 mod l) and keeps f squarefree,
+    and lifted once, mod l^M > 2^(n+1)*(||f||_2 + 1)*max(c, sqrt|e| + 1).  By
+    Gauss's lemma over the integers of K, c*G is integral for a monic factor
+    G of f over K, with coefficients at most 2^k*||f||_2 (Landau-Mignotte,
+    MCA §6.6).  So over Q (Zassenhaus, MCA Alg. 15.19) c times k lifted
+    factors, in the symmetric range, is a factor when its primitive part
+    divides f.  A Q-factor P = G*conj(G), of even degree 2k, splits over K
+    (Belabas, van Hoeij, Kluners and Steel, JTNB 21, 2009) through its own
+    lifted factors: sqrt(e) -> r embeds K in Q_l, taking G = a + b*sqrt(e)
+    and conj(G) to complementary products G1, G2, so A = c*(G1 + G2) and B =
+    c*r*(G1 - G2) are 2c*a and 2c*b*e (|B| <= 2^(k+1)*||f||_2*sqrt|e|, k <=
+    n/2) in the symmetric range, and e*A^2 - B^2 = 4e*c^2*P decides it
+    exactly.  Only subsets with P's first lifted factor are tried, as conj
+    swaps G1 and G2."""
+    f = list(qq.monic().ints)
+    c, n, e = f[-1], len(f) - 1, d.numerator * d.denominator
+    bound = (2 ** (n + 1) * (math.isqrt(sum(x * x for x in f)) + 1) *
+             max(c, math.isqrt(abs(e)) + 1))
+    fs, m, r = _lifted_factors(f, bound, e)
+    over_q, left, k, rest = [], list(range(len(fs))), 1, Poly(f)
+    while 2 * k <= len(left):
+        for sub in itertools.combinations(left, k):
+            g = _mod([rest.ints[-1] * x for x in _prod([fs[i] for i in sub], m)], m, sym=True)
+            quo, rem = rest.divmod(Poly(g).scale(Fraction(1, math.gcd(*g))))
+            if not rem:     # the primitive part of g divides rest, so quo is in Z[t]
+                over_q.append((Poly(g).monic(), sub))
+                rest, left = quo, [i for i in left if i not in sub]
                 break
         else:
             k += 1
-    return [Poly(g).monic() for g in out + [f]]
-
-
-def _split_over_k(p: Poly, d: Fraction) -> Optional[TPoly]:
-    """A monic g over K = Q(sqrt(d)) with p = g * conj(g), or None when p, of
-    even degree 2k and irreducible over Q, stays irreducible over K (there is
-    no third case), through a prime l split in K (Belabas, van Hoeij, Kluners
-    and Steel, JTNB 21, 2009).  Let p(t) = P(L t)/L^(2k), P monic in Z[t], and
-    sqrt(d) = sqrt(e)/den, e = num*den.  If P = G * conj(G), the coefficients
-    c = a + b*sqrt(e) of G, symmetric in roots of P, are algebraic integers,
-    so the rationals 2a = c + conj(c) and 2be = (c - conj(c))*sqrt(e) are
-    integers.  With l odd, prime to e, e = r^2 mod l^M and P squarefree mod
-    l, K embeds in Q_l by sqrt(e) -> r, taking G and conj(G) to complementary
-    products G1, G2 of P's lifted factors: G1 + G2 = 2a, (G1 - G2)*r = 2be mod
-    l^M.  As |c| <= 2^k R^k, R = 1 + max|P_i| bounding P's roots, l^M >
-    4*2^k*R^k*(isqrt|e| + 1) makes the symmetric residues A, B exact.  Only
-    subsets with factor 0 are tried, as conj swaps G1 and G2; e*A^2 - B^2 =
-    4e*P is G0^2 - d*G1^2 = p, g = G0 + sqrt(d)*G1, tested exactly in Z[t]."""
-    k, lcm = p.degree // 2, p.denom
-    big = [c * lcm ** (2 * k - i) // lcm for i, c in enumerate(p.ints)]
-    e = d.numerator * d.denominator
-    bound = 4 * 2 ** k * (1 + max(map(abs, big))) ** k * (math.isqrt(abs(e)) + 1)
-    fs, m, ell = _lifted_factors(big, bound, lambda l: e % l and pow(e, l // 2, l) == 1)
-    r, q = next(r for r in range(ell) if (r * r - e) % ell == 0), ell
-    while q < m:
-        q *= q
-        r = (r - (r * r - e) * pow(2 * r, -1, q)) % q
-    for pick in itertools.chain.from_iterable(
-            itertools.combinations(range(1, len(fs)), j) for j in range(len(fs))):
-        if sum(len(fs[i]) - 1 for i in (0,) + pick) != k:
-            continue
-        g1 = _prod([fs[i] for i in (0,) + pick], m)
-        g2 = _prod([h for i, h in enumerate(fs[1:], 1) if i not in pick], m)
-        a = _mod(_add(g1, g2), m, sym=True)
-        b = _mod([r * c for c in _add(g1, g2, -1)], m, sym=True)
-        if _add(_mul([e], _mul(a, a)), _mul(b, b), -1) == [4 * e * c for c in big]:
-            scale = [Fraction(lcm ** i, 2 * lcm ** k) for i in range(k + 1)]
-            return (_lift([x * s for x, s in zip(a, scale)], d) +
-                    _lift([x * s / d.numerator for x, s in zip(b, scale)], d)
-                    .scale(Surd(Fraction(0), Fraction(1), d)))
-    return None
-
-
-def _factor_over_quadratic_field(qq: Poly, d: Fraction) -> list[TPoly]:
-    """Monic irreducible factors over K = Q(sqrt(d)), d not a square, of a
-    squarefree rational qq, sorted: those over Q, each of even degree split
-    by _split_over_k (one of odd degree cannot be g * conj(g))."""
     out = []
-    for p in _factor_over_q(qq):
-        g = _split_over_k(p, d) if p.degree % 2 == 0 else None
-        out += [_lift(p.coeffs, d)] if g is None else [g, _conj(g)]
-    return sorted(out, key=lambda p: (p.degree, [(c.a, c.b) for c in p.coeffs]))
+    for p, sub in over_q + [(rest.monic(), left)]:
+        picks = itertools.chain.from_iterable(
+            itertools.combinations(sub[1:], j) for j in range(len(sub)))
+        for pick in picks if p.degree % 2 == 0 else ():
+            if sum(len(fs[i]) - 1 for i in (sub[0],) + pick) != p.degree // 2:
+                continue
+            g1 = _prod([fs[i] for i in (sub[0],) + pick], m)
+            g2 = _prod([fs[i] for i in sub[1:] if i not in pick], m)
+            a = Poly(_mod([c * x for x in _add(g1, g2)], m, sym=True))
+            b = Poly(_mod([c * r * x for x in _add(g1, g2, -1)], m, sym=True))
+            if a * a * e - b * b == p.scale(4 * e * c * c):
+                h = Surd(a.scale(Fraction(1, 2 * c)), b.scale(Fraction(1, 2 * c * d.numerator)), d)
+                out += [h, h.conjugate()]
+                break
+        else:
+            out.append(Surd(p, Poly.zero(), d))
+    return sorted(out, key=lambda g: (g.a.degree, list(itertools.zip_longest(
+        g.a.coeffs, g.b.coeffs, fillvalue=Fraction(0)))))
 
 
 def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, deg_m: int,
@@ -574,15 +557,17 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, deg_m: int,
 
     Strategy: at point = (x0, f(x0), q(x0, t)), a good point (_good_points)
     where q stays squarefree, factor q(x0) over K = Q(sqrt(f(x0))) with
-    _factor_over_quadratic_field (l-adic lifts of factors mod a prime l).
-    As q(x0) = W(x0) * conj(W(x0)) is squarefree, a witness exists only if
-    no factor is self-conjugate, and W(x0) then takes one factor from each
-    conjugate pair; as W and conj(W) are interchangeable, it takes factor
-    0's partner, and 2^(pairs - 1) halves remain.  Each is Hensel-lifted
-    to a series in (x - x0) whose terms are pairs of t-polynomials over Q
-    (_x_adic_lift), once per candidate; the witness, of bounded degree, is
-    recovered exactly and certified.  q is monic in t, so a squarefree q(x0)
-    means disc_t(q)(x0) != 0: q is squarefree over Q(x)."""
+    _factor_over_quadratic_field (one l-adic lift, l split in K), each
+    factor a Surd A + sqrt(f(x0))*B over Q[t].  As q(x0) = W(x0) *
+    conj(W(x0)) is squarefree, a witness exists only if no factor is
+    self-conjugate, and W(x0) then takes one factor from each conjugate
+    pair; as W and conj(W) are interchangeable, it takes factor 0's partner,
+    and 2^(pairs - 1) halves remain, products of Surds.  Each is
+    Hensel-lifted to a series in (x - x0) whose terms are pairs of
+    t-polynomials over Q (_x_adic_lift), once per candidate; the witness,
+    of bounded degree, is recovered exactly and certified.  q is monic in
+    t, so a squarefree q(x0) means disc_t(q)(x0) != 0: q is squarefree over
+    Q(x)."""
     if q.degree % 2 != 0:
         return None
     half, f = q.degree // 2, cover.f
@@ -591,7 +576,7 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, deg_m: int,
     x0, d0, qq = point
 
     factors = _factor_over_quadratic_field(qq, d0)
-    partner = [factors.index(_conj(p)) for p in factors]
+    partner = [factors.index(g.conjugate()) for g in factors]
     if any(i == j for i, j in enumerate(partner)):
         return None
 
@@ -608,8 +593,7 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, deg_m: int,
         a0 = functools.reduce(lambda g, i: g * factors[i], picks, factors[partner[0]])
         # the lift of conj(a0) is the conjugate of the lift of a0 (Hensel
         # lifting is unique), so only a0's half is solved for
-        P, Q = _x_adic_lift(s_terms, Poly(c.a for c in a0.coeffs),
-                            Poly(c.b for c in a0.coeffs), d0)
+        P, Q = _x_adic_lift(s_terms, a0.a, a0.b, d0)
         # reassemble W, the conjugate of the lift: with y = sqrt(d0)*g, g =
         # sqrt(f(x0 + z)/d0), its t^j coefficient is u_j + y*v_j, where
         # u_j(x0 + z) = sum_k P_k[j] z^k and g*v_j(x0 + z) = -sum_k Q_k[j] z^k

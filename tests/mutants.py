@@ -184,17 +184,32 @@ MUTANTS = [
      "        s, t = _mod(_add(s, r, -1), q), _mod(_add(t, _add(_mul(t, b), _mul(c, g)), -1), q)\n",
      "",
      ["tests/test_covers.py"]),
-    ("split prime chosen without the square test", "covers.py",
-     "lambda l: e % l and pow(e, l // 2, l) == 1",
-     "lambda l: e % l",
+    ("prime chosen without the square test", "covers.py",
+     "and e % p and pow(e, p // 2, p) == 1):",
+     "and e % p):",
      ["tests/test_covers.py"]),
-    ("no exact G0^2 - d*G1^2 check", "covers.py",
-     "if _add(_mul([e], _mul(a, a)), _mul(b, b), -1) == [4 * e * c for c in big]:",
+    ("sqrt(e) not lifted past mod l", "covers.py",
+     "        r = (r - (r * r - e) * pow(2 * r, -1, m)) % m\n",
+     "",
+     ["tests/test_covers.py"]),
+    ("bound without its max(c, isqrt|e| + 1) factor", "covers.py",
+     "    bound = (2 ** (n + 1) * (math.isqrt(sum(x * x for x in f)) + 1) *\n"
+     "             max(c, math.isqrt(abs(e)) + 1))\n",
+     "    bound = 2 ** (n + 1) * (math.isqrt(sum(x * x for x in f)) + 1)\n",
+     ["tests/test_covers.py"]),
+    ("c dropped from A and B", "covers.py",
+     "            a = Poly(_mod([c * x for x in _add(g1, g2)], m, sym=True))\n"
+     "            b = Poly(_mod([c * r * x for x in _add(g1, g2, -1)], m, sym=True))\n",
+     "            a = Poly(_mod(_add(g1, g2), m, sym=True))\n"
+     "            b = Poly(_mod([r * x for x in _add(g1, g2, -1)], m, sym=True))\n",
+     ["tests/test_covers.py"]),
+    ("no exact e*A^2 - B^2 = 4e*c^2*P check", "covers.py",
+     "if a * a * e - b * b == p.scale(4 * e * c * c):",
      "if True:",
      ["tests/test_covers.py"]),
     ("even-degree Q-factors kept whole over K", "covers.py",
-     "g = _split_over_k(p, d) if p.degree % 2 == 0 else None",
-     "g = None",
+     "for pick in picks if p.degree % 2 == 0 else ():",
+     "for pick in ():",
      ["tests/test_covers.py"]),
     # -- serialize ---------------------------------------------------------------
     ("rational with a zero denominator accepted", "serialize.py",

@@ -12,7 +12,6 @@ from prymkit.covers import (
     DoubleCoverData,
     Surd,
     TwistedSpectralPoly,
-    _factor_over_q,
     _factor_over_quadratic_field,
     _lift,
     _poly_xgcd,
@@ -416,13 +415,19 @@ def _sympy_factors_q(p: Poly) -> list[Poly]:
 
 
 class TestFactorOverQ:
-    """Zassenhaus over Q against sympy's factoring over QQ."""
+    """Zassenhaus over Q against sympy's factoring over QQ, read off the
+    factors over Q(i): A^2 + B^2 for each conjugate pair A +- i*B, and A for
+    each self-conjugate factor."""
 
-    @staticmethod
-    def _check(p):
-        got = _factor_over_q(p)
-        assert sorted(got, key=repr) == sorted(_sympy_factors_q(p), key=repr), p
-        return got
+    D = Fraction(-1)
+
+    @classmethod
+    def _check(cls, p):
+        got = _factor_over_quadratic_field(p, cls.D)
+        over_q = [g.a * g.a - (g.b * g.b).scale(cls.D) if g.b else g.a
+                  for i, g in enumerate(got) if i <= got.index(g.conjugate())]
+        assert sorted(over_q, key=repr) == sorted(_sympy_factors_q(p), key=repr), p
+        return over_q
 
     def test_random_products(self):
         rng = random.Random(2024)
@@ -450,25 +455,53 @@ class TestFactorOverQ:
 
     def test_not_squarefree_refused(self):
         # squarefree mod no prime: the search gives up after the bad primes
-        # that a nonzero Res(f, f') could account for
+        # split in K that a nonzero Res(f, f') could account for
         t = TestQuadraticFieldFactoring._t
-        with pytest.raises(ValueError):
-            _factor_over_q(t(1, 1) * t(1, 1) * t(3, 0, 1))
+        for d in (self.D, Fraction(12)):
+            with pytest.raises(ValueError):
+                _factor_over_quadratic_field(t(1, 1) * t(1, 1) * t(3, 0, 1), d)
 
     def test_factor_needs_the_full_lift(self):
-        # l = 5 and the lift goes to 5^16.  One squaring short, 5^8 = 390625
-        # cannot hold lc * 49006 = 1372168 in its symmetric range, and the
-        # quadratic factor splits mod 5, so t - 49006 is not left over as
-        # the last cofactor: it has to be recovered from the lift
+        # l = 5, which splits in Q(i), and the lift goes to 5^16.  One
+        # squaring short, 5^8 = 390625 cannot hold lc * 49006 = 1372168 in
+        # its symmetric range, and the quadratic factor splits mod 5, so t -
+        # 49006 is not left over as the last cofactor: it has to be
+        # recovered from the lift
         t = TestQuadraticFieldFactoring._t
         p = t(-49006, 1) * t(-150, -729, 28)
         assert t(-49006, 1) in self._check(p)
         assert t(-49006, 1) in self._check(p.scale(Fraction(-2, 3)))
 
+    def test_one_prime_one_lift(self, monkeypatch):
+        # the quartic, irreducible over Q, splits over Q(sqrt 12) through
+        # the lifted factors that found it over Q: one factoring mod l and
+        # one Hensel tree serve both stages
+        mods, depths, depth = [], [], [0]
+        factor_mod, hensel = covers._factor_mod, covers._hensel
 
-def _sympy_factors(qq: Poly, d: Fraction) -> list[TPoly]:
-    """The monic factors of qq over Q(sqrt(d)) from sympy's algebraic-field
-    domain, whose elements are listed in descending powers of sqrt(d)."""
+        def counting_factor_mod(*args):
+            mods.append(args)
+            return factor_mod(*args)
+
+        def counting_hensel(*args):
+            depths.append(depth[0])
+            depth[0] += 1
+            try:
+                return hensel(*args)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(covers, "_factor_mod", counting_factor_mod)
+        monkeypatch.setattr(covers, "_hensel", counting_hensel)
+        t = TestQuadraticFieldFactoring._t
+        got = _factor_over_quadratic_field(t(1, 0, -10, 0, 1) * t(-3, 1), Fraction(12))
+        assert len(mods) == 1 and depths.count(0) == 1
+        assert len(got) == 3
+
+
+def _sympy_factors(qq: Poly, d: Fraction) -> list[Surd]:
+    """The monic factors A + sqrt(d)*B of qq over Q(sqrt(d)) from sympy's
+    algebraic-field domain, whose elements are listed in descending powers
+    of sqrt(d)."""
     dom = sympy.QQ.algebraic_field(sympy.sqrt(sympy.Rational(d.numerator, d.denominator)))
     coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(qq.coeffs)]
     _const, raw = sympy.Poly(coeffs, sympy.Symbol("t"), domain=dom).factor_list()
@@ -480,13 +513,14 @@ def _sympy_factors(qq: Poly, d: Fraction) -> list[TPoly]:
             b, a = [Fraction(0)] * (2 - len(vals)) + vals
             coeffs.append(Surd(a, b, d))
         p = TPoly(coeffs, Surd(Fraction(0), Fraction(0), d))
-        out.append(p.scale(_inv(p.lc)))
+        p = p.scale(_inv(p.lc))
+        out.append(Surd(Poly(c.a for c in p.coeffs), Poly(c.b for c in p.coeffs), d))
     return out
 
 
 class TestQuadraticFieldFactoring:
-    """Factoring over K = Q(sqrt(d)) (over Q, then through a prime that
-    splits in K) against sympy's factoring over the algebraic field, on d
+    """Factoring over K = Q(sqrt(d)) (over Q, then through the same prime,
+    split in K) against sympy's factoring over the algebraic field, on d
     negative, fractional, with a square factor and on both sides of 1."""
 
     DS = [Fraction(-12), Fraction(-7, 5), Fraction(-3), Fraction(-1), Fraction(1, 2),
@@ -497,7 +531,7 @@ class TestQuadraticFieldFactoring:
     def _check(qq, d):
         got = _factor_over_quadratic_field(qq, d)
         assert sorted(got, key=repr) == sorted(_sympy_factors(qq, d), key=repr), (qq, d)
-        assert [p.degree for p in got] == sorted(p.degree for p in got)
+        assert [g.a.degree for g in got] == sorted(g.a.degree for g in got)
         return got
 
     @staticmethod
@@ -508,9 +542,8 @@ class TestQuadraticFieldFactoring:
     def test_t_squared_minus_d_splits(self, d):
         # t^2 - d = (t - sqrt(d))(t + sqrt(d)), the degree-2 split
         got = self._check(Poly([-d, 0, 1]), d)
-        t = _lift([Fraction(0), Fraction(1)], d)
-        rt = _lift([Fraction(1)], d).scale(Surd(Fraction(0), Fraction(1), d))
-        assert set(got) == {t - rt, t + rt}
+        t = Poly.x()
+        assert set(got) == {Surd(t, Poly.one(), d), Surd(t, -Poly.one(), d)}
 
     @pytest.mark.parametrize("d", DS)
     def test_fixed_cases(self, d):
@@ -520,16 +553,24 @@ class TestQuadraticFieldFactoring:
         if any(covers._is_square(d / c) for c in (-1, 2, -2)):
             assert len(got) == 2
         else:
-            assert got == [_lift(t(1, 0, 0, 0, 1).coeffs, d)]
+            assert got == [Surd(t(1, 0, 0, 0, 1), Poly.zero(), d)]
         assert len(self._check(t(-2, 0, 0, 1), d)) == 1
         # the minimal polynomial of sqrt 2 + sqrt 3, split over Q(sqrt 12)
         self._check(t(1, 0, -10, 0, 1) * t(-3, 1), d)
         assert len(self._check(t(1, 0, -10, 0, 1), Fraction(12))) == 2
 
+    def test_split_needs_the_full_lift(self):
+        # (t + 53)^2 - 16*162 = (t + 53 - 4 sqrt 162)(t + 53 + 4 sqrt 162),
+        # through l = 7 and a lift to 7^8.  One squaring short, 7^4 = 2401
+        # cannot hold B = 2 * 4 * 162 = 1296 in its symmetric range, and a
+        # bound without its sqrt|e| factor (1936) would stop there too
+        t = self._t
+        got = self._check(t(217, 106, 1), Fraction(162))
+        assert [g.b for g in got] == [Poly.constant(-4), Poly.constant(4)]
+
     @pytest.mark.parametrize("d", DS)
     def test_random_products(self, d):
         rng = random.Random(int(d * 3))
-        rt = Surd(Fraction(0), Fraction(1), d)
 
         def rat():
             return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
@@ -540,9 +581,9 @@ class TestQuadraticFieldFactoring:
             for _ in range(rng.randint(1, 3)):
                 k = rng.randint(1, 3)
                 if rng.random() < 0.5:     # g * conj(g), g over K
-                    g = _lift([rat() for _ in range(k)] + [Fraction(1)], d) + \
-                        _lift([rat() for _ in range(k)], d).scale(rt)
-                    qq = qq * Poly(c.a for c in (g * covers._conj(g)).coeffs)
+                    g = Surd(Poly([rat() for _ in range(k)] + [Fraction(1)]),
+                             Poly([rat() for _ in range(k)]), d)
+                    qq = qq * (g * g.conjugate()).a
                 else:
                     qq = qq * Poly([rat() for _ in range(k)] + [Fraction(1)])
             if 0 < qq.degree <= 12 and qq.is_squarefree():
