@@ -4,13 +4,16 @@ product maps between characteristic spaces, and the degree-2 Galois
 pushforward with its bounded inverse (the membership test for descent
 along a double cover).
 
-The double cover is modeled concretely as y^2 = f(x) with f squarefree;
-a function on it is a Surd u + y*v, reduced modulo the defining relation.
-The same type over Q[t], A + sqrt(d0)*B, is a factor of q(x0, t) over the
-field Q(sqrt(d0)), d0 = f(x0), at a point x0.  The splitter finds those
-factors from one lift of q(x0)'s factors mod a prime split in the field
-(Zassenhaus over Q, then each even Q-factor split from its own lifted
-factors), and lifts a half P + sqrt(d0)*Q in x - x0 on pairs of Poly in t.
+The double cover is modeled concretely as y^2 = f(x) with f squarefree.
+A function on it, polynomial in t, is one Surd P + y*Q: P and Q are
+t-polynomials over Q[x] and d is f as a constant t-polynomial, so the
+product with the conjugate P - y*Q is P^2 - f*Q^2.  The same type over
+Q[t], A + sqrt(d0)*B, is a factor of q(x0, t) over the field Q(sqrt(d0)),
+d0 = f(x0), at a point x0.  The splitter finds those factors from one lift
+of q(x0)'s factors mod a prime split in the field (Zassenhaus over Q, then
+each even Q-factor split from its own lifted factors), and lifts a half
+A + sqrt(d0)*B in x - x0 on pairs of Poly in t, to a precision set by the
+block's own slope max ceil(deg c_i / (n - i)).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .polynomials import (
     TPoly,
     horner,
     pseudo_remainder,
+    power,
     resultant,
     yun_squarefree,
 )
@@ -129,21 +133,15 @@ class DoubleCoverData:
 class Surd:
     """Element a + b*sqrt(d) of R[sqrt(d)], R an exact coefficient ring.
 
-    On the double cover R = Q[x] and d = f, so sqrt(d) is y and the element
-    is the function a + y*b reduced mod y^2 = f.  At a specialization point
-    x0, R = Q[t] and d = f(x0) is a non-square: the element is a polynomial
-    in t over the quadratic number field Q(sqrt(d))."""
+    On the double cover R = Q[x][t] and d = f as a constant t-polynomial,
+    so sqrt(d) is y and the element is the function a + y*b, polynomial in
+    t, reduced mod y^2 = f.  At a specialization point x0, R = Q[t] and d =
+    f(x0) is a non-square: the element is a polynomial in t over the
+    quadratic number field Q(sqrt(d))."""
 
     a: object
     b: object
     d: object
-
-    def is_zero(self) -> bool:
-        return not self.a and not self.b
-
-    def one_like(self) -> "Surd":
-        # d ** 0 and d * 0 are the one and zero of R, whichever ring it is
-        return Surd(self.d ** 0, self.d * 0, self.d)
 
     def _check(self, other: "Surd"):
         if self.d is not other.d and self.d != other.d:
@@ -164,24 +162,14 @@ class Surd:
         return Surd(self.a * other.a + self.d * (self.b * other.b),
                     self.a * other.b + other.a * self.b, self.d)
 
-    def __rmul__(self, n: int) -> "Surd":
-        # an integer scalar, as in TPoly.derivative: scale both parts
-        return Surd(n * self.a, n * self.b, self.d)
-
     def conjugate(self) -> "Surd":
         return Surd(self.a, -self.b, self.d)
 
 
-def _lift(coeffs, d) -> TPoly:
-    """The t-polynomial with coefficients c + 0*sqrt(d), for c in coeffs
-    (ascending): from Q[x][t] to the cover when d = f."""
-    zero = d * 0
-    return TPoly([Surd(c, zero, d) for c in coeffs], Surd(zero, zero, d))
-
-
-def _conj(p: TPoly) -> TPoly:
-    """p with sqrt(d) -> -sqrt(d) in every coefficient."""
-    return p.map_coeffs(Surd.conjugate, p.czero)
+def _on_cover(p: TPoly, f: Poly) -> Surd:
+    """p + y*0 on y^2 = f, for p in Q[x][t]."""
+    z = p.czero
+    return Surd(p, TPoly((), z), TPoly((f,), z))
 
 
 @dataclass(frozen=True)
@@ -209,12 +197,11 @@ class TwistedSpectralPoly:
                 raise ValueError(
                     f"deg(v_{j}) exceeds the bound {j}*{self.deg_m} - {h}")
 
-    def as_tpoly(self) -> TPoly:
+    def as_surd(self) -> Surd:
         """s_b = P + y*Q with P = t^m + sum u_j t^(m-j), Q = sum v_j t^(m-j)."""
-        f = self.cover.f
-        y = Surd(Poly.zero(), Poly.one(), f)
-        p = _lift([u for u, _ in reversed(self.pairs)] + [Poly.one()], f)
-        return p + _lift([v for _, v in reversed(self.pairs)], f).scale(y)
+        z = Poly.zero()
+        return Surd(TPoly([u for u, _ in reversed(self.pairs)] + [Poly.one()], z),
+                    TPoly([v for _, v in reversed(self.pairs)], z), TPoly((self.cover.f,), z))
 
 
 def galois_pushforward(cover: DoubleCoverData,
@@ -225,14 +212,12 @@ def galois_pushforward(cover: DoubleCoverData,
     invariant part of b_1."""
     if s_b.cover != cover:
         raise ValueError("twisted polynomial lives on a different cover")
-    w = s_b.as_tpoly()
-    coeffs = []
-    for c in (w * _conj(w)).coeffs:
-        if c.b:
-            raise RuntimeError("pushforward retained y-dependence; "
-                               "conjugate-product arithmetic is broken")
-        coeffs.append(c.a)
-    return SpectralPoly.from_tpoly(TPoly(coeffs, Poly.zero()), s_b.deg_m)
+    w = s_b.as_surd()
+    norm = w * w.conjugate()
+    if not norm.b.is_zero():
+        raise RuntimeError("pushforward retained y-dependence; "
+                           "conjugate-product arithmetic is broken")
+    return SpectralPoly.from_tpoly(norm.a, s_b.deg_m)
 
 
 def pullback_splits(cover: DoubleCoverData,
@@ -270,18 +255,17 @@ def pullback_splits(cover: DoubleCoverData,
     s = s_a.as_tpoly()
     point = next(_good_points(cover.f, s), None)
     certified = point is not None and point[2].is_squarefree()
-    acc = _lift([Poly.one()], cover.f)
+    acc = one = _on_cover(TPoly((Poly.one(),), Poly.zero()), cover.f)
     for q, e in [(s, 1)] if certified else yun_squarefree(s):
         if not certified:
             point = next((p for p in _good_points(cover.f, q) if p[2].is_squarefree()), None)
-        w = _split_squarefree_block(cover, q, s_a.deg_m, point)
+        w = _split_squarefree_block(cover, q, point)
         if w is None:
             if e % 2 != 0:
                 return None
-            acc = acc * _lift(q.coeffs, cover.f) ** (e // 2)
-        else:
-            acc = acc * w ** e
-    pairs = tuple((c.a, c.b) for c in reversed(acc.coeffs[:m]))
+            w, e = _on_cover(q, cover.f), e // 2
+        acc = acc * power(w, e, one)
+    pairs = tuple((acc.a.coeff(j), acc.b.coeff(j)) for j in reversed(range(m)))
     witness = TwistedSpectralPoly(cover, m, s_a.deg_m, pairs)
     if galois_pushforward(cover, witness) != s_a:
         raise RuntimeError("splitter produced an uncertified witness")
@@ -503,14 +487,15 @@ def _factor_over_quadratic_field(qq: Poly, d: Fraction) -> list[Surd]:
     G of f over K, with coefficients at most 2^k*||f||_2 (Landau-Mignotte,
     MCA §6.6).  So over Q (Zassenhaus, MCA Alg. 15.19) c times k lifted
     factors, in the symmetric range, is a factor when its primitive part
-    divides f.  A Q-factor P = G*conj(G), of even degree 2k, splits over K
-    (Belabas, van Hoeij, Kluners and Steel, JTNB 21, 2009) through its own
-    lifted factors: sqrt(e) -> r embeds K in Q_l, taking G = a + b*sqrt(e)
-    and conj(G) to complementary products G1, G2, so A = c*(G1 + G2) and B =
-    c*r*(G1 - G2) are 2c*a and 2c*b*e (|B| <= 2^(k+1)*||f||_2*sqrt|e|, k <=
-    n/2) in the symmetric range, and e*A^2 - B^2 = 4e*c^2*P decides it
-    exactly.  Only subsets with P's first lifted factor are tried, as conj
-    swaps G1 and G2."""
+    divides f, tried only when its constant term divides c*f(0), as a
+    factor's does (Gauss's lemma).  A Q-factor P = G*conj(G), of even
+    degree 2k, splits over K (Belabas, van Hoeij, Kluners and Steel, JTNB
+    21, 2009) through its own lifted factors: sqrt(e) -> r embeds K in Q_l,
+    taking G = a + b*sqrt(e) and conj(G) to complementary products G1, G2,
+    so A = c*(G1 + G2) and B = c*r*(G1 - G2) are 2c*a and 2c*b*e (|B| <=
+    2^(k+1)*||f||_2*sqrt|e|, k <= n/2) in the symmetric range, and e*A^2 -
+    B^2 = 4e*c^2*P decides it exactly.  Only subsets with P's first lifted
+    factor are tried, as conj swaps G1 and G2."""
     f = list(qq.monic().ints)
     c, n, e = f[-1], len(f) - 1, d.numerator * d.denominator
     bound = (2 ** (n + 1) * (math.isqrt(sum(x * x for x in f)) + 1) *
@@ -520,6 +505,8 @@ def _factor_over_quadratic_field(qq: Poly, d: Fraction) -> list[Surd]:
     while 2 * k <= len(left):
         for sub in itertools.combinations(left, k):
             g = _mod([rest.ints[-1] * x for x in _prod([fs[i] for i in sub], m)], m, sym=True)
+            if g[0] and rest.ints[-1] * rest.ints[0] % g[0]:
+                continue    # g(0) divides lc(rest)*rest(0) if g is a factor
             quo, rem = rest.divmod(Poly(g).scale(Fraction(1, math.gcd(*g))))
             if not rem:     # the primitive part of g divides rest, so quo is in Z[t]
                 over_q.append((Poly(g).monic(), sub))
@@ -548,12 +535,11 @@ def _factor_over_quadratic_field(qq: Poly, d: Fraction) -> list[Surd]:
         g.a.coeffs, g.b.coeffs, fillvalue=Fraction(0)))))
 
 
-def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, deg_m: int,
-                            point) -> Optional[TPoly]:
-    """Witness for a squarefree monic block: a monic t-polynomial W with
-    coefficients on the double cover such that W * conj(W) = q, or None
-    when q has a factor that stays irreducible over the cover's function
-    field (which blocks any such factorization).
+def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, point) -> Optional[Surd]:
+    """Witness for a squarefree monic block: a function W = P + y*Q on the
+    double cover, P monic in t, such that W * conj(W) = q, or None when q
+    has a factor that stays irreducible over the cover's function field
+    (which blocks any such factorization).
 
     Strategy: at point = (x0, f(x0), q(x0, t)), a good point (_good_points)
     where q stays squarefree, factor q(x0) over K = Q(sqrt(f(x0))) with
@@ -564,13 +550,17 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, deg_m: int,
     pair; as W and conj(W) are interchangeable, it takes factor 0's partner,
     and 2^(pairs - 1) halves remain, products of Surds.  Each is
     Hensel-lifted to a series in (x - x0) whose terms are pairs of
-    t-polynomials over Q (_x_adic_lift), once per candidate; the witness,
-    of bounded degree, is recovered exactly and certified.  q is monic in
-    t, so a squarefree q(x0) means disc_t(q)(x0) != 0: q is squarefree over
-    Q(x)."""
+    t-polynomials over Q (_x_adic_lift), once per candidate; the witness
+    is recovered exactly and certified.  Its degree is bounded by q's own
+    slope s = max ceil(deg c_i / (n - i)) over q = t^n + sum c_i t^i: a
+    root of q has pole order at most s (in units of that of x), as its
+    t^n term would otherwise outgrow the rest, so u_j and v_j have degree
+    at most j*s <= half*s, and half*s + 1 terms of the series hold them.
+    q is monic in t, so a squarefree q(x0) means disc_t(q)(x0) != 0: q is
+    squarefree over Q(x)."""
     if q.degree % 2 != 0:
         return None
-    half, f = q.degree // 2, cover.f
+    n, half, f = q.degree, q.degree // 2, cover.f
     if point is None:
         raise RuntimeError("no good specialization point found")
     x0, d0, qq = point
@@ -580,7 +570,8 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, deg_m: int,
     if any(i == j for i, j in enumerate(partner)):
         return None
 
-    prec = half * max(deg_m, 1) + 2
+    slope = max([0] + [-(-c.degree // (n - i)) for i, c in enumerate(q.coeffs[:n])])
+    prec = half * slope + 1
     # q and f re-expanded around x0: series in z = x - x0, s_k in Q[t]
     s_terms = _transpose([_poly_shift(c, x0) for c in q.coeffs], prec)
     g_inv = _series_inv_sqrt(_poly_shift(f, x0).scale(1 / d0), prec)
@@ -588,7 +579,7 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, deg_m: int,
     # the other pairs by ascending lower index, partner first: a fixed
     # order, which decides the witness returned when several exist
     rest = [(j, i) for i, j in enumerate(partner) if 0 < i < j]
-    q_lift = _lift(q.coeffs, f)
+    q_lift = _on_cover(q, f)
     for picks in itertools.product(*rest):
         a0 = functools.reduce(lambda g, i: g * factors[i], picks, factors[partner[0]])
         # the lift of conj(a0) is the conjugate of the lift of a0 (Hensel
@@ -597,10 +588,10 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, deg_m: int,
         # reassemble W, the conjugate of the lift: with y = sqrt(d0)*g, g =
         # sqrt(f(x0 + z)/d0), its t^j coefficient is u_j + y*v_j, where
         # u_j(x0 + z) = sum_k P_k[j] z^k and g*v_j(x0 + z) = -sum_k Q_k[j] z^k
-        w = TPoly([Surd(_poly_shift(pj, -x0), _poly_shift(-(qj * g_inv).truncate(prec), -x0), f)
-                   for pj, qj in zip(_transpose(P, half + 1), _transpose(Q, half + 1))],
-                  q_lift.czero)
-        if w * _conj(w) == q_lift:
+        w = Surd(TPoly([_poly_shift(pj, -x0) for pj in _transpose(P, half + 1)], q.czero),
+                 TPoly([_poly_shift(-(qj * g_inv).truncate(prec), -x0)
+                        for qj in _transpose(Q, half + 1)], q.czero), q_lift.d)
+        if w * w.conjugate() == q_lift:
             return w
     return None
 

@@ -7,7 +7,10 @@ Computer Algebra, ch. 8), so its arithmetic runs on Python ints with one
 normalising gcd per result; its ``coeffs`` are read as fractions.Fraction.
 ``RatFunc`` is its field of fractions, and ``TPoly`` a dense polynomial in an
 outer variable t whose coefficients may be Poly, RatFunc or any type
-supporting ring arithmetic, is_zero() and one_like().  A t-polynomial is
+supporting ring arithmetic, is_zero() and one_like().  ``RatFunc``,
+``tpoly_over_ratfunc`` and ``tpoly_to_poly_coeffs`` have no caller in the
+package; they are kept only because the benchmark tracer bench/spans.py
+binds them.  A t-polynomial is
 divided only by a monic divisor, so t-division needs ring operations alone
 and keeps Poly coefficients in Q[x].
 
@@ -508,9 +511,6 @@ class TPoly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
         return TPoly(out, self.czero)
-
-    def scale(self, c) -> "TPoly":
-        return TPoly(tuple(a * c for a in self.coeffs), self.czero)
 
     def __pow__(self, k: int) -> "TPoly":
         return power(self, k, TPoly((self.czero.one_like(),), self.czero))

@@ -117,9 +117,11 @@ MUTANTS = [
      '            raise ValueError("operands live on different double covers")',
      "            pass",
      ["tests/test_covers.py"]),
-    ("Surd.one_like returns sqrt(d)", "covers.py",
-     "Surd(self.d ** 0, self.d * 0, self.d)",
-     "Surd(self.d * 0, self.d ** 0, self.d)",
+    ("P and Q swapped in the cover form", "covers.py",
+     "        return Surd(TPoly([u for u, _ in reversed(self.pairs)] + [Poly.one()], z),\n"
+     "                    TPoly([v for _, v in reversed(self.pairs)], z),",
+     "        return Surd(TPoly([v for _, v in reversed(self.pairs)] + [Poly.one()], z),\n"
+     "                    TPoly([u for u, _ in reversed(self.pairs)], z),",
      ["tests/test_covers.py"]),
     # -- covers: the Galois splitter ---------------------------------------------
     ("certify without the squarefree test at x0", "covers.py",
@@ -159,6 +161,14 @@ MUTANTS = [
      "for picks in itertools.product(*rest):",
      "for picks in reversed([*itertools.product(*rest)]):",
      ["tests/test_covers.py", "tests/test_cli.py"]),
+    ("pairs read from the wrong end of acc", "covers.py",
+     "for j in reversed(range(m)))",
+     "for j in range(m))",
+     ["tests/test_covers.py"]),
+    ("the lift precision one short", "covers.py",
+     "    prec = half * slope + 1\n",
+     "    prec = half * slope\n",
+     ["tests/test_covers.py"]),
     ("odd multiplicity of an unsplit block not rejected", "covers.py",
      "            if e % 2 != 0:\n                return None\n",
      "",
@@ -202,6 +212,10 @@ MUTANTS = [
      "            b = Poly(_mod([c * r * x for x in _add(g1, g2, -1)], m, sym=True))\n",
      "            a = Poly(_mod(_add(g1, g2), m, sym=True))\n"
      "            b = Poly(_mod([r * x for x in _add(g1, g2, -1)], m, sym=True))\n",
+     ["tests/test_covers.py"]),
+    ("Zassenhaus pre-test without lc", "covers.py",
+     "if g[0] and rest.ints[-1] * rest.ints[0] % g[0]:",
+     "if g[0] and rest.ints[0] % g[0]:",
      ["tests/test_covers.py"]),
     ("no exact e*A^2 - B^2 = 4e*c^2*P check", "covers.py",
      "if a * a * e - b * b == p.scale(4 * e * c * c):",

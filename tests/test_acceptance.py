@@ -326,3 +326,20 @@ def test_9_stall_regimes():
         assert squarefree_decompose(square).factors == ((pushed, 2),)
 
     _run(9, "n = 5 resultant oracle and degree-6 Yun", 10.0, body)
+
+
+def test_10_declared_degree_bound_does_not_set_the_lift():
+    """t^2 - x on y^2 = x declared with deg_m = 6400: the lift precision
+    comes from the block's own slope, not the declared bound, so the split
+    is as quick as at deg_m = 1 and returns the same witness t - y."""
+    def body():
+        cover = DoubleCoverData(Poly.x())
+        pairs = {}
+        for deg_m in (1, 6400):
+            s = SpectralPoly(2, deg_m, (Poly.zero(), -Poly.x()))
+            w = pullback_splits(cover, s)
+            assert w is not None and galois_pushforward(cover, w) == s
+            pairs[deg_m] = w.pairs
+        assert pairs[6400] == pairs[1] == ((Poly.zero(), -Poly.one()),)
+
+    _run(10, "split with a large declared deg_m", 2.0, body)

@@ -376,6 +376,22 @@ class TestCli:
         assert main(["galois", "--input", path]) == 0
         assert json.loads(capsys.readouterr().out)["payload"]["splits"] is True
 
+    def test_galois_builds_no_tpoly_of_surds(self, capsys, monkeypatch):
+        # a function on the cover is one Surd of two t-polynomials over Q[x],
+        # and a factor at x0 one Surd of two Polys: no t-polynomial has Surd
+        # coefficients
+        from prymkit.covers import Surd
+        from prymkit.polynomials import TPoly
+        built, init = [], TPoly.__init__
+
+        def counting(self, coeffs, czero):
+            built.append(isinstance(czero, Surd))
+            init(self, coeffs, czero)
+        monkeypatch.setattr(TPoly, "__init__", counting)
+        assert main(["verify", "--suite", "galois", "--seed", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["all_passed"] is True
+        assert built and built.count(True) == 0
+
     def test_galois_lenient_rational_exit_2(self, tmp_path, capsys):
         for bad in ("1_0/3", " 2/3", "+2/3", "\u0663/4"):
             doc = {"cover": {"f": [bad, "1/1"]},

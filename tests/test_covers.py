@@ -2,7 +2,9 @@
 translation, power/product maps, and the degree-2 Galois machinery."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 import sympy
@@ -13,7 +15,6 @@ from prymkit.covers import (
     Surd,
     TwistedSpectralPoly,
     _factor_over_quadratic_field,
-    _lift,
     _poly_xgcd,
     _x_adic_lift,
     factors_coprime,
@@ -46,6 +47,59 @@ def _inv(c: Surd) -> Surd:
     for c nonzero, as d is not a square."""
     n = c.a * c.a - c.d * c.b * c.b
     return Surd(c.a / n, -c.b / n, c.d)
+
+
+@dataclass(frozen=True)
+class KNum:
+    """a + b*sqrt(d) in the field Q(sqrt(d)), d not a square: the oracles'
+    own K-arithmetic, written apart from covers.Surd, and a coefficient
+    ring for TPoly (is_zero and one_like)."""
+
+    a: Fraction
+    b: Fraction
+    d: Fraction
+
+    def is_zero(self) -> bool:
+        return not self.a and not self.b
+
+    def one_like(self) -> "KNum":
+        return KNum(Fraction(1), Fraction(0), self.d)
+
+    def __add__(self, other: "KNum") -> "KNum":
+        return KNum(self.a + other.a, self.b + other.b, self.d)
+
+    def __neg__(self) -> "KNum":
+        return KNum(-self.a, -self.b, self.d)
+
+    def __sub__(self, other: "KNum") -> "KNum":
+        return self + (-other)
+
+    def __mul__(self, other: "KNum") -> "KNum":
+        return KNum(self.a * other.a + self.d * self.b * other.b,
+                    self.a * other.b + self.b * other.a, self.d)
+
+    def conjugate(self) -> "KNum":
+        return KNum(self.a, -self.b, self.d)
+
+    def inverse(self) -> "KNum":
+        n = self.a * self.a - self.d * self.b * self.b
+        return KNum(self.a / n, -self.b / n, self.d)
+
+
+def _k_tpoly(p: Poly, q: Poly, d: Fraction) -> TPoly:
+    """p + sqrt(d)*q as a t-polynomial over K = Q(sqrt(d))."""
+    zero = KNum(Fraction(0), Fraction(0), d)
+    return TPoly([KNum(a, b, d) for a, b in zip_longest(p.coeffs, q.coeffs, fillvalue=0)],
+                 zero)
+
+
+def _k_conj(p: TPoly) -> TPoly:
+    return p.map_coeffs(KNum.conjugate, p.czero)
+
+
+def _k_parts(p: TPoly) -> tuple[Poly, Poly]:
+    """(A, B) with p = A + sqrt(d)*B, A and B in Q[t]."""
+    return Poly(c.a for c in p.coeffs), Poly(c.b for c in p.coeffs)
 
 
 class TestSquarefreeDecompose:
@@ -252,19 +306,6 @@ class TestSurd:
         with pytest.raises(ValueError):
             galois_pushforward(DoubleCoverData(X * X - 2), tw)
 
-    def test_one_like_in_both_rings(self):
-        f = X * X - 1
-        assert Surd(X, X, f).one_like() == Surd(Poly.one(), Poly.zero(), f)
-        d = Fraction(5, 3)
-        assert Surd(Fraction(2), Fraction(7), d).one_like() == Surd(1, 0, d)
-
-    def test_derivative_on_the_cover(self):
-        # TPoly.derivative takes i * c for every coefficient type, Surd too
-        f = X * X - 1
-        assert _lift([X, X, Poly.one()], f).derivative() == \
-            _lift([X, Poly.constant(2)], f)
-        assert 3 * Surd(X, Poly.one(), f) == Surd(3 * X, Poly.constant(3), f)
-
     def test_quadratic_field_inverse_and_conjugation(self):
         rng = random.Random(11)
         d = Fraction(5, 3)     # not a square in Q
@@ -273,24 +314,25 @@ class TestSurd:
             while True:
                 x = Surd(Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
                          Fraction(rng.randint(-20, 20), rng.randint(1, 9)), d)
-                if not x.is_zero():
+                if x.a or x.b:
                     return x
 
         for _ in range(25):
             x, y = nonzero(), nonzero()
-            assert x * _inv(x) == x.one_like()
+            assert x * _inv(x) == Surd(1, 0, d)
             assert (x * y).conjugate() == x.conjugate() * y.conjugate()
             assert (x * y) * _inv(y) == x
             assert x.conjugate().conjugate() == x
             assert (x + y).conjugate() == x.conjugate() + y.conjugate()
 
     def test_tpoly_divides_only_by_monic_divisors(self):
-        d = Fraction(5, 3)
-        a = _lift([Fraction(c) for c in (1, 0, 1)], d)       # t^2 + 1
+        # over a field too, the divisor must be monic, not merely invertible
+        d, t, zero = Fraction(5, 3), TestQuadraticFieldFactoring._t, Poly.zero()
+        a = _k_tpoly(t(1, 0, 1), zero, d)                    # t^2 + 1
         for op in (a.divmod, a.__mod__, a.__truediv__):
             with pytest.raises(ValueError):
-                op(_lift([Fraction(1), Fraction(2)], d))    # 2t + 1
-        b = _lift([Fraction(1), Fraction(1)], d)             # t + 1
+                op(_k_tpoly(t(1, 2), zero, d))               # 2t + 1
+        b = _k_tpoly(t(1, 1), t(-1), d)                      # t + 1 - sqrt(d)
         q, r = a.divmod(b)
         assert q * b + r == a and r.degree < b.degree
 
@@ -501,7 +543,7 @@ class TestFactorOverQ:
 def _sympy_factors(qq: Poly, d: Fraction) -> list[Surd]:
     """The monic factors A + sqrt(d)*B of qq over Q(sqrt(d)) from sympy's
     algebraic-field domain, whose elements are listed in descending powers
-    of sqrt(d)."""
+    of sqrt(d), made monic in KNum."""
     dom = sympy.QQ.algebraic_field(sympy.sqrt(sympy.Rational(d.numerator, d.denominator)))
     coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(qq.coeffs)]
     _const, raw = sympy.Poly(coeffs, sympy.Symbol("t"), domain=dom).factor_list()
@@ -511,10 +553,10 @@ def _sympy_factors(qq: Poly, d: Fraction) -> list[Surd]:
         for c in reversed(fac.rep.to_list()):
             vals = [Fraction(int(v.numerator), int(v.denominator)) for v in c.to_list()]
             b, a = [Fraction(0)] * (2 - len(vals)) + vals
-            coeffs.append(Surd(a, b, d))
-        p = TPoly(coeffs, Surd(Fraction(0), Fraction(0), d))
-        p = p.scale(_inv(p.lc))
-        out.append(Surd(Poly(c.a for c in p.coeffs), Poly(c.b for c in p.coeffs), d))
+            coeffs.append(KNum(a, b, d))
+        inv = coeffs[-1].inverse()
+        monic = [c * inv for c in coeffs]
+        out.append(Surd(Poly(c.a for c in monic), Poly(c.b for c in monic), d))
     return out
 
 
@@ -665,7 +707,7 @@ class TestSplitOracle:
 class TestXAdicLift:
     """The lift in z = x - x0 on pairs of rational t-polynomials, against
     W * conj(W) = q(x0 + z) mod z^prec and against the step it replaced,
-    both written here over K = Q(sqrt(d)) on Surd coefficients: a_k =
+    both written here over K = Q(sqrt(d)) on KNum coefficients: a_k =
     (tau * err_k) mod a0 with tau * conj(a0) = 1 mod a0."""
 
     PREC = 5
@@ -673,12 +715,12 @@ class TestXAdicLift:
     @staticmethod
     def _k_xgcd(a: TPoly, b: TPoly) -> tuple[TPoly, TPoly]:
         """(g, tau): the monic gcd of a and b over K and tau * b = g mod a,
-        by a remainder sequence scaled monic with _inv."""
+        by a remainder sequence scaled monic with KNum.inverse."""
         zero = a.czero
         r0, r1, t0, t1 = a, b, TPoly((), zero), TPoly((zero.one_like(),), zero)
         while not r1.is_zero():
-            u = _inv(r1.lc)
-            r1, t1 = r1.scale(u), t1.scale(u)
+            u = TPoly((r1.lc.inverse(),), zero)
+            r1, t1 = u * r1, u * t1
             q, r = r0.divmod(r1)
             r0, r1, t0, t1 = r1, r, t1, t0 - q * t1
         return r0, t0
@@ -687,8 +729,8 @@ class TestXAdicLift:
     @pytest.mark.parametrize("pairs", [1, 2, 3])
     def test_lift_against_k_arithmetic(self, d, pairs):
         rng = random.Random(f"{d}:{pairs}")
-        rt = Surd(Fraction(0), Fraction(1), d)
-        one = _lift([Fraction(1)], d)
+        zero = Poly.zero()
+        one = _k_tpoly(Poly.one(), zero, d)
 
         def rat():
             return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
@@ -701,28 +743,27 @@ class TestXAdicLift:
                 a0 = one
                 for _ in range(pairs):
                     k = rng.randint(1, 2)
-                    a0 = a0 * (_lift([rat() for _ in range(k)] + [Fraction(1)], d) +
-                               _lift([rat() for _ in range(k)], d).scale(rt))
-                g, tau = self._k_xgcd(a0, covers._conj(a0))
+                    a0 = a0 * _k_tpoly(Poly([rat() for _ in range(k)] + [Fraction(1)]),
+                                       Poly([rat() for _ in range(k)]), d)
+                g, tau = self._k_xgcd(a0, _k_conj(a0))
             h = a0.degree
             # s_k is the z^k coefficient of q(x0 + z), with q(x0) = a0 * conj(a0)
-            s = [Poly(c.a for c in (a0 * covers._conj(a0)).coeffs)]
+            s = [_k_parts(a0 * _k_conj(a0))[0]]
             s += [Poly([rat() for _ in range(2 * h)]) for _ in range(1, self.PREC)]
-            P, Q = _x_adic_lift(s, Poly(c.a for c in a0.coeffs),
-                                Poly(c.b for c in a0.coeffs), d)
+            P, Q = _x_adic_lift(s, *_k_parts(a0), d)
             assert len(P) == len(Q) == self.PREC
             assert all(p.degree < h and q.degree < h for p, q in zip(P[1:], Q[1:]))
-            w = [_lift(p.coeffs, d) + _lift(q.coeffs, d).scale(rt) for p, q in zip(P, Q)]
+            w = [_k_tpoly(p, q, d) for p, q in zip(P, Q)]
             assert w[0] == a0
             for k in range(self.PREC):
                 acc = TPoly((), one.czero)
                 for i in range(k + 1):
-                    acc = acc + w[i] * covers._conj(w[k - i])
-                assert acc == _lift(s[k].coeffs, d), (k, acc)
+                    acc = acc + w[i] * _k_conj(w[k - i])
+                assert acc == _k_tpoly(s[k], zero, d), (k, acc)
             old = [a0]
             for k in range(1, self.PREC):
-                err = _lift(s[k].coeffs, d)
+                err = _k_tpoly(s[k], zero, d)
                 for i in range(1, k):
-                    err = err - old[i] * covers._conj(old[k - i])
+                    err = err - old[i] * _k_conj(old[k - i])
                 old.append((tau * err) % a0)
             assert w == old
