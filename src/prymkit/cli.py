@@ -154,7 +154,7 @@ def _cmd_galois(args) -> tuple[str, dict]:
         raise SchemaError("$", "galois input needs a 'cover' field")
     cover = cover_from_json(doc["cover"], "$.cover")
     if "twisted" in doc:
-        tw = twisted_from_json(doc["twisted"], "$.twisted")
+        tw = twisted_from_json(doc["twisted"], "$.twisted", cover)
         pushed = galois_pushforward(cover, tw)
         return digest, {"direction": "pushforward",
                         "pushforward": spectral_to_json(pushed)}

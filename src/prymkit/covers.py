@@ -13,7 +13,8 @@ d0 = f(x0), at a point x0.  The splitter finds those factors from one lift
 of q(x0)'s factors mod a prime split in the field (Zassenhaus over Q, then
 each even Q-factor split from its own lifted factors), and lifts a half
 A + sqrt(d0)*B in x - x0 on pairs of Poly in t, to a precision set by the
-block's own slope max ceil(deg c_i / (n - i)).
+block's own slope max ceil(deg c_i / (n - i)).  x0 is an integer, so
+specialising and shifting (a Taylor shift) at x0 run on integer numerators.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .norms import SpectralPoly, spectral_mul, spectral_pow
 from .polynomials import (
     Poly,
     TPoly,
+    _poly,
     horner,
     pseudo_remainder,
     power,
@@ -239,7 +241,8 @@ def pullback_splits(cover: DoubleCoverData,
     number field and Hensel-lifting each candidate half back to a
     polynomial witness; a block with no witness contributes half its even
     multiplicity y-free, and an odd one there rules out any witness.
-    The assembled witness is certified by re-pushforward.
+    A certified s_a's witness is read back as the W the block checked
+    against W * conj(W) = s_a; after Yun it is pushed forward again.
 
     The assembled witness meets the graded bounds, so building it cannot
     fail: its t-roots are roots of s_a, which (as deg a_j <= j*deg_m) have
@@ -255,7 +258,7 @@ def pullback_splits(cover: DoubleCoverData,
     s = s_a.as_tpoly()
     point = next(_good_points(cover.f, s), None)
     certified = point is not None and point[2].is_squarefree()
-    acc = one = _on_cover(TPoly((Poly.one(),), Poly.zero()), cover.f)
+    acc, one = None, _on_cover(TPoly((Poly.one(),), Poly.zero()), cover.f)
     for q, e in [(s, 1)] if certified else yun_squarefree(s):
         if not certified:
             point = next((p for p in _good_points(cover.f, q) if p[2].is_squarefree()), None)
@@ -264,10 +267,11 @@ def pullback_splits(cover: DoubleCoverData,
             if e % 2 != 0:
                 return None
             w, e = _on_cover(q, cover.f), e // 2
-        acc = acc * power(w, e, one)
+        w = power(w, e, one) if e > 1 else w
+        acc = w if acc is None else acc * w
     pairs = tuple((acc.a.coeff(j), acc.b.coeff(j)) for j in reversed(range(m)))
     witness = TwistedSpectralPoly(cover, m, s_a.deg_m, pairs)
-    if galois_pushforward(cover, witness) != s_a:
+    if not (witness.as_surd() == acc if certified else galois_pushforward(cover, witness) == s_a):
         raise RuntimeError("splitter produced an uncertified witness")
     return witness
 
@@ -281,17 +285,22 @@ def _is_square(q: Fraction) -> bool:
 
 def _good_points(f: Poly, q: TPoly):
     """(x0, f(x0), q(x0, t)) at the good points x0 in the order 0, -1, 1,
-    -2, ...: those where f(x0) is a nonzero non-square."""
+    -2, ...: those where f(x0) is a nonzero non-square, x0 an integer."""
+    den = math.lcm(*(c.denom for c in q.coeffs))
     for trial in range(0, 40 * (q.degree + f.degree + 4)):
-        x0 = Fraction((-1) ** trial * ((trial + 1) // 2))
-        d0 = f(x0)
+        x0 = (-1) ** trial * ((trial + 1) // 2)
+        d0 = Fraction(horner(f.ints, x0, 0), f.denom)
         if d0 != 0 and not _is_square(d0):
-            yield x0, d0, Poly([c(x0) for c in q.coeffs])
+            yield x0, d0, _poly([horner(c.ints, x0, 0) * (den // c.denom) for c in q.coeffs], den)
 
 
-def _poly_shift(p: Poly, a: Fraction) -> Poly:
-    """p(x + a), by Horner."""
-    return horner(p.coeffs, Poly((a, 1)), Poly.zero())
+def _poly_shift(p: Poly, a: int) -> Poly:
+    """p(x + a), a an integer: Taylor shift on the numerators (von zur Gathen-Gerhard 1997)."""
+    c = list(p.ints)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return _poly(c, p.denom)
 
 
 def _tpoly_shift(p: TPoly, a) -> TPoly:
@@ -315,7 +324,9 @@ def _series_inv_sqrt(u: Poly, n: int) -> Poly:
 
 def _transpose(ps: list, n: int) -> list[Poly]:
     """[sum_i ps[i]_j v^i for j < n]: coefficients in one variable, read in the other."""
-    return [Poly(p.coeffs[j] if j <= p.degree else 0 for p in ps) for j in range(n)]
+    den = math.lcm(*(p.denom for p in ps))
+    cols = [[c * (den // p.denom) for c in p.ints] for p in ps]
+    return [_poly([c[j] if j < len(c) else 0 for c in cols], den) for j in range(n)]
 
 
 def _poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -557,7 +568,9 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, point) -> Optional
     t^n term would otherwise outgrow the rest, so u_j and v_j have degree
     at most j*s <= half*s, and half*s + 1 terms of the series hold them.
     q is monic in t, so a squarefree q(x0) means disc_t(q)(x0) != 0: q is
-    squarefree over Q(x)."""
+    squarefree over Q(x).  As W is in Q[x][y][t], the self-conjugate test
+    holds at every such point: with two or more pairs 3 more are tried before
+    any lift (Hilbert irreducibility: few split every factor of a q with no W)."""
     if q.degree % 2 != 0:
         return None
     n, half, f = q.degree, q.degree // 2, cover.f
@@ -569,6 +582,10 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, point) -> Optional
     partner = [factors.index(g.conjugate()) for g in factors]
     if any(i == j for i, j in enumerate(partner)):
         return None
+    further = (p for p in _good_points(f, q) if p[0] != x0 and p[2].is_squarefree())
+    for _x1, d1, q1 in itertools.islice(further, 3 if len(factors) > 2 else 0):
+        if any(not g.b for g in _factor_over_quadratic_field(q1, d1)):
+            return None
 
     slope = max([0] + [-(-c.degree // (n - i)) for i, c in enumerate(q.coeffs[:n])])
     prec = half * slope + 1

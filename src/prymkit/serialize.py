@@ -3,23 +3,27 @@
 Rationals are serialized as strings "p/q" (denominator always present) so
 every JSON implementation round-trips them losslessly, and are read back only
 in that form, -?[0-9]+/-?[0-9]+ in ASCII digits with q != 0; all loaders
-report failures with the path of the offending field.  Round-trips are bit-exact.
+report a failure, formatting its message only then, with the path of the
+offending field.  A polynomial is read and written as integer numerators over
+one denominator.  Round-trips are bit-exact.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .abelian import IntMatrix, TorsionAmbient, subgroup_from_generators
 from .covers import DoubleCoverData, TwistedSpectralPoly
 from .norms import AlgebraElement, SpectralPoly
-from .polynomials import Poly
+from .polynomials import Poly, _poly
 from .spectral import ComponentData, SpectralCoverDescriptor
 
 # Largest genus a descriptor may have: a component kernel is a 2g x 2g
 # Hermite form, so g is refused up front instead of allocating for it.
 MAX_GENUS = 64
+_INT = re.compile(r"-?[0-9]+", re.ASCII)    # one part of a rational "p/q"
 
 
 class SchemaError(ValueError):
@@ -30,30 +34,30 @@ class SchemaError(ValueError):
         self.path = path
 
 
-def _require(cond: bool, path: str, message: str):
+def _require(cond: bool, path: str, message: str, *args):
+    """Unless cond, raise message.format(*args), formatted only then."""
     if not cond:
-        raise SchemaError(path, message)
+        raise SchemaError(path, message.format(*args))
 
 
 def _expect_int(value, path: str) -> int:
     _require(isinstance(value, int) and not isinstance(value, bool), path,
-             f"expected an integer, got {value!r}")
+             "expected an integer, got {!r}", value)
     return value
 
 
 def _expect_list(value, path: str) -> list:
-    _require(isinstance(value, list), path, f"expected a list, got {type(value).__name__}")
+    _require(isinstance(value, list), path, "expected a list, got {.__name__}", type(value))
     return value
 
 
 def _expect_dict(value, path: str) -> dict:
-    _require(isinstance(value, dict), path,
-             f"expected an object, got {type(value).__name__}")
+    _require(isinstance(value, dict), path, "expected an object, got {.__name__}", type(value))
     return value
 
 
 def _expect_key(obj: dict, key: str, path: str):
-    _require(key in obj, path, f"missing required field '{key}'")
+    _require(key in obj, path, "missing required field '{}'", key)
     return obj[key]
 
 
@@ -63,30 +67,38 @@ def rational_to_json(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def rational_from_json(value, path: str) -> Fraction:
-    _require(isinstance(value, str), path,
-             f"expected a rational string 'p/q', got {value!r}")
-    parts = value.split("/")
-    _require(len(parts) == 2, path, f"rational {value!r} is not of the form 'p/q'")
-    _require(all(re.fullmatch(r"-?[0-9]+", p) for p in parts), path,
-             f"rational {value!r} has non-integer parts")
+def _ratio(value, path: str) -> tuple[int, int]:
+    if not isinstance(value, str):
+        raise SchemaError(path, f"expected a rational string 'p/q', got {value!r}")
+    p, slash, q = value.partition("/")
+    if not slash or "/" in q:
+        raise SchemaError(path, f"rational {value!r} is not of the form 'p/q'")
+    if not (_INT.fullmatch(p) and _INT.fullmatch(q)):
+        raise SchemaError(path, f"rational {value!r} has non-integer parts")
     try:
-        num, den = int(parts[0]), int(parts[1])
+        num, den = int(p), int(q)
     except ValueError:  # a digit string past the interpreter's limit
         raise SchemaError(path, f"rational {value!r} has non-integer parts") from None
-    _require(den != 0, path, "rational has zero denominator")
-    return Fraction(num, den)
+    if not den:
+        raise SchemaError(path, "rational has zero denominator")
+    return num, den
+
+
+def rational_from_json(value, path: str) -> Fraction:
+    return Fraction(*_ratio(value, path))
 
 
 # -- polynomials ----------------------------------------------------------
 
 def poly_to_json(p: Poly) -> list[str]:
-    return [rational_to_json(c) for c in p.coeffs]
+    den = p.denom
+    return [f"{c // g}/{den // g}" for c in p.ints for g in (gcd(c, den),)]
 
 
 def poly_from_json(value, path: str) -> Poly:
-    items = _expect_list(value, path)
-    return Poly([rational_from_json(c, f"{path}[{i}]") for i, c in enumerate(items)])
+    ratios = [_ratio(c, f"{path}[{i}]") for i, c in enumerate(_expect_list(value, path))]
+    den = lcm(*(d for _, d in ratios))
+    return _poly([n * (den // d) for n, d in ratios], den)
 
 
 def spectral_to_json(s: SpectralPoly) -> dict:
@@ -99,7 +111,7 @@ def spectral_from_json(value, path: str = "$") -> SpectralPoly:
     n = _expect_int(_expect_key(obj, "n", path), f"{path}.n")
     deg_m = _expect_int(_expect_key(obj, "deg_m", path), f"{path}.deg_m")
     coeffs = _expect_list(_expect_key(obj, "coeffs", path), f"{path}.coeffs")
-    _require(len(coeffs) == n, f"{path}.coeffs", f"expected {n} coefficients")
+    _require(len(coeffs) == n, f"{path}.coeffs", "expected {} coefficients", n)
     polys = tuple(poly_from_json(c, f"{path}.coeffs[{i}]")
                   for i, c in enumerate(coeffs))
     return SpectralPoly(n, deg_m, polys)
@@ -111,7 +123,7 @@ def element_to_json(u: AlgebraElement) -> list[list[str]]:
 
 def element_from_json(parent: SpectralPoly, value, path: str = "$") -> AlgebraElement:
     items = _expect_list(value, path)
-    _require(len(items) == parent.n, path, f"expected {parent.n} coordinates")
+    _require(len(items) == parent.n, path, "expected {} coordinates", parent.n)
     coords = tuple(poly_from_json(c, f"{path}[{i}]") for i, c in enumerate(items))
     return AlgebraElement(parent, coords)
 
@@ -134,7 +146,7 @@ def descriptor_from_json(value, path: str = "$") -> SpectralCoverDescriptor:
     obj = _expect_dict(value, path)
     n = _expect_int(_expect_key(obj, "n", path), f"{path}.n")
     g = _expect_int(_expect_key(obj, "g", path), f"{path}.g")
-    _require(1 <= g <= MAX_GENUS, f"{path}.g", f"genus must lie in 1..{MAX_GENUS}")
+    _require(1 <= g <= MAX_GENUS, f"{path}.g", "genus must lie in 1..{}", MAX_GENUS)
     comps_raw = _expect_list(_expect_key(obj, "components", path), f"{path}.components")
     comps = []
     for i, raw in enumerate(comps_raw):
@@ -152,7 +164,7 @@ def descriptor_from_json(value, path: str = "$") -> SpectralCoverDescriptor:
         for j, row in enumerate(gens_raw):
             rp = f"{cp}.kernel_generators[{j}]"
             row = _expect_list(row, rp)
-            _require(len(row) == rank, rp, f"expected {rank} entries")
+            _require(len(row) == rank, rp, "expected {} entries", rank)
             rows.append([_expect_int(e, f"{rp}[{k}]") for k, e in enumerate(row)])
         ambient = TorsionAmbient(g, modulus)
         kernel = subgroup_from_generators(
@@ -167,10 +179,11 @@ def cover_to_json(cover: DoubleCoverData) -> dict:
     return {"f": poly_to_json(cover.f)}
 
 
-def cover_from_json(value, path: str = "$") -> DoubleCoverData:
+def cover_from_json(value, path: str = "$", known=None) -> DoubleCoverData:
+    """y^2 = f; the cover known, already checked, when its f is this f."""
     obj = _expect_dict(value, path)
     f = poly_from_json(_expect_key(obj, "f", path), f"{path}.f")
-    return DoubleCoverData(f)
+    return known if known is not None and known.f == f else DoubleCoverData(f)
 
 
 def twisted_to_json(tw: TwistedSpectralPoly) -> dict:
@@ -179,13 +192,13 @@ def twisted_to_json(tw: TwistedSpectralPoly) -> dict:
                       for u, v in tw.pairs]}
 
 
-def twisted_from_json(value, path: str = "$") -> TwistedSpectralPoly:
+def twisted_from_json(value, path: str = "$", known=None) -> TwistedSpectralPoly:
     obj = _expect_dict(value, path)
     m = _expect_int(_expect_key(obj, "m", path), f"{path}.m")
     deg_m = _expect_int(_expect_key(obj, "deg_m", path), f"{path}.deg_m")
-    cover = cover_from_json(_expect_key(obj, "cover", path), f"{path}.cover")
+    cover = cover_from_json(_expect_key(obj, "cover", path), f"{path}.cover", known)
     pairs_raw = _expect_list(_expect_key(obj, "pairs", path), f"{path}.pairs")
-    _require(len(pairs_raw) == m, f"{path}.pairs", f"expected {m} coefficient pairs")
+    _require(len(pairs_raw) == m, f"{path}.pairs", "expected {} coefficient pairs", m)
     pairs = []
     for i, raw in enumerate(pairs_raw):
         pp = f"{path}.pairs[{i}]"

@@ -161,6 +161,18 @@ MUTANTS = [
      "for picks in itertools.product(*rest):",
      "for picks in reversed([*itertools.product(*rest)]):",
      ["tests/test_covers.py", "tests/test_cli.py"]),
+    ("certified witness not read back", "covers.py",
+     "witness.as_surd() == acc if certified",
+     "True if certified",
+     ["tests/test_covers.py"]),
+    ("no further points before the candidate lifts", "covers.py",
+     "itertools.islice(further, 3 if len(factors) > 2 else 0)",
+     "itertools.islice(further, 0)",
+     ["tests/test_covers.py"]),
+    ("Taylor shift one pass short", "covers.py",
+     "    for i in range(len(c) - 1):\n",
+     "    for i in range(len(c) - 2):\n",
+     ["tests/test_covers.py"]),
     ("pairs read from the wrong end of acc", "covers.py",
      "for j in reversed(range(m)))",
      "for j in range(m))",
@@ -227,8 +239,13 @@ MUTANTS = [
      ["tests/test_covers.py"]),
     # -- serialize ---------------------------------------------------------------
     ("rational with a zero denominator accepted", "serialize.py",
-     '    _require(den != 0, path, "rational has zero denominator")\n',
+     "    if not den:\n"
+     '        raise SchemaError(path, "rational has zero denominator")\n',
      "",
+     ["tests/test_cli.py"]),
+    ("polynomial read over the largest denominator, not the lcm", "serialize.py",
+     "den = lcm(*(d for _, d in ratios))",
+     "den = max([1] + [d for _, d in ratios])",
      ["tests/test_cli.py"]),
 ]
 

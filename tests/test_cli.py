@@ -26,6 +26,8 @@ from prymkit.serialize import (
     descriptor_to_json,
     element_from_json,
     element_to_json,
+    poly_from_json,
+    poly_to_json,
     rational_from_json,
     rational_to_json,
     spectral_from_json,
@@ -61,6 +63,17 @@ class TestSchemas:
 
     def test_rational_negative_denominator_accepted(self):
         assert rational_from_json("1/-2", "$") == Fraction(-1, 2)
+
+    def test_poly_read_over_a_common_denominator(self):
+        for items in (["2/4", "0/-3", "-6/-4"], ["1/2", "1/3", "-5/6", "0/1"],
+                      ["0/-3"], ["7/-21", "10/1"], []):
+            p = poly_from_json(items, "$")
+            assert p == Poly([Fraction(int(a), int(b))
+                              for a, b in (c.split("/") for c in items)]), items
+            assert poly_from_json(poly_to_json(p), "$") == p
+        assert poly_to_json(poly_from_json(["2/4", "0/-3", "-6/-4"], "$")) == [
+            "1/2", "0/1", "3/2"]
+        assert poly_to_json(Poly.zero()) == []
 
     def test_spectral_round_trip(self):
         rng = random.Random(3)
@@ -357,7 +370,9 @@ class TestCli:
         assert capsys.readouterr().out == expected
         assert calls["lifts"] == lifts
         if lifts > 1:
-            assert calls["factors"] == [6]
+            # three pairs at x0 = 0, then one pair and no self-conjugate
+            # factor at each of three further good points
+            assert calls["factors"] == [6, 2, 2, 2]
 
     def test_galois_never_builds_an_algebraic_field(self, tmp_path, capsys, monkeypatch):
         # the splitter factors over Q(sqrt(d)) on its own, through a prime
@@ -391,6 +406,25 @@ class TestCli:
         assert main(["verify", "--suite", "galois", "--seed", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["payload"]["all_passed"] is True
         assert built and built.count(True) == 0
+
+    def test_galois_pushforward_checks_its_cover_once(self, tmp_path, capsys, monkeypatch):
+        # the twisted polynomial's cover equals the input's: it is parsed
+        # but not checked squarefree a second time; a different cover fails
+        checked, is_squarefree = [], Poly.is_squarefree
+
+        def counting(p):
+            checked.append(p)
+            return is_squarefree(p)
+        monkeypatch.setattr(Poly, "is_squarefree", counting)
+        cover = DoubleCoverData(X * X - 1)
+        tw = random_twisted(random.Random(1), cover, 2, deg_m=1)
+        checked.clear()
+        doc = {"cover": cover_to_json(cover), "twisted": twisted_to_json(tw)}
+        assert main(["galois", "--input", self._write(tmp_path, "g.json", doc)]) == 0
+        assert checked == [cover.f]
+        doc["cover"] = cover_to_json(DoubleCoverData(X * X - 2))
+        assert main(["galois", "--input", self._write(tmp_path, "g.json", doc)]) == 3
+        assert "different cover" in capsys.readouterr().err
 
     def test_galois_lenient_rational_exit_2(self, tmp_path, capsys):
         for bad in ("1_0/3", " 2/3", "+2/3", "\u0663/4"):

@@ -2,6 +2,8 @@
 translation, power/product maps, and the degree-2 Galois machinery."""
 
 import random
+import statistics
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -15,6 +17,7 @@ from prymkit.covers import (
     Surd,
     TwistedSpectralPoly,
     _factor_over_quadratic_field,
+    _poly_shift,
     _poly_xgcd,
     _x_adic_lift,
     factors_coprime,
@@ -447,6 +450,34 @@ class TestPullbackSplits:
             (X, X + 1),
         )
 
+    def test_certified_witness_read_back(self, monkeypatch):
+        # -W has the norm of W, but its t^m coefficient is -1: on the
+        # certified path the pairs read off it must not pass as a witness
+        split = covers._split_squarefree_block
+        monkeypatch.setattr(covers, "_split_squarefree_block",
+                            lambda *args: -split(*args))
+        cover = DoubleCoverData(X * X - 3)
+        s = galois_pushforward(cover, random_twisted(random.Random(3), cover, 2, deg_m=1))
+        with pytest.raises(RuntimeError, match="uncertified"):
+            pullback_splits(cover, s)
+
+
+class TestTaylorShift:
+    """_poly_shift(p, a) on integer numerators against evaluation: the
+    shifted polynomial at x0 is p at x0 + a."""
+
+    POLYS = [Poly.zero(), Poly.constant(Fraction(-7, 3)), X, -X * X * X + 5 * X - 2,
+             Poly([Fraction(1, 6), Fraction(-5, 4), 0, Fraction(2, 9), Fraction(-1, 12)])]
+
+    @pytest.mark.parametrize("a", [0, 1, -1, 7, -7, 10 ** 30])
+    def test_against_evaluation(self, a):
+        for p in self.POLYS:
+            shifted = _poly_shift(p, a)
+            assert shifted.degree == p.degree
+            for x0 in (0, 1, -3, Fraction(2, 5), 10 ** 12):
+                assert shifted(x0) == p(x0 + a), (p, a, x0)
+            assert _poly_shift(shifted, -a) == p
+
 
 def _sympy_factors_q(p: Poly) -> list[Poly]:
     """The monic factors of p over Q from sympy's factor_list over QQ."""
@@ -702,6 +733,71 @@ class TestSplitOracle:
             (X + 2, Poly.constant(-2)),
             (X * X + 2 * X + 1, -X - 2),
         )
+
+
+def _stall_adversary(k: int) -> tuple[DoubleCoverData, SpectralPoly]:
+    """c_k(t) + x on y^2 = x - 3, c_k = prod_{i=1..k} ((t + i)^2 + 3i^2):
+    k conjugate pairs over Q(sqrt(-3)) at x0 = 0, and no witness."""
+    c = Poly.one()
+    for i in range(1, k + 1):
+        c = c * Poly((4 * i * i, 2 * i, 1))
+    coeffs = [Poly.constant(a) for a in reversed(c.coeffs[:-1])]
+    coeffs[-1] = coeffs[-1] + X
+    return DoubleCoverData(X - 3), spoly(2 * k, 1, *coeffs)
+
+
+def _reference_seconds(seconds: float) -> float:
+    """Host seconds as reference seconds: a reference second is the time in
+    which the pure-Python kernel of bench/run.py runs 1 / 1.4 ms times."""
+    def kernel():
+        s = 0
+        for i in range(5000):
+            s = (s * 31 + i) % 1000003
+        table: dict = {}
+        for i in range(800):
+            key = ((i * 7919) % 1013, i & 7)
+            table[key] = table.get(key, 0) + i
+        sorted(table.items())
+
+    took = []
+    for _ in range(9):
+        t0 = time.perf_counter()
+        kernel()
+        took.append(time.perf_counter() - t0)
+    return seconds * 1.4e-3 / statistics.median(took)
+
+
+class TestSplitterStall:
+    """A block with many pairs at x0 but none over the cover: a
+    self-conjugate factor at a further good point rejects it before the
+    2^(pairs - 1) candidate lifts."""
+
+    def test_k6_rejected_without_a_lift(self, monkeypatch):
+        calls = {"factors": [], "lifts": 0}
+        factor, lift = covers._factor_over_quadratic_field, covers._x_adic_lift
+
+        def counting_factor(*args):
+            out = factor(*args)
+            calls["factors"].append(len(out))
+            return out
+
+        def counting_lift(*args):
+            calls["lifts"] += 1
+            return lift(*args)
+        monkeypatch.setattr(covers, "_factor_over_quadratic_field", counting_factor)
+        monkeypatch.setattr(covers, "_x_adic_lift", counting_lift)
+        assert pullback_splits(*_stall_adversary(6)) is None
+        # six pairs of linear factors at x0 = 0; at the next good point,
+        # x0 = -1 with d0 = -4, the block stays irreducible, so self-conjugate
+        assert calls["factors"] == [12, 1]
+        assert calls["lifts"] <= 1
+
+    @pytest.mark.parametrize("k", [9, 12])
+    def test_rejected_in_bounded_time(self, k):
+        cover, s = _stall_adversary(k)
+        t0 = time.perf_counter()
+        assert pullback_splits(cover, s) is None
+        assert _reference_seconds(time.perf_counter() - t0) < 1.0
 
 
 class TestXAdicLift:
