@@ -267,7 +267,7 @@ def pullback_splits(cover: DoubleCoverData,
             if e % 2 != 0:
                 return None
             w, e = _on_cover(q, cover.f), e // 2
-        w = power(w, e, one) if e > 1 else w
+        w = power(w, e, one)
         acc = w if acc is None else acc * w
     pairs = tuple((acc.a.coeff(j), acc.b.coeff(j)) for j in reversed(range(m)))
     witness = TwistedSpectralPoly(cover, m, s_a.deg_m, pairs)

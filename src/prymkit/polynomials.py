@@ -14,6 +14,13 @@ binds them.  A t-polynomial is
 divided only by a monic divisor, so t-division needs ring operations alone
 and keeps Poly coefficients in Q[x].
 
+The generic-ring algorithms (Bareiss, the subresultant sequence, Yun,
+``power``) hand Poly mostly trivial operands, so a zero, unit or constant
+operand, told apart by its number of numerators, takes one scan of the
+other's numerators and no product or pseudo-division; ``zero`` and ``one``
+are shared instances, and a sum with zero, a product or quotient by one and
+``TPoly.monic`` of a monic polynomial return an operand itself.
+
 Resultants, gcds and Yun's decomposition of t-polynomials share one engine,
 the subresultant pseudo-remainder sequence, whose divisions are exact in the
 coefficient ring: over Q[x] no rational function in x is ever formed.
@@ -49,17 +56,21 @@ def horner(coeffs: Sequence, x, acc):
 
 
 def power(base, k: int, one):
-    """base ** k by repeated squaring; one is the unit of base's ring.  No
-    square is taken past the top bit of k, where it would go unused."""
+    """base ** k by repeated squaring; one is the unit of base's ring, the
+    result for k = 0.  The result starts from its first factor, so no
+    product with one is taken, and no square past the top bit of k."""
     if k < 0:
         raise ValueError("negative power")
-    result = one
+    if not k:
+        return one
+    while not k & 1:
+        base, k = base * base, k >> 1
+    result, k = base, k >> 1
     while k:
+        base = base * base
         if k & 1:
             result = result * base
         k >>= 1
-        if k:
-            base = base * base
     return result
 
 
@@ -83,11 +94,11 @@ class Poly:
 
     @classmethod
     def zero(cls) -> "Poly":
-        return _poly([], 1)
+        return _ZERO
 
     @classmethod
     def one(cls) -> "Poly":
-        return _poly([1], 1)
+        return _ONE
 
     @classmethod
     def constant(cls, c: Scalar) -> "Poly":
@@ -118,7 +129,7 @@ class Poly:
         return not self.ints
 
     def one_like(self) -> "Poly":
-        return Poly.one()
+        return _ONE
 
     @property
     def lc(self) -> Fraction:
@@ -156,6 +167,10 @@ class Poly:
         other = Poly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.ints:
+            return self
+        if not self.ints:
+            return other if op is add else -other
         a, b, den = self.ints, other.ints, self.denom
         if den != other.denom:
             g = gcd(den, other.denom)
@@ -182,8 +197,10 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
         a, b = self.ints, other.ints
-        if not a or not b:
-            return Poly.zero()
+        if len(b) <= 1:
+            return _times(self, b[0], other.denom) if b else _ZERO
+        if len(a) <= 1:
+            return _times(other, a[0], self.denom) if a else _ZERO
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
@@ -194,11 +211,11 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
-        return power(self, k, Poly.one())
+        return power(self, k, _ONE)
 
     def scale(self, c: Scalar) -> "Poly":
         c = as_fraction(c)
-        return _poly([a * c.numerator for a in self.ints], self.denom * c.denominator)
+        return _times(self, c.numerator, c.denominator)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Euclidean division over Q, by pseudo-division over Z: with B the
@@ -209,7 +226,7 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         k = other.degree
         if self.degree < k:
-            return Poly.zero(), self
+            return _ZERO, self
         cb = gcd(*other.ints)
         *low, lb = [c // cb for c in other.ints]
         r, q, s = list(self.ints), [], 1
@@ -232,6 +249,8 @@ class Poly:
         other = Poly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if len(other.ints) == 1:
+            return _times(self, other.denom, other.ints[0])
         q, r = self.divmod(other)
         if not r.is_zero():
             raise ValueError("inexact polynomial division")
@@ -322,6 +341,19 @@ def _poly(ints: list, den: int) -> Poly:
     p = object.__new__(Poly)
     _init(p, ints, den)
     return p
+
+
+_ZERO, _ONE = _poly([], 1), _poly([1], 1)
+
+
+def _times(p: Poly, n: int, d: int) -> Poly:
+    """p * (n / d) for integers n and d != 0: p itself when n = d, else one
+    scan of p's numerators and the normalisation."""
+    if not n or not p.ints:
+        return _ZERO
+    if n == d:
+        return p
+    return _poly([a * n for a in p.ints], p.denom * d)
 
 
 class RatFunc:
@@ -544,6 +576,8 @@ class TPoly:
         """Divide by the leading coefficient, which must divide every
         coefficient exactly (always so over a field)."""
         lc = self.lc
+        if lc == self.czero.one_like():
+            return self
         return TPoly(tuple(c / lc for c in self.coeffs), self.czero)
 
     def derivative(self) -> "TPoly":
@@ -574,10 +608,12 @@ def pseudo_remainder(a: TPoly, b: TPoly) -> TPoly:
         raise ZeroDivisionError("pseudo-remainder by the zero polynomial")
     r = list(a.coeffs)
     *d, lb = b.coeffs
+    unit = lb == a.czero.one_like()
     while len(r) > len(d):
         c = r.pop()
         j = len(r) - len(d)
-        r = [x * lb for x in r]
+        if not unit:
+            r = [x * lb for x in r]
         for k, dk in enumerate(d):
             r[j + k] = r[j + k] - c * dk
     return TPoly(r, a.czero)

@@ -96,7 +96,13 @@ def poly_to_json(p: Poly) -> list[str]:
 
 
 def poly_from_json(value, path: str) -> Poly:
-    ratios = [_ratio(c, f"{path}[{i}]") for i, c in enumerate(_expect_list(value, path))]
+    items = _expect_list(value, path)
+    try:
+        ratios = [_ratio(c, path) for c in items]
+    except SchemaError:     # read again, naming the entry at fault
+        for i, c in enumerate(items):
+            _ratio(c, f"{path}[{i}]")
+        raise
     den = lcm(*(d for _, d in ratios))
     return _poly([n * (den // d) for n, d in ratios], den)
 
@@ -162,10 +168,13 @@ def descriptor_from_json(value, path: str = "$") -> SpectralCoverDescriptor:
         rank = 2 * g
         rows = []
         for j, row in enumerate(gens_raw):
-            rp = f"{cp}.kernel_generators[{j}]"
-            row = _expect_list(row, rp)
-            _require(len(row) == rank, rp, "expected {} entries", rank)
-            rows.append([_expect_int(e, f"{rp}[{k}]") for k, e in enumerate(row)])
+            if not (isinstance(row, list) and len(row) == rank
+                    and all(type(e) is int for e in row)):   # name the field at fault
+                rp = f"{cp}.kernel_generators[{j}]"
+                _require(len(_expect_list(row, rp)) == rank, rp, "expected {} entries", rank)
+                for k, e in enumerate(row):
+                    _expect_int(e, f"{rp}[{k}]")
+            rows.append(row)
         ambient = TorsionAmbient(g, modulus)
         kernel = subgroup_from_generators(
             ambient, IntMatrix.from_rows(rows) if rows else IntMatrix(0, rank, ()))

@@ -112,6 +112,26 @@ MUTANTS = [
      "            raise ValueError(\"t-polynomials divide only by monic divisors\")\n",
      "",
      ["tests/test_polynomials.py"]),
+    ("constant product drops the constant's denominator", "polynomials.py",
+     "return _times(self, b[0], other.denom) if b else _ZERO",
+     "return _times(self, b[0], 1) if b else _ZERO",
+     ["tests/test_polynomials.py"]),
+    ("constant division ignores the divisor's sign", "polynomials.py",
+     "return _times(self, other.denom, other.ints[0])",
+     "return _times(self, other.denom, abs(other.ints[0]))",
+     ["tests/test_polynomials.py"]),
+    ("0 - p returns p", "polynomials.py",
+     "return other if op is add else -other",
+     "return other",
+     ["tests/test_polynomials.py"]),
+    ("t-monic returns self for any constant leading coefficient", "polynomials.py",
+     "if lc == self.czero.one_like():",
+     "if lc.degree < 1:",
+     ["tests/test_polynomials.py"]),
+    ("pseudo-remainder skips the rescale for any constant lb", "polynomials.py",
+     "unit = lb == a.czero.one_like()",
+     "unit = lb.degree < 1",
+     ["tests/test_polynomials.py"]),
     # -- covers: R[sqrt(d)] arithmetic -----------------------------------------
     ("Surd skips the different-covers check", "covers.py",
      '            raise ValueError("operands live on different double covers")',
@@ -246,6 +266,14 @@ MUTANTS = [
     ("polynomial read over the largest denominator, not the lcm", "serialize.py",
      "den = lcm(*(d for _, d in ratios))",
      "den = max([1] + [d for _, d in ratios])",
+     ["tests/test_cli.py"]),
+    ("a bad coefficient reported at its polynomial's path", "serialize.py",
+     "        for i, c in enumerate(items):\n            _ratio(c, f\"{path}[{i}]\")\n",
+     "",
+     ["tests/test_cli.py"]),
+    ("generator entries not type-checked on the fast path", "serialize.py",
+     "\n                    and all(type(e) is int for e in row)",
+     "",
      ["tests/test_cli.py"]),
 ]
 

@@ -105,6 +105,25 @@ class TestSchemas:
         with pytest.raises(SchemaError) as exc:
             spectral_from_json(doc)
         assert "coeffs[1][0]" in str(exc.value)
+        for entry, message in ((["1/1", "1/0"], "$.coeffs[1][1]: rational has zero denominator"),
+                               ("x", "$.coeffs[1]: expected a list, got str")):
+            with pytest.raises(SchemaError) as exc:
+                spectral_from_json({"n": 2, "deg_m": 1, "coeffs": [["1/1"], entry]})
+            assert str(exc.value) == message
+
+    def test_generator_entry_path_in_errors(self):
+        gp = "$.components[0].kernel_generators[1]"
+        for row, message in (([0, True, 0, 0], f"{gp}[1]: expected an integer, got True"),
+                             ([0, 1, 0, 1.5], f"{gp}[3]: expected an integer, got 1.5"),
+                             ([0, 1], f"{gp}: expected 4 entries"),
+                             ("x", f"{gp}: expected a list, got str")):
+            doc = {"n": 2, "g": 2, "components": [
+                {"degree": 1, "multiplicity": 2, "kernel_modulus": 2,
+                 "kernel_generators": [[0, 0, 0, 0], row]}]}
+            with pytest.raises(SchemaError) as exc:
+                descriptor_from_json(doc)
+            assert str(exc.value) == message
+            assert exc.value.path == message.partition(": ")[0]
 
     def test_missing_field_reported(self):
         with pytest.raises(SchemaError) as exc:

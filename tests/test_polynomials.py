@@ -12,6 +12,7 @@ from prymkit.polynomials import (
     Poly,
     RatFunc,
     TPoly,
+    pseudo_remainder,
     resultant,
     tpoly_over_ratfunc,
     tpoly_to_poly_coeffs,
@@ -125,7 +126,8 @@ class TestPoly:
                 base ** -1
 
     def test_power_squares_only_what_it_uses(self, monkeypatch):
-        # x ** 5, 5 = 0b101: two products into the result and two squarings
+        # x ** 5, 5 = 0b101: the result starts at x, so two squarings and
+        # one product into it, and none with the unit
         calls = []
         mul = Poly.__mul__
 
@@ -135,7 +137,7 @@ class TestPoly:
 
         monkeypatch.setattr(Poly, "__mul__", counting_mul)
         assert Poly.x() ** 5 == Poly((0, 0, 0, 0, 0, 1))
-        assert len(calls) == 4
+        assert len(calls) == 3
 
     def test_squarefree_predicate(self):
         assert Poly((-1, 0, 1)).is_squarefree()
@@ -262,6 +264,61 @@ class TestPolyIntegerCore:
             assert v in {p} and p in {v}
         assert {Poly.zero(): "zero"}[0] == "zero"
         assert Poly.x() != 0 and Poly.x() not in {0, 1}
+
+
+# the trivial operands Q[x] takes its shortcuts on, and other constants
+trivial_constants = st.one_of(
+    st.sampled_from((0, 1, -1, Fraction(1, 3), Fraction(-5, 2), -4)), big_rationals)
+
+
+class TestTrivialOperands:
+    """Zero, unit and constant operands against the Fraction reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeff_lists, trivial_constants)
+    @example((Fraction(1, 2), -3), 0)
+    @example((Fraction(1, 2), -3), -1)
+    @example((Fraction(2, 3),), Fraction(-5, 2))
+    def test_constant_on_either_side(self, a, c):
+        p, k, kc = Poly(a), Poly.constant(c), (c,)
+        cases = [(p + k, ref_add(a, kc)), (k + p, ref_add(a, kc)), (p + c, ref_add(a, kc)),
+                 (p - k, ref_add(a, kc, -1)), (k - p, ref_add(kc, a, -1)),
+                 (c - p, ref_add(kc, a, -1)), (p * k, ref_mul(a, kc)),
+                 (k * p, ref_mul(a, kc)), (c * p, ref_mul(a, kc)), (p.scale(c), ref_mul(a, kc))]
+        if c:
+            inv = (1 / Fraction(c),)
+            cases += [(p / k, ref_mul(a, inv)), (p / c, ref_mul(a, inv))]
+        else:
+            for divisor in (k, c):
+                with pytest.raises(ZeroDivisionError):
+                    p / divisor
+        if len(a) == 1:
+            cases.append((k / p, ref_mul(kc, (1 / a[0],))))
+        for got, want in cases:
+            assert_canonical(got)
+            assert got.coeffs == want
+            if got.degree < 1:
+                assert got == got(0) and hash(got) == hash(got(0))
+
+    def test_trivial_operands_return_an_operand(self):
+        p, zero, one = Poly((Fraction(1, 2), -3)), Poly.zero(), Poly.one()
+        assert zero is Poly.zero() and one is Poly.one() is p.one_like()
+        for got in (p + zero, zero + p, p - zero, p * one, one * p, p * 1, p / one, p / 1):
+            assert got is p
+        assert p * zero is zero and zero * p is zero and zero / p is zero
+        assert zero - p == -p
+
+    @settings(max_examples=100, deadline=None)
+    @given(tpolys, monic_tpolys, trivial_constants.filter(bool))
+    @example(tp((1,), (0, 1), (1,)), tp((2,), (1,)), Fraction(-5, 2))
+    def test_monic_and_pseudo_remainder_unit_against_scaled(self, a, b, c):
+        # b is monic; scaled = c * b has leading coefficient c
+        scaled = b.map_coeffs(lambda x: x * c, Poly.zero())
+        assert b.monic() is b and scaled.monic() == b
+        k = max(a.degree - b.degree + 1, 0)
+        want = pseudo_remainder(a, b).map_coeffs(lambda x: x * Fraction(c) ** k, Poly.zero())
+        assert pseudo_remainder(a, scaled) == want
+        assert pseudo_remainder(a, b) == a % b
 
 
 class TestTPolyDivmod:
