@@ -258,7 +258,7 @@ def pullback_splits(cover: DoubleCoverData,
     s = s_a.as_tpoly()
     point = next(_good_points(cover.f, s), None)
     certified = point is not None and point[2].is_squarefree()
-    acc, one = None, _on_cover(TPoly((Poly.one(),), Poly.zero()), cover.f)
+    acc = None
     for q, e in [(s, 1)] if certified else yun_squarefree(s):
         if not certified:
             point = next((p for p in _good_points(cover.f, q) if p[2].is_squarefree()), None)
@@ -267,7 +267,7 @@ def pullback_splits(cover: DoubleCoverData,
             if e % 2 != 0:
                 return None
             w, e = _on_cover(q, cover.f), e // 2
-        w = power(w, e, one)
+        w = power(w, e)
         acc = w if acc is None else acc * w
     pairs = tuple((acc.a.coeff(j), acc.b.coeff(j)) for j in reversed(range(m)))
     witness = TwistedSpectralPoly(cover, m, s_a.deg_m, pairs)

@@ -18,8 +18,8 @@ The generic-ring algorithms (Bareiss, the subresultant sequence, Yun,
 ``power``) hand Poly mostly trivial operands, so a zero, unit or constant
 operand, told apart by its number of numerators, takes one scan of the
 other's numerators and no product or pseudo-division; ``zero`` and ``one``
-are shared instances, and a sum with zero, a product or quotient by one and
-``TPoly.monic`` of a monic polynomial return an operand itself.
+are shared instances, and a sum with zero or a product or quotient by one
+returns an operand itself.
 
 Resultants, gcds and Yun's decomposition of t-polynomials share one engine,
 the subresultant pseudo-remainder sequence, whose divisions are exact in the
@@ -55,13 +55,16 @@ def horner(coeffs: Sequence, x, acc):
     return acc
 
 
-def power(base, k: int, one):
-    """base ** k by repeated squaring; one is the unit of base's ring, the
-    result for k = 0.  The result starts from its first factor, so no
-    product with one is taken, and no square past the top bit of k."""
+def power(base, k: int, one=None):
+    """base ** k by repeated squaring.  one, the unit of base's ring, is the
+    result for k = 0 and is needed only then.  The result starts from its
+    first factor, so no product with one is taken, and no square past the
+    top bit of k."""
     if k < 0:
         raise ValueError("negative power")
     if not k:
+        if one is None:
+            raise ValueError("the zero power needs the ring's unit")
         return one
     while not k & 1:
         base, k = base * base, k >> 1
@@ -576,8 +579,6 @@ class TPoly:
         """Divide by the leading coefficient, which must divide every
         coefficient exactly (always so over a field)."""
         lc = self.lc
-        if lc == self.czero.one_like():
-            return self
         return TPoly(tuple(c / lc for c in self.coeffs), self.czero)
 
     def derivative(self) -> "TPoly":
@@ -608,12 +609,10 @@ def pseudo_remainder(a: TPoly, b: TPoly) -> TPoly:
         raise ZeroDivisionError("pseudo-remainder by the zero polynomial")
     r = list(a.coeffs)
     *d, lb = b.coeffs
-    unit = lb == a.czero.one_like()
     while len(r) > len(d):
         c = r.pop()
         j = len(r) - len(d)
-        if not unit:
-            r = [x * lb for x in r]
+        r = [x * lb for x in r]
         for k, dk in enumerate(d):
             r[j + k] = r[j + k] - c * dk
     return TPoly(r, a.czero)

@@ -96,13 +96,7 @@ def poly_to_json(p: Poly) -> list[str]:
 
 
 def poly_from_json(value, path: str) -> Poly:
-    items = _expect_list(value, path)
-    try:
-        ratios = [_ratio(c, path) for c in items]
-    except SchemaError:     # read again, naming the entry at fault
-        for i, c in enumerate(items):
-            _ratio(c, f"{path}[{i}]")
-        raise
+    ratios = [_ratio(c, f"{path}[{i}]") for i, c in enumerate(_expect_list(value, path))]
     den = lcm(*(d for _, d in ratios))
     return _poly([n * (den // d) for n, d in ratios], den)
 
@@ -168,13 +162,10 @@ def descriptor_from_json(value, path: str = "$") -> SpectralCoverDescriptor:
         rank = 2 * g
         rows = []
         for j, row in enumerate(gens_raw):
-            if not (isinstance(row, list) and len(row) == rank
-                    and all(type(e) is int for e in row)):   # name the field at fault
-                rp = f"{cp}.kernel_generators[{j}]"
-                _require(len(_expect_list(row, rp)) == rank, rp, "expected {} entries", rank)
-                for k, e in enumerate(row):
-                    _expect_int(e, f"{rp}[{k}]")
-            rows.append(row)
+            rp = f"{cp}.kernel_generators[{j}]"
+            row = _expect_list(row, rp)
+            _require(len(row) == rank, rp, "expected {} entries", rank)
+            rows.append([_expect_int(e, f"{rp}[{k}]") for k, e in enumerate(row)])
         ambient = TorsionAmbient(g, modulus)
         kernel = subgroup_from_generators(
             ambient, IntMatrix.from_rows(rows) if rows else IntMatrix(0, rank, ()))

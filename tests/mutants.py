@@ -124,14 +124,6 @@ MUTANTS = [
      "return other if op is add else -other",
      "return other",
      ["tests/test_polynomials.py"]),
-    ("t-monic returns self for any constant leading coefficient", "polynomials.py",
-     "if lc == self.czero.one_like():",
-     "if lc.degree < 1:",
-     ["tests/test_polynomials.py"]),
-    ("pseudo-remainder skips the rescale for any constant lb", "polynomials.py",
-     "unit = lb == a.czero.one_like()",
-     "unit = lb.degree < 1",
-     ["tests/test_polynomials.py"]),
     # -- covers: R[sqrt(d)] arithmetic -----------------------------------------
     ("Surd skips the different-covers check", "covers.py",
      '            raise ValueError("operands live on different double covers")',
@@ -268,12 +260,12 @@ MUTANTS = [
      "den = max([1] + [d for _, d in ratios])",
      ["tests/test_cli.py"]),
     ("a bad coefficient reported at its polynomial's path", "serialize.py",
-     "        for i, c in enumerate(items):\n            _ratio(c, f\"{path}[{i}]\")\n",
-     "",
+     'ratios = [_ratio(c, f"{path}[{i}]")',
+     "ratios = [_ratio(c, path)",
      ["tests/test_cli.py"]),
-    ("generator entries not type-checked on the fast path", "serialize.py",
-     "\n                    and all(type(e) is int for e in row)",
-     "",
+    ("a bad generator entry reported at its row's path", "serialize.py",
+     '_expect_int(e, f"{rp}[{k}]")',
+     "_expect_int(e, rp)",
      ["tests/test_cli.py"]),
 ]
 

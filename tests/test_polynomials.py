@@ -12,6 +12,7 @@ from prymkit.polynomials import (
     Poly,
     RatFunc,
     TPoly,
+    power,
     pseudo_remainder,
     resultant,
     tpoly_over_ratfunc,
@@ -122,8 +123,11 @@ class TestPoly:
         t = TPoly((Poly.zero(), Poly.one()), Poly.zero())
         for base, one in ((x, Poly.one()), (t, TPoly((Poly.one(),), Poly.zero()))):
             assert base ** 0 == one
+            assert power(base, 1) is base
             with pytest.raises(ValueError):
                 base ** -1
+            with pytest.raises(ValueError):
+                power(base, 0)
 
     def test_power_squares_only_what_it_uses(self, monkeypatch):
         # x ** 5, 5 = 0b101: the result starts at x, so two squarings and
@@ -314,7 +318,7 @@ class TestTrivialOperands:
     def test_monic_and_pseudo_remainder_unit_against_scaled(self, a, b, c):
         # b is monic; scaled = c * b has leading coefficient c
         scaled = b.map_coeffs(lambda x: x * c, Poly.zero())
-        assert b.monic() is b and scaled.monic() == b
+        assert b.monic() == b and scaled.monic() == b
         k = max(a.degree - b.degree + 1, 0)
         want = pseudo_remainder(a, b).map_coeffs(lambda x: x * Fraction(c) ** k, Poly.zero())
         assert pseudo_remainder(a, scaled) == want
