@@ -7,9 +7,13 @@ Canonical generators (the basis mod M) are derived for output only.
 Intersection, multiplication preimage and kernel are one restriction
 {x in H : image(x) in L}: one Hermite form of rows stacked from the Hermite
 bases of H and L, whose right-hand rows are the result's Hermite basis.
+The image of a homomorphism is the subgroup its matrix rows generate, a
+Hermite form half as wide as the kernel's; the ``pi0`` check of the
+character restriction reads the image's order, not the kernel's.
 ``embed`` scales a Hermite basis and runs no elimination.  The Hermite form
-is the only normal-form kernel: the Smith form is built from alternating
-Hermite forms, which ``structure()`` runs with no transforms carried.
+is the only normal-form kernel: it clears each column using only the rows
+still nonzero there.  The Smith form is built from alternating Hermite
+forms, which ``structure()`` runs with no transforms carried.
 ``bareiss_det``, fraction-free over any integral domain, is the determinant
 of ``IntMatrix`` and of the norm engine.  All values are immutable and all
 operations are pure functions.
@@ -68,20 +72,20 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def column(self, j: int) -> tuple[int, ...]:
+        return self.entries[j::self.cols]
+
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows,
-                         tuple(self.get(i, j)
-                               for j in range(self.cols) for i in range(self.rows)))
+                         tuple(e for j in range(self.cols) for e in self.column(j)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.get(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        cols = [other.column(j) for j in range(other.cols)]
+        return IntMatrix(self.rows, other.cols,
+                         tuple(sum(map(operator.mul, self.row(i), col))
+                               for i in range(self.rows) for col in cols))
 
     def det(self) -> int:
         """Exact determinant (fraction-free Bareiss)."""
@@ -174,39 +178,40 @@ def _transpose(rows: list[list[int]], cols: int) -> list[list[int]]:
 def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
     """Row Hermite normal form of the lattice spanned by integer rows:
     row echelon, positive pivots, entries above each pivot reduced into
-    [0, pivot).  Zero rows are dropped.  Unique for the row lattice."""
+    [0, pivot).  Zero rows are dropped.  Unique for the row lattice.
+
+    Each column is cleared using only the rows still nonzero there; a row
+    that vanishes in the column is set aside for the later columns."""
     if not rows:
         return []
     work = [list(r) for r in rows]
-    ncols = len(work[0])
-    r = 0
-    for c in range(ncols):
-        while True:
-            nz = [i for i in range(r, len(work)) if work[i][c] != 0]
-            if not nz:
-                break
-            piv = min(nz, key=lambda i: abs(work[i][c]))
-            work[r], work[piv] = work[piv], work[r]
-            done = True
-            for i in range(r + 1, len(work)):
-                if work[i][c] != 0:
-                    q = work[i][c] // work[r][c]
-                    for k in range(ncols):
-                        work[i][k] -= q * work[r][k]
-                    if work[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < len(work) and work[r][c] != 0:
-            if work[r][c] < 0:
-                work[r] = [-e for e in work[r]]
-            for i in range(r):
-                q = work[i][c] // work[r][c]
-                if q:
-                    for k in range(ncols):
-                        work[i][k] -= q * work[r][k]
-            r += 1
-    return [row for row in work[:r] if any(row)]
+    done: list[list[int]] = []
+    for c in range(len(work[0])):
+        live, rest = [], []
+        for r in work:
+            (live if r[c] else rest).append(r)
+        if not live:
+            continue
+        work = rest
+        while len(live) > 1:
+            piv = min(live, key=lambda r: abs(r[c]))
+            p = piv[c]
+            nxt = [piv]
+            for r in live:
+                if r is not piv:
+                    q = r[c] // p
+                    r = [a - q * b for a, b in zip(r, piv)]
+                    (nxt if r[c] else work).append(r)
+            live = nxt
+        piv = live[0]
+        if piv[c] < 0:
+            piv = [-e for e in piv]
+        for i, r in enumerate(done):
+            q = r[c] // piv[c]
+            if q:
+                done[i] = [a - q * b for a, b in zip(r, piv)]
+        done.append(piv)
+    return done
 
 
 def _right_block(rows: list[list[int]], j: int) -> list[list[int]]:
@@ -469,10 +474,8 @@ class GroupHom:
     def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         if len(vec) != self.domain.rank:
             raise ValueError("vector has wrong length")
-        Mc = self.codomain.M
-        return tuple(
-            sum(vec[i] * self.matrix.get(i, j) for i in range(self.domain.rank)) % Mc
-            for j in range(self.codomain.rank))
+        Mc, m = self.codomain.M, self.matrix
+        return tuple(sum(map(operator.mul, vec, m.column(j))) % Mc for j in range(m.cols))
 
     def kernel(self) -> TorsionSubgroup:
         """{x : x*A in Mc*Z^kc}, restricted from the full domain."""
@@ -499,9 +502,9 @@ def dual_of_inclusion(k_sub: TorsionSubgroup, n: int) -> GroupHom:
     if n % k_sub.exponent != 0:
         raise ValueError("subgroup is not contained in the n-torsion")
     step = amb.M // n
-    rank = amb.rank
-    rows = [[e // step for e in g] for g in k_sub.generators.to_rows()]
-    rows += [[0] * rank] * (rank - len(rows))
+    gens = k_sub.generators
+    # column j of the matrix is generator j scaled down by step, zeros past the last
+    pad = [0] * (amb.rank - gens.rows)
     small = TorsionAmbient(amb.g, n)
-    mat = IntMatrix.from_rows(rows).transpose()
-    return GroupHom(small, small, mat)
+    return GroupHom(small, small, IntMatrix.from_rows(
+        [[e // step for e in gens.column(i)] + pad for i in range(amb.rank)]))

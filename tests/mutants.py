@@ -56,6 +56,23 @@ MUTANTS = [
      "d, _, _ = _smith_alternation([list(r) for r in h.basis], k, [[]] * k, [[]] * k)",
      "d = [list(r) for r in h.basis]",
      ["tests/test_abelian.py"]),
+    ("apply without the reduction mod Mc", "abelian.py",
+     "sum(map(operator.mul, vec, m.column(j))) % Mc",
+     "sum(map(operator.mul, vec, m.column(j)))",
+     ["tests/test_abelian.py"]),
+    # -- abelian: Hermite form ---------------------------------------------------
+    ("Hermite form without the reduction above the pivot", "abelian.py",
+     "done[i] = [a - q * b for a, b in zip(r, piv)]",
+     "pass",
+     ["tests/test_abelian.py"]),
+    ("Hermite form keeps a negative pivot row", "abelian.py",
+     "piv = [-e for e in piv]",
+     "pass",
+     ["tests/test_abelian.py"]),
+    ("Hermite form drops a row that vanishes at its column", "abelian.py",
+     "(nxt if r[c] else work).append(r)",
+     "(nxt if r[c] else []).append(r)",
+     ["tests/test_abelian.py"]),
     # -- abelian: Smith form and Bareiss ---------------------------------------
     ("Smith without the divisibility repair", "abelian.py",
      "if d[j] % d[i]), None)",
@@ -82,6 +99,10 @@ MUTANTS = [
      "maximal = desc.k.order == desc.n ** (2 * desc.g)",
      "maximal = shape",
      ["tests/test_spectral.py"]),
+    ("phi not checked on its image", "spectral.py",
+     "if hom.image().order != k.order:",
+     "if False:",
+     ["tests/test_spectral.py", "tests/test_cli.py"]),
     ("C_n shape without m = n", "spectral.py",
      " and desc.components[0].multiplicity == desc.n\n",
      "\n",

@@ -7,8 +7,10 @@ from itertools import product
 from math import gcd, prod
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 
 from prymkit.abelian import (
     AmbientMismatch,
@@ -30,6 +32,11 @@ from prymkit.abelian import (
 
 def _snf_diag(d):
     return [d.get(i, i) for i in range(min(d.rows, d.cols))]
+
+
+# sympy's regression case for its issue 23410: a column HNF that reads only
+# the last min(m, n) rows of its input drops a pivot of this 3 x 2 matrix
+SYMPY_HNF_READS_ALL_ROWS = sympy_hnf(sympy.Matrix([[1, 12], [0, 8], [0, 5]])).cols == 2
 
 
 class TestSmithNormalForm:
@@ -152,6 +159,32 @@ class TestHermiteNormalForm:
         b1 = hermite_normal_form([[3, 1], [1, 2]])
         b2 = hermite_normal_form([[1, 2], [3, 1]])
         assert b1 == b2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_against_sympy(self, data):
+        # r x c rows, r > c allowed, with zero entries, negative entries,
+        # zero rows and integer combinations of earlier rows (rank deficiency)
+        c = data.draw(st.integers(1, 6))
+        entry = st.one_of(st.just(0), st.integers(-9, 9))
+        rows = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                                  min_size=1, max_size=7))
+        for a, b in data.draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                                       max_size=2)):
+            rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+        if data.draw(st.booleans()):
+            rows.insert(data.draw(st.integers(0, len(rows))), [0] * c)
+        if not SYMPY_HNF_READS_ALL_ROWS:
+            # such a sympy reads only our first min(r, c) columns, so it is
+            # compared only where every pivot (of the rational rref) lies there
+            if any(j >= min(len(rows), c) for j in sympy.Matrix(rows).rref()[1]):
+                return
+        # sympy's form is column-style with pivots at the bottom right:
+        # reverse each row, transpose, and read its columns back reversed
+        h = sympy_hnf(sympy.Matrix([r[::-1] for r in rows]).T)
+        expected = [[int(e) for e in reversed(h.col(j))] for j in range(h.cols)]
+        expected.sort(key=lambda r: next(j for j, e in enumerate(r) if e))
+        assert hermite_normal_form(rows) == expected
 
 
 class TestSubgroups:
@@ -484,10 +517,17 @@ class TestGroupHomKernel:
         Md = rng.randint(2, 12)
         Mc = rng.choice([c for c in range(1, Md) if Md % c == 0])
         k = 2 * g
-        mat = IntMatrix(k, k, tuple(rng.randrange(Mc) for _ in range(k * k)))
-        hom = GroupHom(TorsionAmbient(g, Md), TorsionAmbient(g, Mc), mat)
+        entries = tuple(rng.randrange(Mc) for _ in range(k * k))
+        hom = GroupHom(TorsionAmbient(g, Md), TorsionAmbient(g, Mc), IntMatrix(k, k, entries))
         zero = (0,) * k
-        expected = {x for x in product(range(Md), repeat=k) if hom.apply(x) == zero}
+        expected = set()
+        for x in product(range(Md), repeat=k):
+            # x*A mod Mc by the test's own arithmetic, entries row-major
+            image = tuple(sum(x[i] * entries[i * k + j] for i in range(k)) % Mc
+                          for j in range(k))
+            assert hom.apply(x) == image
+            if image == zero:
+                expected.add(x)
         ker = hom.kernel()
         assert ker.elements() == expected
         assert ker.order == len(expected)

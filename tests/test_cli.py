@@ -167,6 +167,24 @@ class TestCli:
         path = self._write(tmp_path, "d.json", doc)
         assert main(["pi0", "--input", path]) == 3
 
+    def test_pi0_phi_check_exit_3(self, tmp_path, capsys, monkeypatch):
+        from prymkit.abelian import GroupHom, IntMatrix, TorsionAmbient
+
+        def zero_map(k_sub, n):
+            small = TorsionAmbient(k_sub.ambient.g, n)
+            return GroupHom(small, small, IntMatrix.zero(small.rank, small.rank))
+
+        # K has order 2, the zero map's image order 1
+        monkeypatch.setattr(spectral, "dual_of_inclusion", zero_map)
+        doc = {"n": 2, "g": 1, "components": [
+            {"degree": 2, "multiplicity": 1, "kernel_modulus": 2,
+             "kernel_generators": [[1, 0]]}]}
+        path = self._write(tmp_path, "d.json", doc)
+        assert main(["pi0", "--input", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "character restriction has the wrong kernel" in captured.err
+
     def test_pi0_kernel_modulus_not_dividing_exit_3(self, tmp_path, capsys):
         # ambient modulus lcm(2, 1 * 2) = 2 is not a multiple of 3
         doc = {"n": 2, "g": 1, "components": [

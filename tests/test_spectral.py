@@ -6,7 +6,13 @@ from math import isqrt
 import pytest
 
 from prymkit import spectral
-from prymkit.abelian import IntMatrix, TorsionAmbient, structure, subgroup_from_generators
+from prymkit.abelian import (
+    GroupHom,
+    IntMatrix,
+    TorsionAmbient,
+    structure,
+    subgroup_from_generators,
+)
 from prymkit.spectral import (
     ComponentData,
     DescriptorError,
@@ -25,6 +31,13 @@ from prymkit.spectral import (
     variant_bound,
 )
 from prymkit.verify import cn_descriptor, random_descriptor
+
+
+def zero_character_map(k_sub, n):
+    """A wrong stand-in for dual_of_inclusion: the zero map on (Z/n)^(2g),
+    whose image is trivial and whose kernel is everything."""
+    small = TorsionAmbient(k_sub.ambient.g, n)
+    return GroupHom(small, small, IntMatrix.zero(small.rank, small.rank))
 
 
 def integral_descriptor(n: int, g: int) -> SpectralCoverDescriptor:
@@ -157,6 +170,24 @@ class TestComponentGroup:
         hom = phi_surjection(desc)
         assert hom.kernel().order == 1
         assert hom.image().order == 3 ** 2
+
+    def test_phi_kernel_random(self):
+        # phi is checked on its image; its kernel, computed on its own,
+        # has the order n^(2g) / |K| that the image check stands for
+        rng = random.Random(23)
+        for _ in range(30):
+            desc = random_descriptor(rng, max_n=6, max_g=2)
+            hom = phi_surjection(desc)
+            assert hom.kernel().order * desc.k.order == desc.n ** (2 * desc.g)
+
+    def test_phi_check_fires(self, monkeypatch):
+        monkeypatch.setattr(spectral, "dual_of_inclusion", zero_character_map)
+        amb = TorsionAmbient(1, 2)
+        k = subgroup_from_generators(amb, IntMatrix.from_rows([[1, 0]]))
+        desc = SpectralCoverDescriptor(2, 1, (ComponentData(2, 1, k),))
+        assert desc.k.order == 2
+        with pytest.raises(InvariantViolation, match="character restriction has the wrong kernel"):
+            phi_surjection(desc)
 
 
 def _brute_force_k(desc, M):
