@@ -316,7 +316,7 @@ class TorsionSubgroup:
         entries = tuple(e for r in reduced if any(r) for e in r)
         return IntMatrix(len(entries) // k, k, entries)
 
-    @property
+    @cached_property
     def exponent(self) -> int:
         """Least e with e*H = 0: M over the gcd of M and every basis entry."""
         return self.ambient.M // gcd(self.ambient.M, *(e for r in self.basis for e in r))

@@ -5,9 +5,12 @@ Each command reads its input, dispatches to the library and returns
 emits it (sorted keys, stable payloads) and picks the exit code: 0 success,
 1 a ``verify`` payload whose ``all_passed`` is false, 2 malformed input or
 usage, 3 semantic invariant violation, 4 internal error (an exception the
-library does not expect to raise).  The parser is built on the first
-``main()`` call and reused, so ``main(argv)`` may be called repeatedly in
-one process.
+library does not expect to raise).  A well-formed argv (the command, then
+each of its options once as ``--flag value``) becomes the namespace
+directly; argparse is built, on the first call that needs it and then
+reused, only for help and for argv the fast path declines, so it alone
+words every help, usage and error message.  ``main(argv)`` may be called
+repeatedly in one process.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import hashlib
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .abelian import AmbientMismatch
@@ -74,9 +78,39 @@ def _report(command: str, digest: str, payload: dict) -> dict:
             "version": __version__, "payload": payload}
 
 
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for a value nested at
+    ``indent``, written directly: the C encoder takes no indent, and the
+    pure-Python one costs a generator per container.  Dicts with str keys,
+    lists, tuples, strs, ints, bools and None are written here; any other
+    value is handed to json.dumps, whose newlines are then indented."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    inner = indent + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [_json(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if kind is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}"
+                 for k in sorted(value)]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
 def _emit(report: dict, fmt: str):
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_json(report))
     else:
         print(f"command: {report['command']}")
         print(f"version: {report['version']}")
@@ -186,6 +220,7 @@ def _cmd_verify(args) -> tuple[str, dict]:
 
 # name, help text, options besides --format (a command listing none takes --input)
 _INPUT = (("--input", {"required": True, "help": "input JSON file"}),)
+_FORMAT = ("--format", {"choices": ["json", "table"], "default": "json"})
 _COMMANDS = (
     ("pi0", "component group of the Prym variety", ()),
     ("endoscopy", "endoscopic dimension table and bound",
@@ -208,15 +243,62 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, options in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        for flag, kwargs in options or _INPUT:
+        for flag, kwargs in (*(options or _INPUT), _FORMAT):
             p.add_argument(flag, **kwargs)
-        p.add_argument("--format", choices=["json", "table"], default="json")
     return parser
 
 
+@functools.cache
+def _fast_table() -> dict:
+    """command -> ({flag: (dest, type, choices)}, defaults, required flags),
+    read from the same declarations as build_parser."""
+    table = {}
+    for name, _help, options in _COMMANDS:
+        declared = (*(options or _INPUT), _FORMAT)
+        table[name] = (
+            {flag: (flag[2:], kw.get("type"), kw.get("choices")) for flag, kw in declared},
+            {"command": name, **{flag[2:]: kw.get("default") for flag, kw in declared}},
+            {flag for flag, kw in declared if kw.get("required")})
+    return table
+
+
+def _fast_args(argv) -> argparse.Namespace | None:
+    """The namespace build_parser().parse_args(argv) would return, built
+    without argparse; None unless argv is a list or tuple of strs
+    ``[command, flag, value, ...]`` in which each flag is one the command
+    declares, given once with a value not starting with '-', every choice
+    and int() conversion holds and every required option is present."""
+    if not isinstance(argv, (list, tuple)) or not all(type(a) is str for a in argv):
+        return None
+    spec = _fast_table().get(argv[0]) if len(argv) % 2 else None
+    if spec is None:
+        return None
+    options, defaults, required = spec
+    values = dict(defaults)
+    flags = argv[1::2]
+    if len(set(flags)) < len(flags) or not required.issubset(flags):
+        return None
+    for flag, value in zip(flags, argv[2::2]):
+        option = options.get(flag)
+        if option is None or value.startswith("-"):
+            return None
+        dest, convert, choices = option
+        if convert is not None:
+            try:
+                value = convert(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = _fast_args(argv) or build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_SCHEMA if exc.code not in (0, None) else 0
     try:

@@ -270,6 +270,31 @@ MUTANTS = [
      "for pick in picks if p.degree % 2 == 0 else ():",
      "for pick in ():",
      ["tests/test_covers.py"]),
+    # -- cli: the argv fast path and the JSON writer ---------------------------
+    ("fast path takes a value starting with '-'", "cli.py",
+     'if option is None or value.startswith("-"):',
+     "if option is None:",
+     ["tests/test_cli.py"]),
+    ("fast path takes argv missing a required option", "cli.py",
+     "if len(set(flags)) < len(flags) or not required.issubset(flags):",
+     "if len(set(flags)) < len(flags):",
+     ["tests/test_cli.py"]),
+    ("fast path takes any --format value", "cli.py",
+     "if choices is not None and value not in choices:",
+     "if False:",
+     ["tests/test_cli.py"]),
+    ("JSON keys left unsorted", "cli.py",
+     "for k in sorted(value)]",
+     "for k in value]",
+     ["tests/test_cli.py"]),
+    ("empty dict written as {\\n}", "cli.py",
+     'return "{}"',
+     'return "{\\n}"',
+     ["tests/test_cli.py"]),
+    ("tuple written compact", "cli.py",
+     "    if kind is list or kind is tuple:\n",
+     "    if kind is tuple:\n        return json.dumps(value)\n    if kind is list:\n",
+     ["tests/test_cli.py"]),
     # -- serialize ---------------------------------------------------------------
     ("rational with a zero denominator accepted", "serialize.py",
      "    if not den:\n"

@@ -1,6 +1,9 @@
 """Tests for JSON schemas and the command-line interface."""
 
 import argparse
+import contextlib
+import functools
+import io
 import json
 import os
 import random
@@ -11,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prymkit import cli, spectral, verify
 from prymkit.cli import main
@@ -525,8 +530,171 @@ class TestCli:
             built.append(kwargs.get("prog"))
             init(self, *args, **kwargs)
 
+        # a fresh cache, and --n=6, which only argparse reads
+        monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        assert main(["endoscopy", "--n", "6", "--g", "2"]) == 0
+        assert main(["endoscopy", "--n=6", "--g", "2"]) == 0
         after_first = len(built)
-        assert main(["endoscopy", "--n", "6", "--g", "2"]) == 0
+        assert after_first == 1 + len(cli._COMMANDS)
+        assert main(["endoscopy", "--n=6", "--g", "2"]) == 0
         assert len(built) == after_first
+
+
+# -- the front door's fast path -------------------------------------------------
+
+_FLAGS = ["--input", "--n", "--g", "--suite", "--seed", "--format"]
+_TOKENS = (_FLAGS + [
+    "-h", "--help", "--in", "--inp", "--fo", "--su", "--se", "--input=x.json",
+    "--n=6", "--format=table", "--", "-", "-5", "--5", "x.json", "", "6", " 7",
+    "1_0", "0x10", "\u0663", "1.5", "10" * 30, "json", "table", "xml", "Table",
+    "abelian", "pi0", "a b"])
+_WELL_FORMED = {
+    "pi0": [["--input", "x.json"]], "norm": [["--input", "x.json"]],
+    "factor": [["--input", "x.json"]], "galois": [["--input", "x.json"]],
+    "endoscopy": [["--n", "6"], ["--g", "2"]],
+    "verify": [["--suite", "abelian"], ["--seed", "3"]],
+}
+
+
+def _parsed(argv):
+    """vars() of build_parser().parse_args(argv), "exit" where argparse
+    exits and "raised" where it raises anything else."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return "exit"
+        except Exception:
+            return "raised"
+
+
+@st.composite
+def _argv(draw):
+    """[command, flag, value, ...] over declared, abbreviated, repeated,
+    '=' and help flags, values that argparse refuses or reads, and now and
+    then a non-str entry or a dropped or added token."""
+    command = draw(st.sampled_from([*_WELL_FORMED, "nosuch", "-h", "--help"]))
+    tokens = st.sampled_from(_TOKENS)
+    argv = [command]
+    for _ in range(draw(st.integers(0, 4))):
+        argv += [draw(tokens), draw(tokens)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(argv)))
+        if draw(st.booleans()):
+            argv.insert(i, draw(st.one_of(tokens, st.integers(-10, 10), st.none(),
+                                          st.just(Path("x.json")))))
+        else:
+            del argv[i:i + 1]
+    return argv
+
+
+@st.composite
+def _well_formed_argv(draw):
+    """A command's own options (a required one always, the rest maybe), in
+    any order, each once with a plain value; the fast path takes these."""
+    command = draw(st.sampled_from(list(_WELL_FORMED)))
+    pairs = [pair for pair in _WELL_FORMED[command]
+             if pair[0] in ("--input", "--suite") or draw(st.booleans())]
+    if draw(st.booleans()):
+        pairs.append(["--format", draw(st.sampled_from(["json", "table"]))])
+    pairs = draw(st.permutations(pairs))
+    return [command] + [token for pair in pairs for token in pair]
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-10 ** 40, 10 ** 40)
+                | st.text() | st.text(st.characters(max_codepoint=0x20))
+                | st.floats(allow_nan=True))
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=4)
+                      | st.dictionaries(st.integers(-5, 5), children, max_size=3)),
+    max_leaves=30)
+
+
+class TestFrontDoor:
+    @settings(max_examples=400, deadline=None)
+    @given(_argv())
+    def test_fast_args_never_accepts_what_argparse_refuses(self, argv):
+        fast = cli._fast_args(argv)
+        if fast is not None:
+            assert vars(fast) == _parsed(argv)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_well_formed_argv())
+    def test_fast_args_takes_well_formed_argv(self, argv):
+        fast = cli._fast_args(argv)
+        assert fast is not None and vars(fast) == _parsed(argv)
+
+    def test_fast_args_declines(self):
+        # each of these parses (or exits) in argparse, which alone words it
+        for argv in (["endoscopy", "--n", "-5", "--g", "2"], ["norm", "--input=x"],
+                     ["norm", "--in", "x"], ["norm", "--input", "x", "--input", "y"],
+                     ["norm", "--input", "x", "--format", "xml"], ["verify", "--seed", "1"],
+                     ["endoscopy", "--n", "0x10", "--g", "2"], ["norm", "-h"], ["norm"],
+                     ["norm", "--input", Path("x")], [], ("norm", "--input"),
+                     iter(["norm", "--input", "x"]), "norm --input x"):
+            assert cli._fast_args(argv) is None, argv
+        assert vars(cli._fast_args(("endoscopy", "--g", "2", "--n", "1_0"))) == {
+            "command": "endoscopy", "n": 10, "g": 2, "format": "json"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES)
+    def test_json_writer_matches_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_json_writer_edges(self):
+        for value in ({}, [], (), {"a": {}, "b": [], "c": ()}, [[[]]], "\x00\u2028\U0001f600",
+                      2 ** 200, -1, True, None, {"k": [1, (2, {"z": None, "a": False})]},
+                      {1: [2, {3: []}]}, 1.5, [float("inf")]):
+            assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2), value
+
+    def _argvs(self, tmp_path):
+        """A well-formed argv for each of the six commands."""
+        files = {
+            "pi0": descriptor_to_json(cn_descriptor(3, 1)),
+            "norm": {"spectral": {"n": 2, "deg_m": 1, "coeffs": [[], ["0/1", "-1/1"]]},
+                     "element": [[], ["1/1"]]},
+            "factor": spectral_to_json(SpectralPoly(2, 1, (X.scale(-2), X * X))),
+            "galois": {"cover": {"f": ["0/1", "1/1"]},
+                       "spectral": {"n": 2, "deg_m": 1, "coeffs": [[], ["0/1", "-1/1"]]}},
+        }
+        argvs = []
+        for command, doc in files.items():
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(doc))
+            argvs.append([command, "--input", str(path)])
+        return argvs + [["endoscopy", "--n", "6", "--g", "2", "--format", "table"],
+                        ["verify", "--suite", "abelian", "--seed", "0"]]
+
+    def test_well_formed_argv_builds_no_parser(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        # a fresh cache, so that a parser an earlier test built is not reused
+        monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for argv in self._argvs(tmp_path):
+            assert main(argv) == 0, argv
+            assert built == [], argv
+        fast = capsys.readouterr().out
+        # the same argv with --flag=value take argparse, and print the same
+        for argv in self._argvs(tmp_path):
+            assert main([argv[0], "=".join(argv[1:3]), *argv[3:]]) == 0, argv
+        assert capsys.readouterr().out == fast
+        assert len(built) == 1 + len(cli._COMMANDS)
+
+    def test_console_script_reads_sys_argv(self, tmp_path, capsys, monkeypatch):
+        for argv in self._argvs(tmp_path) + [["endoscopy", "--n=6", "--g", "2"],
+                                             ["norm", "--input", "x", "--input", "y"],
+                                             ["pi0", "--help"]]:
+            code = main(list(argv))
+            expected = capsys.readouterr()
+            monkeypatch.setattr(sys, "argv", ["prymkit", *argv])
+            assert main() == code, argv
+            assert capsys.readouterr() == expected, argv
