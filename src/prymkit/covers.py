@@ -9,12 +9,16 @@ A function on it, polynomial in t, is one Surd P + y*Q: P and Q are
 t-polynomials over Q[x] and d is f as a constant t-polynomial, so the
 product with the conjugate P - y*Q is P^2 - f*Q^2.  The same type over
 Q[t], A + sqrt(d0)*B, is a factor of q(x0, t) over the field Q(sqrt(d0)),
-d0 = f(x0), at a point x0.  The splitter finds those factors from one lift
+d0 = f(x0), at a point x0; Surd.norm is a^2 - d*b^2, the pushforward and
+the splitter's certificate.  The splitter finds those factors from one lift
 of q(x0)'s factors mod a prime split in the field (Zassenhaus over Q, then
 each even Q-factor split from its own lifted factors), and lifts a half
 A + sqrt(d0)*B in x - x0 on pairs of Poly in t, to a precision set by the
 block's own slope max ceil(deg c_i / (n - i)).  x0 is an integer, so
 specialising and shifting (a Taylor shift) at x0 run on integer numerators.
+Poly.is_squarefree, certified mod a small prime before any Euclid over Q,
+tests f and q(x0); the l-adic factoring shares its integer-list helpers
+mod m (_mod, _add, _mul, _divmod, _xgcd), in polynomials.py.
 """
 
 from __future__ import annotations
@@ -29,15 +33,8 @@ from typing import Optional
 
 from .norms import SpectralPoly, spectral_mul, spectral_pow
 from .polynomials import (
-    Poly,
-    TPoly,
-    _poly,
-    horner,
-    pseudo_remainder,
-    power,
-    resultant,
-    yun_squarefree,
-)
+    Poly, TPoly, _add, _divmod, _mod, _mul, _poly, _xgcd, horner, power,
+    pseudo_remainder, resultant, yun_squarefree)
 
 
 @dataclass(frozen=True)
@@ -167,11 +164,9 @@ class Surd:
     def conjugate(self) -> "Surd":
         return Surd(self.a, -self.b, self.d)
 
-
-def _on_cover(p: TPoly, f: Poly) -> Surd:
-    """p + y*0 on y^2 = f, for p in Q[x][t]."""
-    z = p.czero
-    return Surd(p, TPoly((), z), TPoly((f,), z))
+    def norm(self):
+        """a^2 - d*b^2, the product with the conjugate (its sqrt(d) part is 0)."""
+        return self.a * self.a - self.d * (self.b * self.b)
 
 
 @dataclass(frozen=True)
@@ -208,18 +203,13 @@ class TwistedSpectralPoly:
 
 def galois_pushforward(cover: DoubleCoverData,
                        s_b: TwistedSpectralPoly) -> SpectralPoly:
-    """Product of s_b with its Galois conjugate, reduced mod y^2 = f; the
-    y-components cancel and the result descends to a spectral polynomial of
-    degree 2m over the base.  Its t^(2m-1) coefficient is twice the
-    invariant part of b_1."""
+    """Product of s_b = P + y*Q with its Galois conjugate mod y^2 = f, the
+    norm P^2 - f*Q^2: its y-part P*Q - P*Q is zero as TPoly multiplication
+    commutes, so it descends, unchecked, to a spectral polynomial of degree
+    2m over the base.  Its t^(2m-1) coefficient is twice that of u_1."""
     if s_b.cover != cover:
         raise ValueError("twisted polynomial lives on a different cover")
-    w = s_b.as_surd()
-    norm = w * w.conjugate()
-    if not norm.b.is_zero():
-        raise RuntimeError("pushforward retained y-dependence; "
-                           "conjugate-product arithmetic is broken")
-    return SpectralPoly.from_tpoly(norm.a, s_b.deg_m)
+    return SpectralPoly.from_tpoly(s_b.as_surd().norm(), s_b.deg_m)
 
 
 def pullback_splits(cover: DoubleCoverData,
@@ -266,7 +256,7 @@ def pullback_splits(cover: DoubleCoverData,
         if w is None:
             if e % 2 != 0:
                 return None
-            w, e = _on_cover(q, cover.f), e // 2
+            w, e = Surd(q, TPoly((), q.czero), TPoly((cover.f,), q.czero)), e // 2
         w = power(w, e)
         acc = w if acc is None else acc * w
     pairs = tuple((acc.a.coeff(j), acc.b.coeff(j)) for j in reversed(range(m)))
@@ -359,67 +349,29 @@ def _x_adic_lift(s: list[Poly], a: Poly, b: Poly, d: Fraction) -> tuple[list, li
     return P, Q
 
 
-# -- factoring over Q and over Q(sqrt(d)), on integer polynomials: lists of
-# ints, ascending, with no trailing zeros and, reduced mod m, entries in [0, m)
-
-
-def _mod(a: list, m: int, sym: bool = False) -> list:
-    """a mod m, with entries in (-m/2, m/2] when sym."""
-    a = [c % m for c in a]
-    while a and not a[-1]:
-        a.pop()
-    return [c - m if 2 * c > m else c for c in a] if sym else a
-
-
-def _add(a: list, b: list, k: int = 1) -> list:
-    """a + k*b, perhaps with trailing zeros."""
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] += k * c
-    return out
-
-
-def _mul(a: list, b: list) -> list:
-    """a*b."""
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+# -- factoring over Q and over Q(sqrt(d)), on integer polynomials mod m
+# (the list helpers of polynomials.py)
 
 
 def _prod(fs: list, m: int) -> list:
     return functools.reduce(lambda acc, g: _mod(_mul(acc, g), m), fs, [1])
 
 
-def _divmod(a: list, b: list, m: int) -> tuple[list, list]:
-    """Quotient and remainder of a by b mod m, b monic."""
-    r = _mod(a, m)
-    q = [0] * max(len(r) - len(b) + 1, 0)
-    for i in range(len(q) - 1, -1, -1):
-        c = q[i] = r[i + len(b) - 1] % m
-        for j, y in enumerate(b):
-            r[i + j] -= c * y
-    return q, _mod(r[:len(b) - 1], m)
-
-
-def _xgcd(a: list, b: list, p: int) -> tuple[list, list]:
-    """(g, t): g = gcd(a, b) mod the prime p, monic if a is or b != 0, t*b = g mod a."""
-    r0, r1, t0, t1 = _mod(a, p), _mod(b, p), [], [1]
-    while r1:
-        inv = pow(r1[-1], -1, p)
-        r1, t1 = [c * inv % p for c in r1], [c * inv % p for c in t1]
-        q, r = _divmod(r0, r1, p)
-        r0, r1, t0, t1 = r1, r, t1, _mod(_add(t0, _mul(q, t1), -1), p)
-    return r0, t0
-
-
 def _powmod(a: list, k: int, f: list, p: int) -> list:
-    """a^k mod (f, p), f monic, by squaring."""
-    if k == 0:
-        return [1]
-    h = _powmod(_divmod(_mul(a, a), f, p)[1], k // 2, f, p)
-    return _divmod(_mul(h, a), f, p)[1] if k & 1 else h
+    """a^k mod (f, p), f monic, for k >= 1 and a reduced with deg a < deg f:
+    per bit of k below the top, a square, a product by a if set, each reduced
+    mod f in place, building no quotient."""
+    n, h = len(f) - 1, a
+    for bit in bin(k)[3:]:
+        for x in (h, a) if bit == "1" else (h,):   # h*h, then h*a
+            r = _mul(h, x)
+            for i in range(len(r) - 1, n - 1, -1):
+                c = r[i] % p
+                if c:
+                    for j in range(n):
+                        r[i - n + j] -= c * f[j]
+            h = _mod(r[:n], p)
+    return h
 
 
 def _factor_mod(f: list, p: int) -> list:
@@ -433,6 +385,7 @@ def _factor_mod(f: list, p: int) -> list:
         h = _powmod(h, p, f, p)
         g = _xgcd(f, _add(h, [0, 1], -1), p)[0]
         f, todo = _divmod(f, g, p)[0], [g] * (len(g) > 1)
+        h = _divmod(h, f, p)[1]
         while todo:
             g = todo.pop()
             if len(g) == i + 1:
@@ -459,6 +412,8 @@ def _hensel(f: list, fs: list, p: int, m: int) -> list:
         e = _mod(_add(f, _mul(g, h), -1), q)
         c, r = _divmod(_mul(s, e), h, q)
         g, h = _mod(_add(g, _add(_mul(t, e), _mul(c, g))), q), _mod(_add(h, r), q)
+        if q >= m:
+            break   # s and t are read only by a further step
         b = _mod(_add(_add(_mul(s, g), _mul(t, h)), [1], -1), q)
         c, r = _divmod(_mul(s, b), h, q)
         s, t = _mod(_add(s, r, -1), q), _mod(_add(t, _add(_mul(t, b), _mul(c, g)), -1), q)
@@ -512,15 +467,15 @@ def _factor_over_quadratic_field(qq: Poly, d: Fraction) -> list[Surd]:
     bound = (2 ** (n + 1) * (math.isqrt(sum(x * x for x in f)) + 1) *
              max(c, math.isqrt(abs(e)) + 1))
     fs, m, r = _lifted_factors(f, bound, e)
-    over_q, left, k, rest = [], list(range(len(fs))), 1, Poly(f)
+    over_q, left, k, rest = [], list(range(len(fs))), 1, _poly(f, 1)
     while 2 * k <= len(left):
         for sub in itertools.combinations(left, k):
             g = _mod([rest.ints[-1] * x for x in _prod([fs[i] for i in sub], m)], m, sym=True)
             if g[0] and rest.ints[-1] * rest.ints[0] % g[0]:
                 continue    # g(0) divides lc(rest)*rest(0) if g is a factor
-            quo, rem = rest.divmod(Poly(g).scale(Fraction(1, math.gcd(*g))))
+            quo, rem = rest.divmod(_poly(list(g), math.gcd(*g)))
             if not rem:     # the primitive part of g divides rest, so quo is in Z[t]
-                over_q.append((Poly(g).monic(), sub))
+                over_q.append((_poly(g, g[-1]), sub))
                 rest, left = quo, [i for i in left if i not in sub]
                 break
         else:
@@ -534,8 +489,8 @@ def _factor_over_quadratic_field(qq: Poly, d: Fraction) -> list[Surd]:
                 continue
             g1 = _prod([fs[i] for i in (sub[0],) + pick], m)
             g2 = _prod([fs[i] for i in sub[1:] if i not in pick], m)
-            a = Poly(_mod([c * x for x in _add(g1, g2)], m, sym=True))
-            b = Poly(_mod([c * r * x for x in _add(g1, g2, -1)], m, sym=True))
+            a = _poly(_mod([c * x for x in _add(g1, g2)], m, sym=True), 1)
+            b = _poly(_mod([c * r * x for x in _add(g1, g2, -1)], m, sym=True), 1)
             if a * a * e - b * b == p.scale(4 * e * c * c):
                 h = Surd(a.scale(Fraction(1, 2 * c)), b.scale(Fraction(1, 2 * c * d.numerator)), d)
                 out += [h, h.conjugate()]
@@ -562,11 +517,11 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, point) -> Optional
     and 2^(pairs - 1) halves remain, products of Surds.  Each is
     Hensel-lifted to a series in (x - x0) whose terms are pairs of
     t-polynomials over Q (_x_adic_lift), once per candidate; the witness
-    is recovered exactly and certified.  Its degree is bounded by q's own
-    slope s = max ceil(deg c_i / (n - i)) over q = t^n + sum c_i t^i: a
-    root of q has pole order at most s (in units of that of x), as its
-    t^n term would otherwise outgrow the rest, so u_j and v_j have degree
-    at most j*s <= half*s, and half*s + 1 terms of the series hold them.
+    is recovered exactly and certified by W.norm() = q.  Its degree is
+    bounded by q's own slope s = max ceil(deg c_i / (n - i)) over q = t^n +
+    sum c_i t^i: a root of q has pole order at most s (in units of that of
+    x), as its t^n term would otherwise outgrow the rest, so u_j and v_j
+    have degree at most j*s <= half*s, and half*s + 1 terms hold them.
     q is monic in t, so a squarefree q(x0) means disc_t(q)(x0) != 0: q is
     squarefree over Q(x).  As W is in Q[x][y][t], the self-conjugate test
     holds at every such point: with two or more pairs 3 more are tried before
@@ -596,7 +551,7 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, point) -> Optional
     # the other pairs by ascending lower index, partner first: a fixed
     # order, which decides the witness returned when several exist
     rest = [(j, i) for i, j in enumerate(partner) if 0 < i < j]
-    q_lift = _on_cover(q, f)
+    d = TPoly((f,), q.czero)
     for picks in itertools.product(*rest):
         a0 = functools.reduce(lambda g, i: g * factors[i], picks, factors[partner[0]])
         # the lift of conj(a0) is the conjugate of the lift of a0 (Hensel
@@ -607,8 +562,8 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, point) -> Optional
         # u_j(x0 + z) = sum_k P_k[j] z^k and g*v_j(x0 + z) = -sum_k Q_k[j] z^k
         w = Surd(TPoly([_poly_shift(pj, -x0) for pj in _transpose(P, half + 1)], q.czero),
                  TPoly([_poly_shift(-(qj * g_inv).truncate(prec), -x0)
-                        for qj in _transpose(Q, half + 1)], q.czero), q_lift.d)
-        if w * w.conjugate() == q_lift:
+                        for qj in _transpose(Q, half + 1)], q.czero), d)
+        if w.norm() == q:
             return w
     return None
 

@@ -304,9 +304,13 @@ class Poly:
             p, mult = q, mult + 1
 
     def is_squarefree(self) -> bool:
-        if self.is_zero():
-            return False
-        return self.gcd(self.derivative()).degree <= 0
+        """No repeated factor over Q: gcd(F, F') = 1 mod a prime p from 3 to
+        13 not dividing F's leading numerator puts disc(F) != 0 mod p; only
+        when every such p fails is the gcd with F' taken over Q."""
+        f, df = self.ints, [i * c for i, c in enumerate(self.ints)][1:]
+        if f and any(f[-1] % p and len(_xgcd(f, df, p)[0]) == 1 for p in (3, 5, 7, 11, 13)):
+            return True
+        return bool(f) and self.gcd(self.derivative()).degree <= 0
 
     def __repr__(self):
         if self.is_zero():
@@ -357,6 +361,60 @@ def _times(p: Poly, n: int, d: int) -> Poly:
     if n == d:
         return p
     return _poly([a * n for a in p.ints], p.denom * d)
+
+
+# -- integer polynomials mod m, for the squarefree test above and covers.py:
+# lists of ints, ascending, no trailing zeros and, reduced, entries in [0, m)
+
+
+def _mod(a: Sequence, m: int, sym: bool = False) -> list:
+    """a mod m, with entries in (-m/2, m/2] when sym."""
+    a = [c % m for c in a]
+    while a and not a[-1]:
+        a.pop()
+    return [c - m if 2 * c > m else c for c in a] if sym else a
+
+
+def _add(a: list, b: list, k: int = 1) -> list:
+    """a + k*b, perhaps with trailing zeros."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] += k * c
+    return out
+
+
+def _mul(a: list, b: list) -> list:
+    """a*b, perhaps with trailing zeros if a or b has them."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _divmod(a: list, b: list, m: int) -> tuple[list, list]:
+    """Quotient and remainder of a by b mod m, b monic.  a need not be
+    reduced; the quotient's entries are, but top entries of a that vanish
+    mod m leave zeros at its top."""
+    r = list(a)
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + len(b) - 1] % m
+        for j, y in enumerate(b):
+            r[i + j] -= c * y
+    return q, _mod(r[:len(b) - 1], m)
+
+
+def _xgcd(a: Sequence, b: Sequence, p: int) -> tuple[list, list]:
+    """(g, t): g = gcd(a, b) mod the prime p, monic if a is or b != 0, t*b = g mod a."""
+    r0, r1, t0, t1 = _mod(a, p), _mod(b, p), [], [1]
+    while r1:
+        inv = pow(r1[-1], -1, p)
+        r1, t1 = [c * inv % p for c in r1], [c * inv % p for c in t1]
+        q, r = _divmod(r0, r1, p)
+        r0, r1, t0, t1 = r1, r, t1, _mod(_add(t0, _mul(q, t1), -1), p)
+    return r0, t0
 
 
 class RatFunc:

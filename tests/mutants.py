@@ -145,10 +145,28 @@ MUTANTS = [
      "return other if op is add else -other",
      "return other",
      ["tests/test_polynomials.py"]),
+    # -- polynomials: the squarefree certificate and integer lists mod m --------
+    ("squarefree certificate taken at a prime dividing the leading numerator",
+     "polynomials.py",
+     "if f and any(f[-1] % p and len(_xgcd(f, df, p)[0]) == 1 for p in (3, 5, 7, 11, 13)):",
+     "if f and any(len(_xgcd(f, df, p)[0]) == 1 for p in (3, 5, 7, 11, 13)):",
+     ["tests/test_polynomials.py"]),
+    ("no squarefree test over Q once every prime fails", "polynomials.py",
+     "return bool(f) and self.gcd(self.derivative()).degree <= 0",
+     "return False",
+     ["tests/test_polynomials.py"]),
+    ("integer division mod m leaves its remainder unreduced", "polynomials.py",
+     "    return q, _mod(r[:len(b) - 1], m)\n",
+     "    return q, r[:len(b) - 1]\n",
+     ["tests/test_polynomials.py"]),
     # -- covers: R[sqrt(d)] arithmetic -----------------------------------------
     ("Surd skips the different-covers check", "covers.py",
      '            raise ValueError("operands live on different double covers")',
      "            pass",
+     ["tests/test_covers.py"]),
+    ("Surd.norm adds d*b^2", "covers.py",
+     "return self.a * self.a - self.d * (self.b * self.b)",
+     "return self.a * self.a + self.d * (self.b * self.b)",
      ["tests/test_covers.py"]),
     ("P and Q swapped in the cover form", "covers.py",
      "        return Surd(TPoly([u for u, _ in reversed(self.pairs)] + [Poly.one()], z),\n"
@@ -239,6 +257,10 @@ MUTANTS = [
      "        s, t = _mod(_add(s, r, -1), q), _mod(_add(t, _add(_mul(t, b), _mul(c, g)), -1), q)\n",
      "",
      ["tests/test_covers.py"]),
+    ("Hensel lift stops one step early", "covers.py",
+     "        if q >= m:\n",
+     "        if q * q >= m:\n",
+     ["tests/test_covers.py"]),
     ("prime chosen without the square test", "covers.py",
      "and e % p and pow(e, p // 2, p) == 1):",
      "and e % p):",
@@ -253,10 +275,10 @@ MUTANTS = [
      "    bound = 2 ** (n + 1) * (math.isqrt(sum(x * x for x in f)) + 1)\n",
      ["tests/test_covers.py"]),
     ("c dropped from A and B", "covers.py",
-     "            a = Poly(_mod([c * x for x in _add(g1, g2)], m, sym=True))\n"
-     "            b = Poly(_mod([c * r * x for x in _add(g1, g2, -1)], m, sym=True))\n",
-     "            a = Poly(_mod(_add(g1, g2), m, sym=True))\n"
-     "            b = Poly(_mod([r * x for x in _add(g1, g2, -1)], m, sym=True))\n",
+     "            a = _poly(_mod([c * x for x in _add(g1, g2)], m, sym=True), 1)\n"
+     "            b = _poly(_mod([c * r * x for x in _add(g1, g2, -1)], m, sym=True), 1)\n",
+     "            a = _poly(_mod(_add(g1, g2), m, sym=True), 1)\n"
+     "            b = _poly(_mod([r * x for x in _add(g1, g2, -1)], m, sym=True), 1)\n",
      ["tests/test_covers.py"]),
     ("Zassenhaus pre-test without lc", "covers.py",
      "if g[0] and rest.ints[-1] * rest.ints[0] % g[0]:",

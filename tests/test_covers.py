@@ -328,6 +328,20 @@ class TestSurd:
             assert x.conjugate().conjugate() == x
             assert (x + y).conjugate() == x.conjugate() + y.conjugate()
 
+    def test_norm_is_the_conjugate_product(self):
+        # on the cover (Q[x][t], d = f) and at a point (Q[t], d = f(x0))
+        rng = random.Random(29)
+        for _ in range(20):
+            cover = DoubleCoverData(random_squarefree(rng, 3))
+            w = random_twisted(rng, cover, rng.randint(1, 3), rng.randint(1, 2)).as_surd()
+            x0 = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            at = Surd(Poly(c(x0) for c in w.a.coeffs), Poly(c(x0) for c in w.b.coeffs),
+                      cover.f(x0))
+            for v in (w, at, w.conjugate(), Surd(w.a, w.a + w.b, w.d)):
+                prod = v * v.conjugate()
+                assert v.norm() == prod.a and prod.b.is_zero()
+        assert Surd(X, Poly.one(), Fraction(3)).norm() == X * X - 3
+
     def test_tpoly_divides_only_by_monic_divisors(self):
         # over a field too, the divisor must be monic, not merely invertible
         d, t, zero = Fraction(5, 3), TestQuadraticFieldFactoring._t, Poly.zero()

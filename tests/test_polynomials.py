@@ -1,6 +1,7 @@
 """Tests for the exact polynomial / rational-function arithmetic layer."""
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 import pytest
@@ -8,10 +9,13 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from prymkit.covers import _powmod
 from prymkit.polynomials import (
     Poly,
     RatFunc,
     TPoly,
+    _divmod,
+    _xgcd,
     power,
     pseudo_remainder,
     resultant,
@@ -268,6 +272,134 @@ class TestPolyIntegerCore:
             assert v in {p} and p in {v}
         assert {Poly.zero(): "zero"}[0] == "zero"
         assert Poly.x() != 0 and Poly.x() not in {0, 1}
+
+
+def ref_squarefree(a) -> bool:
+    """Nonzero with a constant gcd(a, a'): Euclid on Fraction coefficients."""
+    r0, r1 = ref(a), ref(i * c for i, c in enumerate(a) if i)
+    while r1:
+        r0, r1 = r1, ref_divmod(r0, r1)[1]
+    return len(r0) == 1
+
+
+SMALL_PRIMES = (3, 5, 7, 11, 13)
+
+
+class TestSquarefreeCertificate:
+    """Poly.is_squarefree, certified mod a prime from 3 to 13 or by Euclid
+    over Q, against Euclid over Fraction."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeff_lists)
+    @example(())
+    @example((Fraction(-7, 3),))
+    @example((Fraction(5, 2), Fraction(-3, 4)))
+    def test_against_fraction_euclid(self, a):
+        assert Poly(a).is_squarefree() == ref_squarefree(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coeff_lists.filter(lambda g: len(g) > 1), coeff_lists)
+    def test_square_times_a_factor(self, g, h):
+        p = Poly(g) * Poly(g) * Poly(h)
+        assert not p.is_squarefree() and not ref_squarefree(p.coeffs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(SMALL_PRIMES), st.integers(-30, 30), coeff_lists, st.booleans())
+    @example(3, 1, (1,), True)
+    @example(13, -2, (Fraction(1, 2), 1), True)
+    @example(7, 0, (1, 1), False)
+    def test_leading_numerator_divisible_by_a_small_prime(self, prime, c, h, square):
+        # for c prime to p, (p*x + c)^2 reduces mod p to the constant c^2: a
+        # check at that prime would call every such square squarefree
+        lin = Poly((c, prime))
+        p = (lin * lin if square else lin) * Poly(h)
+        assert p.is_squarefree() == ref_squarefree(p.coeffs)
+
+    def test_every_prime_fails_then_euclid_over_q(self, monkeypatch):
+        # t^2 - 15015 and t^2 - 2 are squarefree; 15015 = 3*5*7*11*13
+        # divides disc(t^2 - 15015), so only that one reaches the gcd over Q
+        calls, gcd_q = [], Poly.gcd
+        monkeypatch.setattr(Poly, "gcd", lambda a, b: calls.append(a) or gcd_q(a, b))
+        assert Poly((-15015, 0, 1)).is_squarefree() and len(calls) == 1
+        assert Poly((-2, 0, 1)).is_squarefree() and len(calls) == 1
+        # 15015*(x - 1)^2: each prime divides the leading numerator
+        assert not Poly((15015, -30030, 15015)).is_squarefree() and len(calls) == 2
+        assert not Poly.zero().is_squarefree()
+
+
+def naive_mod(a, m) -> list:
+    """Entries of a mod m, trailing zeros dropped."""
+    out = [c % m for c in a]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def naive_mulmod(a, b, m) -> list:
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return naive_mod(out, m)
+
+
+def naive_remmod(a, b, p) -> list:
+    """a mod b over the field Z/p, b nonzero mod p: subtract multiples of
+    b's leading term until the degree drops."""
+    a, b = naive_mod(a, p), naive_mod(b, p)
+    inv = pow(b[-1], -1, p)
+    while len(a) >= len(b):
+        c, s = a[-1] * inv % p, len(a) - len(b)
+        a = naive_mod([x - c * b[i - s] if i >= s else x for i, x in enumerate(a)], p)
+    return a
+
+
+int_lists = st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=8)
+
+
+class TestModularKernel:
+    """The integer-list helpers mod m against naive references."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_lists, st.lists(st.integers(-50, 50), max_size=4),
+           st.sampled_from((2, 3, 7, 9, 25, 11 ** 3)))
+    @example([-5, 14, -9], [3], 3)
+    @example([1, 2, 9, 18], [0, 1], 9)
+    def test_divmod_unreduced_and_negative(self, a, low, m):
+        b = low + [1]
+        q, r = _divmod(a, b, m)
+        assert all(0 <= c < m for c in q + r)
+        assert r == naive_mod(r, m) and len(r) < len(b)
+        qb = naive_mulmod(q, b, m)
+        assert naive_mod([x - y for x, y in zip_longest(a, qb, fillvalue=0)], m) == r
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_lists, int_lists, st.sampled_from(SMALL_PRIMES))
+    @example([0, 1], [-1, 0, 1], 3)
+    def test_xgcd_against_euclid_mod_p(self, a, b, p):
+        a = naive_mod(a, p) or [1]
+        if a[-1] != 1:      # the gcd comes out monic for a monic a
+            a = naive_mod([c * pow(a[-1], -1, p) for c in a], p)
+        g, t = _xgcd(a, b, p)
+        r0, r1 = a, naive_mod(b, p)
+        while r1:
+            r0, r1 = r1, naive_remmod(r0, r1, p)
+        want = naive_mod([c * pow(r0[-1], -1, p) for c in r0], p)
+        assert g == want
+        assert naive_remmod(naive_mulmod(t, b, p), a, p) == naive_remmod(g, a, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=5), int_lists,
+           st.sampled_from(SMALL_PRIMES))
+    @example([0], [0, 1], 3)
+    def test_powmod_against_repeated_multiplication(self, low, a, p):
+        # k = 1, odd and even k; f monic of degree 1 to 5, a reduced below it
+        f = [c % p for c in low] + [1]
+        a = naive_remmod(a, f, p)
+        want = a
+        for k in range(1, 12):
+            assert _powmod(a, k, f, p) == want, k
+            want = naive_remmod(naive_mulmod(want, a, p), f, p)
 
 
 # the trivial operands Q[x] takes its shortcuts on, and other constants
