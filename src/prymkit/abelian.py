@@ -14,9 +14,9 @@ character restriction reads the image's order, not the kernel's.
 is the only normal-form kernel: it clears each column using only the rows
 still nonzero there.  The Smith form is built from alternating Hermite
 forms, which ``structure()`` runs with no transforms carried.
-``bareiss_det``, fraction-free over any integral domain, is the determinant
-of ``IntMatrix`` and of the norm engine.  All values are immutable and all
-operations are pure functions.
+``bareiss_det``, fraction-free over Z, is the determinant of ``IntMatrix``
+and, at a Kronecker point x = 2^k, of the norm engine.  All values are
+immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -91,24 +91,21 @@ class IntMatrix:
         """Exact determinant (fraction-free Bareiss)."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        return bareiss_det(self.to_rows(), 1, operator.floordiv)
+        return bareiss_det(self.to_rows())
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.det()) == 1
 
 
-def bareiss_det(rows, one, exact_div):
-    """Determinant of a square matrix over an integral domain by
-    fraction-free Bareiss elimination (Bareiss 1968): each exact_div(a, b)
-    is an exact division in the ring, so no fraction is ever formed.  one
-    is the ring's unit and zero tests use truthiness; a singular matrix
-    returns its zero pivot, the ring's own zero."""
+def bareiss_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination (Bareiss 1968): every division is exact, so no fraction is
+    ever formed; a singular matrix returns its zero pivot."""
     n = len(rows)
     if n == 0:
-        return one
+        return 1
     m = [list(row) for row in rows]
-    sign = 1
-    prev = one
+    sign = prev = 1
     for k in range(n - 1):
         if not m[k][k]:
             for i in range(k + 1, n):
@@ -120,7 +117,7 @@ def bareiss_det(rows, one, exact_div):
                 return m[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = exact_div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
 

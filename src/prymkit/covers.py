@@ -58,9 +58,9 @@ class FactoredSpectral:
 
 
 def squarefree_decompose(s: SpectralPoly) -> FactoredSpectral:
-    """Yun decomposition of s in t over Q(x), computed in Q[x][t]
-    (polynomials.yun_squarefree); exact reconstruction holds and every
-    block inherits the graded degree bounds."""
+    """Yun decomposition of s in t over Q(x), computed at one certified
+    Kronecker point x = 2^k (polynomials.yun_squarefree); exact
+    reconstruction holds and every block inherits the graded degree bounds."""
     out = [(SpectralPoly.from_tpoly(q, s.deg_m), mult)
            for q, mult in yun_squarefree(s.as_tpoly())]
     fac = FactoredSpectral(s.deg_m, tuple(out))
@@ -225,7 +225,7 @@ def pullback_splits(cover: DoubleCoverData,
     profile of s_a: [(s_a, 1)] when s_a(x0, t) is squarefree at the first
     good point x0 (_good_points), which certifies that s_a, monic in t,
     has disc_t(s_a)(x0) != 0 and so is squarefree over Q(x); otherwise
-    Yun's decomposition in Q[x][t] (yun_squarefree).  Each squarefree
+    Yun's decomposition over Q(x) (yun_squarefree).  Each squarefree
     block is split over K at x0 for a certified s_a, else at its first good
     point where it stays squarefree, factoring over the resulting quadratic
     number field and Hensel-lifting each candidate half back to a

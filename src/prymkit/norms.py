@@ -2,22 +2,22 @@
 
 The norm of an algebra element u is the determinant of the multiplication
 map by u on B, viewed as a free rank-n R-module with basis 1, t, ...,
-t^(n-1).  The determinant is ``abelian.bareiss_det``, the fraction-free
-Bareiss elimination behind ``IntMatrix.det``, with exact division in Q[x],
-so everything stays inside the polynomial ring.  The multiplicativity,
+t^(n-1), taken on integers: with denominators cleared, s_a and u are packed
+at one Kronecker point x = 2^k and ``abelian.bareiss_det`` over Z gives the
+determinant there, which unpacks exactly.  The multiplicativity,
 pullback, reduced and multiplicity laws are shipped as executable checks,
 together with the divisor-level norm for smooth covers and a resultant
-cross-validation.
+cross-validation over Q[x].
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 
 from .abelian import bareiss_det
-from .polynomials import Poly, TPoly, as_fraction, horner, resultant
+from .polynomials import Poly, TPoly, _pack, _poly, _unpack, _width, as_fraction, horner, resultant
 
 
 class ParentMismatch(ValueError):
@@ -109,29 +109,50 @@ class AlgebraElement:
         return target.element_from_tpoly(self.as_tpoly())
 
 
+def _columns(s_low, u) -> list:
+    """Columns u * t^j mod s, j < n, for a monic s with low coefficients
+    s_low: ring operations only, so Poly and packed int entries share them."""
+    cols = [list(u)]
+    for _ in range(len(s_low) - 1):
+        top = cols[-1][-1]
+        cols.append([-(top * s_low[0])] + [c - top * a for c, a in zip(cols[-1], s_low[1:])])
+    return cols
+
+
 def mul_matrix(s_a: SpectralPoly, u: AlgebraElement) -> list[list[Poly]]:
     """Matrix of multiplication by u on B in the basis 1, t, ..., t^(n-1);
     column j holds the coordinates of u * t^j reduced mod s_a."""
     if u.parent != s_a:
         raise ParentMismatch("element does not belong to the algebra")
-    n = s_a.n
-    mod = s_a.as_tpoly()
-    cols = []
-    cur = u.as_tpoly() % mod
-    for _ in range(n):
-        cols.append([cur.coeff(i) for i in range(n)])
-        cur = TPoly((Poly.zero(),) + cur.coeffs, Poly.zero()) % mod
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return [list(row) for row in zip(*_columns(s_a.as_tpoly().coeffs[:-1], u.coords))]
 
 
 def poly_matrix_det(m: list[list[Poly]]) -> Poly:
-    """Exact determinant over Q[x] by fraction-free Bareiss elimination."""
-    return bareiss_det(m, Poly.one(), operator.truediv)
+    """Exact determinant over Q[x]: rows cleared of denominators and packed
+    at x = 2^k above the permanent bound (product of row sums), Bareiss over Z."""
+    scales = [lcm(*(p.denom for p in row)) for row in m]
+    rows = [[(p.ints, d // p.denom) for p in row] for row, d in zip(m, scales)]
+    k = _width(prod(sum(sum(map(abs, c)) * f for c, f in row) for row in rows))
+    det = bareiss_det([[_pack(c, k) * f for c, f in row] for row in rows])
+    return _poly(_unpack(det, k), prod(scales))
 
 
 def norm_element(s_a: SpectralPoly, u: AlgebraElement) -> Poly:
-    """N(u) = det of multiplication by u on Q[x][t]/(s_a)."""
-    return poly_matrix_det(mul_matrix(s_a, u))
+    """N(u) = det of multiplication by u on Q[x][t]/(s_a) = N(U~) / (E D^(n-1))^n
+    for s~(t) = D^n s_a(t/D) and U~ = sum E c_i D^(n-1-i) t^i in Z[x][t], D and
+    E the lcms of the denominators of s_a and u = sum c_i t^i.  N(U~) =
+    Res_t(s~, U~) is below the Sylvester permanent ||s~||_1^(deg U~) ||U~||_1^n,
+    so it unpacks from its value at x = 2^k."""
+    if u.parent != s_a:
+        raise ParentMismatch("element does not belong to the algebra")
+    n, den, e = s_a.n, lcm(*(a.denom for a in s_a.coeffs)), lcm(*(c.denom for c in u.coords))
+    s_low = [(a, den ** j // a.denom) for j, a in enumerate(s_a.coeffs, start=1)][::-1]
+    u_low = [(c, e // c.denom * den ** (n - 1 - i)) for i, c in enumerate(u.coords)]
+    deg = max((i for i, c in enumerate(u.coords) if c), default=0)
+    size = lambda terms: sum(sum(map(abs, p.ints)) * f for p, f in terms)
+    k = _width((1 + size(s_low)) ** deg * size(u_low) ** n)
+    s_k, u_k = ([_pack(p.ints, k) * f for p, f in terms] for terms in (s_low, u_low))
+    return _poly(_unpack(bareiss_det(_columns(s_k, u_k)), k), (e * den ** (n - 1)) ** n)
 
 
 def norm_resultant_oracle(s_a: SpectralPoly, u: AlgebraElement) -> Poly:

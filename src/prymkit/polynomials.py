@@ -10,29 +10,28 @@ outer variable t whose coefficients may be Poly, RatFunc or any type
 supporting ring arithmetic, is_zero() and one_like().  ``RatFunc``,
 ``tpoly_over_ratfunc`` and ``tpoly_to_poly_coeffs`` have no caller in the
 package; they are kept only because the benchmark tracer bench/spans.py
-binds them.  A t-polynomial is
-divided only by a monic divisor, so t-division needs ring operations alone
-and keeps Poly coefficients in Q[x].
+binds them.  A t-polynomial is divided only by a monic divisor, so
+t-division needs ring operations alone and keeps Poly coefficients in Q[x].
 
-The generic-ring algorithms (Bareiss, the subresultant sequence, Yun,
-``power``) hand Poly mostly trivial operands, so a zero, unit or constant
-operand, told apart by its number of numerators, takes one scan of the
-other's numerators and no product or pseudo-division; ``zero`` and ``one``
-are shared instances, and a sum with zero or a product or quotient by one
-returns an operand itself.
+The generic-ring algorithms (the subresultant sequence, ``power``) hand
+Poly mostly trivial operands, so a zero, unit or constant operand, told
+apart by its number of numerators, takes one scan of the other's numerators
+and no product or pseudo-division; ``zero`` and ``one`` are shared
+instances, and a sum with zero or a product or quotient by one returns an
+operand itself.
 
-Resultants, gcds and Yun's decomposition of t-polynomials share one engine,
-the subresultant pseudo-remainder sequence, whose divisions are exact in the
-coefficient ring: over Q[x] no rational function in x is ever formed.
-Horner's rule (``horner``) and repeated squaring (``power``) are written
-once, for any ring.
+Resultants come from the subresultant sequence, exact in the coefficient
+ring, so over Q[x] no rational function in x is formed; Yun's decomposition
+runs on integers at one Kronecker point x = 2^k (MCA section 8.4), certified
+exactly as in GCDHEU (Char, Geddes and Gonnet 1989).  ``horner`` and
+``power`` are written once for any ring; ``_pack`` is Horner by shifts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import starmap, zip_longest
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, sub
 from typing import Iterable, Sequence, Union
 
@@ -363,8 +362,35 @@ def _times(p: Poly, n: int, d: int) -> Poly:
     return _poly([a * n for a in p.ints], p.denom * d)
 
 
-# -- integer polynomials mod m, for the squarefree test above and covers.py:
-# lists of ints, ascending, no trailing zeros and, reduced, entries in [0, m)
+# -- integer polynomials as lists of ints, ascending: packed into one int at
+# x = 2^k (Kronecker substitution), and mod m for the squarefree test above
+# and covers.py, with no trailing zeros and, reduced, entries in [0, m)
+
+
+def _width(bound: int) -> int:
+    """The least k with 2^(k-1) > bound: a k-bit slot holds |c| <= bound."""
+    return bound.bit_length() + 1
+
+
+def _pack(ints: Sequence, k: int) -> int:
+    """ints (ascending) at x = 2^k, by Horner's rule with shifts."""
+    acc = 0
+    for c in reversed(ints):
+        acc = (acc << k) + c
+    return acc
+
+
+def _unpack(v: int, k: int) -> list:
+    """The balanced base-2^k digits of v, lowest first, in [-2^(k-1),
+    2^(k-1)) with a borrow: _pack's inverse on |c_i| < 2^(k-1) for k >= 2."""
+    half, mask, out = 1 << (k - 1), (1 << k) - 1, []
+    for _ in range(abs(v).bit_length() // k + 2):
+        d = ((v + half) & mask) - half
+        out.append(d)
+        v = (v - d) >> k
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _mod(a: Sequence, m: int, sym: bool = False) -> list:
@@ -627,12 +653,6 @@ class TPoly:
     def __mod__(self, other: "TPoly") -> "TPoly":
         return self.divmod(other)[1]
 
-    def __truediv__(self, other: "TPoly") -> "TPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("inexact division of t-polynomials")
-        return q
-
     def monic(self) -> "TPoly":
         """Divide by the leading coefficient, which must divide every
         coefficient exactly (always so over a field)."""
@@ -676,13 +696,14 @@ def pseudo_remainder(a: TPoly, b: TPoly) -> TPoly:
     return TPoly(r, a.czero)
 
 
-def _subresultant_prs(a: TPoly, b: TPoly):
-    """Subresultant pseudo-remainder sequence (Collins 1967; Brown-Traub
-    1971) of a and b, ordered so that deg a >= deg b.  Each step replaces
-    (a, b) by (b, prem(a, b) / (g * h^delta)); the bookkeeping of g and h
-    keeps every division exact in the coefficient ring.  Stops once b is
-    constant or zero and returns (a, b, h, sign), sign being the product
-    of (-1)^(deg a * deg b) over the swap and the steps."""
+def resultant(a: TPoly, b: TPoly):
+    """Res_t(a, b), the last subresultant, by the subresultant pseudo-
+    remainder sequence (Collins 1967; Brown-Traub 1971) of a and b ordered
+    so that deg a >= deg b.  Each step replaces (a, b) by (b, prem(a, b) /
+    (g * h^delta)), and the bookkeeping of g and h keeps every division
+    exact in the coefficient ring: Poly coefficients give a Poly result
+    directly, and field coefficients such as RatFunc work unchanged.  sign
+    is the product of (-1)^(deg a * deg b) over the swap and the steps."""
     sign = 1
     if a.degree < b.degree:
         a, b, sign = b, a, (-1) ** (a.degree * b.degree)
@@ -693,59 +714,46 @@ def _subresultant_prs(a: TPoly, b: TPoly):
             sign = -sign
         r = pseudo_remainder(a, b)
         if r.is_zero():
-            return b, r, h, sign
+            return r.czero
         divisor = g * h ** delta
         a, b = b, TPoly(tuple(c / divisor for c in r.coeffs), r.czero)
         g = a.lc
         if delta:
             h = g ** delta / h ** (delta - 1)
-    return a, b, h, sign
-
-
-def resultant(a: TPoly, b: TPoly):
-    """Res_t(a, b), the last subresultant of a and b, computed by the
-    subresultant pseudo-remainder sequence.  Every division is exact in the
-    coefficient ring, so Poly coefficients give a Poly result directly;
-    field coefficients such as RatFunc work unchanged."""
-    a, b, h, sign = _subresultant_prs(a, b)
     if b.is_zero():
         return b.czero
     res = b.lc ** a.degree / h ** max(a.degree - 1, 0)
     return res if sign == 1 else -res
 
 
-def _monic_gcd(a: TPoly, b: TPoly) -> TPoly:
-    """Monic gcd over the fraction field of the coefficients, for a pair in
-    which one polynomial is monic: the last nonzero subresultant divided by
-    its leading coefficient, a division that Gauss's lemma makes exact over
-    Q[x]."""
-    a, b, _h, _sign = _subresultant_prs(a, b)
-    return (a if b.is_zero() else b).monic()
-
-
 def yun_squarefree(p: TPoly) -> list[tuple[TPoly, int]]:
-    """Yun's squarefree decomposition in t of a monic t-polynomial, over the
-    fraction field of its coefficients (characteristic zero).  Returns
-    [(q_i, i)] with p = prod q_i^i, the q_i squarefree, monic and pairwise
-    coprime; blocks with q_i = 1 are omitted.  Every gcd has a monic
-    argument and every quotient a monic divisor, so Poly coefficients stay
-    in Q[x] throughout."""
+    """Yun's decomposition [(q_i, i)] over Q(x) of a monic p: p = prod q_i^i,
+    the q_i squarefree, monic, coprime and not 1.  Yun's loop runs over Q[t] on
+    p~(2^k, t), p~(t) = D^n p(t/D) in Z[x][t] for D the lcm of the denominators,
+    and its blocks, integral by Gauss's lemma, unpack to q~_i.  If 2^(k-1) >
+    max(prod ||q~_i||_1^i, ||p~||_inf), prod q~_i^i - p~ has coefficients below
+    2^k and the root 2^k, so it is 0, and as the q~_i(2^k, t) are squarefree and
+    coprime they are Yun's unique blocks; otherwise k grows and the loop reruns."""
     if p.degree < 1:
         return []
     p = p.monic()
-    dp = p.derivative()
-    g = _monic_gcd(p, dp)
-    if g.degree == 0:
-        return [(p, 1)]
-    c = p / g
-    d = dp / g - c.derivative()
-    blocks = []
-    i = 1
-    while c.degree > 0:
-        q = _monic_gcd(c, d)
-        if q.degree > 0:
-            blocks.append((q, i))
-        c = c / q
-        d = d / q - c.derivative()
-        i += 1
-    return blocks
+    n, den = p.degree, lcm(*(c.denom for c in p.coeffs))
+    rows = [[a * (den ** (n - j) // c.denom) for a in c.ints] for j, c in enumerate(p.coeffs)]
+    top = max(abs(a) for row in rows for a in row)
+    k = _width(sum(abs(a) for row in rows for a in row) << (n + 1))
+    while True:
+        f = _poly([_pack(row, k) for row in rows], 1)
+        g = f.gcd(f.derivative())
+        c, i, blocks = f / g, 1, []
+        d = f.derivative() / g - c.derivative()
+        while c.degree > 0:
+            q = c.gcd(d)
+            if q.degree > 0:
+                blocks.append(([_unpack(a, k) for a in q.ints], i))
+            c, i = c / q, i + 1
+            d = d / q - c.derivative()
+        bound = prod(sum(abs(a) for row in q for a in row) ** i for q, i in blocks)
+        if 1 << (k - 1) > max(bound, top):
+            return [(TPoly([_poly(row, den ** (len(q) - 1 - j)) for j, row in enumerate(q)],
+                           _ZERO), i) for q, i in blocks]
+        k = max(2 * k, _width(2 * bound))

@@ -61,6 +61,17 @@ def _expect_key(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _each(items: list, path: str, load) -> list:
+    """[load(item, path[i]) for each item i], path[i] formatted only after a
+    failure: the pure loaders then run again, each item at its own path."""
+    try:
+        return [load(item, path) for item in items]
+    except SchemaError:
+        for i, item in enumerate(items):
+            load(item, f"{path}[{i}]")
+        raise
+
+
 # -- rationals ------------------------------------------------------------
 
 def rational_to_json(q: Fraction) -> str:
@@ -96,7 +107,7 @@ def poly_to_json(p: Poly) -> list[str]:
 
 
 def poly_from_json(value, path: str) -> Poly:
-    ratios = [_ratio(c, f"{path}[{i}]") for i, c in enumerate(_expect_list(value, path))]
+    ratios = _each(_expect_list(value, path), path, _ratio)
     den = lcm(*(d for _, d in ratios))
     return _poly([n * (den // d) for n, d in ratios], den)
 
@@ -112,9 +123,7 @@ def spectral_from_json(value, path: str = "$") -> SpectralPoly:
     deg_m = _expect_int(_expect_key(obj, "deg_m", path), f"{path}.deg_m")
     coeffs = _expect_list(_expect_key(obj, "coeffs", path), f"{path}.coeffs")
     _require(len(coeffs) == n, f"{path}.coeffs", "expected {} coefficients", n)
-    polys = tuple(poly_from_json(c, f"{path}.coeffs[{i}]")
-                  for i, c in enumerate(coeffs))
-    return SpectralPoly(n, deg_m, polys)
+    return SpectralPoly(n, deg_m, tuple(_each(coeffs, f"{path}.coeffs", poly_from_json)))
 
 
 def element_to_json(u: AlgebraElement) -> list[list[str]]:
@@ -124,8 +133,7 @@ def element_to_json(u: AlgebraElement) -> list[list[str]]:
 def element_from_json(parent: SpectralPoly, value, path: str = "$") -> AlgebraElement:
     items = _expect_list(value, path)
     _require(len(items) == parent.n, path, "expected {} coordinates", parent.n)
-    coords = tuple(poly_from_json(c, f"{path}[{i}]") for i, c in enumerate(items))
-    return AlgebraElement(parent, coords)
+    return AlgebraElement(parent, tuple(_each(items, path, poly_from_json)))
 
 
 # -- descriptors ----------------------------------------------------------
@@ -148,28 +156,25 @@ def descriptor_from_json(value, path: str = "$") -> SpectralCoverDescriptor:
     g = _expect_int(_expect_key(obj, "g", path), f"{path}.g")
     _require(1 <= g <= MAX_GENUS, f"{path}.g", "genus must lie in 1..{}", MAX_GENUS)
     comps_raw = _expect_list(_expect_key(obj, "components", path), f"{path}.components")
-    comps = []
-    for i, raw in enumerate(comps_raw):
-        cp = f"{path}.components[{i}]"
+    rank = 2 * g
+
+    def row_from_json(row, rp: str) -> list:
+        _require(len(_expect_list(row, rp)) == rank, rp, "expected {} entries", rank)
+        return _each(row, rp, _expect_int)
+
+    def component_from_json(raw, cp: str) -> ComponentData:
         cobj = _expect_dict(raw, cp)
-        degree = _expect_int(_expect_key(cobj, "degree", cp), f"{cp}.degree")
-        mult = _expect_int(_expect_key(cobj, "multiplicity", cp), f"{cp}.multiplicity")
-        modulus = _expect_int(_expect_key(cobj, "kernel_modulus", cp),
-                              f"{cp}.kernel_modulus")
-        gens_raw = _expect_list(_expect_key(cobj, "kernel_generators", cp),
-                                f"{cp}.kernel_generators")
+        degree, mult, modulus = (_expect_int(_expect_key(cobj, key, cp), f"{cp}.{key}")
+                                 for key in ("degree", "multiplicity", "kernel_modulus"))
+        gp = f"{cp}.kernel_generators"
+        gens_raw = _expect_list(_expect_key(cobj, "kernel_generators", cp), gp)
         _require(modulus >= 1, f"{cp}.kernel_modulus", "modulus must be >= 1")
-        rank = 2 * g
-        rows = []
-        for j, row in enumerate(gens_raw):
-            rp = f"{cp}.kernel_generators[{j}]"
-            row = _expect_list(row, rp)
-            _require(len(row) == rank, rp, "expected {} entries", rank)
-            rows.append([_expect_int(e, f"{rp}[{k}]") for k, e in enumerate(row)])
-        ambient = TorsionAmbient(g, modulus)
-        kernel = subgroup_from_generators(
-            ambient, IntMatrix.from_rows(rows) if rows else IntMatrix(0, rank, ()))
-        comps.append(ComponentData(degree, mult, kernel))
+        rows = _each(gens_raw, gp, row_from_json)
+        gens = IntMatrix.from_rows(rows) if rows else IntMatrix(0, rank, ())
+        kernel = subgroup_from_generators(TorsionAmbient(g, modulus), gens)
+        return ComponentData(degree, mult, kernel)
+
+    comps = _each(comps_raw, f"{path}.components", component_from_json)
     return SpectralCoverDescriptor(n, g, tuple(comps))
 
 
@@ -199,11 +204,10 @@ def twisted_from_json(value, path: str = "$", known=None) -> TwistedSpectralPoly
     cover = cover_from_json(_expect_key(obj, "cover", path), f"{path}.cover", known)
     pairs_raw = _expect_list(_expect_key(obj, "pairs", path), f"{path}.pairs")
     _require(len(pairs_raw) == m, f"{path}.pairs", "expected {} coefficient pairs", m)
-    pairs = []
-    for i, raw in enumerate(pairs_raw):
-        pp = f"{path}.pairs[{i}]"
+
+    def pair_from_json(raw, pp: str) -> tuple:
         pobj = _expect_dict(raw, pp)
-        u = poly_from_json(_expect_key(pobj, "u", pp), f"{pp}.u")
-        v = poly_from_json(_expect_key(pobj, "v", pp), f"{pp}.v")
-        pairs.append((u, v))
+        return tuple(poly_from_json(_expect_key(pobj, k, pp), f"{pp}.{k}") for k in "uv")
+
+    pairs = _each(pairs_raw, f"{path}.pairs", pair_from_json)
     return TwistedSpectralPoly(cover, m, deg_m, tuple(pairs))

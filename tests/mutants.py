@@ -83,9 +83,18 @@ MUTANTS = [
      "",
      ["tests/test_abelian.py"]),
     ("Bareiss without the exact division", "abelian.py",
-     "exact_div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)",
+     "(m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev",
      "m[i][j] * m[k][k] - m[i][k] * m[k][j]",
      ["tests/test_abelian.py", "tests/test_norms.py"]),
+    # -- norms -------------------------------------------------------------------
+    ("norm bound with exponent deg U - 1", "norms.py",
+     "(1 + size(s_low)) ** deg *",
+     "(1 + size(s_low)) ** (deg - 1) *",
+     ["tests/test_norms.py"]),
+    ("norm without the D^j scaling of s_a", "norms.py",
+     "(a, den ** j // a.denom)",
+     "(a, den // a.denom)",
+     ["tests/test_norms.py"]),
     # -- spectral ----------------------------------------------------------------
     ("prime factors drop the last cofactor", "spectral.py",
      "    if n > 1:\n        yield n\n",
@@ -125,9 +134,26 @@ MUTANTS = [
      "h = g ** delta",
      ["tests/test_polynomials.py"]),
     ("Yun labels every block multiplicity 1", "polynomials.py",
-     "blocks.append((q, i))",
-     "blocks.append((q, 1))",
+     "for a in q.ints], i))",
+     "for a in q.ints], 1))",
      ["tests/test_polynomials.py"]),
+    ("Yun returns its first width uncertified", "polynomials.py",
+     "if 1 << (k - 1) > max(bound, top):",
+     "if True:",
+     ["tests/test_polynomials.py"]),
+    ("Yun blocks not scaled back by D^j", "polynomials.py",
+     "_poly(row, den ** (len(q) - 1 - j))",
+     "_poly(row, 1)",
+     ["tests/test_polynomials.py"]),
+    # -- polynomials: Kronecker substitution -----------------------------------
+    ("unsigned digits in _unpack", "polynomials.py",
+     "d = ((v + half) & mask) - half",
+     "d = v & mask",
+     ["tests/test_norms.py", "tests/test_polynomials.py"]),
+    ("slot width for 2^(k-1) >= bound, not >", "polynomials.py",
+     "return bound.bit_length() + 1",
+     "return (bound - 1).bit_length() + 1",
+     ["tests/test_norms.py"]),
     ("t-division without the monic check", "polynomials.py",
      "        if ld != self.czero.one_like():\n"
      "            raise ValueError(\"t-polynomials divide only by monic divisors\")\n",
@@ -327,13 +353,13 @@ MUTANTS = [
      "den = lcm(*(d for _, d in ratios))",
      "den = max([1] + [d for _, d in ratios])",
      ["tests/test_cli.py"]),
-    ("a bad coefficient reported at its polynomial's path", "serialize.py",
-     'ratios = [_ratio(c, f"{path}[{i}]")',
-     "ratios = [_ratio(c, path)",
+    ("a bad entry reported at its list's path", "serialize.py",
+     'load(item, f"{path}[{i}]")',
+     "load(item, path)",
      ["tests/test_cli.py"]),
-    ("a bad generator entry reported at its row's path", "serialize.py",
-     '_expect_int(e, f"{rp}[{k}]")',
-     "_expect_int(e, rp)",
+    ("a bad entry's error raised without its own path", "serialize.py",
+     '        for i, item in enumerate(items):\n            load(item, f"{path}[{i}]")\n',
+     "",
      ["tests/test_cli.py"]),
 ]
 

@@ -196,6 +196,33 @@ class TestNormLaws:
             assert norm_element(s, u) == norm_resultant_oracle(s, u)
 
 
+    def test_resultant_oracle_with_denominators(self):
+        # rational s_a and u: t is scaled by the lcm D of s_a's denominators
+        # and u by E and powers of D before the integer determinant
+        rng = random.Random(31)
+
+        def rational_poly(deg):
+            # the top coefficient, odd over even, is never an integer
+            return Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                         for _ in range(deg)]
+                        + [Fraction(2 * rng.randint(-4, 4) + 1, rng.choice((2, 4, 6)))])
+
+        for n in (1, 2, 3, 4, 5):
+            for _ in range(4):
+                s = SpectralPoly(n, 1, tuple(rational_poly(j) for j in range(1, n + 1)))
+                u = s.element([rational_poly(1 if n > 3 else 2) for _ in range(n)])
+                assert norm_element(s, u) == norm_resultant_oracle(s, u)
+
+    def test_power_of_two_scalar(self):
+        # N(2) = 2^n is exactly the permanent bound ||2||_1^n, a power of
+        # two: the slot must hold it strictly below 2^(k-1)
+        for n in (1, 2, 3, 5):
+            s = SpectralPoly(n, 1, tuple(Poly([1] * (j + 1)) for j in range(1, n + 1)))
+            assert norm_element(s, s.one().scale(2)) == Poly.constant(2 ** n)
+            assert poly_matrix_det([[Poly.constant(2) if i == j else Poly.zero()
+                                     for j in range(n)] for i in range(n)]) == 2 ** n
+
+
 class TestQuasiFree:
     def test_reduced_level(self):
         p = SpectralPoly(1, 2, (-(X * X),))

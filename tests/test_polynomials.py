@@ -9,18 +9,19 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from prymkit import polynomials
 from prymkit.covers import _powmod
 from prymkit.polynomials import (
     Poly,
     RatFunc,
     TPoly,
     _divmod,
+    _pack,
+    _unpack,
     _xgcd,
     power,
     pseudo_remainder,
     resultant,
-    tpoly_over_ratfunc,
-    tpoly_to_poly_coeffs,
     yun_squarefree,
 )
 
@@ -470,7 +471,7 @@ class TestTPolyDivmod:
         # is ever divided: leading coefficient 2 (or x) is a ValueError
         a = tp((1,), (0, 1), (1,))
         for divisor in (tp((1,), (2,)), tp((0, 1), (0, 1))):
-            for op in (a.divmod, a.__mod__, a.__truediv__):
+            for op in (a.divmod, a.__mod__):
                 with pytest.raises(ValueError):
                     op(divisor)
         with pytest.raises(ValueError):       # even past a shorter dividend
@@ -550,32 +551,71 @@ class TestResultant:
             assert sylvester_resultant_at(a, b, x0) == 0
 
 
+class TestKronecker:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 40).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.one_of(
+            st.integers(-(2 ** (k - 1)) + 1, 2 ** (k - 1) - 1),
+            st.sampled_from([0, 2 ** (k - 1) - 1, -(2 ** (k - 1)) + 1])), max_size=8))))
+    def test_unpack_inverts_pack(self, case):
+        k, c = case
+        while c and not c[-1]:
+            c.pop()
+        assert _unpack(_pack(c, k), k) == c
+
+
 class TestYun:
     def test_profile(self):
         x = Poly.x()
         lin = TPoly((-x, Poly.one()), Poly.zero())          # t - x
-        sq = tpoly_over_ratfunc(lin * lin)
-        blocks = yun_squarefree(sq)
+        blocks = yun_squarefree(lin * lin)
         assert len(blocks) == 1
         q, m = blocks[0]
         assert m == 2
-        assert tpoly_to_poly_coeffs(q) == lin
+        assert q == lin
 
     def test_reconstruction(self):
         x = Poly.x()
         a = TPoly((-x, Poly.one()), Poly.zero())
         b = TPoly((Poly.one(), Poly.one()), Poly.zero())
-        p = tpoly_over_ratfunc(a * a * a * b)
+        p = a * a * a * b
         blocks = yun_squarefree(p)
-        acc = TPoly((RatFunc.one(),), RatFunc.zero())
+        acc = TPoly((Poly.one(),), Poly.zero())
         for q, m in blocks:
             acc = acc * q ** m
         assert acc == p
+
+    def test_rational_profile(self):
+        # (t - x/2)^2 (t + 1/3): denominators in the blocks, cleared by t -> t/6
+        half, third = tp((0, Fraction(-1, 2)), (1,)), tp((Fraction(1, 3),), (1,))
+        assert yun_squarefree(half * half * third) == [(third, 1), (half, 2)]
+
+    def test_retry_from_a_narrow_slot(self, monkeypatch):
+        # a one-bit first slot cannot certify anything, so the loop widens
+        # it until the certificate holds, and the blocks are Yun's
+        x = Poly.x()
+        q1 = tp((Fraction(-7, 2), 3), (0, Fraction(3, 5)), (1,))
+        q2 = TPoly((-x, Poly.one()), Poly.zero())
+        p = q1 * q1 * q2 * q2 * q2
+        expected = yun_squarefree(p)
+        assert expected == [(q1, 2), (q2, 3)]
+        widths = []
+        pack = polynomials._pack
+        monkeypatch.setattr(polynomials, "_width", lambda bound: 1)
+        monkeypatch.setattr(polynomials, "_pack",
+                            lambda ints, k: widths.append(k) or pack(ints, k))
+        assert yun_squarefree(p) == expected
+        assert widths[0] == 1 and len(set(widths)) > 1
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(monic_tpolys, st.integers(1, 3)),
                     min_size=1, max_size=3)
            .filter(lambda fs: sum(q.degree * e for q, e in fs) <= 6))
+    # denominators in every block, so t is scaled by their lcm
+    @example([(tp((Fraction(-7, 2), 3), (0, Fraction(3, 5)), (1,)), 2),
+              (tp((0, Fraction(1, 6)), (1,)), 2)])
+    @example([(tp((Fraction(5, 4),), (Fraction(-1, 3), Fraction(2, 7)), (1,)), 1),
+              (tp((0, 0, Fraction(1, 2)), (1,)), 2), (tp((Fraction(2, 3), 1), (1,)), 1)])
     def test_matches_sympy_sqf_list(self, factors):
         p = TPoly((Poly.one(),), Poly.zero())
         for q, e in factors:
