@@ -24,27 +24,20 @@ from .covers import (
     FactoredSpectral,
     TwistedSpectralPoly,
     galois_pushforward,
-    phi_k,
-    phi_pair,
     pullback_splits,
     squarefree_decompose,
     trace_translate,
-    verify_component_degree_bounds,
 )
 from .norms import (
     AlgebraElement,
     ParentMismatch,
-    PointDivisor,
     SpectralPoly,
     mul_matrix,
     norm_component_law,
-    norm_consistency_check,
-    norm_divisor,
     norm_element,
     norm_multiplicativity_check,
     norm_power_law,
     norm_resultant_oracle,
-    quasi_free_det,
     spectral_mul,
     spectral_pow,
 )

@@ -248,9 +248,6 @@ class FinAbGroup:
     def exponent(self) -> int:
         return self.invariant_factors[-1] if self.invariant_factors else 1
 
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
-
     def is_cyclic(self) -> bool:
         return len(self.invariant_factors) <= 1
 

@@ -1,8 +1,6 @@
 """Structure theory of spectral polynomials: multiplicity (squarefree)
-decomposition, factor degree bounds, trace translation, the power and
-product maps between characteristic spaces, and the degree-2 Galois
-pushforward with its bounded inverse (the membership test for descent
-along a double cover).
+decomposition, trace translation, and the degree-2 Galois pushforward with
+its bounded inverse (the membership test for descent along a double cover).
 
 The double cover is modeled concretely as y^2 = f(x) with f squarefree.
 A function on it, polynomial in t, is one Surd P + y*Q: P and Q are
@@ -33,8 +31,8 @@ from typing import Optional
 
 from .norms import SpectralPoly, spectral_mul, spectral_pow
 from .polynomials import (
-    Poly, TPoly, _add, _divmod, _mod, _mul, _poly, _xgcd, horner, power,
-    pseudo_remainder, resultant, yun_squarefree)
+    Poly, TPoly, _add, _divmod, _mod, _mul, _poly, _xgcd, horner, power, resultant,
+    yun_squarefree)
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,8 @@ class FactoredSpectral:
 def squarefree_decompose(s: SpectralPoly) -> FactoredSpectral:
     """Yun decomposition of s in t over Q(x), computed at one certified
     Kronecker point x = 2^k (polynomials.yun_squarefree); exact
-    reconstruction holds and every block inherits the graded degree bounds."""
+    reconstruction holds and every block inherits the graded degree bounds,
+    which SpectralPoly.from_tpoly enforces on each block."""
     out = [(SpectralPoly.from_tpoly(q, s.deg_m), mult)
            for q, mult in yun_squarefree(s.as_tpoly())]
     fac = FactoredSpectral(s.deg_m, tuple(out))
@@ -69,44 +68,12 @@ def squarefree_decompose(s: SpectralPoly) -> FactoredSpectral:
     return fac
 
 
-def verify_component_degree_bounds(s: SpectralPoly, factor: SpectralPoly) -> bool:
-    """Check that a monic factor of s satisfies the graded degree bounds
-    deg(b_j) <= j * deg_m.  Raises if the candidate does not divide s over
-    Q(x), decided by a zero pseudo-remainder over Q[x]."""
-    ft = factor.as_tpoly()
-    if not pseudo_remainder(s.as_tpoly(), ft).is_zero():
-        raise ValueError("candidate does not divide the spectral polynomial")
-    d = ft.degree
-    for j in range(1, d + 1):
-        if ft.coeff(d - j).degree > j * s.deg_m:
-            return False
-    return True
-
-
 def trace_translate(s: SpectralPoly) -> SpectralPoly:
     """Change of variables t -> t - a_1/n, killing the t^(n-1) coefficient
-    while preserving the graded degree bounds.  Idempotent."""
+    (exactly: a_1 + n*(-a_1/n) = 0 over Q[x], and verify's structure_maps
+    checks the result) while preserving the graded degree bounds.  Idempotent."""
     shift = s.coeffs[0].scale(Fraction(-1, s.n))
-    out = SpectralPoly.from_tpoly(_tpoly_shift(s.as_tpoly(), shift), s.deg_m)
-    if not out.coeffs[0].is_zero():
-        raise RuntimeError("translation failed to kill the trace")  # unreachable
-    return out
-
-
-def phi_k(s_b: SpectralPoly, k: int) -> SpectralPoly:
-    """The k-th power map between characteristic spaces: s -> s^k;
-    spectral_pow rejects k < 1."""
-    return spectral_pow(s_b, k)
-
-
-def phi_pair(s_b: SpectralPoly, s_c: SpectralPoly) -> SpectralPoly:
-    """The product map (b, c) -> a with s_a = s_b * s_c; the result is
-    trace-free iff b_1 + c_1 = 0."""
-    return spectral_mul(s_b, s_c)
-
-
-def is_trace_free(s: SpectralPoly) -> bool:
-    return s.coeffs[0].is_zero()
+    return SpectralPoly.from_tpoly(_tpoly_shift(s.as_tpoly(), shift), s.deg_m)
 
 
 @dataclass(frozen=True)

@@ -6,18 +6,16 @@ t^(n-1), taken on integers: with denominators cleared, s_a and u are packed
 at one Kronecker point x = 2^k and ``abelian.bareiss_det`` over Z gives the
 determinant there, which unpacks exactly.  The multiplicativity,
 pullback, reduced and multiplicity laws are shipped as executable checks,
-together with the divisor-level norm for smooth covers and a resultant
-cross-validation over Q[x].
+together with a resultant cross-validation over Q[x].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm, prod
 
 from .abelian import bareiss_det
-from .polynomials import Poly, TPoly, _pack, _poly, _unpack, _width, as_fraction, horner, resultant
+from .polynomials import Poly, TPoly, _pack, _poly, _unpack, _width, as_fraction, resultant
 
 
 class ParentMismatch(ValueError):
@@ -60,11 +58,6 @@ class SpectralPoly:
         for j, a in enumerate(self.coeffs, start=1):
             cs[self.n - j] = a
         return TPoly(cs, Poly.zero())
-
-    def evaluate(self, x0, t0) -> Fraction:
-        x0 = as_fraction(x0)
-        return horner([c(x0) for c in self.as_tpoly().coeffs], as_fraction(t0),
-                      Fraction(0))
 
     def one(self) -> "AlgebraElement":
         return AlgebraElement(self, (Poly.one(),) + (Poly.zero(),) * (self.n - 1))
@@ -200,23 +193,6 @@ def norm_component_law(s_b: SpectralPoly, s_c: SpectralPoly,
                     * norm_element(s_c, u.reduce_mod(s_c)))
 
 
-def quasi_free_det(p: SpectralPoly, k: int, i: int, u: AlgebraElement) -> Poly:
-    """Determinant of multiplication by (u mod p^i) on R[t]/(p^i) for an
-    element u of R[t]/(p^k); equals the i-th power of the reduced norm by
-    the lower block-triangular filtration of the non-reduced algebra."""
-    if not 1 <= i <= k:
-        raise ValueError(f"index {i} out of range 1..{k}")
-    full = spectral_pow(p, k)
-    if u.parent != full:
-        raise ParentMismatch("element must live over the k-th power of p")
-    level = spectral_pow(p, i)
-    det = norm_element(level, u.reduce_mod(level))
-    reduced = norm_element(p, u.reduce_mod(p))
-    if det != reduced ** i:
-        raise AssertionError("filtration determinant identity failed")  # unreachable
-    return det
-
-
 def spectral_mul(a: SpectralPoly, b: SpectralPoly) -> SpectralPoly:
     if a.deg_m != b.deg_m:
         raise ValueError("incompatible deg_m")
@@ -227,60 +203,3 @@ def spectral_pow(p: SpectralPoly, m: int) -> SpectralPoly:
     if m < 1:
         raise ValueError("power must be >= 1")
     return SpectralPoly.from_tpoly(p.as_tpoly() ** m, p.deg_m)
-
-
-@dataclass(frozen=True)
-class PointDivisor:
-    """Weighted points ((x0, t0), multiplicity) on the cover cut out by a
-    spectral polynomial; every point must satisfy s_a(x0, t0) = 0 exactly."""
-
-    parent: SpectralPoly
-    points: tuple[tuple[tuple[Fraction, Fraction], int], ...]
-
-    def __post_init__(self):
-        for (x0, t0), _mult in self.points:
-            if self.parent.evaluate(x0, t0) != 0:
-                raise ValueError(f"point ({x0}, {t0}) does not lie on the cover")
-
-    @classmethod
-    def build(cls, parent: SpectralPoly, points) -> "PointDivisor":
-        norm_pts = tuple(((as_fraction(x0), as_fraction(t0)), int(m))
-                         for (x0, t0), m in points)
-        return cls(parent, norm_pts)
-
-
-def norm_divisor(s_a: SpectralPoly, d: PointDivisor) -> list[tuple[Fraction, int]]:
-    """Pushforward divisor on the base: forget t, merge equal x0 by summing
-    multiplicities, drop zero entries; sorted by x0."""
-    if d.parent != s_a:
-        raise ParentMismatch("divisor lives on a different cover")
-    acc: dict[Fraction, int] = {}
-    for (x0, _t0), mult in d.points:
-        acc[x0] = acc.get(x0, 0) + mult
-    return sorted(((x0, m) for x0, m in acc.items() if m != 0))
-
-
-def norm_consistency_check(s_a: SpectralPoly, u: AlgebraElement,
-                           d_u: PointDivisor) -> bool:
-    """Cross-validates the algebraic and divisor descriptions of the norm:
-    at sampled unramified fibers, the vanishing order of det(mu_u) on the
-    base equals the pushforward of the zero divisor of u.
-
-    Requires the cover to be smooth over every sampled x-value
-    (discriminant nonzero there)."""
-    if u.parent != s_a or d_u.parent != s_a:
-        raise ParentMismatch("operands attached to different covers")
-    xs = sorted({x0 for (x0, _t0), _m in d_u.points})
-    s = s_a.as_tpoly()
-    disc = resultant(s, s.derivative())
-    for x0 in xs:
-        if disc(x0) == 0:
-            raise ValueError(f"discriminant vanishes at sampled x = {x0}")
-    det = norm_element(s_a, u)
-    if det.is_zero():
-        raise ValueError("norm of u vanishes identically; u is a zero divisor")
-    pushed = dict(norm_divisor(s_a, d_u))
-    for x0 in xs:
-        if det.root_multiplicity(x0) != pushed.get(x0, 0):
-            return False
-    return True

@@ -289,19 +289,6 @@ class Poly:
             acc, qk = acc * p + c * qk, qk * q
         return Fraction(acc * q, self.denom * qk)
 
-    def root_multiplicity(self, x0: Scalar) -> int:
-        """Order of vanishing at x0 (0 if not a root)."""
-        if self.is_zero():
-            raise ValueError("zero polynomial vanishes everywhere")
-        x0 = as_fraction(x0)
-        lin = Poly((-x0, 1))
-        p, mult = self, 0
-        while True:
-            q, r = p.divmod(lin)
-            if not r.is_zero():
-                return mult
-            p, mult = q, mult + 1
-
     def is_squarefree(self) -> bool:
         """No repeated factor over Q: gcd(F, F') = 1 mod a prime p from 3 to
         13 not dividing F's leading numerator puts disc(F) != 0 mod p; only
@@ -658,9 +645,6 @@ class TPoly:
         coefficient exactly (always so over a field)."""
         lc = self.lc
         return TPoly(tuple(c / lc for c in self.coeffs), self.czero)
-
-    def derivative(self) -> "TPoly":
-        return TPoly([i * c for i, c in enumerate(self.coeffs) if i], self.czero)
 
     def map_coeffs(self, fn, new_zero) -> "TPoly":
         return TPoly(tuple(fn(c) for c in self.coeffs), new_zero)

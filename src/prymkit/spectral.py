@@ -82,13 +82,11 @@ class SpectralCoverDescriptor:
     def k(self) -> TorsionSubgroup:
         """K = intersection of the preimages [m_i]^(-1)(K_i), computed once
         per descriptor in the common ambient (Z/M)^(2g) with
-        M = ambient_modulus(self)."""
+        M = ambient_modulus(self).  K lies in the n-torsion: exp(K) divides
+        every m_i * d_i, hence their gcd, which divides n = sum(m_i * d_i)."""
         ambient = TorsionAmbient(self.g, ambient_modulus(self))
-        k = reduce(intersect, (preimage_mul(c.multiplicity, c.kernel.embed(ambient))
-                               for c in self.components))
-        if self.n % k.exponent != 0:
-            raise InvariantViolation("K escaped the n-torsion")  # unreachable
-        return k
+        return reduce(intersect, (preimage_mul(c.multiplicity, c.kernel.embed(ambient))
+                                  for c in self.components))
 
 
 def ambient_modulus(desc: SpectralCoverDescriptor) -> int:
@@ -118,8 +116,8 @@ def pi0_prym(desc: SpectralCoverDescriptor) -> FinAbGroup:
 def phi_surjection(desc: SpectralCoverDescriptor) -> GroupHom:
     """The surjection from the n-torsion of Pic^0(C) onto the component
     group, realized as restriction of characters to K.  K lies in the
-    n-torsion (checked when K is computed, and again by
-    ``dual_of_inclusion``), so |K| divides n^(2g).  The map is verified on
+    n-torsion (see ``SpectralCoverDescriptor.k``; ``dual_of_inclusion``
+    checks it), so |K| divides n^(2g).  The map is verified on
     its image: by the first isomorphism theorem |ker| * |im| = n^(2g), so
     the kernel has order n^(2g) / |K| exactly when |im| = |K|, that is,
     when the map is onto its realization of dual(K)."""
@@ -133,14 +131,12 @@ def phi_surjection(desc: SpectralCoverDescriptor) -> GroupHom:
 def is_cn_cover(desc: SpectralCoverDescriptor) -> bool:
     """True iff the descriptor is the non-reduced cover with trivial
     nilpotent structure of order n: a single component with m = n (d*m = n
-    then gives d = 1, and exp(K) | d a trivial kernel).  Cross-checked
-    against |K| = n^(2g), which for geometrically meaningful kernels (K_i
-    proper in the d_i-torsion when d_i > 1) is an equivalent
-    characterization."""
+    then gives d = 1, and exp(K) | d a trivial kernel, so K = [n]^(-1)(0)
+    and |K| = n^(2g)).  Cross-checked against |K| = n^(2g), which for
+    geometrically meaningful kernels (K_i proper in the d_i-torsion when
+    d_i > 1) is an equivalent characterization."""
     shape = len(desc.components) == 1 and desc.components[0].multiplicity == desc.n
     maximal = desc.k.order == desc.n ** (2 * desc.g)
-    if shape and not maximal:
-        raise InvariantViolation("C_n descriptor without maximal K")  # unreachable
     if maximal and not shape:
         raise InvariantViolation(
             "descriptor attains |K| = n^(2g) without C_n shape; its kernels "

@@ -27,8 +27,6 @@ from .covers import (
     TwistedSpectralPoly,
     factors_coprime,
     galois_pushforward,
-    phi_k,
-    phi_pair,
     pullback_splits,
     squarefree_decompose,
     trace_translate,
@@ -49,6 +47,7 @@ from .spectral import (
     ComponentData,
     SpectralCoverDescriptor,
     divisors,
+    gamma_in_k,
     is_cn_cover,
     phi_surjection,
     pi0_prym,
@@ -295,6 +294,19 @@ def suite_spectral(seed: int) -> list[dict]:
             if c_n != endoscopic_dim(n, 1, g) - endoscopic_dim(n, p, g) or bnd != 2 * c_n:
                 ok, detail = False, f"formula mismatch at n={n}, g={g}"
     _record(results, "codimension_formula", ok, detail)
+
+    # the oracle embeds v in (Z/M)^(2g) by M // n and looks it up in K's
+    # element set, built by closure over K's basis rows
+    ok, detail = True, ""
+    for _ in range(30):
+        desc = random_descriptor(rng, max_n=4)
+        n, M = desc.n, desc.k.ambient.M
+        v = [rng.randrange(n) for _ in range(2 * desc.g)]
+        gamma = subgroup_from_generators(TorsionAmbient(desc.g, n), IntMatrix.from_rows([v]))
+        if gamma_in_k(desc, gamma) != (tuple((M // n) * e % M for e in v) in desc.k.elements()):
+            ok, detail = False, f"membership of <{v}> in K disagrees with K's elements"
+            break
+    _record(results, "gamma_membership", ok, detail)
     return results
 
 
@@ -405,11 +417,11 @@ def suite_galois(seed: int) -> list[dict]:
             ok, detail = False, "trace translation not idempotent"
             break
         k1, k2 = rng.randint(1, 2), rng.randint(1, 2)
-        if phi_k(s, k1 * k2) != phi_k(phi_k(s, k1), k2):
+        if spectral_pow(s, k1 * k2) != spectral_pow(spectral_pow(s, k1), k2):
             ok, detail = False, "power maps do not compose"
             break
         s2 = random_spectral(rng, max_n=2)
-        prod_poly = phi_pair(s, s2)
+        prod_poly = spectral_mul(s, s2)
         if prod_poly.coeffs[0] != s.coeffs[0] + s2.coeffs[0]:
             ok, detail = False, "trace additivity failed for the product map"
             break

@@ -116,6 +116,15 @@ MUTANTS = [
      " and desc.components[0].multiplicity == desc.n\n",
      "\n",
      ["tests/test_spectral.py"]),
+    ("gamma_in_k tests K inside gamma", "spectral.py",
+     "return gamma_emb.is_subgroup_of(k_emb)",
+     "return k_emb.is_subgroup_of(gamma_emb)",
+     ["tests/test_spectral.py"]),
+    # -- verify ------------------------------------------------------------------
+    ("gamma oracle looks v up in K unscaled by M // n", "verify.py",
+     "tuple((M // n) * e % M for e in v)",
+     "tuple(e % M for e in v)",
+     ["tests/test_spectral.py"]),
     # -- polynomials -------------------------------------------------------------
     ("Poly without the gcd normalisation", "polynomials.py",
      "        if g != 1:\n            ints, den = [c // g for c in ints], den // g\n",

@@ -1,5 +1,5 @@
-"""Tests for the norm engine: multiplication matrices, determinants,
-the multiplicativity/power/component laws and the divisor-level norm."""
+"""Tests for the norm engine: multiplication matrices, determinants and
+the multiplicativity/power/component laws."""
 
 import random
 from fractions import Fraction
@@ -7,26 +7,21 @@ from itertools import permutations
 
 import pytest
 
-from prymkit import norms
 from prymkit.norms import (
     AlgebraElement,
     ParentMismatch,
-    PointDivisor,
     SpectralPoly,
     mul_matrix,
     norm_component_law,
-    norm_consistency_check,
-    norm_divisor,
     norm_element,
     norm_multiplicativity_check,
     norm_power_law,
     norm_resultant_oracle,
     poly_matrix_det,
-    quasi_free_det,
     spectral_mul,
     spectral_pow,
 )
-from prymkit.polynomials import Poly, resultant
+from prymkit.polynomials import Poly
 from prymkit.verify import random_element, random_poly, random_spectral
 
 X = Poly.x()
@@ -224,86 +219,34 @@ class TestNormLaws:
 
 
 class TestQuasiFree:
+    """u over p^3 reduced to p^i: its norm on R[t]/(p^i) is the i-th power
+    of the reduced norm, by the filtration of the non-reduced algebra."""
+
     def test_reduced_level(self):
         p = SpectralPoly(1, 2, (-(X * X),))
-        full = spectral_pow(p, 3)
-        u = full.element((Poly.one(), Poly.one(), Poly.zero()))  # 1 + t
-        assert quasi_free_det(p, 3, 1, u) == X * X + 1
+        u = spectral_pow(p, 3).element((Poly.one(), Poly.one(), Poly.zero()))  # 1 + t
+        assert norm_power_law(p, 1, u.reduce_mod(p))
+        assert norm_element(p, u.reduce_mod(p)) == X * X + 1
 
     def test_intermediate_level_squares(self):
         p = SpectralPoly(1, 2, (-(X * X),))
-        full = spectral_pow(p, 3)
-        u = full.element((Poly.one(), Poly.one(), Poly.zero()))
-        assert quasi_free_det(p, 3, 2, u) == (X * X + 1) ** 2
+        u = spectral_pow(p, 3).element((Poly.one(), Poly.one(), Poly.zero()))
+        level = spectral_pow(p, 2)
+        assert norm_power_law(p, 2, u.reduce_mod(level))
+        assert norm_element(level, u.reduce_mod(level)) == (X * X + 1) ** 2
 
     def test_top_level_is_full_norm(self):
         rng = random.Random(41)
         p = random_spectral(rng, max_n=2)
-        full = spectral_pow(p, 2)
+        full = spectral_pow(p, 3)
         u = random_element(rng, full)
-        assert quasi_free_det(p, 2, 2, u) == norm_element(full, u)
+        assert u.reduce_mod(full) == u
+        assert norm_power_law(p, 3, u.reduce_mod(full))
 
     def test_index_range(self):
         p = SpectralPoly(1, 1, (-X,))
         full = spectral_pow(p, 2)
-        with pytest.raises(ValueError):
-            quasi_free_det(p, 2, 3, full.t())
-
-
-class TestDivisors:
-    def cover(self):
-        return SpectralPoly(2, 1, (Poly.zero(), -X))   # t^2 - x
-
-    def test_point_must_lie_on_cover(self):
-        with pytest.raises(ValueError):
-            PointDivisor.build(self.cover(), [((1, 2), 1)])
-
-    def test_pushforward_merges_fibers(self):
-        s = self.cover()
-        d = PointDivisor.build(s, [((1, 1), 1), ((1, -1), 1)])
-        assert norm_divisor(s, d) == [(Fraction(1), 2)]
-
-    def test_pushforward_drops_zero_weight(self):
-        s = self.cover()
-        d = PointDivisor.build(s, [((1, 1), 1), ((1, -1), -1)])
-        assert norm_divisor(s, d) == []
-
-    def test_consistency_unramified(self):
-        s = self.cover()
-        u = s.element((Poly.constant(-1), Poly.one()))  # t - 1, vanishes at (1,1)
-        d = PointDivisor.build(s, [((1, 1), 1)])
-        assert norm_element(s, u) == Poly((1, -1))      # 1 - x
-        assert norm_consistency_check(s, u, d)
-
-    def test_consistency_detects_wrong_divisor(self):
-        s = self.cover()
-        u = s.element((Poly.constant(-1), Poly.one()))
-        d = PointDivisor.build(s, [((1, 1), 2)])        # wrong multiplicity
-        assert not norm_consistency_check(s, u, d)
-
-    def test_ramified_sample_rejected(self):
-        s = self.cover()
-        u = s.t()
-        d = PointDivisor.build(s, [((0, 0), 1)])
-        # the fiber over x = 0 is ramified (discriminant -4x vanishes)
-        with pytest.raises(ValueError):
-            norm_consistency_check(s, u, d)
-
-    def test_trivial_element(self):
-        s = self.cover()
-        d = PointDivisor.build(s, [])
-        assert norm_consistency_check(s, s.one(), d)
-
-    def test_discriminant_computed_once(self, monkeypatch):
-        calls = []
-
-        def counting_resultant(a, b):
-            calls.append((a, b))
-            return resultant(a, b)
-
-        monkeypatch.setattr(norms, "resultant", counting_resultant)
-        s = self.cover()
-        u = s.element((Poly.constant(-1), Poly.one()))
-        d = PointDivisor.build(s, [((1, 1), 1), ((4, 2), 0)])
-        assert norm_consistency_check(s, u, d)
-        assert len(calls) == 1
+        with pytest.raises(ValueError, match="multiplicity must be >= 1"):
+            norm_power_law(p, 0, full.t())
+        with pytest.raises(ParentMismatch):
+            norm_power_law(p, 3, full.t())

@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 
-from prymkit import spectral
+from prymkit import spectral, verify
 from prymkit.abelian import (
     GroupHom,
     IntMatrix,
@@ -351,3 +351,32 @@ class TestGammaMembership:
                 continue
             if gamma_in_k(desc, g2):
                 assert gamma_in_k(desc, g1)
+
+    def test_verify_property(self, monkeypatch):
+        # the last spectral record passes at seeds 0-4, each seed drawing
+        # gammas both inside and outside K
+        answers = []
+
+        def recording(desc, gamma):
+            answers.append(gamma_in_k(desc, gamma))
+            return answers[-1]
+
+        monkeypatch.setattr(verify, "gamma_in_k", recording)
+        for seed in range(5):
+            answers.clear()
+            assert verify.suite_spectral(seed)[-1] == {
+                "property": "gamma_membership", "passed": True, "detail": ""}
+            assert set(answers) == {True, False}
+
+    def test_verify_oracle_scales_v_into_k_ambient(self, monkeypatch):
+        # at n <= 4, M != n forces K = 0, so the suite's draws never need the
+        # oracle's M // n; here n = 6, (d, m) = (2, 2), (1, 2) give M = 12
+        # and K the 2-torsion, where <(3, 0)> lies in K only as 6 = 2 * 3
+        desc = SpectralCoverDescriptor(6, 1, (
+            ComponentData(2, 2, TorsionAmbient(1, 2).trivial_subgroup()),
+            ComponentData(1, 2, TorsionAmbient(1, 1).trivial_subgroup())))
+        assert desc.k.ambient.M == 12 and desc.k.order == 4
+        amb = TorsionAmbient(1, 6)
+        assert gamma_in_k(desc, subgroup_from_generators(amb, IntMatrix.from_rows([[3, 0]])))
+        monkeypatch.setattr(verify, "random_descriptor", lambda rng, max_n=6: desc)
+        assert verify.suite_spectral(0)[-1]["passed"]
