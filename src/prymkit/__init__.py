@@ -7,7 +7,6 @@ from .abelian import (
     AmbientMismatch,
     FinAbGroup,
     GroupHom,
-    IntMatrix,
     TorsionAmbient,
     TorsionSubgroup,
     dual_group,

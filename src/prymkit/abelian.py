@@ -14,9 +14,10 @@ character restriction reads the image's order, not the kernel's.
 is the only normal-form kernel: it clears each column using only the rows
 still nonzero there.  The Smith form is built from alternating Hermite
 forms, which ``structure()`` runs with no transforms carried.
-``bareiss_det``, fraction-free over Z, is the determinant of ``IntMatrix``
-and, at a Kronecker point x = 2^k, of the norm engine.  All values are
-immutable and all operations are pure functions.
+Integer matrices are row lists of a given width.  ``bareiss_det``,
+fraction-free over Z, is the determinant of ``verify``'s unimodularity
+check and, at a Kronecker point x = 2^k, of the norm engine.  All values
+are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -29,72 +30,6 @@ from math import gcd, prod
 
 class AmbientMismatch(ValueError):
     """Operands live in different ambient groups."""
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix, row-major, arbitrary precision."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-        if not all(isinstance(e, int) for e in self.entries):
-            raise TypeError("matrix entries must be integers")
-
-    @classmethod
-    def from_rows(cls, rows: list[list[int]]) -> "IntMatrix":
-        r = len(rows)
-        c = len(rows[0]) if rows else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return cls(r, c, tuple(e for row in rows for e in row))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zero(cls, r: int, c: int) -> "IntMatrix":
-        return cls(r, c, (0,) * (r * c))
-
-    def get(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return self.entries[j::self.cols]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(e for j in range(self.cols) for e in self.column(j)))
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        cols = [other.column(j) for j in range(other.cols)]
-        return IntMatrix(self.rows, other.cols,
-                         tuple(sum(map(operator.mul, self.row(i), col))
-                               for i in range(self.rows) for col in cols))
-
-    def det(self) -> int:
-        """Exact determinant (fraction-free Bareiss)."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        return bareiss_det(self.to_rows())
-
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
 
 
 def bareiss_det(rows) -> int:
@@ -122,14 +57,14 @@ def bareiss_det(rows) -> int:
     return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
 
 
-def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: U, D, V with U*A*V = D, U and V unimodular, D
-    diagonal with nonnegative entries, d_1 | d_2 | ... and zeros last."""
-    r, c = a.rows, a.cols
-    m, u, vt = _smith_alternation(a.to_rows(), c, _diagonal([1] * r), _diagonal([1] * c))
-    return (IntMatrix(r, r, tuple(e for row in u for e in row)),
-            IntMatrix(r, c, tuple(e for row in m for e in row)),
-            IntMatrix(c, c, tuple(e for row in _transpose(vt, c) for e in row)))
+def smith_normal_form(rows: list[list[int]], cols: int) -> tuple[list[list[int]], ...]:
+    """Smith normal form of the matrix A with the given rows, each of length
+    cols (passed apart, since a matrix with no rows has no row to measure):
+    U, D, V as row lists with U*A*V = D, U and V unimodular, D diagonal
+    with nonnegative entries, d_1 | d_2 | ... and zeros last."""
+    m, u, vt = _smith_alternation([list(r) for r in rows], cols,
+                                  _diagonal([1] * len(rows)), _diagonal([1] * cols))
+    return u, m, _transpose(vt, cols)
 
 
 def _smith_alternation(m: list[list[int]], c: int, u: list[list[int]],
@@ -218,11 +153,12 @@ def _right_block(rows: list[list[int]], j: int) -> list[list[int]]:
     return [r[j:] for r in hermite_normal_form(rows) if not any(r[:j])]
 
 
-def left_kernel(a: IntMatrix) -> list[list[int]]:
-    """Hermite basis of the lattice {w : w * A = 0} of integer row vectors:
-    the right-hand block of the lattice spanned by the rows of [A | I]."""
-    return _right_block([r + e for r, e in zip(a.to_rows(), _diagonal([1] * a.rows))],
-                        a.cols)
+def left_kernel(rows: list[list[int]], cols: int) -> list[list[int]]:
+    """Hermite basis of the lattice {w : w * A = 0} of integer row vectors,
+    A the matrix with the given rows, each of length cols (as in
+    ``smith_normal_form``): the right-hand block of the lattice spanned by
+    the rows of [A | I]."""
+    return _right_block([[*r, *e] for r, e in zip(rows, _diagonal([1] * len(rows)))], cols)
 
 
 @dataclass(frozen=True)
@@ -303,12 +239,11 @@ class TorsionSubgroup:
         object.__setattr__(self, "basis", tuple(map(tuple, self.basis)))
 
     @cached_property
-    def generators(self) -> IntMatrix:
+    def generators(self) -> tuple[tuple[int, ...], ...]:
         """Canonical generators: the basis rows reduced mod M, zero rows dropped."""
-        M, k = self.ambient.M, self.ambient.rank
-        reduced = [[e % M for e in r] for r in self.basis]
-        entries = tuple(e for r in reduced if any(r) for e in r)
-        return IntMatrix(len(entries) // k, k, entries)
+        M = self.ambient.M
+        reduced = [tuple(e % M for e in r) for r in self.basis]
+        return tuple(r for r in reduced if any(r))
 
     @cached_property
     def exponent(self) -> int:
@@ -339,9 +274,6 @@ class TorsionSubgroup:
             raise AmbientMismatch("subgroup comparison across ambients")
         return all(other.contains(row) for row in self.basis)
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def elements(self) -> set[tuple[int, ...]]:
         """Exhaustive element set (desk scale only)."""
         M = self.ambient.M
@@ -370,14 +302,14 @@ class TorsionSubgroup:
         return TorsionSubgroup(target, [[e * s for e in r] for r in self.basis])
 
 
-def subgroup_from_generators(ambient: TorsionAmbient, rows: IntMatrix) -> TorsionSubgroup:
-    """Canonical subgroup of (Z/M)^(2g) generated by the given rows."""
-    if rows.cols != ambient.rank:
-        raise ValueError(f"generators have {rows.cols} columns, "
-                         f"ambient rank is {ambient.rank}")
+def subgroup_from_generators(ambient: TorsionAmbient, rows) -> TorsionSubgroup:
+    """Canonical subgroup of (Z/M)^(2g) generated by the given rows, lists or
+    tuples of 2g integers each."""
+    if any(len(r) != ambient.rank for r in rows):
+        raise ValueError(f"each generator needs {ambient.rank} entries, the ambient rank")
     M = ambient.M
     return TorsionSubgroup(ambient, hermite_normal_form(
-        [[e % M for e in r] for r in rows.to_rows()] + _diagonal([M] * ambient.rank)))
+        [[e % M for e in r] for r in rows] + _diagonal([M] * ambient.rank)))
 
 
 def _diagonal(d: list[int]) -> list[list[int]]:
@@ -456,20 +388,22 @@ class GroupHom:
 
     domain: TorsionAmbient
     codomain: TorsionAmbient
-    matrix: IntMatrix
+    matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.matrix.rows != self.domain.rank or self.matrix.cols != self.codomain.rank:
+        m = tuple(map(tuple, self.matrix))
+        object.__setattr__(self, "matrix", m)
+        if len(m) != self.domain.rank or any(len(r) != self.codomain.rank for r in m):
             raise ValueError("matrix shape does not match domain/codomain ranks")
         # well-definedness: M_dom * e_i must map into the codomain relations
-        if any(self.domain.M * e % self.codomain.M for e in self.matrix.entries):
+        if any(self.domain.M * e % self.codomain.M for r in m for e in r):
             raise ValueError("homomorphism not well defined on relations")
 
     def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         if len(vec) != self.domain.rank:
             raise ValueError("vector has wrong length")
-        Mc, m = self.codomain.M, self.matrix
-        return tuple(sum(map(operator.mul, vec, m.column(j))) % Mc for j in range(m.cols))
+        Mc = self.codomain.M
+        return tuple(sum(map(operator.mul, vec, col)) % Mc for col in zip(*self.matrix))
 
     def kernel(self) -> TorsionSubgroup:
         """{x : x*A in Mc*Z^kc}, restricted from the full domain."""
@@ -498,7 +432,6 @@ def dual_of_inclusion(k_sub: TorsionSubgroup, n: int) -> GroupHom:
     step = amb.M // n
     gens = k_sub.generators
     # column j of the matrix is generator j scaled down by step, zeros past the last
-    pad = [0] * (amb.rank - gens.rows)
+    pad = [0] * (amb.rank - len(gens))
     small = TorsionAmbient(amb.g, n)
-    return GroupHom(small, small, IntMatrix.from_rows(
-        [[e // step for e in gens.column(i)] + pad for i in range(amb.rank)]))
+    return GroupHom(small, small, [[r[i] // step for r in gens] + pad for i in range(amb.rank)])

@@ -130,7 +130,7 @@ def _cmd_pi0(args) -> tuple[str, dict]:
         "n": desc.n,
         "g": desc.g,
         "ambient_modulus": k.ambient.M,
-        "k_generators": k.generators.to_rows(),
+        "k_generators": k.generators,
         "k_order": order,
         "pi0_invariant_factors": list(group.invariant_factors),
         "pi0_order": group.order,

@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .abelian import IntMatrix, TorsionAmbient, subgroup_from_generators
+from .abelian import TorsionAmbient, subgroup_from_generators
 from .covers import DoubleCoverData, TwistedSpectralPoly
 from .norms import AlgebraElement, SpectralPoly
 from .polynomials import Poly, _poly
@@ -145,7 +145,7 @@ def descriptor_to_json(desc: SpectralCoverDescriptor) -> dict:
             "degree": c.degree,
             "multiplicity": c.multiplicity,
             "kernel_modulus": c.kernel.ambient.M,
-            "kernel_generators": c.kernel.generators.to_rows(),
+            "kernel_generators": [list(r) for r in c.kernel.generators],
         })
     return {"n": desc.n, "g": desc.g, "components": comps}
 
@@ -169,9 +169,8 @@ def descriptor_from_json(value, path: str = "$") -> SpectralCoverDescriptor:
         gp = f"{cp}.kernel_generators"
         gens_raw = _expect_list(_expect_key(cobj, "kernel_generators", cp), gp)
         _require(modulus >= 1, f"{cp}.kernel_modulus", "modulus must be >= 1")
-        rows = _each(gens_raw, gp, row_from_json)
-        gens = IntMatrix.from_rows(rows) if rows else IntMatrix(0, rank, ())
-        kernel = subgroup_from_generators(TorsionAmbient(g, modulus), gens)
+        kernel = subgroup_from_generators(TorsionAmbient(g, modulus),
+                                          _each(gens_raw, gp, row_from_json))
         return ComponentData(degree, mult, kernel)
 
     comps = _each(comps_raw, f"{path}.components", component_from_json)

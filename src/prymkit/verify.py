@@ -12,9 +12,9 @@ from fractions import Fraction
 from itertools import product
 
 from .abelian import (
-    IntMatrix,
     TorsionAmbient,
     TorsionSubgroup,
+    bareiss_det,
     dual_of_inclusion,
     hermite_normal_form,
     intersect,
@@ -60,10 +60,11 @@ from .spectral import (
 
 # -- random generators ----------------------------------------------------
 
-def random_int_matrix(rng: random.Random, max_dim: int = 6, bound: int = 50) -> IntMatrix:
+def random_int_matrix(rng: random.Random, max_dim: int = 6,
+                      bound: int = 50) -> list[list[int]]:
     r = rng.randint(1, max_dim)
     c = rng.randint(1, max_dim)
-    return IntMatrix(r, c, tuple(rng.randint(-bound, bound) for _ in range(r * c)))
+    return [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)]
 
 
 def random_subgroup(rng: random.Random, ambient: TorsionAmbient,
@@ -74,8 +75,7 @@ def random_subgroup(rng: random.Random, ambient: TorsionAmbient,
     for _ in range(12):
         ngens = rng.randint(0, max_gens)
         rows = [[rng.randrange(ambient.M) for _ in range(k)] for _ in range(ngens)]
-        h = subgroup_from_generators(
-            ambient, IntMatrix.from_rows(rows) if rows else IntMatrix(0, k, ()))
+        h = subgroup_from_generators(ambient, rows)
         if not proper or h.order < ambient.order:
             return h
     return ambient.trivial_subgroup()
@@ -160,6 +160,11 @@ def random_twisted(rng: random.Random, cover: DoubleCoverData, m: int,
 
 # -- suite helpers --------------------------------------------------------
 
+def _matmul(a: list, b: list) -> list[list[int]]:
+    """Product of two integer matrices given by their rows."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def _record(results: list, name: str, passed: bool, detail: str = ""):
     results.append({"property": name, "passed": bool(passed), "detail": detail})
 
@@ -173,11 +178,12 @@ def suite_abelian(seed: int) -> list[dict]:
     ok, detail = True, ""
     for _ in range(60):
         a = random_int_matrix(rng)
-        u, d, v = smith_normal_form(a)
-        if (u @ a) @ v != d or not u.is_unimodular() or not v.is_unimodular():
-            ok, detail = False, f"decomposition failed on {a.to_rows()}"
+        u, d, v = smith_normal_form(a, len(a[0]))
+        if (_matmul(_matmul(u, a), v) != d
+                or abs(bareiss_det(u)) != 1 or abs(bareiss_det(v)) != 1):
+            ok, detail = False, f"decomposition failed on {a}"
             break
-        diag = [d.get(i, i) for i in range(min(d.rows, d.cols))]
+        diag = [d[i][i] for i in range(min(len(a), len(a[0])))]
         nz = [e for e in diag if e != 0]
         if any(e < 0 for e in diag) or any(b % a_ != 0 for a_, b in zip(nz, nz[1:])):
             ok, detail = False, f"diagonal not a divisor chain: {diag}"
@@ -192,7 +198,7 @@ def suite_abelian(seed: int) -> list[dict]:
         h = random_subgroup(rng, ambient, max_gens=2)
         elems = sorted(h.elements())
         alt = [list(rng.choice(elems)) for _ in range(rng.randint(1, 4))]
-        h2 = subgroup_from_generators(ambient, IntMatrix.from_rows(alt))
+        h2 = subgroup_from_generators(ambient, alt)
         if not h2.is_subgroup_of(h):
             ok, detail = False, "span of elements escaped the subgroup"
             break
@@ -233,7 +239,7 @@ def suite_abelian(seed: int) -> list[dict]:
         seen = set()
         for v1 in product(range(n), repeat=2):
             for v2 in product(range(n), repeat=2):
-                h = subgroup_from_generators(ambient, IntMatrix.from_rows([list(v1), list(v2)]))
+                h = subgroup_from_generators(ambient, [v1, v2])
                 if h in seen:
                     continue
                 seen.add(h)
@@ -272,8 +278,7 @@ def suite_spectral(seed: int) -> list[dict]:
         comp = desc.components[idx]
         amb = comp.kernel.ambient
         extra = [rng.randrange(amb.M) for _ in range(amb.rank)]
-        rows = comp.kernel.generators.to_rows() + [extra]
-        bigger = subgroup_from_generators(amb, IntMatrix.from_rows(rows))
+        bigger = subgroup_from_generators(amb, [*comp.kernel.generators, extra])
         if any((comp.degree * e) % amb.M != 0 for e in extra):
             continue
         comps = list(desc.components)
@@ -302,7 +307,7 @@ def suite_spectral(seed: int) -> list[dict]:
         desc = random_descriptor(rng, max_n=4)
         n, M = desc.n, desc.k.ambient.M
         v = [rng.randrange(n) for _ in range(2 * desc.g)]
-        gamma = subgroup_from_generators(TorsionAmbient(desc.g, n), IntMatrix.from_rows([v]))
+        gamma = subgroup_from_generators(TorsionAmbient(desc.g, n), [v])
         if gamma_in_k(desc, gamma) != (tuple((M // n) * e % M for e in v) in desc.k.elements()):
             ok, detail = False, f"membership of <{v}> in K disagrees with K's elements"
             break

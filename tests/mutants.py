@@ -45,8 +45,8 @@ MUTANTS = [
      "gcd(self.ambient.M, self.basis[0][0])",
      ["tests/test_abelian.py"]),
     ("generators not reduced mod M", "abelian.py",
-     "reduced = [[e % M for e in r] for r in self.basis]",
-     "reduced = [list(r) for r in self.basis]",
+     "reduced = [tuple(e % M for e in r) for r in self.basis]",
+     "reduced = [tuple(r) for r in self.basis]",
      ["tests/test_abelian.py"]),
     ("is_subgroup_of checks only the first basis row", "abelian.py",
      "all(other.contains(row) for row in self.basis)",
@@ -57,8 +57,16 @@ MUTANTS = [
      "d = [list(r) for r in h.basis]",
      ["tests/test_abelian.py"]),
     ("apply without the reduction mod Mc", "abelian.py",
-     "sum(map(operator.mul, vec, m.column(j))) % Mc",
-     "sum(map(operator.mul, vec, m.column(j)))",
+     "sum(map(operator.mul, vec, col)) % Mc",
+     "sum(map(operator.mul, vec, col))",
+     ["tests/test_abelian.py"]),
+    ("generators of any length accepted", "abelian.py",
+     "if any(len(r) != ambient.rank for r in rows):",
+     "if False:",
+     ["tests/test_abelian.py"]),
+    ("homomorphism matrix of any shape accepted", "abelian.py",
+     "if len(m) != self.domain.rank or any(len(r) != self.codomain.rank for r in m):",
+     "if False:",
      ["tests/test_abelian.py"]),
     # -- abelian: Hermite form ---------------------------------------------------
     ("Hermite form without the reduction above the pivot", "abelian.py",

@@ -173,11 +173,11 @@ class TestCli:
         assert main(["pi0", "--input", path]) == 3
 
     def test_pi0_phi_check_exit_3(self, tmp_path, capsys, monkeypatch):
-        from prymkit.abelian import GroupHom, IntMatrix, TorsionAmbient
+        from prymkit.abelian import GroupHom, TorsionAmbient
 
         def zero_map(k_sub, n):
             small = TorsionAmbient(k_sub.ambient.g, n)
-            return GroupHom(small, small, IntMatrix.zero(small.rank, small.rank))
+            return GroupHom(small, small, [[0] * small.rank] * small.rank)
 
         # K has order 2, the zero map's image order 1
         monkeypatch.setattr(spectral, "dual_of_inclusion", zero_map)
