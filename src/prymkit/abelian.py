@@ -1,20 +1,22 @@
 """Exact integer-matrix and finite-abelian-group engine.
 
-Subgroups of (Z/M)^(2g) are represented by the Hermite basis of their
-preimage lattice in Z^(2g), the only form stored; since that basis is unique
-for the subgroup, two subgroups are equal iff their stored bases are equal.
-Canonical generators (the basis mod M) are derived for output only.
-Intersection, multiplication preimage and kernel are one restriction
-{x in H : image(x) in L}: one Hermite form of rows stacked from the Hermite
-bases of H and L, whose right-hand rows are the result's Hermite basis.
-The image of a homomorphism is the subgroup its matrix rows generate, a
-Hermite form half as wide as the kernel's; the ``pi0`` check of the
-character restriction reads the image's order, not the kernel's.
-``embed`` scales a Hermite basis and runs no elimination.  The Hermite form
-is the only normal-form kernel: it clears each column using only the rows
-still nonzero there.  The Smith form is built from alternating Hermite
-forms, which ``structure()`` runs with no transforms carried.
-Integer matrices are row lists of a given width.  ``bareiss_det``,
+A subgroup of (Z/M)^(2g) is stored as its canonical generators: the rows
+of the Hermite basis of its preimage lattice in Z^(2g) whose pivot is below
+M.  The other basis rows are exactly M*e_c and stay implicit (``basis``
+derives them); since that basis is unique for the subgroup, two subgroups
+are equal iff their stored generators are.  Every subgroup is built by the
+Hermite form modulo M, which eliminates only these rows, never a stacked
+M*I.  Intersection, multiplication preimage and kernel are one restriction
+{x in H : image(x) in L}: one Hermite form modulo M of rows stacked from
+the generators of H and L, whose right-hand rows are the result.  The image
+of a homomorphism is the subgroup its matrix rows generate; the ``pi0``
+check of the character restriction reads the image's order.  ``embed``
+scales the generators and runs no elimination; order, exponent and the
+invariant factors are read off the generators.  The Hermite form, with or
+without a modulus, is the only normal-form kernel: it clears each column
+using only the rows still nonzero there.  The Smith form is built from
+alternating Hermite forms, which ``structure()`` runs with no transforms
+carried.  Integer matrices are row lists of a given width.  ``bareiss_det``,
 fraction-free over Z, is the determinant of ``verify``'s unimodularity
 check and, at a Kronecker point x = 2^k, of the norm engine.  All values
 are immutable and all operations are pure functions.
@@ -24,8 +26,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 
 class AmbientMismatch(ValueError):
@@ -107,24 +108,37 @@ def _transpose(rows: list[list[int]], cols: int) -> list[list[int]]:
     return [[row[j] for row in rows] for j in range(cols)]
 
 
-def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
+def hermite_normal_form(rows: list[list[int]], modulus: int | None = None) -> list[list[int]]:
     """Row Hermite normal form of the lattice spanned by integer rows:
     row echelon, positive pivots, entries above each pivot reduced into
-    [0, pivot).  Zero rows are dropped.  Unique for the row lattice.
+    [0, pivot).  Zero rows are dropped.  Unique for the row lattice.  Each
+    column is cleared using only the rows still nonzero there; a row that
+    vanishes in the column is set aside for the later columns.
 
-    Each column is cleared using only the rows still nonzero there; a row
-    that vanishes in the column is set aside for the later columns."""
+    With a modulus M, the form of the rows and M*Z^k, modulo M (Cohen,
+    Alg. 2.4.8): rows are reduced mod M, M*e_c joins column c only if some
+    row is live there, a row set aside is reduced mod M, and so are the
+    entries above the implicit pivot M of a column where no row is live.
+    The rows of pivot M, exactly the M*e_c, are not emitted."""
+    if modulus:
+        rows = [r for r in ([e % modulus for e in r] for r in rows) if any(r)]
     if not rows:
         return []
     work = [list(r) for r in rows]
+    width = len(work[0])
     done: list[list[int]] = []
-    for c in range(len(work[0])):
+    for c in range(width):
         live, rest = [], []
         for r in work:
             (live if r[c] else rest).append(r)
         if not live:
+            if modulus:
+                for r in done:
+                    r[c] %= modulus
             continue
         work = rest
+        if modulus:
+            live.append([0] * c + [modulus] + [0] * (width - c - 1))
         while len(live) > 1:
             piv = min(live, key=lambda r: abs(r[c]))
             p = piv[c]
@@ -133,6 +147,8 @@ def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
                 if r is not piv:
                     q = r[c] // p
                     r = [a - q * b for a, b in zip(r, piv)]
+                    if modulus and not r[c]:
+                        r = [e % modulus for e in r]
                     (nxt if r[c] else work).append(r)
             live = nxt
         piv = live[0]
@@ -210,69 +226,70 @@ class TorsionAmbient:
         return self.M ** self.rank
 
     def full_subgroup(self) -> "TorsionSubgroup":
-        return TorsionSubgroup(self, _diagonal([1] * self.rank))
+        return TorsionSubgroup(self, _diagonal([1] * self.rank) if self.M > 1 else [])
 
     def trivial_subgroup(self) -> "TorsionSubgroup":
-        return TorsionSubgroup(self, _diagonal([self.M] * self.rank))
+        return TorsionSubgroup(self, [])
 
     def torsion_subgroup(self, n: int) -> "TorsionSubgroup":
         """The n-torsion subgroup; requires n | M."""
         if self.M % n != 0:
             raise ValueError(f"{n}-torsion needs {n} | {self.M}")
-        return TorsionSubgroup(self, _diagonal([self.M // n] * self.rank))
+        return TorsionSubgroup(self, _diagonal([self.M // n] * self.rank) if n > 1 else [])
 
 
 @dataclass(frozen=True)
 class TorsionSubgroup:
-    """Subgroup of a TorsionAmbient, held as the Hermite basis of its
-    preimage lattice in Z^rank (a lattice containing M*Z^rank).
-
-    The basis is unique for the subgroup, so equality of subgroups is
-    equality of the dataclass (same ambient, identical basis).  Its rows are
-    stored as tuples, so no caller can change them.
+    """Subgroup of a TorsionAmbient, held as its canonical generators: the
+    rows of the Hermite basis of its preimage lattice in Z^rank (a lattice
+    containing M*Z^rank) whose pivot is below M.  Every other basis row is
+    exactly M*e_c, so it is left implicit; ``basis`` puts it back.  The
+    Hermite basis is unique for the subgroup, so equality of subgroups is
+    equality of the dataclass (same ambient, identical generators).  The
+    rows are stored as tuples, so no caller can change them.
     """
 
     ambient: TorsionAmbient
-    basis: tuple[tuple[int, ...], ...]
+    generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(map(tuple, self.basis)))
+        object.__setattr__(self, "generators", tuple(map(tuple, self.generators)))
 
-    @cached_property
-    def generators(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical generators: the basis rows reduced mod M, zero rows dropped."""
-        M = self.ambient.M
-        reduced = [tuple(e % M for e in r) for r in self.basis]
-        return tuple(r for r in reduced if any(r))
+    @property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """The Hermite basis of the preimage lattice: the generators, and
+        M*e_c at each column c where no generator has its pivot."""
+        M, k = self.ambient.M, self.ambient.rank
+        by_pivot = {next(c for c, e in enumerate(r) if e): r for r in self.generators}
+        return tuple(by_pivot.get(c, tuple(M * (j == c) for j in range(k))) for c in range(k))
 
-    @cached_property
+    @property
     def exponent(self) -> int:
-        """Least e with e*H = 0: M over the gcd of M and every basis entry."""
-        return self.ambient.M // gcd(self.ambient.M, *(e for r in self.basis for e in r))
+        """Least e with e*H = 0: M over the gcd of M and every generator entry."""
+        return self.ambient.M // gcd(self.ambient.M, *(e for r in self.generators for e in r))
 
     @property
     def order(self) -> int:
-        det = prod(self.basis[i][i] for i in range(len(self.basis)))
-        return self.ambient.M ** self.ambient.rank // det
+        """The product of M over each generator's pivot, its first nonzero entry."""
+        return prod(self.ambient.M // next(filter(None, r)) for r in self.generators)
 
     def contains(self, vec: tuple[int, ...]) -> bool:
-        """Membership of an ambient coordinate vector."""
+        """Membership of an ambient coordinate vector: reduced by the
+        generators, it must be 0 mod M."""
         if len(vec) != self.ambient.rank:
             raise ValueError("vector has wrong length")
         v = list(vec)
-        for row in self.basis:
-            c = next(j for j, e in enumerate(row) if e != 0)
-            if v[c] % row[c] == 0:
-                q = v[c] // row[c]
-                if q:
-                    for k in range(len(v)):
-                        v[k] -= q * row[k]
-        return all(e == 0 for e in v)
+        for row in self.generators:
+            c = next(j for j, e in enumerate(row) if e)
+            q = v[c] // row[c]
+            if q:
+                v = [a - q * b for a, b in zip(v, row)]
+        return all(e % self.ambient.M == 0 for e in v)
 
     def is_subgroup_of(self, other: "TorsionSubgroup") -> bool:
         if self.ambient != other.ambient:
             raise AmbientMismatch("subgroup comparison across ambients")
-        return all(other.contains(row) for row in self.basis)
+        return all(other.contains(row) for row in self.generators)
 
     def elements(self) -> set[tuple[int, ...]]:
         """Exhaustive element set (desk scale only)."""
@@ -282,7 +299,7 @@ class TorsionSubgroup:
         frontier = [(0,) * k]
         while frontier:
             cur = frontier.pop()
-            for gvec in self.basis:
+            for gvec in self.generators:
                 nxt = tuple((a + b) % M for a, b in zip(cur, gvec))
                 if nxt not in seen:
                     seen.add(nxt)
@@ -297,9 +314,10 @@ class TorsionSubgroup:
             raise AmbientMismatch("embedding must preserve the genus")
         if M % M0 != 0:
             raise AmbientMismatch(f"cannot embed Z/{M0} torsion into Z/{M}")
-        # s times L's Hermite basis is that of s*L, the image's preimage lattice
+        # s times L's Hermite basis is that of s*L, the image's preimage
+        # lattice, and s*M0*e_c = M*e_c stays implicit
         s = M // M0
-        return TorsionSubgroup(target, [[e * s for e in r] for r in self.basis])
+        return TorsionSubgroup(target, [[e * s for e in r] for r in self.generators])
 
 
 def subgroup_from_generators(ambient: TorsionAmbient, rows) -> TorsionSubgroup:
@@ -307,9 +325,7 @@ def subgroup_from_generators(ambient: TorsionAmbient, rows) -> TorsionSubgroup:
     tuples of 2g integers each."""
     if any(len(r) != ambient.rank for r in rows):
         raise ValueError(f"each generator needs {ambient.rank} entries, the ambient rank")
-    M = ambient.M
-    return TorsionSubgroup(ambient, hermite_normal_form(
-        [[e % M for e in r] for r in rows] + _diagonal([M] * ambient.rank)))
+    return TorsionSubgroup(ambient, hermite_normal_form(rows, ambient.M))
 
 
 def _diagonal(d: list[int]) -> list[list[int]]:
@@ -317,26 +333,27 @@ def _diagonal(d: list[int]) -> list[list[int]]:
     return [[e if i == j else 0 for j in range(len(d))] for i, e in enumerate(d)]
 
 
-def _restrict(h: TorsionSubgroup, image, lattice) -> TorsionSubgroup:
+def _restrict(h: TorsionSubgroup, image, lattice, modulus: int) -> TorsionSubgroup:
     """{x in H : image(x) in L}, for image linear from Z^k to Z^j (modulo
-    L) and L a lattice given by a basis: the right-hand block of one
-    Hermite form of (image(b), b), b in the Hermite basis of H's preimage
-    lattice, and (l, 0), l in L.
-
-    Condition: M*image(Z^k) lies in L, M the modulus of H's ambient, so the
-    result contains M*Z^k, as a ``TorsionSubgroup`` basis must; each caller says
-    why the condition holds."""
-    k = h.ambient.rank
-    rows = [[*image(b), *b] for b in h.basis] + [[*l] + [0] * k for l in lattice]
-    return TorsionSubgroup(h.ambient, _right_block(rows, len(rows[0]) - k))
+    L) and L spanned by the given rows and modulus*Z^j: the right-hand
+    block of one Hermite form modulo the modulus of the rows (image(b), b),
+    b a generator of H, and (l, 0), l a row of L.  Condition: these rows
+    and M*Z^k, M the modulus of H's ambient, span a lattice containing
+    modulus*Z^(j+k); each caller says why.  The result's rows that are
+    0 mod M are the M*e_c and stay implicit."""
+    M, k = h.ambient.M, h.ambient.rank
+    rows = [[*image(b), *b] for b in h.generators] + [[*l] + [0] * k for l in lattice]
+    j = len(rows[0]) - k if rows else 0
+    return TorsionSubgroup(h.ambient, [r[j:] for r in hermite_normal_form(rows, modulus)
+                                       if not any(r[:j]) and any(e % M for e in r[j:])])
 
 
 def intersect(h1: TorsionSubgroup, h2: TorsionSubgroup) -> TorsionSubgroup:
     """Setwise intersection of two subgroups of the same ambient."""
     if h1.ambient != h2.ambient:
         raise AmbientMismatch("intersection across different ambients")
-    # M*Z^k lies in H2's preimage lattice, as in every Hermite basis here
-    return _restrict(h1, lambda x: x, h2.basis)
+    # (b + l, b) with b = M*e_c or l = M*e_c gives all of M*Z^(2k)
+    return _restrict(h1, lambda x: x, h2.generators, h1.ambient.M)
 
 
 def preimage_mul(m: int, h: TorsionSubgroup) -> TorsionSubgroup:
@@ -354,23 +371,30 @@ def preimage_mul(m: int, h: TorsionSubgroup) -> TorsionSubgroup:
             "enlarge the ambient modulus")
     if m == 1:
         return h
-    # m*M*Z^k lies in M*Z^k, which H's preimage lattice contains
+    # (m*b + l, b) with b = M*e_c, l = -m*M*e_c or with l = M*e_c gives M*Z^(2k)
     return _restrict(h.ambient.full_subgroup(), lambda x: [m * e for e in x],
-                     h.basis)
+                     h.generators, M)
 
 
 def structure(h: TorsionSubgroup) -> FinAbGroup:
     """Invariant factors of H as an abstract finite abelian group.
 
-    The preimage lattice L of H in Z^k contains M*Z^k.  If the Smith
-    diagonal of L's basis is d_1 | ... | d_k, then in the Smith basis
-    L = (+) d_i*Z, so H = L / M*Z^k = (+) Z/(M/d_i): the invariant factors
-    are the values M/d_i that exceed 1, in ascending order."""
-    M, k = h.ambient.M, h.ambient.rank
-    # zero-width carried blocks: the basis is nonsingular, so no row vanishes
-    d, _, _ = _smith_alternation([list(r) for r in h.basis], k, [[]] * k, [[]] * k)
-    factors = sorted(M // d[i][i] for i in range(k) if d[i][i] < M)
-    group = FinAbGroup(tuple(factors))
+    H's preimage lattice L in Z^k is spanned by its r generators G and
+    M*Z^k.  At each pivot column c of G, M*e_c less a combination of the
+    implicit rows M*e_j is M*w_c in span(G), w_c being 1 at c and 0 at G's
+    other pivots; the w_c span the saturation S of span(G), so M*S lies in
+    span(G) and G's Smith diagonal d_1 | ... | d_r divides M.  Hence
+    L = (+) d_i*Z (+) M*Z^(k-r) in the Smith basis and H = (+) Z/(M/d_i):
+    the invariant factors are the M/d_i above 1, ascending.  The trivial
+    group has no generators and runs no elimination."""
+    M, r = h.ambient.M, len(h.generators)
+    if not r:
+        return FinAbGroup(())
+    # G's transpose has an r x r nonsingular Hermite form with G's Smith
+    # diagonal; zero-width carried blocks, so no row vanishes
+    t = hermite_normal_form(_transpose(h.generators, h.ambient.rank))
+    d, _, _ = _smith_alternation(t, r, [[]] * r, [[]] * r)
+    group = FinAbGroup(tuple(sorted(M // d[i][i] for i in range(r) if d[i][i] < M)))
     assert group.order == h.order
     return group
 
@@ -406,10 +430,13 @@ class GroupHom:
         return tuple(sum(map(operator.mul, vec, col)) % Mc for col in zip(*self.matrix))
 
     def kernel(self) -> TorsionSubgroup:
-        """{x : x*A in Mc*Z^kc}, restricted from the full domain."""
-        # well defined: Md*A = 0 mod Mc, so Md*Z^kd maps into Mc*Z^kc
+        """{x : x*A in Mc*Z^kc}, restricted from the full domain modulo
+        lcm(Md, Mc), with the rows Mc*e_j explicit."""
+        # the domain's generators span Z^kd when Md > 1, and Md*A = 0 mod Mc
+        # (well defined), so the stacked lattice contains lcm(Md, Mc)*Z^(kc+kd)
         return _restrict(self.domain.full_subgroup(), self.apply,
-                         _diagonal([self.codomain.M] * self.codomain.rank))
+                         _diagonal([self.codomain.M] * self.codomain.rank),
+                         lcm(self.domain.M, self.codomain.M))
 
     def image(self) -> TorsionSubgroup:
         return subgroup_from_generators(self.codomain, self.matrix)

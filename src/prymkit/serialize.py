@@ -20,8 +20,8 @@ from .norms import AlgebraElement, SpectralPoly
 from .polynomials import Poly, _poly
 from .spectral import ComponentData, SpectralCoverDescriptor
 
-# Largest genus a descriptor may have: a component kernel is a 2g x 2g
-# Hermite form, so g is refused up front instead of allocating for it.
+# Largest genus a descriptor may have: a component kernel is at most 2g
+# Hermite rows of width 2g, so g is refused up front, before any allocation.
 MAX_GENUS = 64
 _INT = re.compile(r"-?[0-9]+", re.ASCII)    # one part of a rational "p/q"
 

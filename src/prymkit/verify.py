@@ -301,14 +301,17 @@ def suite_spectral(seed: int) -> list[dict]:
     _record(results, "codimension_formula", ok, detail)
 
     # the oracle embeds v in (Z/M)^(2g) by M // n and looks it up in K's
-    # element set, built by closure over K's basis rows
+    # element set, built by closure over K's generators; at n <= 6, M != n
+    # with K != 0 occurs, and half the v are drawn from K itself
     ok, detail = True, ""
     for _ in range(30):
-        desc = random_descriptor(rng, max_n=4)
+        desc = random_descriptor(rng, max_n=6)
         n, M = desc.n, desc.k.ambient.M
-        v = [rng.randrange(n) for _ in range(2 * desc.g)]
+        elements = desc.k.elements()
+        v = ([e // (M // n) for e in rng.choice(sorted(elements))] if rng.random() < 0.5
+             else [rng.randrange(n) for _ in range(2 * desc.g)])
         gamma = subgroup_from_generators(TorsionAmbient(desc.g, n), [v])
-        if gamma_in_k(desc, gamma) != (tuple((M // n) * e % M for e in v) in desc.k.elements()):
+        if gamma_in_k(desc, gamma) != (tuple((M // n) * e % M for e in v) in elements):
             ok, detail = False, f"membership of <{v}> in K disagrees with K's elements"
             break
     _record(results, "gamma_membership", ok, detail)

@@ -37,24 +37,32 @@ JOBS = 2
 MUTANTS = [
     # -- abelian: subgroup lattices ------------------------------------------
     ("kernel without the Mc*I rows", "abelian.py",
-     "_diagonal([self.codomain.M] * self.codomain.rank))",
-     "[])",
+     "_diagonal([self.codomain.M] * self.codomain.rank),",
+     "[],",
      ["tests/test_abelian.py"]),
-    ("exponent from the first basis entry only", "abelian.py",
-     "gcd(self.ambient.M, *(e for r in self.basis for e in r))",
-     "gcd(self.ambient.M, self.basis[0][0])",
+    ("exponent from the first generator only", "abelian.py",
+     "gcd(self.ambient.M, *(e for r in self.generators for e in r))",
+     "gcd(self.ambient.M, *(e for r in self.generators[:1] for e in r))",
      ["tests/test_abelian.py"]),
     ("generators not reduced mod M", "abelian.py",
-     "reduced = [tuple(e % M for e in r) for r in self.basis]",
-     "reduced = [tuple(r) for r in self.basis]",
+     "rows = [r for r in ([e % modulus for e in r] for r in rows) if any(r)]",
+     "rows = [r for r in rows if any(r)]",
      ["tests/test_abelian.py"]),
-    ("is_subgroup_of checks only the first basis row", "abelian.py",
-     "all(other.contains(row) for row in self.basis)",
-     "all(other.contains(row) for row in self.basis[:1])",
+    ("is_subgroup_of checks only the first generator", "abelian.py",
+     "all(other.contains(row) for row in self.generators)",
+     "all(other.contains(row) for row in self.generators[:1])",
      ["tests/test_abelian.py"]),
     ("structure from the Hermite diagonal, no Smith step", "abelian.py",
-     "d, _, _ = _smith_alternation([list(r) for r in h.basis], k, [[]] * k, [[]] * k)",
-     "d = [list(r) for r in h.basis]",
+     "d, _, _ = _smith_alternation(t, r, [[]] * r, [[]] * r)",
+     "d = t",
+     ["tests/test_abelian.py"]),
+    ("invariant factor M // d kept when it is 1", "abelian.py",
+     "for i in range(r) if d[i][i] < M)",
+     "for i in range(r))",
+     ["tests/test_abelian.py"]),
+    ("pivot-M row kept among the generators", "abelian.py",
+     "if not any(r[:j]) and any(e % M for e in r[j:])])",
+     "if not any(r[:j])])",
      ["tests/test_abelian.py"]),
     ("apply without the reduction mod Mc", "abelian.py",
      "sum(map(operator.mul, vec, col)) % Mc",
@@ -76,6 +84,10 @@ MUTANTS = [
     ("Hermite form keeps a negative pivot row", "abelian.py",
      "piv = [-e for e in piv]",
      "pass",
+     ["tests/test_abelian.py"]),
+    ("reduction above an implicit pivot not taken mod M", "abelian.py",
+     "                for r in done:\n                    r[c] %= modulus\n",
+     "                pass\n",
      ["tests/test_abelian.py"]),
     ("Hermite form drops a row that vanishes at its column", "abelian.py",
      "(nxt if r[c] else work).append(r)",

@@ -192,6 +192,25 @@ class TestHermiteNormalForm:
         expected.sort(key=lambda r: next(j for j, e in enumerate(r) if e))
         assert hermite_normal_form(rows) == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_modulus_matches_stacked_form(self, data):
+        # the form modulo M is the Hermite form of the rows stacked on M*I
+        # with the rows of pivot M (exactly the M*e_c) left out; negative
+        # entries, zero rows, no rows, M = 1 and more rows than columns occur
+        c = data.draw(st.integers(1, 6))
+        M = data.draw(st.integers(1, 60))
+        entry = st.one_of(st.just(0), st.integers(-300, 300))
+        rows = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c), max_size=9))
+        if data.draw(st.booleans()):
+            rows.insert(data.draw(st.integers(0, len(rows))), [0] * c)
+        stacked = hermite_normal_form(rows + [[M * (i == j) for j in range(c)]
+                                              for i in range(c)])
+        expected = [r for r in stacked if next(e for e in r if e) < M]
+        # each row left out is M*e_c, so leaving it implicit loses nothing
+        assert all(sorted(r) == [0] * (c - 1) + [M] for r in stacked if r not in expected)
+        assert hermite_normal_form(rows, M) == expected
+
 
 class TestSubgroups:
     def test_canonical_duplicates(self):
@@ -285,28 +304,28 @@ class TestSubgroups:
         h = subgroup_from_generators(TorsionAmbient(1, 12), gens)
         calls = []
 
-        def counting(rows):
-            # a Hermite form of the generators stacked on M*I has more rows
-            # than columns; the Hermite forms structure() takes of the basis
-            # itself are square
-            if rows and len(rows) > len(rows[0]) == 2:
+        def counting(rows, modulus=None):
+            # a subgroup's rows come from a Hermite form modulo M; the one
+            # structure() takes of the generators' transpose has no modulus
+            if modulus is not None:
                 calls.append(1)
-            return hermite_normal_form(rows)
+            return hermite_normal_form(rows, modulus)
 
         monkeypatch.setattr(abelian, "hermite_normal_form", counting)
         for _ in range(2):
             assert (h.order, h.contains((6, 0)), h.contains((1, 0)),
                     structure(h)) == expected
         assert len(calls) == 0
-        basis = h.basis
-        assert isinstance(basis, tuple)
-        assert all(isinstance(row, tuple) for row in basis)
+        for rows in (h.generators, h.basis):
+            assert isinstance(rows, tuple)
+            assert all(isinstance(row, tuple) for row in rows)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10 ** 6))
     def test_lattice_basis_is_hermite_form(self, seed):
-        # every constructor stores a basis; it must be the Hermite form of
-        # generators + M*I, computed afresh
+        # every constructor stores generators; they must be the rows of pivot
+        # below M of the Hermite form of generators + M*I, computed afresh,
+        # and the derived basis the whole form
         rng = random.Random(seed)
         g = rng.randint(1, 3)
         M = rng.randint(1, {1: 60, 2: 30, 3: 12}[g])
@@ -333,6 +352,8 @@ class TestSubgroups:
                 [*h.generators, *([h.ambient.M * (i == j) for j in range(k)]
                                   for i in range(k))])
             assert h.basis == tuple(map(tuple, fresh))
+            assert h.generators == tuple(tuple(r) for r in fresh
+                                         if any(e % h.ambient.M for e in r))
 
     def test_embed_scales_generators(self):
         small = TorsionAmbient(1, 2)
@@ -356,9 +377,9 @@ class TestSubgroups:
             cases.append((h, TorsionAmbient(g, M0 * rng.randint(1, 6))))
         calls = []
 
-        def counting(rows):
+        def counting(rows, modulus=None):
             calls.append(1)
-            return hermite_normal_form(rows)
+            return hermite_normal_form(rows, modulus)
 
         monkeypatch.setattr(abelian, "hermite_normal_form", counting)
         embedded = [h.embed(target) for h, target in cases]
@@ -541,6 +562,25 @@ class TestGroupHomKernel:
         ker = hom.kernel()
         assert ker.elements() == expected
         assert ker.order == len(expected)
+
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_kernel_codomain_modulus_not_dividing(self, g):
+        # (Z/2)^(2g) -> (Z/4)^(2g): Mc does not divide Md, so the kernel is
+        # taken modulo lcm(2, 4) = 4, and its rows with pivot 2 = Md, the
+        # 2*e_c, must not be kept among the generators
+        rng = random.Random(g)
+        k = 2 * g
+        dom, cod = TorsionAmbient(g, 2), TorsionAmbient(g, 4)
+        for _ in range(12):
+            matrix = [[rng.choice([0, 2]) for _ in range(k)] for _ in range(k)]
+            hom = GroupHom(dom, cod, matrix)
+            expected = {x for x in product(range(2), repeat=k)
+                        if all(sum(x[i] * matrix[i][j] for i in range(k)) % 4 == 0
+                               for j in range(k))}
+            ker = hom.kernel()
+            assert ker.elements() == expected
+            assert ker.order == len(expected)
+            assert ker == subgroup_from_generators(dom, sorted(expected))
 
     @pytest.mark.parametrize("matrix", [[[1, 0], [0]], [[1, 0], [0, 1, 0]], [[1, 0]],
                                         [[1, 0], [0, 1], [1, 1]]],

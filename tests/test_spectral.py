@@ -119,14 +119,24 @@ class TestComponentGroup:
             brute = _brute_force_k(desc, M)
             assert k.elements() == brute
 
-    def test_k_and_structure_derive_no_generators(self):
-        # K and its structure are read off Hermite bases; the generator
-        # rows are derived only when an output asks for them
+    def test_trivial_k_structure_runs_no_elimination(self, monkeypatch):
+        # K is held as its generator rows; a trivial K has none, and its
+        # structure() is read off them without any Hermite form
+        from prymkit import abelian
+
         rng = random.Random(12)
         descs = [random_descriptor(rng, max_n=8, max_g=3) for _ in range(20)]
         for desc in descs:
             assert structure(desc.k).order == desc.k.order
-            assert "generators" not in vars(desc.k)
+        trivial = [desc.k for desc in descs if desc.k.order == 1]
+        assert trivial and all(k.generators == () for k in trivial)
+
+        def forbidden(*args):
+            raise AssertionError("Hermite form called")
+
+        monkeypatch.setattr(abelian, "hermite_normal_form", forbidden)
+        for k in trivial:
+            assert structure(k).invariant_factors == ()
 
     def test_k_folds_the_preimages(self, monkeypatch):
         # K is the first preimage intersected with the others: one component
@@ -359,9 +369,9 @@ class TestGammaMembership:
             assert set(answers) == {True, False}
 
     def test_verify_oracle_scales_v_into_k_ambient(self, monkeypatch):
-        # at n <= 4, M != n forces K = 0, so the suite's draws never need the
-        # oracle's M // n; here n = 6, (d, m) = (2, 2), (1, 2) give M = 12
-        # and K the 2-torsion, where <(3, 0)> lies in K only as 6 = 2 * 3
+        # the oracle's M // n matters only when M != n and K != 0; here
+        # n = 6, (d, m) = (2, 2), (1, 2) give M = 12 and K the 2-torsion,
+        # where <(3, 0)> lies in K only as 6 = 2 * 3
         desc = SpectralCoverDescriptor(6, 1, (
             ComponentData(2, 2, TorsionAmbient(1, 2).trivial_subgroup()),
             ComponentData(1, 2, TorsionAmbient(1, 1).trivial_subgroup())))
