@@ -6,13 +6,13 @@ M.  The other basis rows are exactly M*e_c and stay implicit (``basis``
 derives them); since that basis is unique for the subgroup, two subgroups
 are equal iff their stored generators are.  Every subgroup is built by the
 Hermite form modulo M, which eliminates only these rows, never a stacked
-M*I.  Intersection, multiplication preimage and kernel are one restriction
-{x in H : image(x) in L}: one Hermite form modulo M of rows stacked from
-the generators of H and L, whose right-hand rows are the result.  The image
-of a homomorphism is the subgroup its matrix rows generate; the ``pi0``
-check of the character restriction reads the image's order.  ``embed``
-scales the generators and runs no elimination; order, exponent and the
-invariant factors are read off the generators.  The Hermite form, with or
+M*I, and all work stays modulo M.  [m]^(-1)(H) is spanned by H's generators
+over m and the (M/m)*e_c.  Intersection and kernel are one restriction
+{x in H : image(x) in L}: the right-hand rows of one Hermite form modulo M
+of the generators of H and L, stacked.  A homomorphism maps one ambient to
+itself; ``pi0`` reads the order of its image, the subgroup its rows span.
+``embed`` scales the generators and runs no elimination; order, exponent and
+the invariant factors are read off the generators.  The Hermite form, with or
 without a modulus, is the only normal-form kernel: it clears each column
 using only the rows still nonzero there.  The Smith form is built from
 alternating Hermite forms, which ``structure()`` runs with no transforms
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 
 class AmbientMismatch(ValueError):
@@ -162,19 +162,13 @@ def hermite_normal_form(rows: list[list[int]], modulus: int | None = None) -> li
     return done
 
 
-def _right_block(rows: list[list[int]], j: int) -> list[list[int]]:
-    """Hermite basis of {x : (0, x) in the lattice spanned by rows}, with 0
-    of length j: the tails of the Hermite rows whose pivot lies past
-    column j."""
-    return [r[j:] for r in hermite_normal_form(rows) if not any(r[:j])]
-
-
 def left_kernel(rows: list[list[int]], cols: int) -> list[list[int]]:
     """Hermite basis of the lattice {w : w * A = 0} of integer row vectors,
     A the matrix with the given rows, each of length cols (as in
-    ``smith_normal_form``): the right-hand block of the lattice spanned by
-    the rows of [A | I]."""
-    return _right_block([[*r, *e] for r, e in zip(rows, _diagonal([1] * len(rows)))], cols)
+    ``smith_normal_form``): the tails of the Hermite rows of [A | I] whose
+    pivot lies past column cols."""
+    h = hermite_normal_form([[*r, *e] for r, e in zip(rows, _diagonal([1] * len(rows)))])
+    return [r[cols:] for r in h if not any(r[:cols])]
 
 
 @dataclass(frozen=True)
@@ -333,34 +327,31 @@ def _diagonal(d: list[int]) -> list[list[int]]:
     return [[e if i == j else 0 for j in range(len(d))] for i, e in enumerate(d)]
 
 
-def _restrict(h: TorsionSubgroup, image, lattice, modulus: int) -> TorsionSubgroup:
-    """{x in H : image(x) in L}, for image linear from Z^k to Z^j (modulo
-    L) and L spanned by the given rows and modulus*Z^j: the right-hand
-    block of one Hermite form modulo the modulus of the rows (image(b), b),
-    b a generator of H, and (l, 0), l a row of L.  Condition: these rows
-    and M*Z^k, M the modulus of H's ambient, span a lattice containing
-    modulus*Z^(j+k); each caller says why.  The result's rows that are
-    0 mod M are the M*e_c and stay implicit."""
-    M, k = h.ambient.M, h.ambient.rank
+def _restrict(h: TorsionSubgroup, image, lattice) -> TorsionSubgroup:
+    """{x in H : image(x) in L}, for image linear from Z^k to itself modulo
+    M, the modulus of H's ambient, and L spanned by the given rows and
+    M*Z^k: the right-hand block of one Hermite form modulo M of the rows
+    (image(b), b), b a generator of H, and (l, 0), l a row of L."""
+    k = h.ambient.rank
     rows = [[*image(b), *b] for b in h.generators] + [[*l] + [0] * k for l in lattice]
-    j = len(rows[0]) - k if rows else 0
-    return TorsionSubgroup(h.ambient, [r[j:] for r in hermite_normal_form(rows, modulus)
-                                       if not any(r[:j]) and any(e % M for e in r[j:])])
+    return TorsionSubgroup(h.ambient, [r[k:] for r in hermite_normal_form(rows, h.ambient.M)
+                                       if not any(r[:k])])
 
 
 def intersect(h1: TorsionSubgroup, h2: TorsionSubgroup) -> TorsionSubgroup:
     """Setwise intersection of two subgroups of the same ambient."""
     if h1.ambient != h2.ambient:
         raise AmbientMismatch("intersection across different ambients")
-    # (b + l, b) with b = M*e_c or l = M*e_c gives all of M*Z^(2k)
-    return _restrict(h1, lambda x: x, h2.generators, h1.ambient.M)
+    return _restrict(h1, lambda x: x, h2.generators)
 
 
 def preimage_mul(m: int, h: TorsionSubgroup) -> TorsionSubgroup:
     """Full preimage {x : m*x in H} under multiplication by m.
 
     Precondition: m * exponent(H) divides the ambient modulus, so the finite
-    model captures the whole preimage inside the torsion of Pic^0(C)."""
+    model captures the whole preimage inside the torsion of Pic^0(C).  Then m
+    divides M and every generator entry, and the preimage's lattice, H's
+    over m, is spanned by the generators over m and the (M/m)*e_c."""
     if m < 1:
         raise ValueError("multiplier must be positive")
     M = h.ambient.M
@@ -371,9 +362,8 @@ def preimage_mul(m: int, h: TorsionSubgroup) -> TorsionSubgroup:
             "enlarge the ambient modulus")
     if m == 1:
         return h
-    # (m*b + l, b) with b = M*e_c, l = -m*M*e_c or with l = M*e_c gives M*Z^(2k)
-    return _restrict(h.ambient.full_subgroup(), lambda x: [m * e for e in x],
-                     h.generators, M)
+    rows = [[e // m for e in r] for r in h.generators] + _diagonal([M // m] * h.ambient.rank)
+    return TorsionSubgroup(h.ambient, hermite_normal_form(rows, M))
 
 
 def structure(h: TorsionSubgroup) -> FinAbGroup:
@@ -407,39 +397,32 @@ def dual_group(g: FinAbGroup) -> FinAbGroup:
 
 @dataclass(frozen=True)
 class GroupHom:
-    """Homomorphism between torsion ambients given by a coordinate matrix:
-    x (row vector) maps to x @ matrix mod the codomain modulus."""
+    """Homomorphism of a torsion ambient (Z/M)^(2g) to itself, given by a
+    square coordinate matrix of the ambient's rank: x (row vector) maps to
+    x @ matrix mod M."""
 
-    domain: TorsionAmbient
-    codomain: TorsionAmbient
+    ambient: TorsionAmbient
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         m = tuple(map(tuple, self.matrix))
         object.__setattr__(self, "matrix", m)
-        if len(m) != self.domain.rank or any(len(r) != self.codomain.rank for r in m):
-            raise ValueError("matrix shape does not match domain/codomain ranks")
-        # well-definedness: M_dom * e_i must map into the codomain relations
-        if any(self.domain.M * e % self.codomain.M for r in m for e in r):
-            raise ValueError("homomorphism not well defined on relations")
+        k = self.ambient.rank
+        if len(m) != k or any(len(r) != k for r in m):
+            raise ValueError("matrix shape does not match the ambient rank")
 
     def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
-        if len(vec) != self.domain.rank:
+        if len(vec) != self.ambient.rank:
             raise ValueError("vector has wrong length")
-        Mc = self.codomain.M
-        return tuple(sum(map(operator.mul, vec, col)) % Mc for col in zip(*self.matrix))
+        M = self.ambient.M
+        return tuple(sum(map(operator.mul, vec, col)) % M for col in zip(*self.matrix))
 
     def kernel(self) -> TorsionSubgroup:
-        """{x : x*A in Mc*Z^kc}, restricted from the full domain modulo
-        lcm(Md, Mc), with the rows Mc*e_j explicit."""
-        # the domain's generators span Z^kd when Md > 1, and Md*A = 0 mod Mc
-        # (well defined), so the stacked lattice contains lcm(Md, Mc)*Z^(kc+kd)
-        return _restrict(self.domain.full_subgroup(), self.apply,
-                         _diagonal([self.codomain.M] * self.codomain.rank),
-                         lcm(self.domain.M, self.codomain.M))
+        """{x : x*A = 0 mod M}, restricted from the full ambient."""
+        return _restrict(self.ambient.full_subgroup(), self.apply, [])
 
     def image(self) -> TorsionSubgroup:
-        return subgroup_from_generators(self.codomain, self.matrix)
+        return subgroup_from_generators(self.ambient, self.matrix)
 
 
 def dual_of_inclusion(k_sub: TorsionSubgroup, n: int) -> GroupHom:
@@ -461,4 +444,4 @@ def dual_of_inclusion(k_sub: TorsionSubgroup, n: int) -> GroupHom:
     # column j of the matrix is generator j scaled down by step, zeros past the last
     pad = [0] * (amb.rank - len(gens))
     small = TorsionAmbient(amb.g, n)
-    return GroupHom(small, small, [[r[i] // step for r in gens] + pad for i in range(amb.rank)])
+    return GroupHom(small, [[r[i] // step for r in gens] + pad for i in range(amb.rank)])

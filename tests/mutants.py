@@ -36,9 +36,13 @@ JOBS = 2
 # (name, file under src/prymkit, exact snippet, replacement, test files)
 MUTANTS = [
     # -- abelian: subgroup lattices ------------------------------------------
-    ("kernel without the Mc*I rows", "abelian.py",
-     "_diagonal([self.codomain.M] * self.codomain.rank),",
-     "[],",
+    ("preimage without the (M/m)*e_c rows", "abelian.py",
+     " + _diagonal([M // m] * h.ambient.rank)",
+     "",
+     ["tests/test_abelian.py"]),
+    ("preimage generators not divided by m", "abelian.py",
+     "[[e // m for e in r] for r in h.generators]",
+     "[list(r) for r in h.generators]",
      ["tests/test_abelian.py"]),
     ("exponent from the first generator only", "abelian.py",
      "gcd(self.ambient.M, *(e for r in self.generators for e in r))",
@@ -60,12 +64,12 @@ MUTANTS = [
      "for i in range(r) if d[i][i] < M)",
      "for i in range(r))",
      ["tests/test_abelian.py"]),
-    ("pivot-M row kept among the generators", "abelian.py",
-     "if not any(r[:j]) and any(e % M for e in r[j:])])",
-     "if not any(r[:j])])",
+    ("restriction keeps rows with a nonzero left block", "abelian.py",
+     "\n                                       if not any(r[:k])])",
+     "])",
      ["tests/test_abelian.py"]),
-    ("apply without the reduction mod Mc", "abelian.py",
-     "sum(map(operator.mul, vec, col)) % Mc",
+    ("apply without the reduction mod M", "abelian.py",
+     "sum(map(operator.mul, vec, col)) % M",
      "sum(map(operator.mul, vec, col))",
      ["tests/test_abelian.py"]),
     ("generators of any length accepted", "abelian.py",
@@ -73,7 +77,7 @@ MUTANTS = [
      "if False:",
      ["tests/test_abelian.py"]),
     ("homomorphism matrix of any shape accepted", "abelian.py",
-     "if len(m) != self.domain.rank or any(len(r) != self.codomain.rank for r in m):",
+     "if len(m) != k or any(len(r) != k for r in m):",
      "if False:",
      ["tests/test_abelian.py"]),
     # -- abelian: Hermite form ---------------------------------------------------

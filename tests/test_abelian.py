@@ -339,9 +339,7 @@ class TestSubgroups:
 
         h1, h2 = random_subgroup(amb), random_subgroup(amb)
         m = rng.choice([m for m in range(1, M + 1) if M % (m * h1.exponent) == 0])
-        Mc = rng.choice([c for c in range(1, M + 1) if M % c == 0])
-        hom = GroupHom(amb, TorsionAmbient(g, Mc),
-                       [[rng.randrange(Mc) for _ in range(k)] for _ in range(k)])
+        hom = GroupHom(amb, [[rng.randrange(M) for _ in range(k)] for _ in range(k)])
         results = [h1, intersect(h1, h2), preimage_mul(m, h1), hom.kernel(),
                    h1.embed(TorsionAmbient(g, M * rng.randint(1, 60 // M))),
                    amb.full_subgroup(), amb.trivial_subgroup(),
@@ -473,20 +471,46 @@ class TestPreimage:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6))
     def test_adjunction_exhaustive(self, seed):
+        # at g = 2 the ambient has at most 6^4 = 1296 vectors
         rng = random.Random(seed)
-        M = rng.choice([4, 6, 8, 9, 12])
-        amb = TorsionAmbient(1, M)
-        rows = [[rng.randrange(M), rng.randrange(M)]]
+        g = rng.randint(1, 2)
+        M = rng.choice([4, 6, 8, 9, 12] if g == 1 else [4, 6])
+        amb = TorsionAmbient(g, M)
+        rows = [[rng.randrange(M) for _ in range(amb.rank)]
+                for _ in range(1 if g == 1 else rng.randint(1, 2))]
         h = subgroup_from_generators(amb, rows)
         legal = [m for m in range(1, M + 1)
                  if M % (m * structure(h).exponent) == 0]
         m = rng.choice(legal)
         pre = preimage_mul(m, h)
         helems = h.elements()
-        for a in range(M):
-            for b in range(M):
-                inh = ((m * a) % M, (m * b) % M) in helems
-                assert pre.contains((a, b)) == inh
+        for x in product(range(M), repeat=amb.rank):
+            inh = tuple((m * e) % M for e in x) in helems
+            assert pre.contains(x) == inh
+
+    def test_one_hermite_form_modulo_m(self, monkeypatch):
+        # [m]^(-1)(H) is the generators over m and the (M/m)*e_c: one
+        # Hermite form modulo M of rows of width 2g, no stacked restriction
+        from prymkit import abelian
+
+        cases = [(subgroup_from_generators(TorsionAmbient(g, M), gens), m)
+                 for g, M, gens, m in [(1, 8, [[4, 0]], 2), (1, 6, [], 6),
+                                       (2, 12, [[6, 0, 0, 0], [0, 6, 0, 0]], 2),
+                                       (2, 12, [[0, 0, 4, 8]], 4),
+                                       (3, 4, [[2, 0, 0, 0, 0, 2]], 2)]]
+        calls = []
+
+        def counting(rows, modulus=None):
+            calls.append((modulus, {len(r) for r in rows}))
+            return hermite_normal_form(rows, modulus)
+
+        monkeypatch.setattr(abelian, "hermite_normal_form", counting)
+        for h, m in cases:
+            calls.clear()
+            pre = preimage_mul(m, h)
+            assert calls == [(h.ambient.M, {h.ambient.rank})]
+            # [m] maps onto m*(Z/M)^(2g), which holds H, with kernel of order m^(2g)
+            assert pre.order == h.order * m ** h.ambient.rank
 
 
 class TestStructureAndDuals:
@@ -540,21 +564,20 @@ class TestStructureAndDuals:
 class TestGroupHomKernel:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6))
-    def test_kernel_brute_force_mixed_moduli(self, seed):
-        # (Z/Md)^(2g) -> (Z/Mc)^(2g) with Mc | Md, Mc < Md: every integer
-        # matrix is well defined, and the kernel is found by enumeration
+    def test_kernel_brute_force(self, seed):
+        # an endomorphism of (Z/M)^(2g), its kernel found by enumeration
         rng = random.Random(seed)
         g = rng.randint(1, 2)
-        Md = rng.randint(2, 12)
-        Mc = rng.choice([c for c in range(1, Md) if Md % c == 0])
+        M = rng.randint(2, 12)
         k = 2 * g
-        matrix = [[rng.randrange(Mc) for _ in range(k)] for _ in range(k)]
-        hom = GroupHom(TorsionAmbient(g, Md), TorsionAmbient(g, Mc), matrix)
+        matrix = [[rng.randrange(M) for _ in range(k)] for _ in range(k)]
+        amb = TorsionAmbient(g, M)
+        hom = GroupHom(amb, matrix)
         zero = (0,) * k
         expected = set()
-        for x in product(range(Md), repeat=k):
-            # x*A mod Mc by the test's own arithmetic
-            image = tuple(sum(x[i] * matrix[i][j] for i in range(k)) % Mc
+        for x in product(range(M), repeat=k):
+            # x*A mod M by the test's own arithmetic
+            image = tuple(sum(x[i] * matrix[i][j] for i in range(k)) % M
                           for j in range(k))
             assert hom.apply(x) == image
             if image == zero:
@@ -562,25 +585,7 @@ class TestGroupHomKernel:
         ker = hom.kernel()
         assert ker.elements() == expected
         assert ker.order == len(expected)
-
-    @pytest.mark.parametrize("g", [1, 2])
-    def test_kernel_codomain_modulus_not_dividing(self, g):
-        # (Z/2)^(2g) -> (Z/4)^(2g): Mc does not divide Md, so the kernel is
-        # taken modulo lcm(2, 4) = 4, and its rows with pivot 2 = Md, the
-        # 2*e_c, must not be kept among the generators
-        rng = random.Random(g)
-        k = 2 * g
-        dom, cod = TorsionAmbient(g, 2), TorsionAmbient(g, 4)
-        for _ in range(12):
-            matrix = [[rng.choice([0, 2]) for _ in range(k)] for _ in range(k)]
-            hom = GroupHom(dom, cod, matrix)
-            expected = {x for x in product(range(2), repeat=k)
-                        if all(sum(x[i] * matrix[i][j] for i in range(k)) % 4 == 0
-                               for j in range(k))}
-            ker = hom.kernel()
-            assert ker.elements() == expected
-            assert ker.order == len(expected)
-            assert ker == subgroup_from_generators(dom, sorted(expected))
+        assert ker == subgroup_from_generators(amb, sorted(expected))
 
     @pytest.mark.parametrize("matrix", [[[1, 0], [0]], [[1, 0], [0, 1, 0]], [[1, 0]],
                                         [[1, 0], [0, 1], [1, 1]]],
@@ -588,11 +593,11 @@ class TestGroupHomKernel:
     def test_shape_mismatch_rejected(self, matrix):
         amb = TorsionAmbient(1, 4)
         with pytest.raises(ValueError, match="shape"):
-            GroupHom(amb, amb, matrix)
+            GroupHom(amb, matrix)
 
     def test_matrix_stored_as_tuples(self):
         amb = TorsionAmbient(1, 4)
-        hom = GroupHom(amb, amb, [[1, 2], [3, 0]])
+        hom = GroupHom(amb, [[1, 2], [3, 0]])
         assert hom.matrix == ((1, 2), (3, 0))
         assert hom.apply((1, 1)) == (0, 2)
 
@@ -610,8 +615,8 @@ class TestGroupHomKernel:
         assert intersect(h1, h2).order == 4
         h3 = subgroup_from_generators(amb, [[6, 0], [0, 4]])
         assert preimage_mul(2, h3).order == 24
-        hom = GroupHom(amb, TorsionAmbient(1, 4), [[1, 0], [0, 2]])
-        assert hom.kernel().order == 12 * 12 // 8
+        hom = GroupHom(amb, [[3, 0], [0, 6]])
+        assert hom.kernel().order == 3 * 6
 
 
 class TestDualOfInclusion:

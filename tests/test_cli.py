@@ -177,7 +177,7 @@ class TestCli:
 
         def zero_map(k_sub, n):
             small = TorsionAmbient(k_sub.ambient.g, n)
-            return GroupHom(small, small, [[0] * small.rank] * small.rank)
+            return GroupHom(small, [[0] * small.rank] * small.rank)
 
         # K has order 2, the zero map's image order 1
         monkeypatch.setattr(spectral, "dual_of_inclusion", zero_map)

@@ -36,7 +36,7 @@ def zero_character_map(k_sub, n):
     """A wrong stand-in for dual_of_inclusion: the zero map on (Z/n)^(2g),
     whose image is trivial and whose kernel is everything."""
     small = TorsionAmbient(k_sub.ambient.g, n)
-    return GroupHom(small, small, [[0] * small.rank] * small.rank)
+    return GroupHom(small, [[0] * small.rank] * small.rank)
 
 
 def integral_descriptor(n: int, g: int) -> SpectralCoverDescriptor:
