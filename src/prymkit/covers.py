@@ -15,8 +15,9 @@ A + sqrt(d0)*B in x - x0 on pairs of Poly in t, to a precision set by the
 block's own slope max ceil(deg c_i / (n - i)).  x0 is an integer, so
 specialising and shifting (a Taylor shift) at x0 run on integer numerators.
 Poly.is_squarefree, certified mod a small prime before any Euclid over Q,
-tests f and q(x0); the l-adic factoring shares its integer-list helpers
-mod m (_mod, _add, _mul, _divmod, _xgcd), in polynomials.py.
+tests f and q(x0); the l-adic factoring shares that certificate and the
+integer-list helpers mod m, and the x-adic lift the Euclid over Q, in
+polynomials.py.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from typing import Optional
 
 from .norms import SpectralPoly, spectral_mul, spectral_pow
 from .polynomials import (
-    Poly, TPoly, _add, _divmod, _mod, _mul, _poly, _xgcd, horner, power, resultant,
-    yun_squarefree)
+    Poly, TPoly, _add, _divmod, _euclid, _mod, _mul, _poly, _squarefree_mod, _xgcd, horner,
+    power, resultant, yun_squarefree)
 
 
 @dataclass(frozen=True)
@@ -119,9 +120,6 @@ class Surd:
 
     def __neg__(self) -> "Surd":
         return Surd(-self.a, -self.b, self.d)
-
-    def __sub__(self, other: "Surd") -> "Surd":
-        return self + (-other)
 
     def __mul__(self, other: "Surd") -> "Surd":
         self._check(other)
@@ -213,12 +211,12 @@ def pullback_splits(cover: DoubleCoverData,
         raise ValueError("pullback splitting needs even degree in t")
     m = s_a.n // 2
     s = s_a.as_tpoly()
-    point = next(_good_points(cover.f, s), None)
-    certified = point is not None and point[2].is_squarefree()
+    point = next(_good_points(cover.f, s))
+    certified = point[2].is_squarefree()
     acc = None
     for q, e in [(s, 1)] if certified else yun_squarefree(s):
         if not certified:
-            point = next((p for p in _good_points(cover.f, q) if p[2].is_squarefree()), None)
+            point = next(p for p in _good_points(cover.f, q) if p[2].is_squarefree())
         w = _split_squarefree_block(cover, q, point)
         if w is None:
             if e % 2 != 0:
@@ -242,9 +240,16 @@ def _is_square(q: Fraction) -> bool:
 
 def _good_points(f: Poly, q: TPoly):
     """(x0, f(x0), q(x0, t)) at the good points x0 in the order 0, -1, 1,
-    -2, ...: those where f(x0) is a nonzero non-square, x0 an integer."""
+    -2, ...: those where f(x0) is a nonzero non-square, x0 an integer.
+
+    Infinitely many, so a search for one where a squarefree q stays
+    squarefree ends: q(x0) does at all x0 but the finitely many roots of
+    disc_t(q).  For F = c*f in Z[x], infinitely many primes p divide some
+    F(x1) (Schur), and all but finitely many divide neither c nor Res(F, F')
+    != 0 (f is squarefree).  Then p divides F(x) once at x1 or x1 + p, and
+    at all x in its class mod p^2, where f(x) is a nonzero non-square."""
     den = math.lcm(*(c.denom for c in q.coeffs))
-    for trial in range(0, 40 * (q.degree + f.degree + 4)):
+    for trial in itertools.count():
         x0 = (-1) ** trial * ((trial + 1) // 2)
         d0 = Fraction(horner(f.ints, x0, 0), f.denom)
         if d0 != 0 and not _is_square(d0):
@@ -286,25 +291,20 @@ def _transpose(ps: list, n: int) -> list[Poly]:
     return [_poly([c[j] if j < len(c) else 0 for c in cols], den) for j in range(n)]
 
 
-def _poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Extended Euclid over Q as a monic remainder sequence: the monic gcd
-    g of a and b (b nonzero) and the t with s*a + t*b = g."""
-    r0, r1, t0, t1 = a, b, Poly.zero(), Poly.one()
-    while r1:
-        r1, t1 = r1.monic(), t1.scale(1 / r1.lc)
-        q, r = r0.divmod(r1)
-        r0, r1, t0, t1 = r1, r, t1, t0 - q * t1
-    return r0, t0
-
-
 def _x_adic_lift(s: list[Poly], a: Poly, b: Poly, d: Fraction) -> tuple[list, list]:
     """Linear Hensel lifting in z (MCA §15.4) of a + sqrt(d)*b, a monic and
     prime to b, to W = sum (P_k + sqrt(d)*Q_k) z^k with W * conj(W) = sum
     s_k z^k mod z^len(s), s_0 = a^2 - d*b^2 and deg s_k < 2 deg a.  Term k
     solves 2*(P_k*a - d*Q_k*b) = err_k in Q[t] (the sqrt(d) parts cancel in
     pairs): Q_k = err_k*v mod a, v = (-2*d*b)^-1 mod a, and P_k is an exact
-    quotient by a; deg P_k, deg Q_k < deg a makes them unique."""
-    v = _poly_xgcd(a, b)[1].scale(-1 / (2 * d))
+    quotient by a; deg P_k, deg Q_k < deg a makes them unique.  With r the
+    last remainder of Euclid on (a, b), a constant, t/r is b^-1 mod a for t
+    from (0, 1) by t <- t0 - q*t1 over all quotients q but the last."""
+    r, quotients = _euclid(a, b)
+    t0, t1 = Poly.zero(), Poly.one()
+    for q in quotients[:-1]:
+        t0, t1 = t1, t0 - q * t1
+    v = t1.scale(-1 / (2 * d * r.lc))
     P, Q = [a], [b]
     for k in range(1, len(s)):
         err = s[k]
@@ -397,7 +397,7 @@ def _lifted_factors(f: list, bound: int, e: int) -> tuple[list, int, int]:
     for p in (p for p in itertools.count(3, 2)
               if all(p % k for k in range(3, math.isqrt(p) + 1, 2))
               and e % p and pow(e, p // 2, p) == 1):
-        if f[-1] % p and len(_xgcd(f, [i * c for i, c in enumerate(f)][1:], p)[0]) == 1:
+        if _squarefree_mod(f, p):
             break
         if (bad := bad - 1) < 0:
             raise ValueError("cannot factor a polynomial that is not squarefree")
@@ -496,8 +496,6 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, point) -> Optional
     if q.degree % 2 != 0:
         return None
     n, half, f = q.degree, q.degree // 2, cover.f
-    if point is None:
-        raise RuntimeError("no good specialization point found")
     x0, d0, qq = point
 
     factors = _factor_over_quadratic_field(qq, d0)

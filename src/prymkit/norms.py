@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from math import lcm, prod
 
 from .abelian import bareiss_det
-from .polynomials import Poly, TPoly, _pack, _poly, _unpack, _width, as_fraction, resultant
+from .polynomials import (
+    Poly, TPoly, _pack, _poly, _unpack, _width, as_fraction, pseudo_remainder, resultant)
 
 
 class ParentMismatch(ValueError):
@@ -59,17 +60,8 @@ class SpectralPoly:
             cs[self.n - j] = a
         return TPoly(cs, Poly.zero())
 
-    def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, (Poly.one(),) + (Poly.zero(),) * (self.n - 1))
-
-    def t(self) -> "AlgebraElement":
-        return self.element_from_tpoly(TPoly((Poly.zero(), Poly.one()), Poly.zero()))
-
-    def element(self, coords) -> "AlgebraElement":
-        return AlgebraElement(self, tuple(coords))
-
     def element_from_tpoly(self, p: TPoly) -> "AlgebraElement":
-        r = p % self.as_tpoly()
+        r = pseudo_remainder(p, self.as_tpoly())   # the remainder, as s_a is monic
         coords = [r.coeff(i) for i in range(self.n)]
         return AlgebraElement(self, tuple(coords))
 

@@ -10,8 +10,9 @@ outer variable t whose coefficients may be Poly, RatFunc or any type
 supporting ring arithmetic, is_zero() and one_like().  ``RatFunc``,
 ``tpoly_over_ratfunc`` and ``tpoly_to_poly_coeffs`` have no caller in the
 package; they are kept only because the benchmark tracer bench/spans.py
-binds them.  A t-polynomial is divided only by a monic divisor, so
-t-division needs ring operations alone and keeps Poly coefficients in Q[x].
+binds them.  By a monic divisor ``pseudo_remainder`` is the t-remainder.
+The one Euclid over Q, ``_euclid``, keeps its quotients for the cofactor of
+covers._x_adic_lift, and ``Poly.gcd`` is its remainder made monic.
 
 The generic-ring algorithms (the subresultant sequence, ``power``) hand
 Poly mostly trivial operands, so a zero, unit or constant operand, told
@@ -148,7 +149,7 @@ class Poly:
 
     def __hash__(self):
         if self.degree < 1:     # a constant hashes like its value, which it equals
-            return hash(self(0))
+            return hash(self.lc if self.ints else 0)
         return hash((self.ints, self.denom))
 
     def __bool__(self) -> bool:
@@ -260,12 +261,8 @@ class Poly:
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic gcd."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.monic()
+        g = _euclid(self, other)[0]
+        return g.monic() if g else g
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -279,24 +276,12 @@ class Poly:
         """self mod x^k: a power series cut at order k."""
         return _poly(list(self.ints[:k]), self.denom)
 
-    def __call__(self, x0: Scalar) -> Fraction:
-        """Horner's rule on the integers: sum ints[i] p^i q^(deg - i) for
-        x0 = p/q, over denom * q^deg."""
-        x0 = as_fraction(x0)
-        p, q = x0.numerator, x0.denominator
-        acc, qk = 0, 1
-        for c in reversed(self.ints):
-            acc, qk = acc * p + c * qk, qk * q
-        return Fraction(acc * q, self.denom * qk)
-
     def is_squarefree(self) -> bool:
-        """No repeated factor over Q: gcd(F, F') = 1 mod a prime p from 3 to
-        13 not dividing F's leading numerator puts disc(F) != 0 mod p; only
-        when every such p fails is the gcd with F' taken over Q."""
-        f, df = self.ints, [i * c for i, c in enumerate(self.ints)][1:]
-        if f and any(f[-1] % p and len(_xgcd(f, df, p)[0]) == 1 for p in (3, 5, 7, 11, 13)):
-            return True
-        return bool(f) and self.gcd(self.derivative()).degree <= 0
+        """No repeated factor over Q: certified mod a prime p from 3 to 13
+        (_squarefree_mod); only when every such p fails is the gcd with F'
+        taken over Q."""
+        return bool(self.ints) and (any(_squarefree_mod(self.ints, p) for p in (3, 5, 7, 11, 13))
+                                    or self.gcd(self.derivative()).degree <= 0)
 
     def __repr__(self):
         if self.is_zero():
@@ -312,6 +297,18 @@ class Poly:
             else:
                 terms.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
         return "Poly(" + " + ".join(terms) + ")"
+
+
+def _euclid(a: Poly, b: Poly) -> tuple[Poly, list]:
+    """(r, qs): the last nonzero remainder r of a, b, a % b, ... (0 if a =
+    b = 0) and each step's quotient; the extended-Euclid cofactors are a
+    recurrence on qs (MCA section 3.2), so a gcd pays only for the list."""
+    qs = []
+    while b:
+        q, r = a.divmod(b)
+        qs.append(q)
+        a, b = b, r
+    return a, qs
 
 
 def _init(p: Poly, ints: list, den: int):
@@ -428,6 +425,12 @@ def _xgcd(a: Sequence, b: Sequence, p: int) -> tuple[list, list]:
         q, r = _divmod(r0, r1, p)
         r0, r1, t0, t1 = r1, r, t1, _mod(_add(t0, _mul(q, t1), -1), p)
     return r0, t0
+
+
+def _squarefree_mod(f: Sequence, p: int) -> bool:
+    """f keeps its degree and gcd(f, f') = 1 mod the prime p, so disc(f) !=
+    0 mod p: f, nonzero, is squarefree."""
+    return bool(f[-1] % p) and len(_xgcd(f, [i * c for i, c in enumerate(f)][1:], p)[0]) == 1
 
 
 class RatFunc:
@@ -621,25 +624,6 @@ class TPoly:
     def __pow__(self, k: int) -> "TPoly":
         return power(self, k, TPoly((self.czero.one_like(),), self.czero))
 
-    def divmod(self, other: "TPoly") -> tuple["TPoly", "TPoly"]:
-        """Division by a monic divisor (else ValueError): each quotient
-        coefficient is the remainder's popped leading coefficient."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        *d, ld = other.coeffs
-        if ld != self.czero.one_like():
-            raise ValueError("t-polynomials divide only by monic divisors")
-        r, q = list(self.coeffs), []
-        while len(r) > len(d):
-            q.append(r.pop())
-            j = len(r) - len(d)
-            for k, dk in enumerate(d):
-                r[j + k] = r[j + k] - q[-1] * dk
-        return TPoly(q[::-1], self.czero), TPoly(r, self.czero)
-
-    def __mod__(self, other: "TPoly") -> "TPoly":
-        return self.divmod(other)[1]
-
     def monic(self) -> "TPoly":
         """Divide by the leading coefficient, which must divide every
         coefficient exactly (always so over a field)."""
@@ -666,7 +650,8 @@ def tpoly_to_poly_coeffs(p: TPoly) -> TPoly:
 
 def pseudo_remainder(a: TPoly, b: TPoly) -> TPoly:
     """lc(b)^(deg a - deg b + 1) * a mod b, without division in the
-    coefficient ring; a itself when deg a < deg b."""
+    coefficient ring; a itself when deg a < deg b, and a mod b, the only
+    t-remainder, when b is monic."""
     if b.is_zero():
         raise ZeroDivisionError("pseudo-remainder by the zero polynomial")
     r = list(a.coeffs)

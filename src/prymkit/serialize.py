@@ -11,7 +11,6 @@ one denominator.  Round-trips are bit-exact.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd, lcm
 
 from .abelian import TorsionAmbient, subgroup_from_generators
@@ -74,10 +73,6 @@ def _each(items: list, path: str, load) -> list:
 
 # -- rationals ------------------------------------------------------------
 
-def rational_to_json(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
 def _ratio(value, path: str) -> tuple[int, int]:
     if not isinstance(value, str):
         raise SchemaError(path, f"expected a rational string 'p/q', got {value!r}")
@@ -93,10 +88,6 @@ def _ratio(value, path: str) -> tuple[int, int]:
     if not den:
         raise SchemaError(path, "rational has zero denominator")
     return num, den
-
-
-def rational_from_json(value, path: str) -> Fraction:
-    return Fraction(*_ratio(value, path))
 
 
 # -- polynomials ----------------------------------------------------------
@@ -126,10 +117,6 @@ def spectral_from_json(value, path: str = "$") -> SpectralPoly:
     return SpectralPoly(n, deg_m, tuple(_each(coeffs, f"{path}.coeffs", poly_from_json)))
 
 
-def element_to_json(u: AlgebraElement) -> list[list[str]]:
-    return [poly_to_json(c) for c in u.coords]
-
-
 def element_from_json(parent: SpectralPoly, value, path: str = "$") -> AlgebraElement:
     items = _expect_list(value, path)
     _require(len(items) == parent.n, path, "expected {} coordinates", parent.n)
@@ -137,18 +124,6 @@ def element_from_json(parent: SpectralPoly, value, path: str = "$") -> AlgebraEl
 
 
 # -- descriptors ----------------------------------------------------------
-
-def descriptor_to_json(desc: SpectralCoverDescriptor) -> dict:
-    comps = []
-    for c in desc.components:
-        comps.append({
-            "degree": c.degree,
-            "multiplicity": c.multiplicity,
-            "kernel_modulus": c.kernel.ambient.M,
-            "kernel_generators": [list(r) for r in c.kernel.generators],
-        })
-    return {"n": desc.n, "g": desc.g, "components": comps}
-
 
 def descriptor_from_json(value, path: str = "$") -> SpectralCoverDescriptor:
     obj = _expect_dict(value, path)

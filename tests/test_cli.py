@@ -28,13 +28,9 @@ from prymkit.serialize import (
     cover_from_json,
     cover_to_json,
     descriptor_from_json,
-    descriptor_to_json,
     element_from_json,
-    element_to_json,
     poly_from_json,
     poly_to_json,
-    rational_from_json,
-    rational_to_json,
     spectral_from_json,
     spectral_to_json,
     twisted_from_json,
@@ -52,22 +48,37 @@ from prymkit.verify import (
 X = Poly.x()
 
 
+# the input documents of a descriptor and of an algebra element, written
+# here: the package reads them and never writes them
+def descriptor_to_json(desc) -> dict:
+    return {"n": desc.n, "g": desc.g, "components": [
+        {"degree": c.degree, "multiplicity": c.multiplicity,
+         "kernel_modulus": c.kernel.ambient.M,
+         "kernel_generators": [list(r) for r in c.kernel.generators]}
+        for c in desc.components]}
+
+
+def element_to_json(u) -> list:
+    return [poly_to_json(c) for c in u.coords]
+
+
 class TestSchemas:
     def test_rational_round_trip(self):
-        from fractions import Fraction
-        for q in (Fraction(0), Fraction(-3, 7), Fraction(5)):
-            assert rational_from_json(rational_to_json(q), "$") == q
-        assert rational_to_json(Fraction(5)) == "5/1"
+        for q in (Fraction(-3, 7), Fraction(5), Fraction(4, -6)):
+            text = f"{q.numerator}/{q.denominator}"
+            assert poly_from_json([text], "$") == Poly.constant(q)
+            assert poly_to_json(Poly.constant(q)) == [text]
+        assert poly_to_json(Poly.constant(5)) == ["5/1"]
 
     def test_rational_rejects_malformed(self):
         # int() alone would read the first four as 10/3, 2/3, 2/3 and 3/4
         for bad in ("1_0/3", " 2/3", "+2/3", "\u0663/4", "2/ 3", "2/3\n",
                     "3", "a/b", "1/0", 3, None):
             with pytest.raises(SchemaError):
-                rational_from_json(bad, "$")
+                poly_from_json([bad], "$")
 
     def test_rational_negative_denominator_accepted(self):
-        assert rational_from_json("1/-2", "$") == Fraction(-1, 2)
+        assert poly_from_json(["1/-2"], "$") == Poly.constant(Fraction(-1, 2))
 
     def test_poly_read_over_a_common_denominator(self):
         for items in (["2/4", "0/-3", "-6/-4"], ["1/2", "1/3", "-5/6", "0/1"],
@@ -327,7 +338,7 @@ class TestCli:
     def test_norm(self, tmp_path, capsys):
         s = SpectralPoly(2, 1, (Poly.zero(), -X))
         doc = {"spectral": spectral_to_json(s),
-               "element": element_to_json(s.t())}
+               "element": [[], ["1/1"]]}      # t
         path = self._write(tmp_path, "n.json", doc)
         assert main(["norm", "--input", path]) == 0
         out = json.loads(capsys.readouterr().out)

@@ -1,6 +1,8 @@
 """Tests for spectral-polynomial structure: squarefree profiles, trace
 translation, power/product maps, and the degree-2 Galois machinery."""
 
+import functools
+import operator
 import random
 import statistics
 import time
@@ -10,6 +12,8 @@ from itertools import zip_longest
 
 import pytest
 import sympy
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from prymkit import covers
 from prymkit.covers import (
@@ -18,7 +22,6 @@ from prymkit.covers import (
     TwistedSpectralPoly,
     _factor_over_quadratic_field,
     _poly_shift,
-    _poly_xgcd,
     _x_adic_lift,
     factors_coprime,
     galois_pushforward,
@@ -27,7 +30,7 @@ from prymkit.covers import (
     trace_translate,
 )
 from prymkit.norms import SpectralPoly, spectral_mul, spectral_pow
-from prymkit.polynomials import Poly, TPoly, yun_squarefree
+from prymkit.polynomials import Poly, TPoly, horner, pseudo_remainder, yun_squarefree
 from prymkit.verify import (
     random_spectral,
     random_squarefree,
@@ -39,6 +42,11 @@ X = Poly.x()
 
 def spoly(n, deg_m, *coeffs):
     return SpectralPoly(n, deg_m, tuple(coeffs))
+
+
+def at(p: Poly, x0) -> Fraction:
+    """p(x0) by Horner's rule on the Fraction coefficients."""
+    return horner(p.coeffs, Fraction(x0), Fraction(0))
 
 
 def _inv(c: Surd) -> Surd:
@@ -90,6 +98,17 @@ def _k_tpoly(p: Poly, q: Poly, d: Fraction) -> TPoly:
     zero = KNum(Fraction(0), Fraction(0), d)
     return TPoly([KNum(a, b, d) for a, b in zip_longest(p.coeffs, q.coeffs, fillvalue=0)],
                  zero)
+
+
+def _k_divmod(a: TPoly, b: TPoly) -> tuple[TPoly, TPoly]:
+    """(q, r) with a = q*b + r and deg r < deg b, for b monic over K."""
+    *low, _ = b.coeffs
+    r, q = list(a.coeffs), []
+    while len(r) > len(low):
+        q.append(r.pop())
+        for k, c in enumerate(low):
+            r[len(r) - len(low) + k] -= q[-1] * c
+    return TPoly(q[::-1], a.czero), TPoly(r, a.czero)
 
 
 def _k_conj(p: TPoly) -> TPoly:
@@ -331,37 +350,22 @@ class TestSurd:
             cover = DoubleCoverData(random_squarefree(rng, 3))
             w = random_twisted(rng, cover, rng.randint(1, 3), rng.randint(1, 2)).as_surd()
             x0 = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            at = Surd(Poly(c(x0) for c in w.a.coeffs), Poly(c(x0) for c in w.b.coeffs),
-                      cover.f(x0))
-            for v in (w, at, w.conjugate(), Surd(w.a, w.a + w.b, w.d)):
+            w0 = Surd(Poly(at(c, x0) for c in w.a.coeffs), Poly(at(c, x0) for c in w.b.coeffs),
+                      at(cover.f, x0))
+            for v in (w, w0, w.conjugate(), Surd(w.a, w.a + w.b, w.d)):
                 prod = v * v.conjugate()
                 assert v.norm() == prod.a and prod.b.is_zero()
         assert Surd(X, Poly.one(), Fraction(3)).norm() == X * X - 3
 
-    def test_tpoly_divides_only_by_monic_divisors(self):
-        # over a field too, the divisor must be monic, not merely invertible
+    def test_pseudo_remainder_by_monic_divisor_over_k(self):
+        # over a field too, the pseudo-remainder by a monic divisor is the
+        # remainder, with no coefficient divided
         d, t, zero = Fraction(5, 3), TestQuadraticFieldFactoring._t, Poly.zero()
         a = _k_tpoly(t(1, 0, 1), zero, d)                    # t^2 + 1
-        for op in (a.divmod, a.__mod__):
-            with pytest.raises(ValueError):
-                op(_k_tpoly(t(1, 2), zero, d))               # 2t + 1
         b = _k_tpoly(t(1, 1), t(-1), d)                      # t + 1 - sqrt(d)
-        q, r = a.divmod(b)
+        q, r = _k_divmod(a, b)
         assert q * b + r == a and r.degree < b.degree
-
-    def test_xgcd_cofactor_of_a_non_monic_pair(self):
-        # every remainder after b is scaled monic before it divides, so the
-        # gcd comes out monic and tau * b = g mod a
-        a = Poly([Fraction(1, 3), Fraction(-2), Fraction(0), Fraction(5, 2)])
-        b = Poly([Fraction(-7, 4), Fraction(2, 3), Fraction(3)])
-        g, tau = _poly_xgcd(a, b)
-        assert g == Poly.one()
-        assert tau.degree < a.degree
-        assert (tau * b) % a == g
-        c = Poly([Fraction(2, 5), Fraction(-3)])             # a common factor
-        g, tau = _poly_xgcd(a * c, b * c)
-        assert g == c.monic()
-        assert (tau * b * c - g) % (a * c) == Poly.zero()
+        assert pseudo_remainder(a, b) == r
 
 
 class TestPullbackSplits:
@@ -485,7 +489,7 @@ class TestTaylorShift:
             shifted = _poly_shift(p, a)
             assert shifted.degree == p.degree
             for x0 in (0, 1, -3, Fraction(2, 5), 10 ** 12):
-                assert shifted(x0) == p(x0 + a), (p, a, x0)
+                assert at(shifted, x0) == at(p, x0 + a), (p, a, x0)
             assert _poly_shift(shifted, -a) == p
 
 
@@ -810,6 +814,9 @@ class TestSplitterStall:
         assert _reference_seconds(time.perf_counter() - t0) < 1.0
 
 
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
 class TestXAdicLift:
     """The lift in z = x - x0 on pairs of rational t-polynomials, against
     W * conj(W) = q(x0 + z) mod z^prec and against the step it replaced,
@@ -827,7 +834,7 @@ class TestXAdicLift:
         while not r1.is_zero():
             u = TPoly((r1.lc.inverse(),), zero)
             r1, t1 = u * r1, u * t1
-            q, r = r0.divmod(r1)
+            q, r = _k_divmod(r0, r1)
             r0, r1, t0, t1 = r1, r, t1, t0 - q * t1
         return r0, t0
 
@@ -871,5 +878,52 @@ class TestXAdicLift:
                 err = _k_tpoly(s[k], zero, d)
                 for i in range(1, k):
                     err = err - old[i] * _k_conj(old[k - i])
-                old.append((tau * err) % a0)
+                old.append(_k_divmod(tau * err, a0)[1])
             assert w == old
+
+    @staticmethod
+    def _sympy(p: Poly, x):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+                          or [0], x, domain=sympy.QQ)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.lists(fractions, min_size=n, max_size=n),
+        st.lists(fractions, min_size=1, max_size=n))), fractions.filter(bool))
+    @example(([Fraction(1, 3), Fraction(-2), Fraction(5, 2)], [Fraction(-7, 4), Fraction(2, 3)]),
+             Fraction(-3, 5))
+    def test_cofactor_is_the_inverse_mod_a(self, case, d):
+        # with s = (a^2 - d*b^2, 1), Q_1 = 1 * v mod a is the cofactor v =
+        # (-2*d*b)^-1 mod a itself, built from Euclid's quotients
+        low, b_coeffs = case
+        a, b = Poly(low + [Fraction(1)]), Poly(b_coeffs)
+        x = sympy.Symbol("x")
+        sa, sb = self._sympy(a, x), self._sympy(b * Poly.constant(-2 * d), x)
+        assume(not b.is_zero() and sympy.gcd(sa, sb).degree() == 0)
+        _, Q = _x_adic_lift([a * a - (b * b).scale(d), Poly.one()], a, b, d)
+        v = Q[1]
+        assert v.degree < a.degree
+        assert (v * b.scale(-2 * d)) % a == Poly.one()
+        want = sympy.invert(sb, sa)
+        assert v == Poly([Fraction(int(c.p), int(c.q)) for c in reversed(want.all_coeffs())])
+
+
+class TestGoodPoints:
+    """The splitter's search for a good point has no window: the first
+    point where a squarefree block stays squarefree may lie past any
+    bound in the degrees.  (Last in the file: a splitter that accepted a
+    wrong factor here would lift it to 142 terms of 1,900-bit numbers.)"""
+
+    def test_first_squarefree_point_past_every_small_integer(self):
+        # s_a = t^2 - P, P = prod_{i=-140..140} (x - i), on y^2 = x - 3:
+        # s_a(x0) = t^2 at every integer |x0| <= 140, so the first good
+        # point where it is squarefree is x0 = -141.  A witness t + u + y*v
+        # has norm (t + u)^2 - (x - 3)*v^2, so it needs u = 0 and P =
+        # (x - 3)*v^2; P/(x - 3), of degree 280 with the 280 distinct roots
+        # i != 3, is squarefree and no square, so there is none
+        cover = DoubleCoverData(X - 3)
+        p = functools.reduce(operator.mul, (X - i for i in range(-140, 141)))
+        rest = p / (X - 3)
+        assert rest.degree == 280 and rest.denom == 1
+        assert all(horner(rest.ints, i, 0) == 0 for i in range(-140, 141) if i != 3)
+        assert pullback_splits(cover, spoly(2, 142, Poly.zero(), -p)) is None
