@@ -7,26 +7,25 @@ emits it (sorted keys, stable payloads) and picks the exit code: 0 success,
 usage, 3 semantic invariant violation, 4 internal error (an exception the
 library does not expect to raise).  A well-formed argv (the command, then
 each of its options once as ``--flag value``) becomes the namespace
-directly; argparse is built, on the first call that needs it and then
-reused, only for help and for argv the fast path declines, so it alone
-words every help, usage and error message.  ``main(argv)`` may be called
-repeatedly in one process.
+directly; argparse is imported and the parser built, on the first call that
+needs it and then reused, only for help and for argv the fast path
+declines, so it alone words every help, usage and error message.  Each
+command imports the library modules it runs when it is first called, so a
+fresh process loads no module its command does not use.  ``main(argv)`` may
+be called repeatedly in one process.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import hashlib
 import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import __version__
-from .abelian import AmbientMismatch
-from .covers import galois_pushforward, pullback_splits, squarefree_decompose
-from .norms import norm_element, norm_resultant_oracle
 from .serialize import (
     SchemaError,
     cover_from_json,
@@ -38,16 +37,6 @@ from .serialize import (
     twisted_from_json,
     twisted_to_json,
 )
-from .spectral import (
-    DescriptorError,
-    InvariantViolation,
-    endoscopy_report,
-    is_cn_cover,
-    phi_surjection,
-    pi0_prym,
-    prym_component_group,
-)
-from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -120,11 +109,13 @@ def _emit(report: dict, fmt: str):
 
 
 def _cmd_pi0(args) -> tuple[str, dict]:
+    from . import spectral
+
     doc, digest = _load_input(args.input)
     desc = descriptor_from_json(doc)
-    k = prym_component_group(desc)
-    group = pi0_prym(desc)
-    phi_surjection(desc)
+    k = spectral.prym_component_group(desc)
+    group = spectral.pi0_prym(desc)
+    spectral.phi_surjection(desc)
     order, bound = k.order, desc.n ** (2 * desc.g)
     return digest, {
         "n": desc.n,
@@ -137,7 +128,7 @@ def _cmd_pi0(args) -> tuple[str, dict]:
         "order_bound": bound,
         # the kernel order phi_surjection has just verified
         "phi_kernel_order": bound // order,
-        "is_cn": is_cn_cover(desc),
+        "is_cn": spectral.is_cn_cover(desc),
     }
 
 
@@ -147,7 +138,9 @@ def _cmd_endoscopy(args) -> tuple[str, dict]:
     if not 2 <= args.n <= 10 ** 12 or args.g < 1:
         # the one trial-division pass that factors n runs to sqrt(n)
         raise SchemaError("$", "endoscopy needs 2 <= n <= 10^12 and g >= 1")
-    rep = endoscopy_report(args.n, args.g)
+    from . import spectral
+
+    rep = spectral.endoscopy_report(args.n, args.g)
     return _digest(f"{args.n},{args.g}".encode()), {
         "n": rep.n,
         "g": rep.g,
@@ -158,13 +151,15 @@ def _cmd_endoscopy(args) -> tuple[str, dict]:
 
 
 def _cmd_norm(args) -> tuple[str, dict]:
+    from . import norms
+
     doc, digest = _load_input(args.input)
     if not isinstance(doc, dict) or "spectral" not in doc or "element" not in doc:
         raise SchemaError("$", "norm input needs 'spectral' and 'element' fields")
     s = spectral_from_json(doc["spectral"], "$.spectral")
     u = element_from_json(s, doc["element"], "$.element")
-    det = norm_element(s, u)
-    oracle = norm_resultant_oracle(s, u)
+    det = norms.norm_element(s, u)
+    oracle = norms.norm_resultant_oracle(s, u)
     return digest, {
         "norm": poly_to_json(det),
         "resultant_oracle_agrees": det == oracle,
@@ -172,9 +167,11 @@ def _cmd_norm(args) -> tuple[str, dict]:
 
 
 def _cmd_factor(args) -> tuple[str, dict]:
+    from . import covers
+
     doc, digest = _load_input(args.input)
     s = spectral_from_json(doc)
-    fac = squarefree_decompose(s)
+    fac = covers.squarefree_decompose(s)
     return digest, {
         "deg_m": fac.deg_m,
         "blocks": [{"poly": spectral_to_json(q), "multiplicity": m}
@@ -183,18 +180,20 @@ def _cmd_factor(args) -> tuple[str, dict]:
 
 
 def _cmd_galois(args) -> tuple[str, dict]:
+    from . import covers
+
     doc, digest = _load_input(args.input)
     if not isinstance(doc, dict) or "cover" not in doc:
         raise SchemaError("$", "galois input needs a 'cover' field")
     cover = cover_from_json(doc["cover"], "$.cover")
     if "twisted" in doc:
         tw = twisted_from_json(doc["twisted"], "$.twisted", cover)
-        pushed = galois_pushforward(cover, tw)
+        pushed = covers.galois_pushforward(cover, tw)
         return digest, {"direction": "pushforward",
                         "pushforward": spectral_to_json(pushed)}
     if "spectral" in doc:
         s = spectral_from_json(doc["spectral"], "$.spectral")
-        witness = pullback_splits(cover, s)
+        witness = covers.pullback_splits(cover, s)
         return digest, {"direction": "split",
                         "splits": witness is not None,
                         "witness": twisted_to_json(witness) if witness else None}
@@ -202,6 +201,8 @@ def _cmd_galois(args) -> tuple[str, dict]:
 
 
 def _cmd_verify(args) -> tuple[str, dict]:
+    from . import verify
+
     seed = args.seed
     if seed is None:
         raw = os.environ.get("PRYMKIT_SEED", "0")
@@ -209,10 +210,10 @@ def _cmd_verify(args) -> tuple[str, dict]:
             seed = int(raw)
         except ValueError:
             raise SchemaError("$", f"PRYMKIT_SEED is not an integer: {raw!r}") from None
-    if args.suite not in SUITES:
+    if args.suite not in verify.SUITES:
         raise SchemaError(
-            "$", f"unknown suite {args.suite!r}; available: {sorted(SUITES)}")
-    results = run_suite(args.suite, seed)
+            "$", f"unknown suite {args.suite!r}; available: {sorted(verify.SUITES)}")
+    results = verify.run_suite(args.suite, seed)
     return _digest(f"{args.suite},{seed}".encode()), {
         "suite": args.suite, "seed": seed, "results": results,
         "all_passed": all(r["passed"] for r in results)}
@@ -236,6 +237,8 @@ _COMMANDS = (
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and shared by every later one."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="prymkit",
         description="Exact computations for component groups of Prym varieties, "
@@ -262,7 +265,7 @@ def _fast_table() -> dict:
     return table
 
 
-def _fast_args(argv) -> argparse.Namespace | None:
+def _fast_args(argv) -> SimpleNamespace | None:
     """The namespace build_parser().parse_args(argv) would return, built
     without argparse; None unless argv is a list or tuple of strs
     ``[command, flag, value, ...]`` in which each flag is one the command
@@ -291,7 +294,7 @@ def _fast_args(argv) -> argparse.Namespace | None:
         if choices is not None and value not in choices:
             return None
         values[dest] = value
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
@@ -308,10 +311,15 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (DescriptorError, InvariantViolation, AmbientMismatch, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except Exception as exc:
+        # DescriptorError, AmbientMismatch and ParentMismatch are ValueErrors;
+        # only spectral raises InvariantViolation, so it is looked up only
+        # once spectral has been imported
+        spectral = sys.modules.get("prymkit.spectral")
+        if isinstance(exc, ValueError) or (
+                spectral is not None and isinstance(exc, spectral.InvariantViolation)):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVARIANT
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.command == "verify" and not payload["all_passed"]:

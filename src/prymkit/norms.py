@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm, prod
 
-from .abelian import bareiss_det
 from .polynomials import (
     Poly, TPoly, _pack, _poly, _unpack, _width, as_fraction, pseudo_remainder, resultant)
 
@@ -115,10 +114,12 @@ def mul_matrix(s_a: SpectralPoly, u: AlgebraElement) -> list[list[Poly]]:
 def poly_matrix_det(m: list[list[Poly]]) -> Poly:
     """Exact determinant over Q[x]: rows cleared of denominators and packed
     at x = 2^k above the permanent bound (product of row sums), Bareiss over Z."""
+    from . import abelian
+
     scales = [lcm(*(p.denom for p in row)) for row in m]
     rows = [[(p.ints, d // p.denom) for p in row] for row, d in zip(m, scales)]
     k = _width(prod(sum(sum(map(abs, c)) * f for c, f in row) for row in rows))
-    det = bareiss_det([[_pack(c, k) * f for c, f in row] for row in rows])
+    det = abelian.bareiss_det([[_pack(c, k) * f for c, f in row] for row in rows])
     return _poly(_unpack(det, k), prod(scales))
 
 
@@ -128,6 +129,8 @@ def norm_element(s_a: SpectralPoly, u: AlgebraElement) -> Poly:
     E the lcms of the denominators of s_a and u = sum c_i t^i.  N(U~) =
     Res_t(s~, U~) is below the Sylvester permanent ||s~||_1^(deg U~) ||U~||_1^n,
     so it unpacks from its value at x = 2^k."""
+    from . import abelian
+
     if u.parent != s_a:
         raise ParentMismatch("element does not belong to the algebra")
     n, den, e = s_a.n, lcm(*(a.denom for a in s_a.coeffs)), lcm(*(c.denom for c in u.coords))
@@ -137,7 +140,7 @@ def norm_element(s_a: SpectralPoly, u: AlgebraElement) -> Poly:
     size = lambda terms: sum(sum(map(abs, p.ints)) * f for p, f in terms)
     k = _width((1 + size(s_low)) ** deg * size(u_low) ** n)
     s_k, u_k = ([_pack(p.ints, k) * f for p, f in terms] for terms in (s_low, u_low))
-    return _poly(_unpack(bareiss_det(_columns(s_k, u_k)), k), (e * den ** (n - 1)) ** n)
+    return _poly(_unpack(abelian.bareiss_det(_columns(s_k, u_k)), k), (e * den ** (n - 1)) ** n)
 
 
 def norm_resultant_oracle(s_a: SpectralPoly, u: AlgebraElement) -> Poly:

@@ -5,19 +5,15 @@ every JSON implementation round-trips them losslessly, and are read back only
 in that form, -?[0-9]+/-?[0-9]+ in ASCII digits with q != 0; all loaders
 report a failure, formatting its message only then, with the path of the
 offending field.  A polynomial is read and written as integer numerators over
-one denominator.  Round-trips are bit-exact.
+one denominator.  Round-trips are bit-exact.  Each loader imports the library
+modules it builds from when it runs, so the command line can import this
+module without them.
 """
 
 from __future__ import annotations
 
 import re
 from math import gcd, lcm
-
-from .abelian import TorsionAmbient, subgroup_from_generators
-from .covers import DoubleCoverData, TwistedSpectralPoly
-from .norms import AlgebraElement, SpectralPoly
-from .polynomials import Poly, _poly
-from .spectral import ComponentData, SpectralCoverDescriptor
 
 # Largest genus a descriptor may have: a component kernel is at most 2g
 # Hermite rows of width 2g, so g is refused up front, before any allocation.
@@ -98,9 +94,11 @@ def poly_to_json(p: Poly) -> list[str]:
 
 
 def poly_from_json(value, path: str) -> Poly:
+    from . import polynomials
+
     ratios = _each(_expect_list(value, path), path, _ratio)
     den = lcm(*(d for _, d in ratios))
-    return _poly([n * (den // d) for n, d in ratios], den)
+    return polynomials._poly([n * (den // d) for n, d in ratios], den)
 
 
 def spectral_to_json(s: SpectralPoly) -> dict:
@@ -109,23 +107,29 @@ def spectral_to_json(s: SpectralPoly) -> dict:
 
 
 def spectral_from_json(value, path: str = "$") -> SpectralPoly:
+    from . import norms
+
     obj = _expect_dict(value, path)
     n = _expect_int(_expect_key(obj, "n", path), f"{path}.n")
     deg_m = _expect_int(_expect_key(obj, "deg_m", path), f"{path}.deg_m")
     coeffs = _expect_list(_expect_key(obj, "coeffs", path), f"{path}.coeffs")
     _require(len(coeffs) == n, f"{path}.coeffs", "expected {} coefficients", n)
-    return SpectralPoly(n, deg_m, tuple(_each(coeffs, f"{path}.coeffs", poly_from_json)))
+    return norms.SpectralPoly(n, deg_m, tuple(_each(coeffs, f"{path}.coeffs", poly_from_json)))
 
 
 def element_from_json(parent: SpectralPoly, value, path: str = "$") -> AlgebraElement:
+    from . import norms
+
     items = _expect_list(value, path)
     _require(len(items) == parent.n, path, "expected {} coordinates", parent.n)
-    return AlgebraElement(parent, tuple(_each(items, path, poly_from_json)))
+    return norms.AlgebraElement(parent, tuple(_each(items, path, poly_from_json)))
 
 
 # -- descriptors ----------------------------------------------------------
 
 def descriptor_from_json(value, path: str = "$") -> SpectralCoverDescriptor:
+    from . import abelian, spectral
+
     obj = _expect_dict(value, path)
     n = _expect_int(_expect_key(obj, "n", path), f"{path}.n")
     g = _expect_int(_expect_key(obj, "g", path), f"{path}.g")
@@ -144,12 +148,12 @@ def descriptor_from_json(value, path: str = "$") -> SpectralCoverDescriptor:
         gp = f"{cp}.kernel_generators"
         gens_raw = _expect_list(_expect_key(cobj, "kernel_generators", cp), gp)
         _require(modulus >= 1, f"{cp}.kernel_modulus", "modulus must be >= 1")
-        kernel = subgroup_from_generators(TorsionAmbient(g, modulus),
-                                          _each(gens_raw, gp, row_from_json))
-        return ComponentData(degree, mult, kernel)
+        kernel = abelian.subgroup_from_generators(abelian.TorsionAmbient(g, modulus),
+                                                  _each(gens_raw, gp, row_from_json))
+        return spectral.ComponentData(degree, mult, kernel)
 
     comps = _each(comps_raw, f"{path}.components", component_from_json)
-    return SpectralCoverDescriptor(n, g, tuple(comps))
+    return spectral.SpectralCoverDescriptor(n, g, tuple(comps))
 
 
 # -- double covers and twisted polynomials --------------------------------
@@ -160,9 +164,11 @@ def cover_to_json(cover: DoubleCoverData) -> dict:
 
 def cover_from_json(value, path: str = "$", known=None) -> DoubleCoverData:
     """y^2 = f; the cover known, already checked, when its f is this f."""
+    from . import covers
+
     obj = _expect_dict(value, path)
     f = poly_from_json(_expect_key(obj, "f", path), f"{path}.f")
-    return known if known is not None and known.f == f else DoubleCoverData(f)
+    return known if known is not None and known.f == f else covers.DoubleCoverData(f)
 
 
 def twisted_to_json(tw: TwistedSpectralPoly) -> dict:
@@ -172,6 +178,8 @@ def twisted_to_json(tw: TwistedSpectralPoly) -> dict:
 
 
 def twisted_from_json(value, path: str = "$", known=None) -> TwistedSpectralPoly:
+    from . import covers
+
     obj = _expect_dict(value, path)
     m = _expect_int(_expect_key(obj, "m", path), f"{path}.m")
     deg_m = _expect_int(_expect_key(obj, "deg_m", path), f"{path}.deg_m")
@@ -184,4 +192,4 @@ def twisted_from_json(value, path: str = "$", known=None) -> TwistedSpectralPoly
         return tuple(poly_from_json(_expect_key(pobj, k, pp), f"{pp}.{k}") for k in "uv")
 
     pairs = _each(pairs_raw, f"{path}.pairs", pair_from_json)
-    return TwistedSpectralPoly(cover, m, deg_m, tuple(pairs))
+    return covers.TwistedSpectralPoly(cover, m, deg_m, tuple(pairs))

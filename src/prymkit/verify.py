@@ -165,7 +165,7 @@ def _matmul(a: list, b: list) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def _record(results: list, name: str, passed: bool, detail: str = ""):
+def _record(results: list, name: str, passed: bool, detail: str):
     results.append({"property": name, "passed": bool(passed), "detail": detail})
 
 

@@ -393,6 +393,19 @@ MUTANTS = [
      "    if kind is list or kind is tuple:\n",
      "    if kind is tuple:\n        return json.dumps(value)\n    if kind is list:\n",
      ["tests/test_cli.py"]),
+    # -- import graph: each command loads only the modules it runs -----------
+    ("cli imports verify at top", "cli.py",
+     "from . import __version__\n",
+     "from . import __version__, verify\n",
+     ["tests/test_cli.py"]),
+    ("norms imports abelian at top", "norms.py",
+     "from .polynomials import (\n",
+     "from .abelian import bareiss_det\nfrom .polynomials import (\n",
+     ["tests/test_cli.py"]),
+    ("one export mapped to the wrong module", "__init__.py",
+     'spectral_pow"),\n    ("polynomials", "Poly RatFunc TPoly resultant ',
+     'spectral_pow resultant"),\n    ("polynomials", "Poly RatFunc TPoly ',
+     ["tests/test_cli.py"]),
     # -- serialize ---------------------------------------------------------------
     ("rational with a zero denominator accepted", "serialize.py",
      "    if not den:\n"

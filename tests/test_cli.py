@@ -17,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prymkit
 from prymkit import cli, spectral, verify
+from prymkit.abelian import AmbientMismatch
 from prymkit.cli import main
 from prymkit.covers import DoubleCoverData, TwistedSpectralPoly, galois_pushforward
-from prymkit.norms import SpectralPoly, spectral_mul
+from prymkit.norms import ParentMismatch, SpectralPoly, spectral_mul
 from prymkit.polynomials import Poly
 from prymkit.serialize import (
     MAX_GENUS,
@@ -46,6 +48,29 @@ from prymkit.verify import (
 )
 
 X = Poly.x()
+# the tree that holds the prymkit under test, for fresh interpreters
+SRC = str(Path(prymkit.__file__).resolve().parent.parent)
+
+# the prymkit modules that importing the front door loads
+_CLI_MODULES = {"prymkit", "prymkit.cli", "prymkit.serialize"}
+_FRESH = """
+import contextlib, io, json, sys
+from prymkit.cli import main
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = 0 if argv is None else main(argv)
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "prymkit"),
+                  "argparse" in sys.modules, "sympy" in sys.modules]))
+"""
+
+
+def _fresh_run(argv) -> tuple:
+    """(exit code, loaded prymkit modules, argparse loaded?, sympy loaded?)
+    after main(argv) in a fresh interpreter; argv None only imports the cli."""
+    out = subprocess.run([sys.executable, "-c", _FRESH, json.dumps(argv)],
+                         env=dict(os.environ, PYTHONPATH=SRC), check=True,
+                         capture_output=True, text=True).stdout
+    return tuple(json.loads(out))
 
 
 # the input documents of a descriptor and of an algebra element, written
@@ -296,11 +321,24 @@ class TestCli:
         assert time.perf_counter() - t0 < 1.0
 
     def test_import_leaves_sympy_unloaded(self):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        subprocess.run([sys.executable, "-c",
-                        "import prymkit.cli, sys; assert 'sympy' not in sys.modules"],
-                       env=env, check=True)
+        # nor any library module, nor argparse
+        assert _fresh_run(None) == (0, sorted(_CLI_MODULES), False, False)
+
+    @pytest.mark.parametrize("make, code, err", [
+        (lambda: spectral.InvariantViolation("x"), 3, "error: x\n"),
+        (lambda: RuntimeError("x"), 4, "error: internal: RuntimeError: x\n"),
+        (lambda: SchemaError("$.n", "x"), 2, "error: $.n: x\n"),
+        (lambda: spectral.DescriptorError("x"), 3, "error: x\n"),
+        (lambda: AmbientMismatch("x"), 3, "error: x\n"),
+        (lambda: ParentMismatch("x"), 3, "error: x\n"),
+    ])
+    def test_exception_exit_code(self, capsys, monkeypatch, make, code, err):
+        def raising(args):
+            raise make()
+
+        monkeypatch.setattr(cli, "_cmd_endoscopy", raising)
+        assert main(["endoscopy", "--n", "6", "--g", "2"]) == code
+        assert capsys.readouterr() == ("", err)
 
     def test_galois_split_leaves_sympy_unloaded(self, tmp_path):
         # two conjugate pairs: q(x0) has a Q-factor of even degree that
@@ -312,11 +350,10 @@ class TestCli:
             cover, 1, 1, ((Poly.constant(2), -one),))))
         path = self._write(tmp_path, "g.json", {"cover": cover_to_json(cover),
                                                 "spectral": spectral_to_json(s)})
-        src = str(Path(__file__).resolve().parent.parent / "src")
         code = ("import sys\nfrom prymkit.cli import main\n"
                 f"rc = main(['galois', '--input', {path!r}])\n"
                 "assert 'sympy' not in sys.modules\nsys.exit(rc)")
-        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                              check=True, capture_output=True, text=True).stdout
         assert json.loads(out)["payload"]["splits"] is True
 
@@ -527,7 +564,7 @@ class TestCli:
         def failing(name, seed):
             return [{"property": "p", "passed": False, "detail": "broken"}]
 
-        monkeypatch.setattr(cli, "run_suite", failing)
+        monkeypatch.setattr(verify, "run_suite", failing)
         assert main(["verify", "--suite", "abelian", "--seed", "0"]) == 1
         out = capsys.readouterr().out
         assert '"all_passed": false' in out
@@ -624,6 +661,71 @@ _JSON_VALUES = st.recursive(
     max_leaves=30)
 
 
+def _argvs(tmp_path):
+    """A well-formed argv for each of the six commands."""
+    files = {
+        "pi0": descriptor_to_json(cn_descriptor(3, 1)),
+        "norm": {"spectral": {"n": 2, "deg_m": 1, "coeffs": [[], ["0/1", "-1/1"]]},
+                 "element": [[], ["1/1"]]},
+        "factor": spectral_to_json(SpectralPoly(2, 1, (X.scale(-2), X * X))),
+        "galois": {"cover": {"f": ["0/1", "1/1"]},
+                   "spectral": {"n": 2, "deg_m": 1, "coeffs": [[], ["0/1", "-1/1"]]}},
+    }
+    argvs = []
+    for command, doc in files.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(doc))
+        argvs.append([command, "--input", str(path)])
+    return argvs + [["endoscopy", "--n", "6", "--g", "2", "--format", "table"],
+                    ["verify", "--suite", "abelian", "--seed", "0"]]
+
+
+# the library modules each command loads besides _CLI_MODULES
+_LOADED = {
+    "pi0": {"abelian", "spectral"},
+    "endoscopy": {"abelian", "spectral"},
+    "norm": {"polynomials", "norms", "abelian"},
+    "factor": {"polynomials", "norms", "covers"},
+    "galois": {"polynomials", "norms", "covers"},
+    "verify": {"abelian", "spectral", "polynomials", "norms", "covers", "verify"},
+}
+
+_PUBLIC_NAMES = """
+    AmbientMismatch FinAbGroup GroupHom TorsionAmbient TorsionSubgroup dual_group
+    dual_of_inclusion hermite_normal_form intersect preimage_mul smith_normal_form
+    structure subgroup_from_generators DoubleCoverData FactoredSpectral
+    TwistedSpectralPoly galois_pushforward pullback_splits squarefree_decompose
+    trace_translate AlgebraElement ParentMismatch SpectralPoly mul_matrix
+    norm_component_law norm_element norm_multiplicativity_check norm_power_law
+    norm_resultant_oracle spectral_mul spectral_pow Poly RatFunc TPoly resultant
+    yun_squarefree ComponentData DescriptorError EndoscopyReport InvariantViolation
+    SpectralCoverDescriptor ambient_modulus endoscopic_dim endoscopy_report gamma_in_k
+    is_cn_cover phi_surjection pi0_prym prym_component_group variant_bound""".split()
+
+
+class TestImportGraph:
+    @pytest.mark.parametrize("command", sorted(_LOADED))
+    def test_command_loads_only_its_modules(self, tmp_path, command):
+        argv = next(a for a in _argvs(tmp_path) if a[0] == command)
+        modules = sorted(_CLI_MODULES | {f"prymkit.{m}" for m in _LOADED[command]})
+        # each argv takes the fast path, so argparse stays unloaded too
+        assert _fresh_run(argv) == (0, modules, False, False)
+
+    def test_exports_are_their_defining_modules_attributes(self):
+        assert sorted(prymkit.__all__) == sorted(_PUBLIC_NAMES)
+        for name in _PUBLIC_NAMES:
+            obj = getattr(prymkit, name)
+            assert obj.__module__ == f"prymkit.{prymkit._EXPORTS[name]}", name
+            assert obj is getattr(sys.modules[obj.__module__], name), name
+        assert set(_PUBLIC_NAMES) <= set(dir(prymkit))
+        assert "__version__" in dir(prymkit)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'nosuch'"):
+            prymkit.nosuch
+        assert not hasattr(prymkit, "_poly")
+
+
 class TestFrontDoor:
     @settings(max_examples=400, deadline=None)
     @given(_argv())
@@ -661,24 +763,6 @@ class TestFrontDoor:
                       {1: [2, {3: []}]}, 1.5, [float("inf")]):
             assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2), value
 
-    def _argvs(self, tmp_path):
-        """A well-formed argv for each of the six commands."""
-        files = {
-            "pi0": descriptor_to_json(cn_descriptor(3, 1)),
-            "norm": {"spectral": {"n": 2, "deg_m": 1, "coeffs": [[], ["0/1", "-1/1"]]},
-                     "element": [[], ["1/1"]]},
-            "factor": spectral_to_json(SpectralPoly(2, 1, (X.scale(-2), X * X))),
-            "galois": {"cover": {"f": ["0/1", "1/1"]},
-                       "spectral": {"n": 2, "deg_m": 1, "coeffs": [[], ["0/1", "-1/1"]]}},
-        }
-        argvs = []
-        for command, doc in files.items():
-            path = tmp_path / f"{command}.json"
-            path.write_text(json.dumps(doc))
-            argvs.append([command, "--input", str(path)])
-        return argvs + [["endoscopy", "--n", "6", "--g", "2", "--format", "table"],
-                        ["verify", "--suite", "abelian", "--seed", "0"]]
-
     def test_well_formed_argv_builds_no_parser(self, tmp_path, capsys, monkeypatch):
         built = []
         init = argparse.ArgumentParser.__init__
@@ -690,18 +774,18 @@ class TestFrontDoor:
         # a fresh cache, so that a parser an earlier test built is not reused
         monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        for argv in self._argvs(tmp_path):
+        for argv in _argvs(tmp_path):
             assert main(argv) == 0, argv
             assert built == [], argv
         fast = capsys.readouterr().out
         # the same argv with --flag=value take argparse, and print the same
-        for argv in self._argvs(tmp_path):
+        for argv in _argvs(tmp_path):
             assert main([argv[0], "=".join(argv[1:3]), *argv[3:]]) == 0, argv
         assert capsys.readouterr().out == fast
         assert len(built) == 1 + len(cli._COMMANDS)
 
     def test_console_script_reads_sys_argv(self, tmp_path, capsys, monkeypatch):
-        for argv in self._argvs(tmp_path) + [["endoscopy", "--n=6", "--g", "2"],
+        for argv in _argvs(tmp_path) + [["endoscopy", "--n=6", "--g", "2"],
                                              ["norm", "--input", "x", "--input", "y"],
                                              ["pi0", "--help"]]:
             code = main(list(argv))
