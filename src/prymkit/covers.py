@@ -14,7 +14,7 @@ each even Q-factor split from its own lifted factors), and lifts a half
 A + sqrt(d0)*B in x - x0 on pairs of Poly in t, to a precision set by the
 block's own slope max ceil(deg c_i / (n - i)).  x0 is an integer, so
 specialising and shifting (a Taylor shift) at x0 run on integer numerators.
-Poly.is_squarefree, certified mod a small prime before any Euclid over Q,
+Poly.is_squarefree, certified mod a small prime before any gcd over Z,
 tests f and q(x0); the l-adic factoring shares that certificate and the
 integer-list helpers mod m, and the x-adic lift the Euclid over Q, in
 polynomials.py.

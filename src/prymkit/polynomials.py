@@ -1,31 +1,27 @@
 """Exact univariate polynomial and rational-function arithmetic over Q.
 
-Everything here is dense, immutable and exact.  ``Poly`` is a polynomial in
-one base variable x, held as integer numerators over one positive common
-denominator (the form of FLINT's fmpq_poly; von zur Gathen-Gerhard, Modern
-Computer Algebra, ch. 8), so its arithmetic runs on Python ints with one
-normalising gcd per result; its ``coeffs`` are read as fractions.Fraction.
-``RatFunc`` is its field of fractions, and ``TPoly`` a dense polynomial in an
-outer variable t whose coefficients may be Poly, RatFunc or any type
-supporting ring arithmetic, is_zero() and one_like().  ``RatFunc``,
-``tpoly_over_ratfunc`` and ``tpoly_to_poly_coeffs`` have no caller in the
-package; they are kept only because the benchmark tracer bench/spans.py
-binds them.  By a monic divisor ``pseudo_remainder`` is the t-remainder.
-The one Euclid over Q, ``_euclid``, keeps its quotients for the cofactor of
-covers._x_adic_lift, and ``Poly.gcd`` is its remainder made monic.
+Everything here is dense, immutable and exact.  ``Poly`` holds a polynomial
+in x as integer numerators over one positive denominator (FLINT's fmpq_poly;
+von zur Gathen-Gerhard, Modern Computer Algebra, ch. 8), so its arithmetic
+runs on Python ints with one normalising gcd per result; ``coeffs`` reads
+them as Fractions.  ``RatFunc`` is its field of fractions, and ``TPoly`` a
+dense polynomial in t over any ring with is_zero() and one_like(); only the
+benchmark tracer bench/spans.py calls ``RatFunc``, ``tpoly_over_ratfunc``
+and ``tpoly_to_poly_coeffs``.  By a monic divisor ``pseudo_remainder`` is
+the t-remainder.
 
-The generic-ring algorithms (the subresultant sequence, ``power``) hand
-Poly mostly trivial operands, so a zero, unit or constant operand, told
-apart by its number of numerators, takes one scan of the other's numerators
-and no product or pseudo-division; ``zero`` and ``one`` are shared
-instances, and a sum with zero or a product or quotient by one returns an
-operand itself.
+There is one gcd over Q, ``_igcd``, the heuristic gcd GCDHEU (Char, Geddes
+and Gonnet 1989) on integer numerators: under ``Poly.gcd``, the Q fallback of
+``Poly.is_squarefree`` and Yun's loop, run on integers at one Kronecker point
+x = 2^k (MCA section 8.4).  ``_euclid``, the Euclid over Q, serves only the
+cofactor of covers._x_adic_lift.
 
-Resultants come from the subresultant sequence, exact in the coefficient
-ring, so over Q[x] no rational function in x is formed; Yun's decomposition
-runs on integers at one Kronecker point x = 2^k (MCA section 8.4), certified
-exactly as in GCDHEU (Char, Geddes and Gonnet 1989).  ``horner`` and
-``power`` are written once for any ring; ``_pack`` is Horner by shifts.
+Generic-ring algorithms (the subresultant sequence, ``power``) hand Poly
+mostly trivial operands: a zero, unit or constant one, told apart by its
+number of numerators, costs one scan of the other's, and a sum with the shared
+``zero`` or a product or quotient by ``one`` returns an operand itself.  The
+subresultant sequence is exact in the coefficient ring, so no rational
+function in x is formed.  ``horner`` and ``power`` serve any ring.
 """
 
 from __future__ import annotations
@@ -260,9 +256,10 @@ class Poly:
         return q
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic gcd."""
-        g = _euclid(self, other)[0]
-        return g.monic() if g else g
+        """Monic gcd: _igcd's on the numerators, whose candidate is the gcd once it
+        divides both (GCL Thm 7.7), in a loop that ends (see _igcd)."""
+        g = _igcd(self.ints, other.ints)[0]
+        return _poly(g, g[-1]) if g else _ZERO
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -270,7 +267,7 @@ class Poly:
         return _poly(list(self.ints), self.ints[-1])
 
     def derivative(self) -> "Poly":
-        return _poly([i * c for i, c in enumerate(self.ints) if i], self.denom)
+        return _poly(_deriv(self.ints), self.denom)
 
     def truncate(self, k: int) -> "Poly":
         """self mod x^k: a power series cut at order k."""
@@ -278,8 +275,7 @@ class Poly:
 
     def is_squarefree(self) -> bool:
         """No repeated factor over Q: certified mod a prime p from 3 to 13
-        (_squarefree_mod); only when every such p fails is the gcd with F'
-        taken over Q."""
+        (_squarefree_mod), else by Poly.gcd(F, F') = 1 (GCL Thm 7.7; see _igcd)."""
         return bool(self.ints) and (any(_squarefree_mod(self.ints, p) for p in (3, 5, 7, 11, 13))
                                     or self.gcd(self.derivative()).degree <= 0)
 
@@ -377,6 +373,11 @@ def _unpack(v: int, k: int) -> list:
     return out
 
 
+def _deriv(a: Sequence) -> list:
+    """The derivative of a."""
+    return [i * c for i, c in enumerate(a)][1:]
+
+
 def _mod(a: Sequence, m: int, sym: bool = False) -> list:
     """a mod m, with entries in (-m/2, m/2] when sym."""
     a = [c % m for c in a]
@@ -401,6 +402,41 @@ def _mul(a: list, b: list) -> list:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+def _zdivmod(a: Sequence, b: Sequence) -> tuple[list, list]:
+    """(q, r), a = q*b + r over Z, r as long as a, each quotient entry floored
+    by lc(b) until one leaves a remainder: b divides a exactly iff r is 0."""
+    r, n = list(a), len(b) - 1
+    q = [0] * max(len(r) - n, 0)
+    for i in reversed(range(len(q))):
+        c = q[i] = r[i + n] // b[-1]
+        for j, y in enumerate(b):
+            r[i + j] -= c * y
+        if r[i + n]:
+            break
+    return q, r
+
+
+def _igcd(a: Sequence, b: Sequence) -> tuple[list, list, list]:
+    """(g, a/g, b/g), g = gcd(a, b) over Z with lc(g) > 0, ([], [], []) for a =
+    b = 0.  GCDHEU (Char, Geddes and Gonnet 1989) on a, b made primitive: h is
+    the primitive part of the balanced digits of gcd(a(xi), b(xi)), xi = 2^K >
+    2*min(||a||_inf, ||b||_inf) + 2, and is g if a and b divide exactly by it
+    (GCL Thm 7.7); else K doubles, which ends: gcd(a(xi), b(xi)) = g(xi)*s, s |
+    Res(a/g, b/g) != 0, so once 2^(K-1) > s*||g||_inf the digits are s*g."""
+    if not (c := gcd(ca := gcd(*a), cb := gcd(*b))):
+        return [], [], []
+    a, b = ([x // ca for x in a] if ca else []), ([x // cb for x in b] if cb else [])
+    k = (2 * min(max(map(abs, v)) for v in (a, b) if v) + 2).bit_length()
+    while True:
+        h = _unpack(gcd(_pack(a, k), _pack(b, k)), k)
+        s = gcd(*h) if h[-1] > 0 else -gcd(*h)
+        h = [x // s for x in h]
+        (qa, ra), (qb, rb) = _zdivmod(a, h), _zdivmod(b, h)
+        if not any(ra + rb):
+            return [c * x for x in h], [ca // c * x for x in qa], [cb // c * x for x in qb]
+        k *= 2
 
 
 def _divmod(a: list, b: list, m: int) -> tuple[list, list]:
@@ -430,7 +466,7 @@ def _xgcd(a: Sequence, b: Sequence, p: int) -> tuple[list, list]:
 def _squarefree_mod(f: Sequence, p: int) -> bool:
     """f keeps its degree and gcd(f, f') = 1 mod the prime p, so disc(f) !=
     0 mod p: f, nonzero, is squarefree."""
-    return bool(f[-1] % p) and len(_xgcd(f, [i * c for i, c in enumerate(f)][1:], p)[0]) == 1
+    return bool(f[-1] % p) and len(_xgcd(f, _deriv(f), p)[0]) == 1
 
 
 class RatFunc:
@@ -446,11 +482,8 @@ class RatFunc:
         if num.is_zero():
             num, den = Poly.zero(), Poly.one()
         else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, den = num / g, den / g
-            c = den.lc
-            num, den = num.scale(1 / c), den.scale(1 / c)
+            _, n, d = _igcd(num.ints, den.ints)
+            num, den = _poly([c * den.denom for c in n], num.denom * d[-1]), _poly(d, d[-1])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -697,12 +730,13 @@ def resultant(a: TPoly, b: TPoly):
 
 def yun_squarefree(p: TPoly) -> list[tuple[TPoly, int]]:
     """Yun's decomposition [(q_i, i)] over Q(x) of a monic p: p = prod q_i^i,
-    the q_i squarefree, monic, coprime and not 1.  Yun's loop runs over Q[t] on
-    p~(2^k, t), p~(t) = D^n p(t/D) in Z[x][t] for D the lcm of the denominators,
-    and its blocks, integral by Gauss's lemma, unpack to q~_i.  If 2^(k-1) >
-    max(prod ||q~_i||_1^i, ||p~||_inf), prod q~_i^i - p~ has coefficients below
-    2^k and the root 2^k, so it is 0, and as the q~_i(2^k, t) are squarefree and
-    coprime they are Yun's unique blocks; otherwise k grows and the loop reruns."""
+    the q_i squarefree, monic, coprime and not 1.  Yun's loop runs over Z[t] on
+    the monic p~(2^k, t), p~(t) = D^n p(t/D) for D the lcm of the denominators,
+    each gcd monic and with its quotients from _igcd (GCL Thm 7.7); the blocks
+    unpack to q~_i.  If 2^(k-1) > max(prod ||q~_i||_1^i, ||p~||_inf), prod
+    q~_i^i - p~ has coefficients below 2^k and the root 2^k, so it is 0, and the
+    q~_i(2^k, t), squarefree and coprime, are Yun's unique blocks; else k grows,
+    which ends past the roots of the blocks' discriminants and resultants."""
     if p.degree < 1:
         return []
     p = p.monic()
@@ -711,16 +745,14 @@ def yun_squarefree(p: TPoly) -> list[tuple[TPoly, int]]:
     top = max(abs(a) for row in rows for a in row)
     k = _width(sum(abs(a) for row in rows for a in row) << (n + 1))
     while True:
-        f = _poly([_pack(row, k) for row in rows], 1)
-        g = f.gcd(f.derivative())
-        c, i, blocks = f / g, 1, []
-        d = f.derivative() / g - c.derivative()
-        while c.degree > 0:
-            q = c.gcd(d)
-            if q.degree > 0:
-                blocks.append(([_unpack(a, k) for a in q.ints], i))
-            c, i = c / q, i + 1
-            d = d / q - c.derivative()
+        f = [_pack(row, k) for row in rows]
+        _, c, y = _igcd(f, _deriv(f))
+        i, blocks = 1, []
+        while len(c) > 1:
+            q, c, y = _igcd(c, _add(y, _deriv(c), -1))
+            if len(q) > 1:
+                blocks.append(([_unpack(a, k) for a in q], i))
+            i += 1
         bound = prod(sum(abs(a) for row in q for a in row) ** i for q, i in blocks)
         if 1 << (k - 1) > max(bound, top):
             return [(TPoly([_poly(row, den ** (len(q) - 1 - j)) for j, row in enumerate(q)],

@@ -93,12 +93,17 @@ def poly_to_json(p: Poly) -> list[str]:
     return [f"{c // g}/{den // g}" for c in p.ints for g in (gcd(c, den),)]
 
 
-def poly_from_json(value, path: str) -> Poly:
-    from . import polynomials
-
+def _numerators(value, path: str) -> tuple[list, int]:
+    """A polynomial's integer numerators over the lcm of its denominators."""
     ratios = _each(_expect_list(value, path), path, _ratio)
     den = lcm(*(d for _, d in ratios))
-    return polynomials._poly([n * (den // d) for n, d in ratios], den)
+    return [n * (den // d) for n, d in ratios], den
+
+
+def poly_from_json(value, path: str) -> Poly:
+    from .polynomials import _poly
+
+    return _poly(*_numerators(value, path))
 
 
 def spectral_to_json(s: SpectralPoly) -> dict:
@@ -107,22 +112,24 @@ def spectral_to_json(s: SpectralPoly) -> dict:
 
 
 def spectral_from_json(value, path: str = "$") -> SpectralPoly:
-    from . import norms
+    from . import norms, polynomials
 
     obj = _expect_dict(value, path)
     n = _expect_int(_expect_key(obj, "n", path), f"{path}.n")
     deg_m = _expect_int(_expect_key(obj, "deg_m", path), f"{path}.deg_m")
     coeffs = _expect_list(_expect_key(obj, "coeffs", path), f"{path}.coeffs")
     _require(len(coeffs) == n, f"{path}.coeffs", "expected {} coefficients", n)
-    return norms.SpectralPoly(n, deg_m, tuple(_each(coeffs, f"{path}.coeffs", poly_from_json)))
+    return norms.SpectralPoly(n, deg_m, tuple(
+        polynomials._poly(*p) for p in _each(coeffs, f"{path}.coeffs", _numerators)))
 
 
 def element_from_json(parent: SpectralPoly, value, path: str = "$") -> AlgebraElement:
-    from . import norms
+    from . import norms, polynomials
 
     items = _expect_list(value, path)
     _require(len(items) == parent.n, path, "expected {} coordinates", parent.n)
-    return norms.AlgebraElement(parent, tuple(_each(items, path, poly_from_json)))
+    return norms.AlgebraElement(
+        parent, tuple(polynomials._poly(*p) for p in _each(items, path, _numerators)))
 
 
 # -- descriptors ----------------------------------------------------------
@@ -178,7 +185,7 @@ def twisted_to_json(tw: TwistedSpectralPoly) -> dict:
 
 
 def twisted_from_json(value, path: str = "$", known=None) -> TwistedSpectralPoly:
-    from . import covers
+    from . import covers, polynomials
 
     obj = _expect_dict(value, path)
     m = _expect_int(_expect_key(obj, "m", path), f"{path}.m")
@@ -189,7 +196,8 @@ def twisted_from_json(value, path: str = "$", known=None) -> TwistedSpectralPoly
 
     def pair_from_json(raw, pp: str) -> tuple:
         pobj = _expect_dict(raw, pp)
-        return tuple(poly_from_json(_expect_key(pobj, k, pp), f"{pp}.{k}") for k in "uv")
+        return tuple(polynomials._poly(*_numerators(_expect_key(pobj, k, pp), f"{pp}.{k}"))
+                     for k in "uv")
 
     pairs = _each(pairs_raw, f"{path}.pairs", pair_from_json)
     return covers.TwistedSpectralPoly(cover, m, deg_m, tuple(pairs))

@@ -171,8 +171,8 @@ MUTANTS = [
      "h = g ** delta",
      ["tests/test_polynomials.py"]),
     ("Yun labels every block multiplicity 1", "polynomials.py",
-     "for a in q.ints], i))",
-     "for a in q.ints], 1))",
+     "for a in q], i))",
+     "for a in q], 1))",
      ["tests/test_polynomials.py"]),
     ("Yun returns its first width uncertified", "polynomials.py",
      "if 1 << (k - 1) > max(bound, top):",
@@ -213,9 +213,24 @@ MUTANTS = [
      "or self.gcd(self.derivative()).degree <= 0)",
      "or False)",
      ["tests/test_polynomials.py"]),
-    ("gcd returns the last remainder unmade monic", "polynomials.py",
-     "return g.monic() if g else g",
-     "return g",
+    ("gcd over Q not made monic", "polynomials.py",
+     "return _poly(g, g[-1]) if g else _ZERO",
+     "return _poly(g, 1) if g else _ZERO",
+     ["tests/test_polynomials.py"]),
+    # -- polynomials: the heuristic gcd over Z -----------------------------------
+    ("gcd candidate returned without the division check", "polynomials.py",
+     "if not any(ra + rb):",
+     "if True:",
+     ["tests/test_polynomials.py"]),
+    # a candidate with a surplus content never divides, so only the capped
+    # widths of TestIgcd end the loop
+    ("gcd candidate's primitive part not taken", "polynomials.py",
+     "s = gcd(*h) if h[-1] > 0 else -gcd(*h)",
+     "s = 1 if h[-1] > 0 else -1",
+     ["tests/test_polynomials.py::TestIgcd"]),
+    ("gcd point 2^K above min norm + 2, not 2 * min norm + 2", "polynomials.py",
+     "k = (2 * min(",
+     "k = (min(",
      ["tests/test_polynomials.py"]),
     ("integer division mod m leaves its remainder unreduced", "polynomials.py",
      "    return q, _mod(r[:len(b) - 1], m)\n",

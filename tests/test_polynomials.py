@@ -16,6 +16,8 @@ from prymkit.polynomials import (
     RatFunc,
     TPoly,
     _divmod,
+    _igcd,
+    _mul,
     _pack,
     _unpack,
     _xgcd,
@@ -303,8 +305,8 @@ SMALL_PRIMES = (3, 5, 7, 11, 13)
 
 
 class TestSquarefreeCertificate:
-    """Poly.is_squarefree, certified mod a prime from 3 to 13 or by Euclid
-    over Q, against Euclid over Fraction."""
+    """Poly.is_squarefree, certified mod a prime from 3 to 13 or by the gcd
+    over Z, against Euclid over Fraction."""
 
     @settings(max_examples=200, deadline=None)
     @given(coeff_lists)
@@ -332,9 +334,9 @@ class TestSquarefreeCertificate:
         p = (lin * lin if square else lin) * Poly(h)
         assert p.is_squarefree() == ref_squarefree(p.coeffs)
 
-    def test_every_prime_fails_then_euclid_over_q(self, monkeypatch):
+    def test_every_prime_fails_then_gcd_over_z(self, monkeypatch):
         # t^2 - 15015 and t^2 - 2 are squarefree; 15015 = 3*5*7*11*13
-        # divides disc(t^2 - 15015), so only that one reaches the gcd over Q
+        # divides disc(t^2 - 15015), so only that one reaches the gcd over Z
         calls, gcd_q = [], Poly.gcd
         monkeypatch.setattr(Poly, "gcd", lambda a, b: calls.append(a) or gcd_q(a, b))
         assert Poly((-15015, 0, 1)).is_squarefree() and len(calls) == 1
@@ -342,6 +344,19 @@ class TestSquarefreeCertificate:
         # 15015*(x - 1)^2: each prime divides the leading numerator
         assert not Poly((15015, -30030, 15015)).is_squarefree() and len(calls) == 2
         assert not Poly.zero().is_squarefree()
+
+    def test_integer_roots_to_degree_280_without_euclid(self, monkeypatch):
+        # prod_{|i| <= 140, i != 3} (x - i): each prime 3..13 divides two
+        # roots' difference, so every certificate fails and the gcd with f'
+        # is taken by _igcd, never by the Euclid over Q
+        def euclid(*args):
+            raise AssertionError("the squarefree test reached the Euclid over Q")
+
+        monkeypatch.setattr(polynomials, "_euclid", euclid)
+        f = Poly.one()
+        for i in range(-140, 141):
+            f = f * Poly((-i, 1)) if i != 3 else f
+        assert f.degree == 280 and f.is_squarefree()
 
 
 def naive_mod(a, m) -> list:
@@ -574,6 +589,75 @@ class TestKronecker:
         while c and not c[-1]:
             c.pop()
         assert _unpack(_pack(c, k), k) == c
+
+
+def trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def sympy_zz_gcd(a: list, b: list) -> list:
+    """gcd(a, b) over ZZ by sympy, ascending, [] for zero."""
+    x = sympy.Symbol("x")
+    g = sympy.Poly(a[::-1] or [0], x, domain="ZZ").gcd(sympy.Poly(b[::-1] or [0], x, domain="ZZ"))
+    return trim([int(c) for c in reversed(g.all_coeffs())])
+
+
+def counting_pack(monkeypatch) -> list:
+    """Record the width of every _pack call; past 2^12 bits, fail, so that
+    a loop that never accepts a candidate ends."""
+    widths, pack = [], polynomials._pack
+
+    def counted(ints, k):
+        assert k <= 4096, "no candidate accepted"
+        widths.append(k)
+        return pack(ints, k)
+
+    monkeypatch.setattr(polynomials, "_pack", counted)
+    return widths
+
+
+zz = st.one_of(st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80))
+zz_lists = st.lists(zz, max_size=4).map(trim)
+
+
+class TestIgcd:
+    """The heuristic gcd over Z: (g, a/g, b/g), lc(g) > 0."""
+
+    def test_surplus_content_dropped(self, monkeypatch):
+        # x^2 + x and x^2 + x + 2 are coprime, but both are even at every
+        # integer: the values' gcd 2 reads back as the constant 2, and only
+        # its primitive part 1 divides both
+        widths = counting_pack(monkeypatch)
+        assert _igcd([0, 1, 1], [2, 1, 1]) == ([1], [0, 1, 1], [2, 1, 1])
+        assert widths == [3, 3]
+
+    def test_first_candidate_fails_then_k_doubles(self, monkeypatch):
+        # (x - 1)(x + 2) and (x - 1)(x^2 + 1) at xi = 8 have the gcd 35, which
+        # reads back as x^2 - 4x + 3 and divides neither; at xi = 64 it is 63
+        widths = counting_pack(monkeypatch)
+        assert _igcd([-2, 1, 1], [-1, 1, -1, 1]) == ([-1, 1], [2, 1], [1, 0, 1])
+        assert widths == [3, 3, 6, 6]
+
+    def test_bound_twice_the_smaller_norm(self):
+        # xi = 16 > ||x - 12||_inf + 2 is too small: the values 4 and 68
+        # have the gcd 4, whose digits, the constant 4, have the primitive
+        # part 1, which divides both; xi = 32 > 2*12 + 2 reads 20 as x - 12
+        assert _igcd([-12, 1], [-12, -11, 1]) == ([-12, 1], [1], [1, 1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(zz_lists, zz_lists, zz_lists, st.integers(-6, 6))
+    @example([1, 2], [], [1], 1)                         # b = 0
+    @example([], [], [], 1)                              # a = b = 0
+    @example([3, -1], [1, 0, -1], [1, 1], 2)             # lc < 0, content 2
+    @example([2 ** 70, 1], [5, 2 ** 65], [-(2 ** 64), 3, 7], 3)
+    def test_against_sympy(self, u, v, w, c):
+        # a = c*u*w and b = v*w share the planted factor w
+        a, b = trim(_mul(_mul(u, w), [c])), trim(_mul(v, w))
+        g, qa, qb = _igcd(a, b)
+        assert g == sympy_zz_gcd(a, b)
+        assert trim(_mul(g, qa)) == a and trim(_mul(g, qb)) == b
 
 
 class TestYun:
