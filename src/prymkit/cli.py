@@ -28,6 +28,7 @@ from types import SimpleNamespace
 from . import __version__
 from .serialize import (
     SchemaError,
+    any_digits,
     cover_from_json,
     descriptor_from_json,
     element_from_json,
@@ -97,15 +98,23 @@ def _json(value, indent: str = "") -> str:
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
 
 
-def _emit(report: dict, fmt: str):
+def _text(report: dict, fmt: str) -> str:
     if fmt == "json":
-        print(_json(report))
-    else:
-        print(f"command: {report['command']}")
-        print(f"version: {report['version']}")
-        print(f"input_digest: {report['input_digest']}")
-        for key in sorted(report["payload"]):
-            print(f"{key}: {json.dumps(report['payload'][key], sort_keys=True)}")
+        return _json(report)
+    return "\n".join([f"command: {report['command']}", f"version: {report['version']}",
+                      f"input_digest: {report['input_digest']}"]
+                     + [f"{key}: {json.dumps(report['payload'][key], sort_keys=True)}"
+                        for key in sorted(report["payload"])])
+
+
+def _emit(report: dict, fmt: str):
+    """Print the report, written whole before any of it is printed."""
+    try:
+        text = _text(report, fmt)
+    except ValueError:      # an integer past the interpreter's digit limit
+        with any_digits():
+            text = _text(report, fmt)
+    print(text)
 
 
 def _cmd_pi0(args) -> tuple[str, dict]:

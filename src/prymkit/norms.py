@@ -6,7 +6,8 @@ t^(n-1), taken on integers: with denominators cleared, s_a and u are packed
 at one Kronecker point x = 2^k and ``abelian.bareiss_det`` over Z gives the
 determinant there, which unpacks exactly.  The multiplicativity,
 pullback, reduced and multiplicity laws are shipped as executable checks,
-together with a resultant cross-validation over Q[x].
+together with a resultant cross-validation, the subresultant sequence on
+integer rows, which shares none of that route's code.
 """
 
 from __future__ import annotations
@@ -146,9 +147,10 @@ def norm_element(s_a: SpectralPoly, u: AlgebraElement) -> Poly:
 def norm_resultant_oracle(s_a: SpectralPoly, u: AlgebraElement) -> Poly:
     """Independent route: for monic s_a, det(mu_u) equals Res_t(s_a, U)
     where U is any t-polynomial representing u.  Computed by the
-    subresultant pseudo-remainder sequence over Q[x] (polynomials.resultant),
-    which shares no code with the multiplication matrix or its Bareiss
-    determinant."""
+    subresultant pseudo-remainder sequence on integer rows over Z[x]
+    (polynomials.resultant), each operand cleared of denominators by its own
+    lcm: no t -> t/D scaling, no Kronecker packing, no multiplication matrix
+    and no Bareiss determinant or 2-adic division of the main route."""
     return resultant(s_a.as_tpoly(), u.as_tpoly())
 
 

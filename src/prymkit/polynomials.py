@@ -16,12 +16,18 @@ and Gonnet 1989) on integer numerators: under ``Poly.gcd``, the Q fallback of
 x = 2^k (MCA section 8.4).  ``_euclid``, the Euclid over Q, serves only the
 cofactor of covers._x_adic_lift.
 
-Generic-ring algorithms (the subresultant sequence, ``power``) hand Poly
-mostly trivial operands: a zero, unit or constant one, told apart by its
-number of numerators, costs one scan of the other's, and a sum with the shared
-``zero`` or a product or quotient by ``one`` returns an operand itself.  The
-subresultant sequence is exact in the coefficient ring, so no rational
-function in x is formed.  ``horner`` and ``power`` serve any ring.
+``resultant`` and ``pseudo_remainder`` take t-polynomials with Poly
+coefficients and run on integer rows: each operand's denominators are
+cleared by their lcm, row i is the integer list of the coefficient of t^i,
+products go through ``_mul`` and exact quotients through ``_zdivmod``, and
+one Poly is built per coefficient of the result.  The subresultant sequence
+is exact over Z[x], so no rational function in x is formed.  ``horner`` and
+``power`` serve any ring; they and TPoly arithmetic hand Poly mostly trivial
+operands: a zero, unit or constant one, told apart by its number of
+numerators, costs one scan of the other's, and a sum with the shared
+``zero`` or a product or quotient by ``one`` returns an operand itself.
+``_divexact``, beside the Kronecker packing, is the 2-adic exact quotient
+that ``abelian.bareiss_det`` takes on its large steps.
 """
 
 from __future__ import annotations
@@ -373,6 +379,23 @@ def _unpack(v: int, k: int) -> list:
     return out
 
 
+def _divexact(nums: Sequence, d: int) -> list:
+    """[a // d for a in nums], every division exact, by 2-adic division
+    (Jebelean 1993): for d = 2^s * o, o odd, and inv = 1/o mod 2^B from
+    Newton's iteration, once for all of nums, a / d is ((a >> s) * inv) mod
+    2^B read in [-2^(B-1), 2^(B-1)).  An exact quotient has at most bits(a)
+    - bits(d) + 1 bits, so B one more than the largest covers its sign."""
+    s = (d & -d).bit_length() - 1
+    o, top = d >> s, max(abs(a).bit_length() for a in nums)
+    b = max(top - abs(d).bit_length() + 2, 1)
+    inv, p = 1, 1
+    while p < b:
+        p = min(2 * p, b)
+        inv = inv * (2 - (o & ((1 << p) - 1)) * inv) & ((1 << p) - 1)
+    half, mask = 1 << (b - 1), (1 << b) - 1
+    return [((((a >> s) & mask) * inv + half) & mask) - half for a in nums]
+
+
 def _deriv(a: Sequence) -> list:
     """The derivative of a."""
     return [i * c for i, c in enumerate(a)][1:]
@@ -396,6 +419,10 @@ def _add(a: list, b: list, k: int = 1) -> list:
 
 def _mul(a: list, b: list) -> list:
     """a*b, perhaps with trailing zeros if a or b has them."""
+    if len(a) == 1:
+        return [a[0] * y for y in b]
+    if len(b) == 1:
+        return [x * b[0] for x in a]
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
@@ -681,51 +708,105 @@ def tpoly_to_poly_coeffs(p: TPoly) -> TPoly:
     return p.map_coeffs(lambda c: c.as_poly(), Poly.zero())
 
 
+# -- t-polynomials over Z[x] as rows: row i is the integer list of the
+# coefficient of t^i, no row and no list with a trailing zero
+
+
+def _rows(p: TPoly) -> tuple[list, int]:
+    """(rows, D): p = rows / D over the lcm D of its Poly coefficients' denominators."""
+    den = lcm(*(c.denom for c in p.coeffs))
+    return [[a * (den // c.denom) for a in c.ints] for c in p.coeffs], den
+
+
+def _ipow(a: list, e: int) -> list:
+    """a^e by e - 1 products."""
+    out = a if e else [1]
+    for _ in range(e - 1):
+        out = _mul(out, a)
+    return out
+
+
+def _quo(a: list, b: list) -> list:
+    """a / b, an exact quotient: from the top down, updating only the entries
+    of a that later quotient entries read, none of the remainder's."""
+    n, lb = len(b) - 1, b[-1]
+    if not n:
+        return a if lb == 1 else [x // lb for x in a]
+    r, q = list(a), [0] * (len(a) - n)
+    for i in reversed(range(len(q))):
+        c = q[i] = r[i + n] // lb
+        lo = max(i, n)
+        r[lo:i + n] = map(sub, r[lo:i + n], [c * y for y in b[lo - i:n]])
+    return q
+
+
+def _prem(a: list, b: list) -> list:
+    """lc(b)^(len a - len b + 1) * a mod b on rows, a itself when shorter."""
+    r, (*d, lb) = list(a), b
+    while len(r) > len(d):
+        c, j = r.pop(), len(r) - len(d)
+        if lb != [1]:
+            r = [_mul(x, lb) for x in r]
+        if c:
+            for k, y in enumerate(d):
+                if y:
+                    z = list(starmap(sub, zip_longest(r[j + k], _mul(c, y), fillvalue=0)))
+                    while z and not z[-1]:
+                        z.pop()
+                    r[j + k] = z
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _subresultant(a: list, b: list) -> list:
+    """Res_t(a, b) over Z[x] for nonzero rows, by the subresultant pseudo-
+    remainder sequence (Collins 1967; Brown-Traub 1971) of a and b ordered
+    so that deg a >= deg b: each step replaces (a, b) by (b, prem(a, b) /
+    (g * h^delta)), and the bookkeeping of g and h keeps every quotient
+    exact over Z[x].  sign is the product of (-1)^(deg a * deg b) over the
+    swap and the steps."""
+    sign, g, h = 1, [1], [1]
+    if len(a) < len(b):
+        a, b, sign = b, a, (-1) ** ((len(a) - 1) * (len(b) - 1))
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if not (len(a) % 2 or len(b) % 2):
+            sign = -sign
+        r = _prem(a, b)
+        if not r:
+            return []
+        divisor = _mul(g, _ipow(h, delta))
+        a, b = b, [_quo(c, divisor) for c in r]
+        g = a[-1]
+        if delta:
+            h = _quo(_ipow(g, delta), _ipow(h, delta - 1))
+    res = _quo(_ipow(b[0], len(a) - 1), _ipow(h, max(len(a) - 2, 0)))
+    return res if sign == 1 else [-c for c in res]
+
+
 def pseudo_remainder(a: TPoly, b: TPoly) -> TPoly:
-    """lc(b)^(deg a - deg b + 1) * a mod b, without division in the
-    coefficient ring; a itself when deg a < deg b, and a mod b, the only
-    t-remainder, when b is monic."""
+    """lc(b)^(deg a - deg b + 1) * a mod b for Poly coefficients, with no
+    division in Q[x]: a itself when deg a < deg b, and a mod b, the only
+    t-remainder, when b is monic.  On rows a = A / D_a and b = B / D_b it is
+    prem(A, B) / (D_a * D_b^(deg a - deg b + 1)), one Poly per coefficient."""
     if b.is_zero():
         raise ZeroDivisionError("pseudo-remainder by the zero polynomial")
-    r = list(a.coeffs)
-    *d, lb = b.coeffs
-    while len(r) > len(d):
-        c = r.pop()
-        j = len(r) - len(d)
-        r = [x * lb for x in r]
-        for k, dk in enumerate(d):
-            r[j + k] = r[j + k] - c * dk
-    return TPoly(r, a.czero)
-
-
-def resultant(a: TPoly, b: TPoly):
-    """Res_t(a, b), the last subresultant, by the subresultant pseudo-
-    remainder sequence (Collins 1967; Brown-Traub 1971) of a and b ordered
-    so that deg a >= deg b.  Each step replaces (a, b) by (b, prem(a, b) /
-    (g * h^delta)), and the bookkeeping of g and h keeps every division
-    exact in the coefficient ring: Poly coefficients give a Poly result
-    directly, and field coefficients such as RatFunc work unchanged.  sign
-    is the product of (-1)^(deg a * deg b) over the swap and the steps."""
-    sign = 1
     if a.degree < b.degree:
-        a, b, sign = b, a, (-1) ** (a.degree * b.degree)
-    g = h = a.czero.one_like()
-    while b.degree > 0:
-        delta = a.degree - b.degree
-        if a.degree % 2 and b.degree % 2:
-            sign = -sign
-        r = pseudo_remainder(a, b)
-        if r.is_zero():
-            return r.czero
-        divisor = g * h ** delta
-        a, b = b, TPoly(tuple(c / divisor for c in r.coeffs), r.czero)
-        g = a.lc
-        if delta:
-            h = g ** delta / h ** (delta - 1)
-    if b.is_zero():
-        return b.czero
-    res = b.lc ** a.degree / h ** max(a.degree - 1, 0)
-    return res if sign == 1 else -res
+        return a
+    (ra, da), (rb, db) = _rows(a), _rows(b)
+    den = da * db ** (a.degree - b.degree + 1)
+    return TPoly([_poly(c, den) for c in _prem(ra, rb)], _ZERO)
+
+
+def resultant(a: TPoly, b: TPoly) -> Poly:
+    """Res_t(a, b) for Poly coefficients, by the subresultant sequence on
+    the integer rows of a = A / D_a and b = B / D_b: Res(A, B) = D_a^(deg b)
+    * D_b^(deg a) * Res(a, b), so one Poly is built, over that denominator."""
+    if a.is_zero() or b.is_zero():
+        return _ZERO
+    (ra, da), (rb, db) = _rows(a), _rows(b)
+    return _poly(_subresultant(ra, rb), da ** b.degree * db ** a.degree)
 
 
 def yun_squarefree(p: TPoly) -> list[tuple[TPoly, int]]:

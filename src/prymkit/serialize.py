@@ -13,6 +13,8 @@ module without them.
 from __future__ import annotations
 
 import re
+import sys
+from contextlib import contextmanager
 from math import gcd, lcm
 
 # Largest genus a descriptor may have: a component kernel is at most 2g
@@ -86,11 +88,29 @@ def _ratio(value, path: str) -> tuple[int, int]:
     return num, den
 
 
+@contextmanager
+def any_digits():
+    """Lift the interpreter's limit on the digits of an int-to-str
+    conversion (Python 3.11 and later) and restore it afterwards: a report
+    writes integers of any size, while input stays refused past the limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
+
+
 # -- polynomials ----------------------------------------------------------
 
 def poly_to_json(p: Poly) -> list[str]:
     den = p.denom
-    return [f"{c // g}/{den // g}" for c in p.ints for g in (gcd(c, den),)]
+    try:
+        return [f"{c // g}/{den // g}" for c in p.ints for g in (gcd(c, den),)]
+    except ValueError:      # a numerator past the interpreter's digit limit
+        with any_digits():
+            return poly_to_json(p)
 
 
 def _numerators(value, path: str) -> tuple[list, int]:

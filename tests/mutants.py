@@ -167,8 +167,20 @@ MUTANTS = [
      "_poly(q[::-1], den * cb)",
      ["tests/test_polynomials.py"]),
     ("subresultant without the h update", "polynomials.py",
-     "h = g ** delta / h ** (delta - 1)",
-     "h = g ** delta",
+     "h = _quo(_ipow(g, delta), _ipow(h, delta - 1))",
+     "h = _ipow(g, delta)",
+     ["tests/test_polynomials.py"]),
+    ("resultant's content scale with the exponents swapped", "polynomials.py",
+     "da ** b.degree * db ** a.degree",
+     "da ** a.degree * db ** b.degree",
+     ["tests/test_polynomials.py"]),
+    ("pseudo-remainder without its power of lc(b)", "polynomials.py",
+     "            r = [_mul(x, lb) for x in r]\n",
+     "            pass\n",
+     ["tests/test_polynomials.py"]),
+    ("pseudo-remainder over D_a alone, not D_a * D_b^(deg a - deg b + 1)", "polynomials.py",
+     "den = da * db ** (a.degree - b.degree + 1)",
+     "den = da",
      ["tests/test_polynomials.py"]),
     ("Yun labels every block multiplicity 1", "polynomials.py",
      "for a in q], i))",
@@ -203,6 +215,24 @@ MUTANTS = [
      "return other if op is add else -other",
      "return other",
      ["tests/test_polynomials.py"]),
+    # -- polynomials: 2-adic exact division, and Bareiss's use of it -----------
+    ("2-adic quotient width B one bit short", "polynomials.py",
+     "b = max(top - abs(d).bit_length() + 2, 1)",
+     "b = max(top - abs(d).bit_length() + 1, 1)",
+     ["tests/test_polynomials.py"]),
+    ("2-adic quotient without the 2^s shift", "polynomials.py",
+     "((((a >> s) & mask) * inv",
+     "(((a & mask) * inv",
+     ["tests/test_polynomials.py"]),
+    ("2-adic Bareiss step divided by its own pivot", "abelian.py",
+     "for a, b in zip(m[i][k + 1:], top)], prev)",
+     "for a, b in zip(m[i][k + 1:], top)], p)",
+     ["tests/test_abelian.py"]),
+    # -- norms: the oracle stands apart from the main route ----------------------
+    ("resultant oracle answers by the main route", "norms.py",
+     "    return resultant(s_a.as_tpoly(), u.as_tpoly())\n",
+     "    return norm_element(s_a, u)\n",
+     ["tests/test_norms.py"]),
     # -- polynomials: the squarefree certificate and integer lists mod m --------
     ("squarefree certificate taken at a prime dividing the leading numerator",
      "polynomials.py",
@@ -401,8 +431,8 @@ MUTANTS = [
      'return "{\\n}"',
      ["tests/test_cli.py"]),
     ("one byte of a table row", "cli.py",
-     'print(f"{key}: {json.dumps(',
-     'print(f"{key}:\\t{json.dumps(',
+     '[f"{key}: {json.dumps(',
+     '[f"{key}:\\t{json.dumps(',
      ["tests/test_corpus.py"]),
     ("tuple written compact", "cli.py",
      "    if kind is list or kind is tuple:\n",
@@ -422,6 +452,18 @@ MUTANTS = [
      'spectral_pow resultant"),\n    ("polynomials", "Poly RatFunc TPoly ',
      ["tests/test_cli.py"]),
     # -- serialize ---------------------------------------------------------------
+    ("a polynomial written under the interpreter's digit limit", "serialize.py",
+     "        with any_digits():\n            return poly_to_json(p)\n",
+     "        raise\n",
+     ["tests/test_cli.py"]),
+    ("a report written under the interpreter's digit limit", "cli.py",
+     "        with any_digits():\n            text = _text(report, fmt)\n",
+     "        raise\n",
+     ["tests/test_cli.py"]),
+    ("the digit limit left lifted", "serialize.py",
+     "        set_limit(limit)\n",
+     "        pass\n",
+     ["tests/test_cli.py"]),
     ("rational with a zero denominator accepted", "serialize.py",
      "    if not den:\n"
      '        raise SchemaError(path, "rational has zero denominator")\n',

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 
+from prymkit import abelian
 from prymkit.abelian import (
     AmbientMismatch,
     FinAbGroup,
@@ -87,6 +88,21 @@ class TestSmithNormalForm:
         for rows, expected in (([[0, 1], [0, 2]], 0), ([[1, 2], [2, 4]], 0), ([], 1)):
             det = bareiss_det(rows)
             assert type(det) is int and det == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 300, 2 ** 300)),
+                 min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_det_2adic_steps_match_floor_division(self, rows):
+        # every step 2-adic, then every step by //: the same determinant as
+        # sympy's, through zero pivots, row swaps and negative entries
+        want, threshold = int(sympy.Matrix(rows).det()), abelian.DIVEXACT_BITS
+        try:
+            for bits in (0, float("inf")):
+                abelian.DIVEXACT_BITS = bits
+                assert bareiss_det(rows) == want
+        finally:
+            abelian.DIVEXACT_BITS = threshold
 
     def test_scale_soundness(self):
         # seeded random n x n matrices with entries in +-50; the alarm turns

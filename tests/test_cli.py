@@ -27,6 +27,7 @@ from prymkit.polynomials import Poly
 from prymkit.serialize import (
     MAX_GENUS,
     SchemaError,
+    any_digits,
     cover_from_json,
     cover_to_json,
     descriptor_from_json,
@@ -515,6 +516,44 @@ class TestCli:
         doc["cover"] = cover_to_json(DoubleCoverData(X * X - 2))
         assert main(["galois", "--input", self._write(tmp_path, "g.json", doc)]) == 3
         assert "different cover" in capsys.readouterr().err
+
+    def test_norm_past_the_digit_limit(self, tmp_path, capsys):
+        # N(c + t) on Q[x][t]/(t^2 + x - 1) is c^2 + x - 1, 5,000 digits for
+        # a 2,500-digit c: past the interpreter's int-to-str limit (4,300
+        # digits on Python 3.11 and later), the report is written whole
+        # and the limit restored; a numerator that long is still refused
+        c = 10 ** 2499 + 7
+        s = {"n": 2, "deg_m": 1, "coeffs": [[], ["-1/1", "1/1"]]}
+        path = self._write(tmp_path, "n.json", {"spectral": s, "element": [[f"{c}/1"], ["1/1"]]})
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        with any_digits():
+            want = [f"{c * c - 1}/1", "1/1"]
+        assert main(["norm", "--input", path]) == 0
+        out = json.loads(capsys.readouterr().out)["payload"]
+        assert out == {"norm": want, "resultant_oracle_agrees": True}
+        assert main(["norm", "--input", path, "--format", "table"]) == 0
+        assert f"norm: {json.dumps(want)}\n" in capsys.readouterr().out
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        if limit:
+            with any_digits():
+                big = f"{10 ** limit}/1"
+            path = self._write(tmp_path, "n.json", {"spectral": s, "element": [[big], ["1/1"]]})
+            assert main(["norm", "--input", path]) == 2
+            assert "has non-integer parts" in capsys.readouterr().err
+
+    def test_pi0_past_the_digit_limit(self, tmp_path, capsys):
+        # n = 10^40 at g = 64: order_bound = n^128 has 5,121 digits, and the
+        # report is written whole in both formats
+        n = 10 ** 40
+        path = self._write(tmp_path, "d.json", {"n": n, "g": 64, "components": [
+            {"degree": n, "multiplicity": 1, "kernel_modulus": 1, "kernel_generators": []}]})
+        assert main(["pi0", "--input", path]) == 0
+        out = capsys.readouterr().out
+        with any_digits():          # reading the report back needs the limit lifted
+            assert json.loads(out)["payload"]["order_bound"] == n ** 128
+            want = str(n ** 128)
+        assert main(["pi0", "--input", path, "--format", "table"]) == 0
+        assert f"\norder_bound: {want}\n" in capsys.readouterr().out
 
     def test_galois_lenient_rational_exit_2(self, tmp_path, capsys):
         for bad in ("1_0/3", " 2/3", "+2/3", "\u0663/4"):

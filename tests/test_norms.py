@@ -7,6 +7,7 @@ from itertools import permutations
 
 import pytest
 
+from prymkit import abelian, norms, polynomials
 from prymkit.norms import (
     AlgebraElement,
     ParentMismatch,
@@ -217,6 +218,31 @@ class TestNormLaws:
                 s = SpectralPoly(n, 1, tuple(rational_poly(j) for j in range(1, n + 1)))
                 u = AlgebraElement(s, tuple(rational_poly(1 if n > 3 else 2) for _ in range(n)))
                 assert norm_element(s, u) == norm_resultant_oracle(s, u)
+
+    def test_resultant_oracle_shares_no_code_with_the_main_route(self, monkeypatch):
+        # with the Bareiss determinant, the matrix columns, the Kronecker
+        # packing and the 2-adic division each made to raise, the oracle
+        # still gives the main route's norm, which no longer runs
+        rng = random.Random(37)
+        cases = [(s, random_element(rng, s, 3)) for s in (
+            SpectralPoly(n, 2, tuple(random_poly(rng, 2 * j) for j in range(1, n + 1)))
+            for n in (1, 3, 8))]
+        # denominators in s_a and u, which the main route scales by t -> t/D
+        s = SpectralPoly(2, 1, (Poly([Fraction(1, 2)]), Poly([0, Fraction(-1, 3)])))
+        cases.append((s, AlgebraElement(s, (Poly([Fraction(1, 5)]), Poly([Fraction(2, 3), 1])))))
+        want = [norm_element(s, u) for s, u in cases]
+
+        def refuse(*args):
+            raise AssertionError("the oracle reached the main route")
+
+        for module, names in ((abelian, ["bareiss_det"]),
+                              (norms, ["_columns", "_pack", "_unpack", "_width"]),
+                              (polynomials, ["_pack", "_unpack", "_width", "_divexact"])):
+            for name in names:
+                monkeypatch.setattr(module, name, refuse)
+        assert [norm_resultant_oracle(s, u) for s, u in cases] == want
+        with pytest.raises(AssertionError, match="main route"):
+            norm_element(*cases[-1])
 
     def test_power_of_two_scalar(self):
         # N(2) = 2^n is exactly the permanent bound ||2||_1^n, a power of

@@ -525,24 +525,25 @@ class TestRatFunc:
 class TestResultant:
     def test_linear_pair(self):
         # Res(t - p, t - q) = q - p evaluated via the shared-root criterion
-        x = RatFunc(Poly.x())
-        a = TPoly((-x, RatFunc.one()), RatFunc.zero())
-        b = TPoly((x, RatFunc.one()), RatFunc.zero())
-        r = resultant(a, b)
-        assert r.as_poly() == Poly((0, 2))    # (x) - (-x)
+        a = tp((0, -1), (1,))
+        b = tp((0, 1), (1,))
+        assert resultant(a, b) == Poly((0, 2))    # (x) - (-x)
+        # over denominators: Res(t/2 - x/3, 3t + 1) = 1/2 + x
+        assert resultant(tp((0, Fraction(-1, 3)), (Fraction(1, 2),)),
+                         tp((1,), (3,))) == Poly((Fraction(1, 2), 1))
 
     def test_vanishes_iff_common_root(self):
-        x = RatFunc(Poly.x())
-        a = TPoly((-x, RatFunc.one()), RatFunc.zero())
+        a = tp((0, -1), (1,))
         assert resultant(a, a).is_zero()
+        assert resultant(a, TPoly((), Poly.zero())).is_zero()
 
     def test_quadratic_discriminant_shape(self):
-        # Res_t(t^2 - x, 2t) = -4x
-        x = RatFunc(Poly.x())
-        two = RatFunc(Poly.constant(2))
-        a = TPoly((-x, RatFunc.zero(), RatFunc.one()), RatFunc.zero())
-        b = TPoly((RatFunc.zero(), two), RatFunc.zero())
-        assert resultant(a, b).as_poly() == Poly((0, -4))
+        # Res_t(t^2 - x, 2t) = -4x, and with the operands swapped, (-1)^(2*1) times it
+        a = tp((0, -1), (), (1,))
+        b = tp((), (2,))
+        assert resultant(a, b) == Poly((0, -4)) == resultant(b, a)
+        # Res_t(t^2 - x, t/3) = -x/9: D_b = 3 enters as D_b^(deg a)
+        assert resultant(a, tp((), (Fraction(1, 3),))) == Poly((0, Fraction(-1, 9)))
 
     @settings(max_examples=60, deadline=None)
     @given(tpolys, tpolys)
@@ -589,6 +590,26 @@ class TestKronecker:
         while c and not c[-1]:
             c.pop()
         assert _unpack(_pack(c, k), k) == c
+
+
+class TestDivexact:
+    """The 2-adic exact quotient against //, on exact products."""
+
+    # quotients and divisors from one bit to well past CPython's Karatsuba
+    # cutoff (about 2,100 bits), signed, each divisor times a power of 2
+    sized = st.one_of(st.integers(-9, 9), st.integers(-2 ** 64, 2 ** 64),
+                      st.integers(-2 ** 4000, 2 ** 4000))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(sized, min_size=1, max_size=6), sized.filter(bool), st.integers(0, 200))
+    @example([5], 5, 0)             # 25 / 5: a quotient with bits(a) - bits(d) + 1 bits
+    @example([-5, 7], -5 * 2 ** 3, 3)
+    @example([2 ** 100 - 1], 1, 0)
+    @example([0, 0], 3 * 2 ** 70, 70)
+    def test_matches_floor_division(self, quotients, base, s):
+        d = base * 2 ** s
+        nums = [q * d for q in quotients]
+        assert polynomials._divexact(nums, d) == quotients == [a // d for a in nums]
 
 
 def trim(a: list) -> list:
