@@ -11,13 +11,14 @@ d0 = f(x0), at a point x0; Surd.norm is a^2 - d*b^2, the pushforward and
 the splitter's certificate.  The splitter finds those factors from one lift
 of q(x0)'s factors mod a prime split in the field (Zassenhaus over Q, then
 each even Q-factor split from its own lifted factors), and lifts a half
-A + sqrt(d0)*B in x - x0 on pairs of Poly in t, to a precision set by the
-block's own slope max ceil(deg c_i / (n - i)).  x0 is an integer, so
-specialising and shifting (a Taylor shift) at x0 run on integer numerators.
+A + sqrt(d0)*B in z = x - x0 to the witness's own series P, Q with P^2 -
+f(x0 + z)*Q^2 = q(x0 + z), to a precision set by the block's own slope max
+ceil(deg c_i / (n - i)): on integer rows, through one adjugate of the
+lift's operator per candidate.  x0 is an integer, so specialising and
+shifting (a Taylor shift) at x0 run on integer numerators.
 Poly.is_squarefree, certified mod a small prime before any gcd over Z,
 tests f and q(x0); the l-adic factoring shares that certificate and the
-integer-list helpers mod m, and the x-adic lift the Euclid over Q, in
-polynomials.py.
+integer-list helpers mod m in polynomials.py.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +34,7 @@ from typing import Optional
 
 from .norms import SpectralPoly, spectral_mul, spectral_pow
 from .polynomials import (
-    Poly, TPoly, _add, _divmod, _euclid, _mod, _mul, _poly, _squarefree_mod, _xgcd, horner,
+    Poly, TPoly, _add, _divmod, _mod, _mul, _poly, _squarefree_mod, _xgcd, horner,
     power, resultant, yun_squarefree)
 
 
@@ -272,18 +274,6 @@ def _tpoly_shift(p: TPoly, a) -> TPoly:
                   TPoly((), z))
 
 
-def _series_inv_sqrt(u: Poly, n: int) -> Poly:
-    """(1 + w)^(-1/2) mod z^n for the series u = 1 + w, by Newton iteration."""
-    if u.truncate(1) != 1:
-        raise ValueError("series must have constant term 1")
-    h, k = Poly.one(), 1
-    while k < n:
-        k = min(2 * k, n)
-        corr = 3 - (u * (h * h).truncate(k)).truncate(k)
-        h = (h * corr).truncate(k).scale(Fraction(1, 2))
-    return h
-
-
 def _transpose(ps: list, n: int) -> list[Poly]:
     """[sum_i ps[i]_j v^i for j < n]: coefficients in one variable, read in the other."""
     den = math.lcm(*(p.denom for p in ps))
@@ -291,29 +281,75 @@ def _transpose(ps: list, n: int) -> list[Poly]:
     return [_poly([c[j] if j < len(c) else 0 for c in cols], den) for j in range(n)]
 
 
-def _x_adic_lift(s: list[Poly], a: Poly, b: Poly, d: Fraction) -> tuple[list, list]:
-    """Linear Hensel lifting in z (MCA §15.4) of a + sqrt(d)*b, a monic and
-    prime to b, to W = sum (P_k + sqrt(d)*Q_k) z^k with W * conj(W) = sum
-    s_k z^k mod z^len(s), s_0 = a^2 - d*b^2 and deg s_k < 2 deg a.  Term k
-    solves 2*(P_k*a - d*Q_k*b) = err_k in Q[t] (the sqrt(d) parts cancel in
-    pairs): Q_k = err_k*v mod a, v = (-2*d*b)^-1 mod a, and P_k is an exact
-    quotient by a; deg P_k, deg Q_k < deg a makes them unique.  With r the
-    last remainder of Euclid on (a, b), a constant, t/r is b^-1 mod a for t
-    from (0, 1) by t <- t0 - q*t1 over all quotients q but the last."""
-    r, quotients = _euclid(a, b)
-    t0, t1 = Poly.zero(), Poly.one()
-    for q in quotients[:-1]:
-        t0, t1 = t1, t0 - q * t1
-    v = t1.scale(-1 / (2 * d * r.lc))
-    P, Q = [a], [b]
+def _x_adic_lift(s: list[Poly], a: Poly, b: Poly, F) -> tuple[list, list]:
+    """Linear Hensel lifting in z (MCA §15.4) of a + sqrt(F_0)*b, a monic of
+    degree h and prime to b, to P = sum P_k z^k and Q = sum Q_k z^k over Q[t]
+    with P_0 = a, Q_0 = b and P^2 - F*Q^2 = sum s_k z^k mod z^len(s), for F =
+    sum F_l z^l a sequence of rationals (f(x0 + z), so F_0 = f(x0) is not a
+    square), s_0 = a^2 - F_0*b^2 and deg s_k < 2h.  Order k solves
+
+        2*(a*P_k - F_0*b*Q_k) = s_k - sum_(0<i<k) P_i*P_(k-i)
+                                + F_0*sum_(0<i<k) Q_i*Q_(k-i) + sum_(l>0) F_l*(Q^2)_(k-l)
+
+    and deg P_k, deg Q_k < h makes the solution unique, as a is prime to b.
+    That operator's matrix, cleared of denominators (times e0*phi/2, P_0 and
+    Q_0 being integers over e0 and F over phi), is inverted once by
+    _adjugate; each order is then one product by X on integer rows, over one
+    denominator, and one Poly is built per P_k and per Q_k."""
+    h, phi, e0 = a.degree, math.lcm(*(c.denominator for c in F)), math.lcm(a.denom, b.denom)
+    fz = [c.numerator * (phi // c.denominator) for c in F]
+    ps, qs = [[c * (e0 // a.denom) for c in a.ints]], [[c * (e0 // b.denom) for c in b.ints]]
+    es = [e0]
+    cols = ([[0] * i + [phi * c for c in ps[0]] for i in range(h)] +
+            [[0] * i + [-fz[0] * c for c in qs[0]] for i in range(h)])
+    X, D = _adjugate([[c[r] if r < len(c) else 0 for c in cols] for r in range(2 * h)])
+    sq = [(_mul(qs[0], qs[0]), e0 * e0)]    # (Q^2)_j, integers over one denominator
     for k in range(1, len(s)):
-        err = s[k]
-        for i in range(1, k):
-            err = err - P[i] * P[k - i] + (Q[i] * Q[k - i]).scale(d)
-        qk = (err * v) % a
-        P.append((err.scale(Fraction(1, 2)) + (qk * b).scale(d)) / a)
-        Q.append(qk)
-    return P, Q
+        # the sums over 0 < i < k, each pair of terms once, over their lcm L
+        L = math.lcm(*(es[i] * es[k - i] for i in range(1, k)))
+        pp, qq = [], []
+        for i in range(1, k // 2 + 1):
+            c = L // (es[i] * es[k - i]) * (1 if 2 * i == k else 2)
+            pp, qq = _add(pp, _mul(ps[i], ps[k - i]), c), _add(qq, _mul(qs[i], qs[k - i]), c)
+        tail = [(fz[l], *sq[k - l]) for l in range(1, min(k + 1, len(fz)))]
+        den = math.lcm(s[k].denom, L, *(w for _, _, w in tail))
+        R = _add(_add([c * (phi * den // s[k].denom) for c in s[k].ints], pp, -phi * den // L),
+                 qq, fz[0] * den // L)
+        for fl, w, wd in tail:
+            R = _add(R, w, fl * den // wd)
+        # R = phi*den times the right side, so (P_k, Q_k) = e0*X*R / (2*D*den)
+        x = [e0 * sum(map(operator.mul, row, R)) for row in X]
+        e = 2 * D * den
+        g = math.gcd(e, *x) * (1 if e > 0 else -1)
+        ps.append([c // g for c in x[:h]])
+        qs.append([c // g for c in x[h:]])
+        es.append(e // g)
+        wd = math.lcm(L, e0 * es[k])
+        sq.append((_add([c * (wd // L) for c in qq], _mul(qs[0], qs[k]), 2 * wd // (e0 * es[k])),
+                   wd))
+    return ([a] + [_poly(p, e) for p, e in zip(ps[1:], es[1:])],
+            [b] + [_poly(q, e) for q, e in zip(qs[1:], es[1:])])
+
+
+def _adjugate(m: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(X, D) with X*m = D*I, D = +-det m, for a nonsingular square integer
+    matrix m: fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) on
+    [m | I], each step's update divided exactly by the previous pivot, a
+    zero pivot swapped with a lower row.  Every diagonal entry of the left
+    half ends as the last pivot D, and the right half is X."""
+    n = len(m)
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        r = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[r] = rows[r], rows[k]
+        top, p = rows[k], rows[k][k]
+        for i, row in enumerate(rows):
+            if i != k:
+                c = row[k]
+                rows[i] = [(p * x - c * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return [row[n:] for row in rows], prev
 
 
 # -- factoring over Q and over Q(sqrt(d)), on integer polynomials mod m
@@ -482,9 +518,9 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, point) -> Optional
     self-conjugate, and W(x0) then takes one factor from each conjugate
     pair; as W and conj(W) are interchangeable, it takes factor 0's partner,
     and 2^(pairs - 1) halves remain, products of Surds.  Each is
-    Hensel-lifted to a series in (x - x0) whose terms are pairs of
-    t-polynomials over Q (_x_adic_lift), once per candidate; the witness
-    is recovered exactly and certified by W.norm() = q.  Its degree is
+    Hensel-lifted against f(x0 + z), z = x - x0, to the series P, Q of the
+    witness's own parts (_x_adic_lift), once per candidate; W is read off
+    them exactly and certified by W.norm() = q.  Its degree is
     bounded by q's own slope s = max ceil(deg c_i / (n - i)) over q = t^n +
     sum c_i t^i: a root of q has pole order at most s (in units of that of
     x), as its t^n term would otherwise outgrow the rest, so u_j and v_j
@@ -509,9 +545,9 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, point) -> Optional
 
     slope = max([0] + [-(-c.degree // (n - i)) for i, c in enumerate(q.coeffs[:n])])
     prec = half * slope + 1
-    # q and f re-expanded around x0: series in z = x - x0, s_k in Q[t]
+    # q and f re-expanded around x0: series in z = x - x0, s_k in Q[t], F_l in Q
     s_terms = _transpose([_poly_shift(c, x0) for c in q.coeffs], prec)
-    g_inv = _series_inv_sqrt(_poly_shift(f, x0).scale(1 / d0), prec)
+    F = _poly_shift(f, x0).coeffs
 
     # the other pairs by ascending lower index, partner first: a fixed
     # order, which decides the witness returned when several exist
@@ -521,13 +557,11 @@ def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, point) -> Optional
         a0 = functools.reduce(lambda g, i: g * factors[i], picks, factors[partner[0]])
         # the lift of conj(a0) is the conjugate of the lift of a0 (Hensel
         # lifting is unique), so only a0's half is solved for
-        P, Q = _x_adic_lift(s_terms, a0.a, a0.b, d0)
-        # reassemble W, the conjugate of the lift: with y = sqrt(d0)*g, g =
-        # sqrt(f(x0 + z)/d0), its t^j coefficient is u_j + y*v_j, where
-        # u_j(x0 + z) = sum_k P_k[j] z^k and g*v_j(x0 + z) = -sum_k Q_k[j] z^k
+        P, Q = _x_adic_lift(s_terms, a0.a, a0.b, F)
+        # reassemble W, the conjugate of the lift: its t^j coefficient is
+        # u_j + y*v_j, u_j(x0 + z) = sum_k P_k[j] z^k, v_j(x0 + z) = -sum_k Q_k[j] z^k
         w = Surd(TPoly([_poly_shift(pj, -x0) for pj in _transpose(P, half + 1)], q.czero),
-                 TPoly([_poly_shift(-(qj * g_inv).truncate(prec), -x0)
-                        for qj in _transpose(Q, half + 1)], q.czero), d)
+                 TPoly([_poly_shift(-qj, -x0) for qj in _transpose(Q, half + 1)], q.czero), d)
         if w.norm() == q:
             return w
     return None

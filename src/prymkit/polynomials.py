@@ -13,8 +13,7 @@ the t-remainder.
 There is one gcd over Q, ``_igcd``, the heuristic gcd GCDHEU (Char, Geddes
 and Gonnet 1989) on integer numerators: under ``Poly.gcd``, the Q fallback of
 ``Poly.is_squarefree`` and Yun's loop, run on integers at one Kronecker point
-x = 2^k (MCA section 8.4).  ``_euclid``, the Euclid over Q, serves only the
-cofactor of covers._x_adic_lift.
+x = 2^k (MCA section 8.4).
 
 ``resultant`` and ``pseudo_remainder`` take t-polynomials with Poly
 coefficients and run on integer rows: each operand's denominators are
@@ -275,10 +274,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return _poly(_deriv(self.ints), self.denom)
 
-    def truncate(self, k: int) -> "Poly":
-        """self mod x^k: a power series cut at order k."""
-        return _poly(list(self.ints[:k]), self.denom)
-
     def is_squarefree(self) -> bool:
         """No repeated factor over Q: certified mod a prime p from 3 to 13
         (_squarefree_mod), else by Poly.gcd(F, F') = 1 (GCL Thm 7.7; see _igcd)."""
@@ -299,18 +294,6 @@ class Poly:
             else:
                 terms.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
         return "Poly(" + " + ".join(terms) + ")"
-
-
-def _euclid(a: Poly, b: Poly) -> tuple[Poly, list]:
-    """(r, qs): the last nonzero remainder r of a, b, a % b, ... (0 if a =
-    b = 0) and each step's quotient; the extended-Euclid cofactors are a
-    recurrence on qs (MCA section 3.2), so a gcd pays only for the list."""
-    qs = []
-    while b:
-        q, r = a.divmod(b)
-        qs.append(q)
-        a, b = b, r
-    return a, qs
 
 
 def _init(p: Poly, ints: list, den: int):

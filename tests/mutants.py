@@ -305,25 +305,33 @@ MUTANTS = [
      "for p in _good_points(cover.f, q) if p[2].is_squarefree()",
      "for p in _good_points(cover.f, q)",
      ["tests/test_covers.py"]),
-    ("cofactor built from all quotients", "covers.py",
-     "for q in quotients[:-1]:",
-     "for q in quotients:",
+    ("x-adic lift drops the 2 of the operator 2*(a*P_k - F_0*b*Q_k)", "covers.py",
+     "e = 2 * D * den",
+     "e = D * den",
      ["tests/test_covers.py"]),
-    ("cofactor not divided by the remainder's leading coefficient", "covers.py",
-     "v = t1.scale(-1 / (2 * d * r.lc))",
-     "v = t1.scale(-1 / (2 * d))",
+    ("x-adic lift flips the sign of F_0*Q_i*Q_(k-i) in the right side", "covers.py",
+     "qq, fz[0] * den // L)",
+     "qq, -fz[0] * den // L)",
      ["tests/test_covers.py"]),
-    ("x-adic lift drops the 1/2 from P_k", "covers.py",
-     "P.append((err.scale(Fraction(1, 2)) + (qk * b).scale(d)) / a)",
-     "P.append((err + (qk * b).scale(d)) / a)",
+    ("x-adic lift counts each pair P_i*P_(k-i), i != k - i, once", "covers.py",
+     "* (1 if 2 * i == k else 2)",
+     "",
      ["tests/test_covers.py"]),
-    ("x-adic lift flips the sign of d*Q_i*Q_(k-i) in err_k", "covers.py",
-     "err = err - P[i] * P[k - i] + (Q[i] * Q[k - i]).scale(d)",
-     "err = err - P[i] * P[k - i] - (Q[i] * Q[k - i]).scale(d)",
+    ("x-adic lift drops the terms F_l*(Q^2)_(k-l), l >= 1", "covers.py",
+     "tail = [(fz[l], *sq[k - l]) for l in range(1, min(k + 1, len(fz)))]",
+     "tail = []",
      ["tests/test_covers.py"]),
-    ("x-adic lift leaves Q_k unreduced mod A0", "covers.py",
-     "qk = (err * v) % a",
-     "qk = err * v",
+    ("x-adic lift's (Q^2)_k without 2*B0*Q_k", "covers.py",
+     "_add([c * (wd // L) for c in qq], _mul(qs[0], qs[k]), 2 * wd // (e0 * es[k]))",
+     "[c * (wd // L) for c in qq]",
+     ["tests/test_covers.py"]),
+    ("adjugate without the division by the previous pivot", "covers.py",
+     "(p * x - c * y) // prev",
+     "(p * x - c * y)",
+     ["tests/test_covers.py"]),
+    ("adjugate without the row swap", "covers.py",
+     "rows[k], rows[r] = rows[r], rows[k]",
+     "pass",
      ["tests/test_covers.py"]),
     ("candidate halves tried in reverse order", "covers.py",
      "for picks in itertools.product(*rest):",

@@ -20,6 +20,7 @@ from prymkit.covers import (
     DoubleCoverData,
     Surd,
     TwistedSpectralPoly,
+    _adjugate,
     _factor_over_quadratic_field,
     _poly_shift,
     _x_adic_lift,
@@ -387,6 +388,19 @@ class TestPullbackSplits:
         w = pullback_splits(cover, s)
         assert w is not None
         assert galois_pushforward(cover, w) == s
+
+    def test_half_with_zero_constant_term(self, monkeypatch):
+        # W = t^2 + (x + 2)*t + 5x + y*(t + 1) on y^2 = x - 3: at x0 = 0 the
+        # half's A0 = t^2 + 2t has no constant term, so the lift's operator
+        # has a zero first pivot, and _adjugate swaps rows
+        seen, adjugate = [], covers._adjugate
+        monkeypatch.setattr(covers, "_adjugate", lambda m: seen.append(m) or adjugate(m))
+        cover = DoubleCoverData(X - 3)
+        w = TwistedSpectralPoly(cover, 2, 1, ((X + 2, Poly.one()), (5 * X, Poly.one())))
+        s = galois_pushforward(cover, w)
+        got = pullback_splits(cover, s)
+        assert got is not None and galois_pushforward(cover, got) == s
+        assert seen and seen[0][0][0] == 0
 
     def test_non_image_rejected(self):
         cover = DoubleCoverData(X * X - 1)
@@ -829,11 +843,34 @@ class TestSplitterStall:
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 
 
+class TestAdjugate:
+    """_adjugate, the fraction-free Gauss-Jordan that inverts the lift's
+    operator once, against sympy's determinant."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7]), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    @example([[0, 1], [1, 0]])
+    @example([[0, 0, 2], [0, 3, 0], [5, 0, 0]])
+    @example([[0, 0, 3, 0], [2, 0, 3, 3], [1, 2, 0, 3], [0, 1, 0, 0]])
+    def test_x_times_m_is_d_times_identity(self, m):
+        m[0][0] = 0     # a zero first pivot: the first step swaps rows
+        det = sympy.Matrix(m).det()
+        assume(det != 0)
+        X, D = _adjugate(m)
+        n = len(m)
+        assert [[sum(X[i][k] * m[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)] == [[D * (i == j) for j in range(n)] for i in range(n)]
+        assert abs(D) == abs(int(det))
+
+
 class TestXAdicLift:
     """The lift in z = x - x0 on pairs of rational t-polynomials, against
-    W * conj(W) = q(x0 + z) mod z^prec and against the step it replaced,
-    both written here over K = Q(sqrt(d)) on KNum coefficients: a_k =
-    (tau * err_k) mod a0 with tau * conj(a0) = 1 mod a0."""
+    W * conj(W) = q(x0 + z) mod z^prec for a constant F = (d,), written here
+    over K = Q(sqrt(d)) on KNum coefficients, and against the route it
+    replaced: a_k = (tau * err_k) mod a0 with tau * conj(a0) = 1 mod a0 for
+    f(x0 + z) read as d*g^2, then Q = g^-1 times a_k's sqrt(d) part."""
 
     PREC = 5
 
@@ -850,48 +887,105 @@ class TestXAdicLift:
             r0, r1, t0, t1 = r1, r, t1, t0 - q * t1
         return r0, t0
 
+    @classmethod
+    def _candidate(cls, rng: random.Random, d: Fraction, pairs: int) -> tuple[TPoly, list]:
+        """(a0, s): a candidate half over K, one factor of degree 1 or 2 from
+        each of `pairs` conjugate pairs, prime to its conjugate, and s_k, the
+        z^k coefficient of a q(x0 + z) with q(x0) = a0 * conj(a0)."""
+        one = _k_tpoly(Poly.one(), Poly.zero(), d)
+
+        def rat():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+        g = None
+        while g != one:
+            a0 = one
+            for _ in range(pairs):
+                k = rng.randint(1, 2)
+                a0 = a0 * _k_tpoly(Poly([rat() for _ in range(k)] + [Fraction(1)]),
+                                   Poly([rat() for _ in range(k)]), d)
+            g = cls._k_xgcd(a0, _k_conj(a0))[0]
+        s = [_k_parts(a0 * _k_conj(a0))[0]]
+        return a0, s + [Poly([rat() for _ in range(2 * a0.degree)]) for _ in range(1, cls.PREC)]
+
+    @classmethod
+    def _old_route(cls, a0: TPoly, s: list) -> list[TPoly]:
+        """The lift against a constant d over K: a_k = (tau * err_k) mod a0."""
+        tau, zero = cls._k_xgcd(a0, _k_conj(a0))[1], Poly.zero()
+        old = [a0]
+        for k in range(1, len(s)):
+            err = _k_tpoly(s[k], zero, a0.czero.d)
+            for i in range(1, k):
+                err = err - old[i] * _k_conj(old[k - i])
+            old.append(_k_divmod(tau * err, a0)[1])
+        return old
+
     @pytest.mark.parametrize("d", [Fraction(-3), Fraction(-7, 5), Fraction(8, 3), Fraction(5)])
     @pytest.mark.parametrize("pairs", [1, 2, 3])
     def test_lift_against_k_arithmetic(self, d, pairs):
         rng = random.Random(f"{d}:{pairs}")
         zero = Poly.zero()
-        one = _k_tpoly(Poly.one(), zero, d)
-
-        def rat():
-            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-
         for _ in range(3):
-            # a candidate half: one factor of degree 1 or 2 from each of
-            # `pairs` conjugate pairs, prime to its conjugate
-            g = None
-            while g != one:
-                a0 = one
-                for _ in range(pairs):
-                    k = rng.randint(1, 2)
-                    a0 = a0 * _k_tpoly(Poly([rat() for _ in range(k)] + [Fraction(1)]),
-                                       Poly([rat() for _ in range(k)]), d)
-                g, tau = self._k_xgcd(a0, _k_conj(a0))
+            a0, s = self._candidate(rng, d, pairs)
             h = a0.degree
-            # s_k is the z^k coefficient of q(x0 + z), with q(x0) = a0 * conj(a0)
-            s = [_k_parts(a0 * _k_conj(a0))[0]]
-            s += [Poly([rat() for _ in range(2 * h)]) for _ in range(1, self.PREC)]
-            P, Q = _x_adic_lift(s, *_k_parts(a0), d)
+            P, Q = _x_adic_lift(s, *_k_parts(a0), (d,))
             assert len(P) == len(Q) == self.PREC
             assert all(p.degree < h and q.degree < h for p, q in zip(P[1:], Q[1:]))
             w = [_k_tpoly(p, q, d) for p, q in zip(P, Q)]
             assert w[0] == a0
             for k in range(self.PREC):
-                acc = TPoly((), one.czero)
+                acc = TPoly((), a0.czero)
                 for i in range(k + 1):
                     acc = acc + w[i] * _k_conj(w[k - i])
                 assert acc == _k_tpoly(s[k], zero, d), (k, acc)
-            old = [a0]
-            for k in range(1, self.PREC):
-                err = _k_tpoly(s[k], zero, d)
-                for i in range(1, k):
-                    err = err - old[i] * _k_conj(old[k - i])
-                old.append(_k_divmod(tau * err, a0)[1])
-            assert w == old
+            assert w == self._old_route(a0, s)
+
+    @staticmethod
+    def _inv_sqrt(u: list, n: int) -> list:
+        """(1 + w)^(-1/2) mod z^n for the series u = 1 + w, by Newton's
+        iteration h <- h*(3 - u*h^2)/2, on Fraction lists."""
+        def mul(a, b, k):
+            return [sum(a[i] * b[j - i] for i in range(max(0, j - len(b) + 1), min(j + 1, len(a))))
+                    for j in range(k)]
+
+        h, k = [Fraction(1)], 1
+        while k < n:
+            k = min(2 * k, n)
+            corr = [-c for c in mul(u, mul(h, h, k), k)]
+            corr[0] += 3
+            h = [c / 2 for c in mul(h, corr, k)]
+        return h
+
+    @pytest.mark.parametrize("deg_f", [1, 2, 3, 4])
+    def test_lift_against_f_of_x0_plus_z(self, deg_f):
+        # F = f(x0 + z) for a random f and integer x0 with d = f(x0) not a
+        # square: P^2 - F*Q^2 = s mod z^PREC over Q, and against the route
+        # it replaced, the lift against d and g^-1 = (F/d)^(-1/2): the same
+        # P, and Q = g^-1 times that lift's sqrt(d) part
+        rng = random.Random(f"F:{deg_f}")
+        for _ in range(3):
+            d = Fraction(0)
+            while not d or covers._is_square(d):
+                f = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(deg_f)]
+                         + [Fraction(rng.choice([-3, -1, 1, 2]))])
+                F = _poly_shift(f, rng.randint(-6, 6)).coeffs
+                d = F[0]
+            a0, s = self._candidate(rng, d, rng.randint(1, 3))
+            P, Q = _x_adic_lift(s, *_k_parts(a0), F)
+            assert all(p.degree < a0.degree and q.degree < a0.degree
+                       for p, q in zip(P[1:], Q[1:]))
+            for k in range(self.PREC):
+                acc = sum((P[i] * P[k - i] for i in range(k + 1)), Poly.zero())
+                for l in range(min(k, deg_f) + 1):
+                    for i in range(k - l + 1):
+                        acc = acc - (Q[i] * Q[k - l - i]).scale(F[l])
+                assert acc == s[k], k
+            old = [_k_parts(w) for w in self._old_route(a0, s)]
+            assert P == [p for p, _ in old]
+            g_inv = self._inv_sqrt([c / d for c in F], self.PREC)
+            for k in range(self.PREC):
+                assert Q[k] == sum((old[i][1].scale(g_inv[k - i]) for i in range(k + 1)),
+                                   Poly.zero()), k
 
     @staticmethod
     def _sympy(p: Poly, x):
@@ -906,13 +1000,13 @@ class TestXAdicLift:
              Fraction(-3, 5))
     def test_cofactor_is_the_inverse_mod_a(self, case, d):
         # with s = (a^2 - d*b^2, 1), Q_1 = 1 * v mod a is the cofactor v =
-        # (-2*d*b)^-1 mod a itself, built from Euclid's quotients
+        # (-2*d*b)^-1 mod a itself, read off the operator's adjugate
         low, b_coeffs = case
         a, b = Poly(low + [Fraction(1)]), Poly(b_coeffs)
         x = sympy.Symbol("x")
         sa, sb = self._sympy(a, x), self._sympy(b * Poly.constant(-2 * d), x)
         assume(not b.is_zero() and sympy.gcd(sa, sb).degree() == 0)
-        _, Q = _x_adic_lift([a * a - (b * b).scale(d), Poly.one()], a, b, d)
+        _, Q = _x_adic_lift([a * a - (b * b).scale(d), Poly.one()], a, b, (d,))
         v = Q[1]
         assert v.degree < a.degree
         assert (v * b.scale(-2 * d)) % a == Poly.one()
