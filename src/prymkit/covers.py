@@ -19,6 +19,8 @@ shifting (a Taylor shift) at x0 run on integer numerators.
 Poly.is_squarefree, certified mod a small prime before any gcd over Z,
 tests f and q(x0); the l-adic factoring shares that certificate and the
 integer-list helpers mod m in polynomials.py.
+Each answer is proved once, by Yun's certificate and W.norm() == q per
+block; re-multiplying blocks and re-pushing a witness are verify's checks.
 """
 
 from __future__ import annotations
@@ -42,33 +44,25 @@ from .polynomials import (
 class FactoredSpectral:
     """Multiplicity profile of a spectral polynomial: squarefree, pairwise
     coprime monic blocks q_i with multiplicities, multiplying back to the
-    input exactly.  Blocks are squarefree over Q(x) but not necessarily
-    irreducible (full factorization is deliberately out of scope)."""
+    input exactly (Yun's certificate; reconstruct re-checks it in verify).
+    Blocks are squarefree over Q(x) but not necessarily irreducible (full
+    factorization is deliberately out of scope)."""
 
     deg_m: int
     factors: tuple[tuple[SpectralPoly, int], ...]
 
     def reconstruct(self) -> SpectralPoly:
-        acc = None
-        for block, mult in self.factors:
-            piece = spectral_pow(block, mult)
-            acc = piece if acc is None else spectral_mul(acc, piece)
-        if acc is None:
-            raise ValueError("empty factorization")
-        return acc
+        return functools.reduce(spectral_mul, (spectral_pow(q, e) for q, e in self.factors))
 
 
 def squarefree_decompose(s: SpectralPoly) -> FactoredSpectral:
     """Yun decomposition of s in t over Q(x), computed at one certified
-    Kronecker point x = 2^k (polynomials.yun_squarefree); exact
-    reconstruction holds and every block inherits the graded degree bounds,
-    which SpectralPoly.from_tpoly enforces on each block."""
-    out = [(SpectralPoly.from_tpoly(q, s.deg_m), mult)
-           for q, mult in yun_squarefree(s.as_tpoly())]
-    fac = FactoredSpectral(s.deg_m, tuple(out))
-    if fac.reconstruct() != s:
-        raise RuntimeError("squarefree decomposition failed to reconstruct")
-    return fac
+    Kronecker point x = 2^k (polynomials.yun_squarefree), whose certificate
+    proves prod q_i^i = s exactly, so the blocks are not multiplied back
+    here; every block inherits the graded degree bounds, which
+    SpectralPoly.from_tpoly enforces on each block."""
+    return FactoredSpectral(s.deg_m, tuple(
+        (SpectralPoly.from_tpoly(q, s.deg_m), mult) for q, mult in yun_squarefree(s.as_tpoly())))
 
 
 def trace_translate(s: SpectralPoly) -> SpectralPoly:
@@ -198,8 +192,9 @@ def pullback_splits(cover: DoubleCoverData,
     number field and Hensel-lifting each candidate half back to a
     polynomial witness; a block with no witness contributes half its even
     multiplicity y-free, and an odd one there rules out any witness.
-    A certified s_a's witness is read back as the W the block checked
-    against W * conj(W) = s_a; after Yun it is pushed forward again.
+    The witness is the product W of the blocks' W_q, read back and not
+    pushed forward: W_q * conj(W_q) = q was checked exactly (or W_q is a
+    y-free q^(e/2)), and Yun's certificate proves prod q^e = s_a.
 
     The assembled witness meets the graded bounds, so building it cannot
     fail: its t-roots are roots of s_a, which (as deg a_j <= j*deg_m) have
@@ -228,7 +223,7 @@ def pullback_splits(cover: DoubleCoverData,
         acc = w if acc is None else acc * w
     pairs = tuple((acc.a.coeff(j), acc.b.coeff(j)) for j in reversed(range(m)))
     witness = TwistedSpectralPoly(cover, m, s_a.deg_m, pairs)
-    if not (witness.as_surd() == acc if certified else galois_pushforward(cover, witness) == s_a):
+    if witness.as_surd() != acc:
         raise RuntimeError("splitter produced an uncertified witness")
     return witness
 

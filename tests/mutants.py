@@ -281,6 +281,11 @@ MUTANTS = [
      "        return Surd(TPoly([v for _, v in reversed(self.pairs)] + [Poly.one()], z),\n"
      "                    TPoly([u for u, _ in reversed(self.pairs)], z),",
      ["tests/test_covers.py"]),
+    # -- covers: multiplicity profiles -------------------------------------------
+    ("squarefree_decompose drops Yun's last block", "covers.py",
+     "for q, mult in yun_squarefree(s.as_tpoly())))",
+     "for q, mult in yun_squarefree(s.as_tpoly())[:-1]))",
+     ["tests/test_covers.py"]),
     # -- covers: the Galois splitter ---------------------------------------------
     ("certify without the squarefree test at x0", "covers.py",
      "certified = point[2].is_squarefree()",
@@ -337,9 +342,9 @@ MUTANTS = [
      "for picks in itertools.product(*rest):",
      "for picks in reversed([*itertools.product(*rest)]):",
      ["tests/test_covers.py", "tests/test_cli.py"]),
-    ("certified witness not read back", "covers.py",
-     "witness.as_surd() == acc if certified",
-     "True if certified",
+    ("witness not read back from the product of the blocks", "covers.py",
+     "if witness.as_surd() != acc:",
+     "if False:",
      ["tests/test_covers.py"]),
     ("no further points before the candidate lifts", "covers.py",
      "itertools.islice(further, 3 if len(factors) > 2 else 0)",

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from prymkit import covers
 from prymkit.covers import (
     DoubleCoverData,
+    FactoredSpectral,
     Surd,
     TwistedSpectralPoly,
     _adjugate,
@@ -162,6 +163,38 @@ class TestSquarefreeDecompose:
             s = random_spectral(rng, max_n=4)
             fac = squarefree_decompose(s)
             assert fac.reconstruct() == s
+
+    def test_runs_no_block_product(self, monkeypatch):
+        # Yun's certificate proves prod q_i^i = s, so no product of the
+        # blocks runs; reconstruct and sympy's sqf_list check them after
+        quad = spoly(2, 1, Poly.zero(), -X)
+        lin = spoly(1, 1, -X)
+        rng = random.Random(29)
+        cases = [quad, spectral_pow(lin, 2),
+                 spectral_mul(spectral_pow(quad, 2), spoly(1, 1, Poly.constant(-1))),
+                 spectral_mul(spectral_pow(random_spectral(rng, max_n=2), 3),
+                              random_spectral(rng, max_n=3))]
+
+        def product(*args):
+            raise AssertionError("a product of the blocks ran")
+        with monkeypatch.context() as patched:
+            for name in ("spectral_mul", "spectral_pow"):
+                patched.setattr(covers, name, product)
+            patched.setattr(FactoredSpectral, "reconstruct", product)
+            facs = [squarefree_decompose(s) for s in cases]
+        for s, fac in zip(cases, facs):
+            assert fac.reconstruct() == s
+            assert ([(_sympy_tpoly(q.as_tpoly()), e) for q, e in fac.factors] ==
+                    _sympy_tpoly(s.as_tpoly()).sqf_list()[1])
+        assert max(e for _, e in facs[-1].factors) >= 3
+
+
+def _sympy_tpoly(p: TPoly) -> sympy.Poly:
+    """p as a polynomial in t over sympy's QQ.frac_field(x)."""
+    x, t = sympy.symbols("x t")
+    return sympy.Poly(sum(sum(sympy.Rational(a.numerator, a.denominator) * x ** i
+                              for i, a in enumerate(p.coeff(k).coeffs)) * t ** k
+                          for k in range(p.degree + 1)), t, domain=sympy.QQ.frac_field(x))
 
 
 def within_bounds(q, deg_m):
@@ -447,13 +480,25 @@ class TestPullbackSplits:
         assert w is not None and galois_pushforward(cover, w) == s
         assert calls == []
 
-    def test_non_squarefree_input_runs_yun(self, monkeypatch):
-        calls = self._count_yun(monkeypatch)
+    @staticmethod
+    def _yun_input():
+        """A pushforward times the square of a block inert on y^2 = x^2 - 2."""
         cover = DoubleCoverData(X * X - 2)
         inert = spoly(2, 1, Poly.zero(), -(3 * X - 1))
         tw = random_twisted(random.Random(5), cover, 2, deg_m=1)
-        s = spectral_mul(galois_pushforward(cover, tw), spectral_pow(inert, 2))
-        w = pullback_splits(cover, s)
+        return cover, spectral_mul(galois_pushforward(cover, tw), spectral_pow(inert, 2))
+
+    def test_non_squarefree_input_runs_yun(self, monkeypatch):
+        # each block has W * conj(W) = q and Yun proves prod q^e = s, so
+        # the witness is not pushed forward inside the splitter
+        calls = self._count_yun(monkeypatch)
+        cover, s = self._yun_input()
+
+        def pushforward(*args):
+            raise AssertionError("the witness was pushed forward again")
+        with monkeypatch.context() as patched:
+            patched.setattr(covers, "galois_pushforward", pushforward)
+            w = pullback_splits(cover, s)
         assert w is not None and galois_pushforward(cover, w) == s
         assert len(calls) == 1
 
@@ -492,14 +537,23 @@ class TestPullbackSplits:
 
     def test_certified_witness_read_back(self, monkeypatch):
         # -W has the norm of W, but its t^m coefficient is -1: on the
-        # certified path the pairs read off it must not pass as a witness
+        # certified path and after Yun (one block -W, one y-free half) the
+        # pairs read off the product must not pass as a witness
         split = covers._split_squarefree_block
-        monkeypatch.setattr(covers, "_split_squarefree_block",
-                            lambda *args: -split(*args))
+
+        def negated(*args):
+            w = split(*args)
+            return None if w is None else -w
+        monkeypatch.setattr(covers, "_split_squarefree_block", negated)
+        calls = self._count_yun(monkeypatch)
         cover = DoubleCoverData(X * X - 3)
         s = galois_pushforward(cover, random_twisted(random.Random(3), cover, 2, deg_m=1))
         with pytest.raises(RuntimeError, match="uncertified"):
             pullback_splits(cover, s)
+        assert calls == []
+        with pytest.raises(RuntimeError, match="uncertified"):
+            pullback_splits(*self._yun_input())
+        assert len(calls) == 1
 
 
 class TestTaylorShift:
