@@ -16,11 +16,9 @@ the invariant factors are read off the generators.  The Hermite form, with or
 without a modulus, is the only normal-form kernel: it clears each column
 using only the rows still nonzero there.  The Smith form is built from
 alternating Hermite forms, which ``structure()`` runs with no transforms
-carried.  Integer matrices are row lists of a given width.  ``bareiss_det``,
-fraction-free over Z, is the determinant of ``verify``'s unimodularity
-check and, at a Kronecker point x = 2^k, of the norm engine; its large
-steps divide 2-adically.  All values are immutable and all operations are
-pure functions.
+carried.  Integer matrices are row lists of a given width.  No determinant
+is taken here: the one Bareiss elimination is ``polynomials._bareiss``.
+All values are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -32,50 +30,6 @@ from math import gcd, prod
 
 class AmbientMismatch(ValueError):
     """Operands live in different ambient groups."""
-
-
-# A Bareiss step divides 2-adically once its entries past the first, times
-# the bits of its divisor, reach this: the 2-adic inverse, paid once per
-# step, costs about three quotients, and CPython divides big ints in
-# quadratic time but multiplies them by Karatsuba
-DIVEXACT_BITS = 1 << 16
-
-
-def bareiss_det(rows) -> int:
-    """Determinant of a square integer matrix by fraction-free Bareiss
-    elimination (Bareiss 1968): every division is exact, so no fraction is
-    ever formed; a singular matrix returns its zero pivot.  All divisions of
-    one step share the previous pivot as divisor, so a large step takes
-    them 2-adically (polynomials._divexact) and a small one by //."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(row) for row in rows]
-    sign = prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return m[k][k]
-        w = n - k - 1
-        if (w * w - 1) * abs(prev).bit_length() < DIVEXACT_BITS:
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        else:
-            from .polynomials import _divexact
-
-            p, top = m[k][k], m[k][k + 1:]
-            q = _divexact([a * p - m[i][k] * b for i in range(k + 1, n)
-                           for a, b in zip(m[i][k + 1:], top)], prev)
-            for i in range(k + 1, n):
-                m[i][k + 1:] = q[(i - k - 1) * w:(i - k) * w]
-        prev = m[k][k]
-    return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
 
 
 def smith_normal_form(rows: list[list[int]], cols: int) -> tuple[list[list[int]], ...]:

@@ -13,8 +13,8 @@ of q(x0)'s factors mod a prime split in the field (Zassenhaus over Q, then
 each even Q-factor split from its own lifted factors), and lifts a half
 A + sqrt(d0)*B in z = x - x0 to the witness's own series P, Q with P^2 -
 f(x0 + z)*Q^2 = q(x0 + z), to a precision set by the block's own slope max
-ceil(deg c_i / (n - i)): on integer rows, through one adjugate of the
-lift's operator per candidate.  x0 is an integer, so specialising and
+ceil(deg c_i / (n - i)): on integer rows, through one fraction-free inverse
+of the lift's operator per candidate.  x0 is an integer, so specialising and
 shifting (a Taylor shift) at x0 run on integer numerators.
 Poly.is_squarefree, certified mod a small prime before any gcd over Z,
 tests f and q(x0); the l-adic factoring shares that certificate and the
@@ -36,8 +36,8 @@ from typing import Optional
 
 from .norms import SpectralPoly, spectral_mul, spectral_pow
 from .polynomials import (
-    Poly, TPoly, _add, _divmod, _mod, _mul, _poly, _squarefree_mod, _xgcd, horner,
-    power, resultant, yun_squarefree)
+    Poly, TPoly, _add, _bareiss, _divmod, _mod, _mul, _poly, _squarefree_mod, _xgcd,
+    horner, power, resultant, yun_squarefree)
 
 
 @dataclass(frozen=True)
@@ -289,15 +289,19 @@ def _x_adic_lift(s: list[Poly], a: Poly, b: Poly, F) -> tuple[list, list]:
     and deg P_k, deg Q_k < h makes the solution unique, as a is prime to b.
     That operator's matrix, cleared of denominators (times e0*phi/2, P_0 and
     Q_0 being integers over e0 and F over phi), is inverted once by
-    _adjugate; each order is then one product by X on integer rows, over one
-    denominator, and one Poly is built per P_k and per Q_k."""
+    fraction-free Gauss-Jordan on [M | I] (polynomials._bareiss); each order
+    is then one product by X on integer rows, over one denominator, and one
+    Poly is built per P_k and per Q_k."""
     h, phi, e0 = a.degree, math.lcm(*(c.denominator for c in F)), math.lcm(a.denom, b.denom)
     fz = [c.numerator * (phi // c.denominator) for c in F]
     ps, qs = [[c * (e0 // a.denom) for c in a.ints]], [[c * (e0 // b.denom) for c in b.ints]]
     es = [e0]
     cols = ([[0] * i + [phi * c for c in ps[0]] for i in range(h)] +
-            [[0] * i + [-fz[0] * c for c in qs[0]] for i in range(h)])
-    X, D = _adjugate([[c[r] if r < len(c) else 0 for c in cols] for r in range(2 * h)])
+            [[0] * i + [-fz[0] * c for c in qs[0]] for i in range(h)] +
+            [[0] * i + [1] for i in range(2 * h)])     # [M | I]
+    rows, D = _bareiss([[c[r] if r < len(c) else 0 for c in cols] for r in range(2 * h)],
+                       jordan=True)
+    X = [row[2 * h:] for row in rows]
     sq = [(_mul(qs[0], qs[0]), e0 * e0)]    # (Q^2)_j, integers over one denominator
     for k in range(1, len(s)):
         # the sums over 0 < i < k, each pair of terms once, over their lcm L
@@ -324,27 +328,6 @@ def _x_adic_lift(s: list[Poly], a: Poly, b: Poly, F) -> tuple[list, list]:
                    wd))
     return ([a] + [_poly(p, e) for p, e in zip(ps[1:], es[1:])],
             [b] + [_poly(q, e) for q, e in zip(qs[1:], es[1:])])
-
-
-def _adjugate(m: list[list[int]]) -> tuple[list[list[int]], int]:
-    """(X, D) with X*m = D*I, D = +-det m, for a nonsingular square integer
-    matrix m: fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) on
-    [m | I], each step's update divided exactly by the previous pivot, a
-    zero pivot swapped with a lower row.  Every diagonal entry of the left
-    half ends as the last pivot D, and the right half is X."""
-    n = len(m)
-    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
-    prev = 1
-    for k in range(n):
-        r = next(i for i in range(k, n) if rows[i][k])
-        rows[k], rows[r] = rows[r], rows[k]
-        top, p = rows[k], rows[k][k]
-        for i, row in enumerate(rows):
-            if i != k:
-                c = row[k]
-                rows[i] = [(p * x - c * y) // prev for x, y in zip(row, top)]
-        prev = p
-    return [row[n:] for row in rows], prev
 
 
 # -- factoring over Q and over Q(sqrt(d)), on integer polynomials mod m

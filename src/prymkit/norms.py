@@ -3,11 +3,12 @@
 The norm of an algebra element u is the determinant of the multiplication
 map by u on B, viewed as a free rank-n R-module with basis 1, t, ...,
 t^(n-1), taken on integers: with denominators cleared, s_a and u are packed
-at one Kronecker point x = 2^k and ``abelian.bareiss_det`` over Z gives the
-determinant there, which unpacks exactly.  The multiplicativity,
-pullback, reduced and multiplicity laws are shipped as executable checks,
-together with a resultant cross-validation, the subresultant sequence on
-integer rows, which shares none of that route's code.
+at one Kronecker point x = 2^k and the Bareiss kernel of polynomials.py
+gives the determinant there over Z, which unpacks exactly.  The
+multiplicativity, pullback, reduced and multiplicity laws are shipped as
+executable checks, together with a resultant cross-validation, the
+subresultant sequence on integer rows, which shares none of that route's
+code.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 from math import lcm, prod
 
 from .polynomials import (
-    Poly, TPoly, _pack, _poly, _unpack, _width, as_fraction, pseudo_remainder, resultant)
+    Poly, TPoly, _bareiss, _pack, _poly, _unpack, _width, as_fraction, pseudo_remainder,
+    resultant)
 
 
 class ParentMismatch(ValueError):
@@ -115,12 +117,10 @@ def mul_matrix(s_a: SpectralPoly, u: AlgebraElement) -> list[list[Poly]]:
 def poly_matrix_det(m: list[list[Poly]]) -> Poly:
     """Exact determinant over Q[x]: rows cleared of denominators and packed
     at x = 2^k above the permanent bound (product of row sums), Bareiss over Z."""
-    from . import abelian
-
     scales = [lcm(*(p.denom for p in row)) for row in m]
     rows = [[(p.ints, d // p.denom) for p in row] for row, d in zip(m, scales)]
     k = _width(prod(sum(sum(map(abs, c)) * f for c, f in row) for row in rows))
-    det = abelian.bareiss_det([[_pack(c, k) * f for c, f in row] for row in rows])
+    det = _bareiss([[_pack(c, k) * f for c, f in row] for row in rows])[1]
     return _poly(_unpack(det, k), prod(scales))
 
 
@@ -130,8 +130,6 @@ def norm_element(s_a: SpectralPoly, u: AlgebraElement) -> Poly:
     E the lcms of the denominators of s_a and u = sum c_i t^i.  N(U~) =
     Res_t(s~, U~) is below the Sylvester permanent ||s~||_1^(deg U~) ||U~||_1^n,
     so it unpacks from its value at x = 2^k."""
-    from . import abelian
-
     if u.parent != s_a:
         raise ParentMismatch("element does not belong to the algebra")
     n, den, e = s_a.n, lcm(*(a.denom for a in s_a.coeffs)), lcm(*(c.denom for c in u.coords))
@@ -141,7 +139,7 @@ def norm_element(s_a: SpectralPoly, u: AlgebraElement) -> Poly:
     size = lambda terms: sum(sum(map(abs, p.ints)) * f for p, f in terms)
     k = _width((1 + size(s_low)) ** deg * size(u_low) ** n)
     s_k, u_k = ([_pack(p.ints, k) * f for p, f in terms] for terms in (s_low, u_low))
-    return _poly(_unpack(abelian.bareiss_det(_columns(s_k, u_k)), k), (e * den ** (n - 1)) ** n)
+    return _poly(_unpack(_bareiss(_columns(s_k, u_k))[1], k), (e * den ** (n - 1)) ** n)
 
 
 def norm_resultant_oracle(s_a: SpectralPoly, u: AlgebraElement) -> Poly:

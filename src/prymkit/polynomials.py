@@ -25,8 +25,9 @@ is exact over Z[x], so no rational function in x is formed.  ``horner`` and
 operands: a zero, unit or constant one, told apart by its number of
 numerators, costs one scan of the other's, and a sum with the shared
 ``zero`` or a product or quotient by ``one`` returns an operand itself.
-``_divexact``, beside the Kronecker packing, is the 2-adic exact quotient
-that ``abelian.bareiss_det`` takes on its large steps.
+``_bareiss``, beside the Kronecker packing, is the one fraction-free
+elimination over Z: the norm's and verify's determinants and the lift's
+inverse in covers.py; its large steps divide 2-adically by ``_divexact``.
 """
 
 from __future__ import annotations
@@ -377,6 +378,49 @@ def _divexact(nums: Sequence, d: int) -> list:
         inv = inv * (2 - (o & ((1 << p) - 1)) * inv) & ((1 << p) - 1)
     half, mask = 1 << (b - 1), (1 << b) - 1
     return [((((a >> s) & mask) * inv + half) & mask) - half for a in nums]
+
+
+# A Bareiss step divides 2-adically once (rows updated * columns - 1) times
+# the bits of its divisor reach this: the 2-adic inverse, paid once per
+# step, costs about three quotients, and CPython divides big ints in
+# quadratic time but multiplies them by Karatsuba
+DIVEXACT_BITS = 1 << 16
+
+
+def _bareiss(rows: Sequence, jordan: bool = False) -> tuple[list, int]:
+    """(rows', det) for the square block of the first len(rows) columns of
+    integer rows, by fraction-free elimination (Bareiss, Math. Comp. 22,
+    1968): each update is divided exactly by the previous pivot, and all of
+    one step's divisions, sharing it, go 2-adically (_divexact) on a large
+    step.  A zero pivot is swapped with a lower row, the moved row negated,
+    so the last pivot is the determinant; a singular block returns 0.  With
+    jordan the rows above each pivot are updated too, so for rows [M | I]
+    the columns past M hold X with X*M = det*I (Gauss-Jordan).  Columns up
+    to each pivot's are left as they stand."""
+    m, prev = [list(r) for r in rows], 1
+    n = len(m)
+    for k in range(n if jordan else n - 1):     # forward, no row is below the last pivot
+        top = m[k]
+        if not top[k]:
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
+                return m, 0
+            m[k], m[i] = [-c for c in m[i]], top
+            top = m[k]
+        p, cols = top[k], range(k + 1, len(top))
+        others = [*range(k), *range(k + 1, n)] if jordan else range(k + 1, n)
+        if (len(others) * len(cols) - 1) * prev.bit_length() < DIVEXACT_BITS:
+            for i in others:
+                row = m[i]
+                c = row[k]
+                for j in cols:
+                    row[j] = (row[j] * p - c * top[j]) // prev
+        else:
+            q = _divexact([m[i][j] * p - m[i][k] * top[j] for i in others for j in cols], prev)
+            for r, i in enumerate(others):
+                m[i][k + 1:] = q[r * len(cols):(r + 1) * len(cols)]
+        prev = p
+    return m, m[n - 1][n - 1] if m else 1
 
 
 def _deriv(a: Sequence) -> list:

@@ -106,10 +106,6 @@ MUTANTS = [
      "        vt[i] = [x + y for x, y in zip(vt[i], vt[j])]\n",
      "",
      ["tests/test_abelian.py"]),
-    ("Bareiss without the exact division", "abelian.py",
-     "(m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev",
-     "m[i][j] * m[k][k] - m[i][k] * m[k][j]",
-     ["tests/test_abelian.py", "tests/test_norms.py"]),
     # -- norms -------------------------------------------------------------------
     ("norm bound with exponent deg U - 1", "norms.py",
      "(1 + size(s_low)) ** deg *",
@@ -215,7 +211,15 @@ MUTANTS = [
      "return other if op is add else -other",
      "return other",
      ["tests/test_polynomials.py"]),
-    # -- polynomials: 2-adic exact division, and Bareiss's use of it -----------
+    # -- polynomials: the Bareiss kernel, and its 2-adic exact division ---------
+    ("Bareiss without the exact division", "polynomials.py",
+     "row[j] = (row[j] * p - c * top[j]) // prev",
+     "row[j] = row[j] * p - c * top[j]",
+     ["tests/test_abelian.py", "tests/test_norms.py"]),
+    ("swapped row not negated", "polynomials.py",
+     "m[k], m[i] = [-c for c in m[i]], top",
+     "m[k], m[i] = m[i], top",
+     ["tests/test_abelian.py"]),
     ("2-adic quotient width B one bit short", "polynomials.py",
      "b = max(top - abs(d).bit_length() + 2, 1)",
      "b = max(top - abs(d).bit_length() + 1, 1)",
@@ -224,9 +228,9 @@ MUTANTS = [
      "((((a >> s) & mask) * inv",
      "(((a & mask) * inv",
      ["tests/test_polynomials.py"]),
-    ("2-adic Bareiss step divided by its own pivot", "abelian.py",
-     "for a, b in zip(m[i][k + 1:], top)], prev)",
-     "for a, b in zip(m[i][k + 1:], top)], p)",
+    ("2-adic Bareiss step divided by its own pivot", "polynomials.py",
+     "for i in others for j in cols], prev)",
+     "for i in others for j in cols], p)",
      ["tests/test_abelian.py"]),
     # -- norms: the oracle stands apart from the main route ----------------------
     ("resultant oracle answers by the main route", "norms.py",
@@ -330,13 +334,21 @@ MUTANTS = [
      "_add([c * (wd // L) for c in qq], _mul(qs[0], qs[k]), 2 * wd // (e0 * es[k]))",
      "[c * (wd // L) for c in qq]",
      ["tests/test_covers.py"]),
-    ("adjugate without the division by the previous pivot", "covers.py",
-     "(p * x - c * y) // prev",
-     "(p * x - c * y)",
+    ("adjugate without the division by the previous pivot", "polynomials.py",
+     "row[j] = (row[j] * p - c * top[j]) // prev",
+     "row[j] = row[j] * p - c * top[j]",
      ["tests/test_covers.py"]),
-    ("adjugate without the row swap", "covers.py",
-     "rows[k], rows[r] = rows[r], rows[k]",
-     "pass",
+    ("adjugate without the row swap", "polynomials.py",
+     "            m[k], m[i] = [-c for c in m[i]], top\n",
+     "",
+     ["tests/test_covers.py"]),
+    ("Gauss-Jordan determinant read from the last column", "polynomials.py",
+     "return m, m[n - 1][n - 1] if m else 1",
+     "return m, m[-1][-1] if m else 1",
+     ["tests/test_covers.py"]),
+    ("Gauss-Jordan skips the rows above the pivot", "polynomials.py",
+     "others = [*range(k), *range(k + 1, n)] if jordan else range(k + 1, n)",
+     "others = range(k + 1, n)",
      ["tests/test_covers.py"]),
     ("candidate halves tried in reverse order", "covers.py",
      "for picks in itertools.product(*rest):",
@@ -458,7 +470,7 @@ MUTANTS = [
      ["tests/test_cli.py"]),
     ("norms imports abelian at top", "norms.py",
      "from .polynomials import (\n",
-     "from .abelian import bareiss_det\nfrom .polynomials import (\n",
+     "from . import abelian\nfrom .polynomials import (\n",
      ["tests/test_cli.py"]),
     ("one export mapped to the wrong module", "__init__.py",
      'spectral_pow"),\n    ("polynomials", "Poly RatFunc TPoly resultant ',

@@ -8,17 +8,16 @@ from math import gcd, prod
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 
-from prymkit import abelian
+from prymkit import abelian, polynomials
 from prymkit.abelian import (
     AmbientMismatch,
     FinAbGroup,
     GroupHom,
     TorsionAmbient,
-    bareiss_det,
     dual_group,
     dual_of_inclusion,
     hermite_normal_form,
@@ -29,6 +28,7 @@ from prymkit.abelian import (
     structure,
     subgroup_from_generators,
 )
+from prymkit.polynomials import _bareiss
 
 
 def _snf_diag(d):
@@ -44,8 +44,13 @@ def _matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def _det(rows):
+    """The determinant by the one Bareiss kernel, polynomials._bareiss."""
+    return _bareiss(rows)[1]
+
+
 def _unimodular(m):
-    return all(len(r) == len(m) for r in m) and abs(bareiss_det(m)) == 1
+    return all(len(r) == len(m) for r in m) and abs(_det(m)) == 1
 
 
 # sympy's regression case for its issue 23410: a column HNF that reads only
@@ -86,23 +91,28 @@ class TestSmithNormalForm:
     def test_det_singular_and_empty(self):
         # a zero column, a zero last pivot, and the empty matrix
         for rows, expected in (([[0, 1], [0, 2]], 0), ([[1, 2], [2, 4]], 0), ([], 1)):
-            det = bareiss_det(rows)
+            det = _det(rows)
             assert type(det) is int and det == expected
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    @given(st.integers(0, 7).flatmap(lambda n: st.lists(
         st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 300, 2 ** 300)),
                  min_size=n, max_size=n), min_size=n, max_size=n)))
+    @example([])
+    @example([[2 ** 300, 3, 1], [2 ** 301, 6, 2], [5, -7, 2 ** 200]])
+    @example([[0, 2, 1], [3, 0, 0], [0, 0, -5]])   # one swap, det 30
     def test_det_2adic_steps_match_floor_division(self, rows):
         # every step 2-adic, then every step by //: the same determinant as
-        # sympy's, through zero pivots, row swaps and negative entries
-        want, threshold = int(sympy.Matrix(rows).det()), abelian.DIVEXACT_BITS
+        # sympy's, sign included, through zero pivots, row swaps and negative
+        # entries, with the empty matrix (det 1) and a singular one (det 0)
+        want = int(sympy.Matrix(rows).det()) if rows else 1
+        threshold = polynomials.DIVEXACT_BITS
         try:
             for bits in (0, float("inf")):
-                abelian.DIVEXACT_BITS = bits
-                assert bareiss_det(rows) == want
+                polynomials.DIVEXACT_BITS = bits
+                assert _det(rows) == want
         finally:
-            abelian.DIVEXACT_BITS = threshold
+            polynomials.DIVEXACT_BITS = threshold
 
     def test_scale_soundness(self):
         # seeded random n x n matrices with entries in +-50; the alarm turns
@@ -124,7 +134,7 @@ class TestSmithNormalForm:
                 diag = _snf_diag(d)
                 assert all(b % a_ == 0 for a_, b in zip(diag, diag[1:]))
                 # Bareiss shares no code with the Hermite form
-                assert prod(diag) == abs(bareiss_det(a))
+                assert prod(diag) == abs(_det(a))
                 assert diag[0] == gcd(*(e for r in a for e in r))
             assert elapsed < 0.1, f"20x20 Smith form took {elapsed:.3f} s"
         finally:

@@ -723,7 +723,7 @@ def _argvs(tmp_path):
 _LOADED = {
     "pi0": {"abelian", "spectral"},
     "endoscopy": {"abelian", "spectral"},
-    "norm": {"polynomials", "norms", "abelian"},
+    "norm": {"polynomials", "norms"},
     "factor": {"polynomials", "norms", "covers"},
     "galois": {"polynomials", "norms", "covers"},
     "verify": {"abelian", "spectral", "polynomials", "norms", "covers", "verify"},

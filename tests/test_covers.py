@@ -15,13 +15,12 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from prymkit import covers
+from prymkit import covers, polynomials
 from prymkit.covers import (
     DoubleCoverData,
     FactoredSpectral,
     Surd,
     TwistedSpectralPoly,
-    _adjugate,
     _factor_over_quadratic_field,
     _poly_shift,
     _x_adic_lift,
@@ -32,7 +31,7 @@ from prymkit.covers import (
     trace_translate,
 )
 from prymkit.norms import SpectralPoly, spectral_mul, spectral_pow
-from prymkit.polynomials import Poly, TPoly, horner, yun_squarefree
+from prymkit.polynomials import Poly, TPoly, _bareiss, horner, yun_squarefree
 from prymkit.verify import (
     random_spectral,
     random_squarefree,
@@ -425,15 +424,17 @@ class TestPullbackSplits:
     def test_half_with_zero_constant_term(self, monkeypatch):
         # W = t^2 + (x + 2)*t + 5x + y*(t + 1) on y^2 = x - 3: at x0 = 0 the
         # half's A0 = t^2 + 2t has no constant term, so the lift's operator
-        # has a zero first pivot, and _adjugate swaps rows
-        seen, adjugate = [], covers._adjugate
-        monkeypatch.setattr(covers, "_adjugate", lambda m: seen.append(m) or adjugate(m))
+        # has a zero first pivot, and the Gauss-Jordan kernel swaps rows
+        seen, bareiss = [], covers._bareiss
+        monkeypatch.setattr(covers, "_bareiss",
+                            lambda rows, jordan=False: seen.append((rows, jordan))
+                            or bareiss(rows, jordan))
         cover = DoubleCoverData(X - 3)
         w = TwistedSpectralPoly(cover, 2, 1, ((X + 2, Poly.one()), (5 * X, Poly.one())))
         s = galois_pushforward(cover, w)
         got = pullback_splits(cover, s)
         assert got is not None and galois_pushforward(cover, got) == s
-        assert seen and seen[0][0][0] == 0
+        assert seen and seen[0][1] and seen[0][0][0][0] == 0
 
     def test_non_image_rejected(self):
         cover = DoubleCoverData(X * X - 1)
@@ -898,8 +899,10 @@ fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 
 
 class TestAdjugate:
-    """_adjugate, the fraction-free Gauss-Jordan that inverts the lift's
-    operator once, against sympy's determinant."""
+    """The Gauss-Jordan mode of polynomials._bareiss, which inverts the
+    lift's operator once: [M | I] ends with X in its right half, X*M = D*I,
+    and D is sympy's determinant exactly, sign included, at the default
+    2-adic threshold and with every step taken 2-adically."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda n: st.lists(
@@ -908,15 +911,23 @@ class TestAdjugate:
     @example([[0, 1], [1, 0]])
     @example([[0, 0, 2], [0, 3, 0], [5, 0, 0]])
     @example([[0, 0, 3, 0], [2, 0, 3, 3], [1, 2, 0, 3], [0, 1, 0, 0]])
+    @example([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]])    # three swaps
     def test_x_times_m_is_d_times_identity(self, m):
         m[0][0] = 0     # a zero first pivot: the first step swaps rows
-        det = sympy.Matrix(m).det()
-        assume(det != 0)
-        X, D = _adjugate(m)
-        n = len(m)
-        assert [[sum(X[i][k] * m[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)] == [[D * (i == j) for j in range(n)] for i in range(n)]
-        assert abs(D) == abs(int(det))
+        n, det = len(m), int(sympy.Matrix(m).det())
+        threshold = polynomials.DIVEXACT_BITS
+        try:
+            for bits in (threshold, 0):
+                polynomials.DIVEXACT_BITS = bits
+                rows, D = _bareiss([row + [int(i == j) for j in range(n)]
+                                    for i, row in enumerate(m)], jordan=True)
+                assert D == det
+                X = [row[n:] for row in rows]
+                assert not det or [[sum(X[i][k] * m[k][j] for k in range(n)) for j in range(n)]
+                                   for i in range(n)] == [[D * (i == j) for j in range(n)]
+                                                          for i in range(n)]
+        finally:
+            polynomials.DIVEXACT_BITS = threshold
 
 
 class TestXAdicLift:

@@ -7,7 +7,7 @@ from itertools import permutations
 
 import pytest
 
-from prymkit import abelian, norms, polynomials
+from prymkit import norms, polynomials
 from prymkit.norms import (
     AlgebraElement,
     ParentMismatch,
@@ -220,9 +220,10 @@ class TestNormLaws:
                 assert norm_element(s, u) == norm_resultant_oracle(s, u)
 
     def test_resultant_oracle_shares_no_code_with_the_main_route(self, monkeypatch):
-        # with the Bareiss determinant, the matrix columns, the Kronecker
-        # packing and the 2-adic division each made to raise, the oracle
-        # still gives the main route's norm, which no longer runs
+        # with the Bareiss kernel (under both of its names), the matrix
+        # columns, the Kronecker packing and the 2-adic division each made
+        # to raise, the oracle still gives the main route's norm, which no
+        # longer runs
         rng = random.Random(37)
         cases = [(s, random_element(rng, s, 3)) for s in (
             SpectralPoly(n, 2, tuple(random_poly(rng, 2 * j) for j in range(1, n + 1)))
@@ -235,9 +236,9 @@ class TestNormLaws:
         def refuse(*args):
             raise AssertionError("the oracle reached the main route")
 
-        for module, names in ((abelian, ["bareiss_det"]),
-                              (norms, ["_columns", "_pack", "_unpack", "_width"]),
-                              (polynomials, ["_pack", "_unpack", "_width", "_divexact"])):
+        for module, names in ((norms, ["_bareiss", "_columns", "_pack", "_unpack", "_width"]),
+                              (polynomials, ["_bareiss", "_pack", "_unpack", "_width",
+                                             "_divexact"])):
             for name in names:
                 monkeypatch.setattr(module, name, refuse)
         assert [norm_resultant_oracle(s, u) for s, u in cases] == want
