@@ -9,7 +9,8 @@ product with the conjugate P - y*Q is P^2 - f*Q^2.  The same type over
 Q[t], A + sqrt(d0)*B, is a factor of q(x0, t) over the field Q(sqrt(d0)),
 d0 = f(x0), at a point x0; Surd.norm is a^2 - d*b^2, the pushforward and
 the splitter's certificate.  The splitter finds those factors from one lift
-of q(x0)'s factors mod a prime split in the field (Zassenhaus over Q, then
+of q(x0)'s factors mod a prime split in the field (linear ones as roots,
+by Newton's iteration, the rest by one Hensel tree; Zassenhaus over Q, then
 each even Q-factor split from its own lifted factors), and lifts a half
 A + sqrt(d0)*B in z = x - x0 to the witness's own series P, Q with P^2 -
 f(x0 + z)*Q^2 = q(x0 + z), to a precision set by the block's own slope max
@@ -17,8 +18,8 @@ ceil(deg c_i / (n - i)): on integer rows, through one fraction-free inverse
 of the lift's operator per candidate.  x0 is an integer, so specialising and
 shifting (a Taylor shift) at x0 run on integer numerators.
 Poly.is_squarefree, certified mod a small prime before any gcd over Z,
-tests f and q(x0); the l-adic factoring shares that certificate and the
-integer-list helpers mod m in polynomials.py.
+tests f and q(x0); the l-adic factoring shares that certificate, its gcd
+mod p (no cofactor built) and the integer-list helpers in polynomials.py.
 Each answer is proved once, by Yun's certificate and W.norm() == q per
 block; re-multiplying blocks and re-pushing a witness are verify's checks.
 """
@@ -36,7 +37,7 @@ from typing import Optional
 
 from .norms import SpectralPoly, spectral_mul, spectral_pow
 from .polynomials import (
-    Poly, TPoly, _add, _bareiss, _divmod, _mod, _mul, _poly, _squarefree_mod, _xgcd,
+    Poly, TPoly, _add, _bareiss, _divmod, _gcd_mod, _mod, _mul, _poly, _squarefree_mod,
     horner, power, resultant, yun_squarefree)
 
 
@@ -359,12 +360,12 @@ def _factor_mod(f: list, p: int) -> list:
     """The monic irreducible factors of f, monic and squarefree mod the odd
     prime p: those of degree i make up g = gcd(f, t^(p^i) - t) once smaller
     degrees are divided out, and g splits by gcd(g, a^((p^i - 1)/2) - 1) for
-    random a, seeded from f (MCA Algs. 14.3 and 14.8)."""
+    random a seeded from f, by gcds with no cofactor (MCA Algs. 14.3, 14.8)."""
     out, h, i, rng = [], [0, 1], 0, random.Random(hash(tuple(f)))
     while len(f) > 2 * i + 2:
         i += 1
         h = _powmod(h, p, f, p)
-        g = _xgcd(f, _add(h, [0, 1], -1), p)[0]
+        g = _gcd_mod(f, _add(h, [0, 1], -1), p)[0]
         f, todo = _divmod(f, g, p)[0], [g] * (len(g) > 1)
         h = _divmod(h, f, p)[1]
         while todo:
@@ -373,7 +374,7 @@ def _factor_mod(f: list, p: int) -> list:
                 out.append(g)
                 continue
             a = [rng.randrange(p) for _ in g[1:]]
-            b = _xgcd(g, _add(_powmod(a, (p ** i - 1) // 2, g, p), [1], -1), p)[0]
+            b = _gcd_mod(g, _add(_powmod(a, (p ** i - 1) // 2, g, p), [1], -1), p)[0]
             todo += [b, _divmod(g, b, p)[0]] if 1 < len(b) < len(g) else [g]
     return out + [f] * (len(f) > 1)
 
@@ -381,13 +382,19 @@ def _factor_mod(f: list, p: int) -> list:
 def _hensel(f: list, fs: list, p: int, m: int) -> list:
     """The monic factors of f mod m = p^(2^j) that are fs mod p, for f monic
     and fs pairwise coprime with product f mod p: a factor tree (MCA §15.5)
-    of quadratic Hensel steps (MCA Alg. 15.10) on g*h = f and s*g + t*h = 1."""
-    if len(fs) == 1:
-        return [_mod(f, m)]
+    of quadratic Hensel steps (MCA Alg. 15.10) on g*h = f and s*g + t*h = 1,
+    s and t rebuilt from _gcd_mod's quotients (MCA §3.2); _lifted_factors
+    gives it the factors of degree 2 and more."""
+    if len(fs) < 2:
+        return [_mod(f, m)] * len(fs)
     k = len(fs) // 2
     g, h = _prod(fs[:k], p), _prod(fs[k:], p)
-    q, t = p, _xgcd(g, h, p)[1]
-    s = _divmod(_add([1], _mul(t, h), -1), g, p)[0]
+    t0, t = [], [1]
+    for c in _gcd_mod(g, h, p)[1]:      # t_i*h = r_i mod g along Euclid's remainders
+        t0, t = t, _mod(_add(t0, _mul(c, t), -1), p)
+    c, r = _divmod(_mul(t0, h), g, p)   # t0*h = c*g + r, r the last remainder, a unit
+    u = pow(r[0], -1, p)
+    q, s, t = p, [-x * u % p for x in c], [x * u % p for x in t0]
     while q < m:
         q *= q
         e = _mod(_add(f, _mul(g, h), -1), q)
@@ -401,12 +408,27 @@ def _hensel(f: list, fs: list, p: int, m: int) -> list:
     return _hensel(g, fs[:k], p, m) + _hensel(h, fs[k:], p, m)
 
 
+def _newton_root(f: list, x: int, p: int, m: int) -> int:
+    """The root of f mod m = p^(2^j) that is x mod p, a simple root of f mod
+    p: x <- x - f(x)/f'(x) mod p^2, p^4, ..., m (Newton's iteration, MCA
+    §9.4), f(x) and f'(x) from one Horner pass."""
+    q = p
+    while q < m:
+        q, v, d = q * q, 0, 0
+        for c in reversed(f):
+            v, d = (v * x + c) % q, (d * x + v) % q
+        x = (x - v * pow(d, -1, q)) % q
+    return x
+
+
 def _lifted_factors(f: list, bound: int, e: int) -> tuple[list, int, int]:
     """(fs, m, r): for the first odd prime l prime to e with e a square mod
     l, lc(f) a unit and f squarefree mod l, fs are f's monic factors mod m,
-    the first l^(2^j) > bound, and r^2 = e mod m (Newton's method).  Primes
-    failing the last two tests divide Res(f, f'), which is below ((n + 1)
-    max|f_i|)^(2n), so more of them prove it zero (ValueError)."""
+    the first l^(2^j) > bound, in _factor_mod's order, and r^2 = e mod m.
+    Primes failing the last two tests divide Res(f, f'), which is below
+    ((n + 1) max|f_i|)^(2n), so more of them prove it zero (ValueError).
+    r and x for each factor t - x mod l are lifted by _newton_root, the rest
+    by one Hensel tree from f / prod (t - x), an exact division mod m."""
     bad = 2 * len(f) * (len(f) * max(map(abs, f))).bit_length()
     for p in (p for p in itertools.count(3, 2)
               if all(p % k for k in range(3, math.isqrt(p) + 1, 2))
@@ -418,9 +440,15 @@ def _lifted_factors(f: list, bound: int, e: int) -> tuple[list, int, int]:
     m, r = p, next(r for r in range(p) if (r * r - e) % p == 0)
     while m <= bound:
         m *= m
-        r = (r - (r * r - e) * pow(2 * r, -1, m)) % m
+    r = _newton_root([-e, 0, 1], r, p, m)
     monic = _mod([c * pow(f[-1], -1, m) for c in f], m)
-    return _hensel(monic, _factor_mod(_mod(monic, p), p), p, m), m, r
+    fs = _factor_mod(_mod(monic, p), p)
+    lin = {i: [-_newton_root(monic, -g[0], p, m) % m, 1] for i, g in enumerate(fs) if len(g) == 2}
+    rest, rem = _divmod(monic, _prod(lin.values(), m), m)
+    if rem:
+        raise ArithmeticError("a lifted root is not a root mod m")
+    lifted = iter(_hensel(rest, [g for g in fs if len(g) > 2], p, m))
+    return [lin[i] if i in lin else next(lifted) for i in range(len(fs))], m, r
 
 
 def _factor_over_quadratic_field(qq: Poly, d: Fraction) -> list[Surd]:

@@ -494,33 +494,35 @@ def _igcd(a: Sequence, b: Sequence) -> tuple[list, list, list]:
 
 
 def _divmod(a: list, b: list, m: int) -> tuple[list, list]:
-    """Quotient and remainder of a by b mod m, b monic.  a need not be
-    reduced; the quotient's entries are, but top entries of a that vanish
-    mod m leave zeros at its top."""
-    r = list(a)
-    q = [0] * max(len(r) - len(b) + 1, 0)
-    for i in range(len(q) - 1, -1, -1):
-        c = q[i] = r[i + len(b) - 1] % m
-        for j, y in enumerate(b):
-            r[i + j] -= c * y
-    return q, _mod(r[:len(b) - 1], m)
+    """Quotient and remainder of a by b mod m, lc(b) a unit mod m.  a need
+    not be reduced; the quotient's entries are, but top entries of a that
+    vanish mod m leave zeros at its top."""
+    r, n, u = list(a), len(b) - 1, pow(b[-1], -1, m)
+    q = [0] * max(len(r) - n, 0)
+    for i in reversed(range(len(q))):
+        c = q[i] = r[i + n] * u % m
+        for j in range(n):
+            r[i + j] -= c * b[j]
+    return q, _mod(r[:n], m)
 
 
-def _xgcd(a: Sequence, b: Sequence, p: int) -> tuple[list, list]:
-    """(g, t): g = gcd(a, b) mod the prime p, monic if a is or b != 0, t*b = g mod a."""
-    r0, r1, t0, t1 = _mod(a, p), _mod(b, p), [], [1]
+def _gcd_mod(a: Sequence, b: Sequence, p: int) -> tuple[list, list]:
+    """(g, qs): g = gcd(a, b) mod the prime p, monic (or []), and the quotients
+    of Euclid's remainders r_(i+1) = r_(i-1) - q_i*r_i, left as they fall:
+    only g is made monic, and no cofactor is built (covers._hensel's is
+    rebuilt from qs)."""
+    r0, r1, qs = _mod(a, p), _mod(b, p), []
     while r1:
-        inv = pow(r1[-1], -1, p)
-        r1, t1 = [c * inv % p for c in r1], [c * inv % p for c in t1]
         q, r = _divmod(r0, r1, p)
-        r0, r1, t0, t1 = r1, r, t1, _mod(_add(t0, _mul(q, t1), -1), p)
-    return r0, t0
+        qs.append(q)
+        r0, r1 = r1, r
+    return [c * pow(r0[-1], -1, p) % p for c in r0] if r0 else r0, qs
 
 
 def _squarefree_mod(f: Sequence, p: int) -> bool:
     """f keeps its degree and gcd(f, f') = 1 mod the prime p, so disc(f) !=
     0 mod p: f, nonzero, is squarefree."""
-    return bool(f[-1] % p) and len(_xgcd(f, _deriv(f), p)[0]) == 1
+    return bool(f[-1] % p) and len(_gcd_mod(f, _deriv(f), p)[0]) == 1
 
 
 class RatFunc:

@@ -5,26 +5,31 @@ Run from anywhere, standard library plus the test dependencies only:
 
     python tests/mutants.py
 
-For each row the script copies ``src/`` into a temporary directory,
-replaces the row's snippet (which must occur exactly once in its file) and
-runs ``python -m pytest -x -q <test files>`` from the repository root with
-the copy first on ``PYTHONPATH`` and a timeout, two rows at a time.  A
-mutant is killed when a test fails, and survives when the tests pass.  The
-script exits 1 on any survivor, on any snippet that no longer matches, on a
-timeout and on any other pytest outcome (a missing test file is pytest's
-usage error), so the table has to follow the code; it exits 0 when every
-mutant is killed.
+For each row the script copies ``src/`` into its own directory under one
+``prymkit-mutant-*`` temporary directory, replaces the row's snippet
+(which must occur exactly once in its file) and runs ``python -m pytest -x
+-q <test files>`` from the repository root with the copy first on
+``PYTHONPATH`` and a timeout, two rows at a time.  A mutant is killed when
+a test fails, and survives when the tests pass.  The script exits 1 on any
+survivor, on any snippet that no longer matches, on a timeout and on any
+other pytest outcome (a missing test file is pytest's usage error), so the
+table has to follow the code; it exits 0 when every mutant is killed.  The
+temporary directory goes on every exit: a SIGTERM (a timeout or a
+cancelled CI job) or Ctrl-C first kills the running pytest processes.
 
 The file name does not match ``test_*.py``, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -243,6 +248,10 @@ MUTANTS = [
      "return bool(f[-1] % p) and len(",
      "return len(",
      ["tests/test_polynomials.py"]),
+    ("gcd mod p without its final normalisation", "polynomials.py",
+     "    return [c * pow(r0[-1], -1, p) % p for c in r0] if r0 else r0, qs\n",
+     "    return r0, qs\n",
+     ["tests/test_polynomials.py"]),
     ("no squarefree test over Q once every prime fails", "polynomials.py",
      "or self.gcd(self.derivative()).degree <= 0)",
      "or False)",
@@ -267,8 +276,8 @@ MUTANTS = [
      "k = (min(",
      ["tests/test_polynomials.py"]),
     ("integer division mod m leaves its remainder unreduced", "polynomials.py",
-     "    return q, _mod(r[:len(b) - 1], m)\n",
-     "    return q, r[:len(b) - 1]\n",
+     "    return q, _mod(r[:n], m)\n",
+     "    return q, r[:n]\n",
      ["tests/test_polynomials.py"]),
     # -- covers: R[sqrt(d)] arithmetic -----------------------------------------
     ("Surd skips the different-covers check", "covers.py",
@@ -408,8 +417,24 @@ MUTANTS = [
      "and e % p):",
      ["tests/test_covers.py"]),
     ("sqrt(e) not lifted past mod l", "covers.py",
-     "        r = (r - (r * r - e) * pow(2 * r, -1, m)) % m\n",
+     "    r = _newton_root([-e, 0, 1], r, p, m)\n",
      "",
+     ["tests/test_covers.py"]),
+    ("Newton stops one modulus early", "covers.py",
+     "    q = p\n    while q < m:\n",
+     "    q = p\n    while q * q < m:\n",
+     ["tests/test_covers.py"]),
+    ("Newton step with f' replaced by 1", "covers.py",
+     "x = (x - v * pow(d, -1, q)) % q",
+     "x = (x - v) % q",
+     ["tests/test_covers.py"]),
+    ("one root left out of the cofactor division", "covers.py",
+     "_prod(lin.values(), m)",
+     "_prod(list(lin.values())[1:], m)",
+     ["tests/test_covers.py"]),
+    ("Hensel cofactors s, t not divided by the last remainder", "covers.py",
+     "    u = pow(r[0], -1, p)\n",
+     "    u = 1\n",
      ["tests/test_covers.py"]),
     ("bound without its max(c, isqrt|e| + 1) factor", "covers.py",
      "    bound = (2 ** (n + 1) * (math.isqrt(sum(x * x for x in f)) + 1) *\n"
@@ -533,45 +558,93 @@ def apply(src: Path, file: str, snippet: str, replacement: str) -> bool:
     return True
 
 
-def run_row(row) -> tuple[str, str, float]:
+class Children:
+    """The pytest processes running now.  Once stopped, every one of them is
+    killed and none is started again, so a stopped run ends within moments."""
+
+    def __init__(self):
+        self.lock, self.procs, self.stopped = threading.Lock(), set(), False
+
+    def run(self, cmd: list, env: dict, timeout: float) -> int:
+        """Exit code of cmd, run from the repository root; TimeoutExpired
+        after timeout seconds, the process killed."""
+        with self.lock:
+            if self.stopped:
+                raise RuntimeError("mutation run stopped")
+            proc = subprocess.Popen(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                                    stderr=subprocess.DEVNULL)
+            self.procs.add(proc)
+        try:
+            return proc.wait(timeout)
+        finally:
+            proc.kill()
+            proc.wait()
+            with self.lock:
+                self.procs.discard(proc)
+
+    def stop(self):
+        with self.lock:
+            self.stopped = True
+            for proc in self.procs:
+                proc.kill()
+
+
+def run_row(children: Children, parent: str, row) -> tuple[str, str, float]:
     """(name, outcome, seconds); outcome is killed, SURVIVED, TIMEOUT,
-    ERROR or NO MATCH."""
+    ERROR or NO MATCH.  The copy of src/ is made under parent."""
     name, file, snippet, replacement, tests = row
     t0 = time.perf_counter()
-    with tempfile.TemporaryDirectory(prefix="prymkit-mutant-") as tmp:
+    with tempfile.TemporaryDirectory(dir=parent) as tmp:
         src = copy_src(tmp)
         if not apply(src, file, snippet, replacement):
             return name, "NO MATCH", time.perf_counter() - t0
         cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                *tests]
         try:
-            proc = subprocess.run(cmd, cwd=ROOT, env=env_for(src), stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+            code = children.run(cmd, env_for(src), TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return name, "TIMEOUT", time.perf_counter() - t0
     # pytest exits 1 when a test failed; any other code (collection or
     # usage error) says nothing about the mutant
-    outcome = {0: "SURVIVED", 1: "killed"}.get(proc.returncode, "ERROR")
+    outcome = {0: "SURVIVED", 1: "killed"}.get(code, "ERROR")
     return name, outcome, time.perf_counter() - t0
 
 
-def imports_copy() -> bool:
+def imports_copy(parent: str) -> bool:
     """True if a copy of src/ first on PYTHONPATH is the prymkit tests import."""
-    with tempfile.TemporaryDirectory(prefix="prymkit-mutant-") as tmp:
+    with tempfile.TemporaryDirectory(dir=parent) as tmp:
         src = copy_src(tmp)
         out = subprocess.run([sys.executable, "-c", "import prymkit; print(prymkit.__file__)"],
                              cwd=ROOT, env=env_for(src), capture_output=True, text=True)
         return out.stdout.strip().startswith(str(src))
 
 
+def _terminate(signum, frame):
+    # timeout(1) signals both the process and its group, so a second SIGTERM
+    # may follow; ignored, it cannot cut short the cleanup the first began
+    signal.signal(signum, signal.SIG_IGN)
+    raise SystemExit(128 + signum)
+
+
 def main() -> int:
-    if not imports_copy():
-        print("error: the mutated copy of src/ would not be the prymkit imported",
-              file=sys.stderr)
-        return 1
-    t0 = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=JOBS) as pool:
-        results = list(pool.map(run_row, MUTANTS))
+    """Every copy lives under one prymkit-mutant-* directory, removed on any
+    exit: a normal one, an exception, Ctrl-C or SIGTERM (a timeout or a
+    cancelled CI job), which first kills the running pytest processes."""
+    signal.signal(signal.SIGTERM, _terminate)
+    parent = tempfile.mkdtemp(prefix="prymkit-mutant-")
+    children, pool = Children(), ThreadPoolExecutor(max_workers=JOBS)
+    try:
+        if not imports_copy(parent):
+            print("error: the mutated copy of src/ would not be the prymkit imported",
+                  file=sys.stderr)
+            return 1
+        t0 = time.perf_counter()
+        results = list(pool.map(functools.partial(run_row, children, parent), MUTANTS))
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
+        children.stop()
+        pool.shutdown(wait=True)
+        shutil.rmtree(parent, ignore_errors=True)
     for name, outcome, secs in results:
         print(f"{outcome:9} {secs:6.1f} s  {name}")
     killed = sum(outcome == "killed" for _, outcome, _ in results)

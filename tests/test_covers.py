@@ -2,6 +2,7 @@
 translation, power/product maps, and the degree-2 Galois machinery."""
 
 import functools
+import math
 import operator
 import random
 import statistics
@@ -31,7 +32,8 @@ from prymkit.covers import (
     trace_translate,
 )
 from prymkit.norms import SpectralPoly, spectral_mul, spectral_pow
-from prymkit.polynomials import Poly, TPoly, _bareiss, horner, yun_squarefree
+from prymkit.polynomials import (
+    Poly, TPoly, _add, _bareiss, _divmod, _mod, _mul, horner, yun_squarefree)
 from prymkit.verify import (
     random_spectral,
     random_squarefree,
@@ -642,28 +644,126 @@ class TestFactorOverQ:
 
     def test_one_prime_one_lift(self, monkeypatch):
         # the quartic, irreducible over Q, splits over Q(sqrt 12) through
-        # the lifted factors that found it over Q: one factoring mod l and
-        # one Hensel tree serve both stages
-        mods, depths, depth = [], [], [0]
-        factor_mod, hensel = covers._factor_mod, covers._hensel
+        # the lifted factors that found it over Q: one factoring mod l = 11,
+        # (t - 3)(t^2 + t + 1)(t^2 - t + 1), and each modular factor lifted
+        # once, the linear one by Newton's method and the quadratics as the
+        # two leaves of one Hensel tree
+        mods, roots, leaves, depths, depth = [], [], [], [], [0]
+        factor_mod, newton_root, hensel = covers._factor_mod, covers._newton_root, covers._hensel
 
         def counting_factor_mod(*args):
-            mods.append(args)
-            return factor_mod(*args)
+            mods.append(factor_mod(*args))
+            return mods[-1]
+
+        def counting_newton_root(f, *args):
+            if f != [-12, 0, 1]:     # not the lift of sqrt(12)
+                roots.append(f)
+            return newton_root(f, *args)
 
         def counting_hensel(*args):
             depths.append(depth[0])
             depth[0] += 1
             try:
-                return hensel(*args)
+                out = hensel(*args)
+                leaves.extend(out if len(args[1]) == 1 else [])
+                return out
             finally:
                 depth[0] -= 1
         monkeypatch.setattr(covers, "_factor_mod", counting_factor_mod)
+        monkeypatch.setattr(covers, "_newton_root", counting_newton_root)
         monkeypatch.setattr(covers, "_hensel", counting_hensel)
         t = TestQuadraticFieldFactoring._t
         got = _factor_over_quadratic_field(t(1, 0, -10, 0, 1) * t(-3, 1), Fraction(12))
-        assert len(mods) == 1 and depths.count(0) == 1
+        assert len(mods) == 1 and sorted(map(len, mods[0])) == [2, 3, 3]
+        assert len(roots) == 1 and len(leaves) == 2 and depths.count(0) == 1
         assert len(got) == 3
+
+
+def _tree_xgcd(a: list, b: list, p: int) -> tuple[list, list]:
+    """(g, t): g = gcd(a, b) mod p, t*b = g mod a, for a monic, by the
+    extended Euclid that carries t along every step."""
+    r0, r1, t0, t1 = _mod(a, p), _mod(b, p), [], [1]
+    while r1:
+        inv = pow(r1[-1], -1, p)
+        r1, t1 = [c * inv % p for c in r1], [c * inv % p for c in t1]
+        q, r = _divmod(r0, r1, p)
+        r0, r1, t0, t1 = r1, r, t1, _mod(_add(t0, _mul(q, t1), -1), p)
+    return r0, t0
+
+
+def _tree_lift(f: list, fs: list, p: int, m: int) -> list:
+    """Every factor in fs lifted through one Hensel factor tree (MCA §15.5,
+    Alg. 15.10), linear ones included, with its own extended Euclid: the
+    reference for covers._lifted_factors, whose Newton roots and cofactors
+    must give the same factors."""
+    if len(fs) == 1:
+        return [_mod(f, m)]
+    k = len(fs) // 2
+    g, h = covers._prod(fs[:k], p), covers._prod(fs[k:], p)
+    q, t = p, _tree_xgcd(g, h, p)[1]
+    s = _divmod(_add([1], _mul(t, h), -1), g, p)[0]
+    while q < m:
+        q *= q
+        e = _mod(_add(f, _mul(g, h), -1), q)
+        c, r = _divmod(_mul(s, e), h, q)
+        g, h = _mod(_add(g, _add(_mul(t, e), _mul(c, g))), q), _mod(_add(h, r), q)
+        b = _mod(_add(_add(_mul(s, g), _mul(t, h)), [1], -1), q)
+        c, r = _divmod(_mul(s, b), h, q)
+        s, t = _mod(_add(s, r, -1), q), _mod(_add(t, _add(_mul(t, b), _mul(c, g)), -1), q)
+    return _tree_lift(g, fs[:k], p, m) + _tree_lift(h, fs[k:], p, m)
+
+
+class TestLiftedFactors:
+    """covers._lifted_factors against the factor tree alone: f is built
+    squarefree mod a chosen prime l, from distinct roots and random monic
+    factors of degree 2-4, and e, the square of the odd primes below l,
+    makes l the prime it picks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((3, 5, 7, 11, 13)),
+           st.lists(st.integers(0, 12), max_size=6, unique=True),
+           st.lists(st.lists(st.integers(0, 12), min_size=2, max_size=4), max_size=3),
+           st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=10),
+           st.integers(1, 60), st.integers(0, 10 ** 40))
+    @example(5, [0, 1, 2, 3], [], [7, -3], 1, 10 ** 6)          # only linear factors
+    @example(3, [], [[1, 0], [2, 1]], [5], 2, 10 ** 9)          # none: t^2 + 1, t^2 + t + 2
+    @example(7, [1, 4], [[1, 0], [3, 1, 0]], [9, 9, 9], 3, 10 ** 20)    # some
+    @example(11, [5], [], [], 1, 0)                              # degree 1, m = l
+    @example(13, [], [[2, 0], [6, 0], [2, 0, 0]], [1, 2, 3], 5, 10 ** 30)   # a tree of 3
+    def test_against_the_tree_alone(self, p, roots, others, noise, c, bound):
+        roots = sorted({x % p for x in roots})
+        f0 = functools.reduce(lambda a, b: _mod(_mul(a, b), p),
+                              [[-x, 1] for x in roots] + [g + [1] for g in others], [1])
+        assume(1 <= len(f0) - 1 <= 10 and c % p)
+        f = [c * x for x in _add(f0, [p * y for y in noise[:len(f0) - 1]])]
+        assume(polynomials._squarefree_mod(f, p))
+        e = functools.reduce(operator.mul, (q for q in (3, 5, 7, 11) if q < p), 1) ** 2
+        fs, m, r = covers._lifted_factors(f, bound, e)
+        assert m > bound and (m == p or math.isqrt(m) ** 2 == m <= bound * bound)
+        assert (r * r - e) % m == 0
+        monic = _mod([x * pow(f[-1], -1, m) for x in f], m)
+        mod_l = covers._factor_mod(_mod(monic, p), p)
+        assert fs == _tree_lift(monic, mod_l, p, m)
+        assert [_mod(g, p) for g in fs] == mod_l
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((3, 5, 7, 11, 13)),
+           st.lists(st.integers(-50, 50), min_size=1, max_size=5),
+           st.lists(st.integers(-50, 50), min_size=1, max_size=5),
+           st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=10), st.integers(0, 3))
+    @example(3, [1, 0], [2, 1], [], 1)           # t^2 + 1, t^2 + t + 2; last remainder 2
+    @example(5, [2, 0, 1], [1], [4, 4], 2)       # deg g > deg h; last remainder 2
+    def test_one_node(self, p, low_g, low_h, noise, j):
+        # one node of the tree on g*h mod p: its s and t, rebuilt from the
+        # gcd's quotients, must make g*h = f mod p^2, p^4, ..., m
+        g, h = _mod(low_g + [1], p), _mod(low_h + [1], p)
+        assume(len(polynomials._gcd_mod(g, h, p)[0]) == 1)
+        f = _add(_mul(g, h), [p * y for y in noise[:len(g) + len(h) - 2]])
+        m = p ** 2 ** j
+        got = covers._hensel(f, [g, h], p, m)
+        assert [_mod(x, p) for x in got] == [g, h]
+        assert all(x[-1] == 1 and x == _mod(x, m) for x in got)
+        assert _mod(_add(f, _mul(*got), -1), m) == []
 
 
 def _sympy_factors(qq: Poly, d: Fraction) -> list[Surd]:

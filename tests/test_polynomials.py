@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from prymkit import polynomials
@@ -16,11 +16,11 @@ from prymkit.polynomials import (
     RatFunc,
     TPoly,
     _divmod,
+    _gcd_mod,
     _igcd,
     _mul,
     _pack,
     _unpack,
-    _xgcd,
     horner,
     power,
     pseudo_remainder,
@@ -387,11 +387,13 @@ class TestModularKernel:
 
     @settings(max_examples=200, deadline=None)
     @given(int_lists, st.lists(st.integers(-50, 50), max_size=4),
-           st.sampled_from((2, 3, 7, 9, 25, 11 ** 3)))
-    @example([-5, 14, -9], [3], 3)
-    @example([1, 2, 9, 18], [0, 1], 9)
-    def test_divmod_unreduced_and_negative(self, a, low, m):
-        b = low + [1]
+           st.sampled_from((2, 3, 7, 9, 25, 11 ** 3)), st.integers(-40, 40))
+    @example([-5, 14, -9], [3], 3, 1)
+    @example([1, 2, 9, 18], [0, 1], 9, 1)
+    @example([1, 2, 9, 18], [0, 1], 9, -7)      # lc(b) a unit, not 1
+    def test_divmod_unreduced_and_negative(self, a, low, m, lc):
+        assume(gcd(lc, m) == 1)
+        b = low + [lc]
         q, r = _divmod(a, b, m)
         assert all(0 <= c < m for c in q + r)
         assert r == naive_mod(r, m) and len(r) < len(b)
@@ -401,17 +403,24 @@ class TestModularKernel:
     @settings(max_examples=200, deadline=None)
     @given(int_lists, int_lists, st.sampled_from(SMALL_PRIMES))
     @example([0, 1], [-1, 0, 1], 3)
-    def test_xgcd_against_euclid_mod_p(self, a, b, p):
-        a = naive_mod(a, p) or [1]
-        if a[-1] != 1:      # the gcd comes out monic for a monic a
-            a = naive_mod([c * pow(a[-1], -1, p) for c in a], p)
-        g, t = _xgcd(a, b, p)
-        r0, r1 = a, naive_mod(b, p)
+    @example([2, 3], [0, 0, 4], 5)      # a shorter than b: the first quotient is empty
+    @example([3, 0, 2], [6], 3)         # b = 0 mod p: g is a mod p made monic
+    @example([3], [-6, 9], 3)           # a = b = 0 mod p: g = []
+    def test_gcd_mod_against_euclid_mod_p(self, a, b, p):
+        g, qs = _gcd_mod(a, b, p)
+        r0, r1 = naive_mod(a, p), naive_mod(b, p)
         while r1:
             r0, r1 = r1, naive_remmod(r0, r1, p)
-        want = naive_mod([c * pow(r0[-1], -1, p) for c in r0], p)
-        assert g == want
-        assert naive_remmod(naive_mulmod(t, b, p), a, p) == naive_remmod(g, a, p)
+        assert g == (naive_mod([c * pow(r0[-1], -1, p) for c in r0], p) if r0 else [])
+        # the quotients rebuild Euclid's remainders down to 0, the last
+        # nonzero one a multiple of g
+        r0, r1 = naive_mod(a, p), naive_mod(b, p)
+        for q in qs:
+            assert r1
+            r0, r1 = r1, naive_mod([x - y for x, y in zip_longest(
+                r0, naive_mulmod(q, r1, p), fillvalue=0)], p)
+            assert len(r1) < len(r0)
+        assert not r1 and (naive_mod([c * pow(r0[-1], -1, p) for c in r0], p) if r0 else []) == g
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 12), min_size=1, max_size=5), int_lists,
