@@ -24,7 +24,8 @@ is exact over Z[x], so no rational function in x is formed.  ``horner`` and
 ``power`` serve any ring; they and TPoly arithmetic hand Poly mostly trivial
 operands: a zero, unit or constant one, told apart by its number of
 numerators, costs one scan of the other's, and a sum with the shared
-``zero`` or a product or quotient by ``one`` returns an operand itself.
+``zero`` or a product or quotient by ``one`` returns an operand itself;
+every zero that ``_poly`` builds is that shared ``zero``.
 ``_bareiss``, beside the Kronecker packing, is the one fraction-free
 elimination over Z: the norm's and verify's determinants and the lift's
 inverse in covers.py; its large steps divide 2-adically by ``_divexact``.
@@ -308,18 +309,26 @@ def _init(p: Poly, ints: list, den: int):
         g = gcd(den, *ints)
         if g != 1:
             ints, den = [c // g for c in ints], den // g
-    object.__setattr__(p, "ints", tuple(ints))
-    object.__setattr__(p, "denom", den)
+    _set_ints(p, tuple(ints))
+    _set_denom(p, den)
+
+
+# the slots' own setters, cheaper than object.__setattr__ past Poly's refusal
+_set_ints, _set_denom = Poly.ints.__set__, Poly.denom.__set__
 
 
 def _poly(ints: list, den: int) -> Poly:
-    """The Poly ints / den, the list ints consumed."""
+    """The Poly ints / den, the list ints consumed; a zero is the shared ``zero``."""
+    if not any(ints):
+        return _ZERO
     p = object.__new__(Poly)
     _init(p, ints, den)
     return p
 
 
-_ZERO, _ONE = _poly([], 1), _poly([1], 1)
+_ZERO = object.__new__(Poly)
+_init(_ZERO, [], 1)
+_ONE = _poly([1], 1)
 
 
 def _times(p: Poly, n: int, d: int) -> Poly:

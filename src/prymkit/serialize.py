@@ -2,12 +2,15 @@
 
 Rationals are serialized as strings "p/q" (denominator always present) so
 every JSON implementation round-trips them losslessly, and are read back only
-in that form, -?[0-9]+/-?[0-9]+ in ASCII digits with q != 0; all loaders
-report a failure, formatting its message only then, with the path of the
-offending field.  A polynomial is read and written as integer numerators over
-one denominator.  Round-trips are bit-exact.  Each loader imports the library
-modules it builds from when it runs, so the command line can import this
-module without them.
+in that form, -?[0-9]+/-?[0-9]+ in ASCII digits with q != 0.  A polynomial is
+read and written as integer numerators over one denominator.  All polynomials
+of one field (spectral coefficients, element coordinates, twisted u/v pairs,
+a cover's f) are read in one pass: one join, one pattern match, one int()
+sweep.  Anything irregular goes to the per-item loaders, which only word the
+refusal, formatting its message then, with the path of the offending entry.
+Round-trips are bit-exact.  Each loader imports the library modules it
+builds from when it runs, so the command line can import this module
+without them.
 """
 
 from __future__ import annotations
@@ -15,12 +18,14 @@ from __future__ import annotations
 import re
 import sys
 from contextlib import contextmanager
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 
 # Largest genus a descriptor may have: a component kernel is at most 2g
 # Hermite rows of width 2g, so g is refused up front, before any allocation.
 MAX_GENUS = 64
 _INT = re.compile(r"-?[0-9]+", re.ASCII)    # one part of a rational "p/q"
+_FIELD = re.compile(r"-?[0-9]+/-?[0-9]+(?:,-?[0-9]+/-?[0-9]+)*", re.ASCII)  # joined by ","
 
 
 class SchemaError(ValueError):
@@ -113,17 +118,45 @@ def poly_to_json(p: Poly) -> list[str]:
             return poly_to_json(p)
 
 
-def _numerators(value, path: str) -> tuple[list, int]:
-    """A polynomial's integer numerators over the lcm of its denominators."""
-    ratios = _each(_expect_list(value, path), path, _ratio)
-    den = lcm(*(d for _, d in ratios))
-    return [n * (den // d) for n, d in ratios], den
+def _rationals(value, path: str) -> list:
+    """One polynomial's entries, each read by the per-item loader."""
+    return _each(_expect_list(value, path), path, _ratio)
+
+
+def _polys(rows: list, refuse) -> list:
+    """The Poly of each row of rational strings, all rows read in one pass;
+    refuse(), which runs the per-item loaders to raise, on a row that is no
+    list, an entry that is no str or not of the form (the count of '/' rules
+    out a comma inside one), a zero q or a digit string past the limit."""
+    from . import polynomials
+
+    _poly = polynomials._poly
+    if not all(map(isinstance, rows, repeat(list))):
+        return refuse()
+    try:
+        text = ",".join(chain.from_iterable(rows))
+    except TypeError:
+        return refuse()
+    count = text.count("/")
+    if count != sum(map(len, rows)) or count and not _FIELD.fullmatch(text):
+        return refuse()
+    try:
+        ints = list(map(int, text.replace("/", ",").split(","))) if count else []
+    except ValueError:
+        return refuse()
+    nums, dens = ints[::2], ints[1::2]
+    ends = list(accumulate(map(len, rows)))
+    spans = zip([0, *ends], ends)
+    if dens.count(1) == count:      # every q is 1; lcm 1 is not enough: "3/-1" is -3
+        return [_poly(nums[i:j], 1) for i, j in spans]
+    if 0 in dens:
+        return refuse()
+    return [_poly([n * (m // e) for n, e in zip(nums[i:j], dens[i:j])], m)
+            for i, j in spans for m in (lcm(*dens[i:j]),)]
 
 
 def poly_from_json(value, path: str) -> Poly:
-    from .polynomials import _poly
-
-    return _poly(*_numerators(value, path))
+    return _polys([value], lambda: _rationals(value, path))[0]
 
 
 def spectral_to_json(s: SpectralPoly) -> dict:
@@ -132,7 +165,7 @@ def spectral_to_json(s: SpectralPoly) -> dict:
 
 
 def spectral_from_json(value, path: str = "$") -> SpectralPoly:
-    from . import norms, polynomials
+    from . import norms
 
     obj = _expect_dict(value, path)
     n = _expect_int(_expect_key(obj, "n", path), f"{path}.n")
@@ -140,16 +173,16 @@ def spectral_from_json(value, path: str = "$") -> SpectralPoly:
     coeffs = _expect_list(_expect_key(obj, "coeffs", path), f"{path}.coeffs")
     _require(len(coeffs) == n, f"{path}.coeffs", "expected {} coefficients", n)
     return norms.SpectralPoly(n, deg_m, tuple(
-        polynomials._poly(*p) for p in _each(coeffs, f"{path}.coeffs", _numerators)))
+        _polys(coeffs, lambda: _each(coeffs, f"{path}.coeffs", _rationals))))
 
 
 def element_from_json(parent: SpectralPoly, value, path: str = "$") -> AlgebraElement:
-    from . import norms, polynomials
+    from . import norms
 
     items = _expect_list(value, path)
     _require(len(items) == parent.n, path, "expected {} coordinates", parent.n)
     return norms.AlgebraElement(
-        parent, tuple(polynomials._poly(*p) for p in _each(items, path, _numerators)))
+        parent, tuple(_polys(items, lambda: _each(items, path, _rationals))))
 
 
 # -- descriptors ----------------------------------------------------------
@@ -205,7 +238,7 @@ def twisted_to_json(tw: TwistedSpectralPoly) -> dict:
 
 
 def twisted_from_json(value, path: str = "$", known=None) -> TwistedSpectralPoly:
-    from . import covers, polynomials
+    from . import covers
 
     obj = _expect_dict(value, path)
     m = _expect_int(_expect_key(obj, "m", path), f"{path}.m")
@@ -214,10 +247,12 @@ def twisted_from_json(value, path: str = "$", known=None) -> TwistedSpectralPoly
     pairs_raw = _expect_list(_expect_key(obj, "pairs", path), f"{path}.pairs")
     _require(len(pairs_raw) == m, f"{path}.pairs", "expected {} coefficient pairs", m)
 
-    def pair_from_json(raw, pp: str) -> tuple:
+    def pair_from_json(raw, pp: str):
         pobj = _expect_dict(raw, pp)
-        return tuple(polynomials._poly(*_numerators(_expect_key(pobj, k, pp), f"{pp}.{k}"))
-                     for k in "uv")
+        for k in "uv":
+            _rationals(_expect_key(pobj, k, pp), f"{pp}.{k}")
 
-    pairs = _each(pairs_raw, f"{path}.pairs", pair_from_json)
-    return covers.TwistedSpectralPoly(cover, m, deg_m, tuple(pairs))
+    # a pair that is no object with u and v gives a None row, which is refused
+    rows = [raw.get(k) if isinstance(raw, dict) else None for raw in pairs_raw for k in "uv"]
+    polys = _polys(rows, lambda: _each(pairs_raw, f"{path}.pairs", pair_from_json))
+    return covers.TwistedSpectralPoly(cover, m, deg_m, tuple(zip(polys[::2], polys[1::2])))

@@ -480,6 +480,10 @@ MUTANTS = [
      'return "{}"',
      'return "{\\n}"',
      ["tests/test_cli.py"]),
+    ("one byte of a help line", "cli.py",
+     '("pi0", "component group of the Prym variety", ())',
+     '("pi0", "component group of the Prym variety.", ())',
+     ["tests/test_corpus.py", "tests/test_cli.py"]),
     ("one byte of a table row", "cli.py",
      '[f"{key}: {json.dumps(',
      '[f"{key}:\\t{json.dumps(',
@@ -520,9 +524,30 @@ MUTANTS = [
      "",
      ["tests/test_cli.py"]),
     ("polynomial read over the largest denominator, not the lcm", "serialize.py",
-     "den = lcm(*(d for _, d in ratios))",
-     "den = max([1] + [d for _, d in ratios])",
+     "for m in (lcm(*dens[i:j]),)]",
+     "for m in (max(dens[i:j]),)]",
      ["tests/test_cli.py"]),
+    ("one-pass reader skips the rescale on lcm 1, so '3/-1' reads as 3", "serialize.py",
+     "if dens.count(1) == count:",
+     "if lcm(*dens) == 1:",
+     ["tests/test_cli.py"]),
+    ("one-pass reader without the '/' count: '1/2,3/4' is two entries", "serialize.py",
+     "if count != sum(map(len, rows)) or count and not _FIELD.fullmatch(text):",
+     "if count and not _FIELD.fullmatch(text):",
+     ["tests/test_cli.py"]),
+    ("one-pass reader lets a zero denominator through", "serialize.py",
+     "    if 0 in dens:\n        return refuse()\n",
+     "",
+     ["tests/test_cli.py"]),
+    ("one-pass reader raises the digit limit's ValueError itself", "serialize.py",
+     "    try:\n        ints = list(map(int, text.replace(\"/\", \",\").split(\",\"))) if count else []\n"
+     "    except ValueError:\n        return refuse()\n",
+     "    ints = list(map(int, text.replace(\"/\", \",\").split(\",\"))) if count else []\n",
+     ["tests/test_cli.py"]),
+    ("one schema-error path", "serialize.py",
+     '_require(modulus >= 1, f"{cp}.kernel_modulus", "modulus must be >= 1")',
+     '_require(modulus >= 1, cp, "modulus must be >= 1")',
+     ["tests/test_corpus.py"]),
     ("a bad entry reported at its list's path", "serialize.py",
      'load(item, f"{path}[{i}]")',
      "load(item, path)",

@@ -14,11 +14,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import prymkit
-from prymkit import cli, spectral, verify
+from prymkit import cli, serialize, spectral, verify
 from prymkit.abelian import AmbientMismatch
 from prymkit.cli import main
 from prymkit.covers import DoubleCoverData, TwistedSpectralPoly, galois_pushforward
@@ -88,7 +88,85 @@ def element_to_json(u) -> list:
     return [poly_to_json(c) for c in u.coords]
 
 
+# -- rational polynomial fields: valid entries and near misses -----------------
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=5)       # leading zeros too
+_SIGN = st.sampled_from(["", "-"])
+_VALID = (st.builds("{}{}/{}{}".format, _SIGN, _DIGITS, _SIGN,
+                    _DIGITS.filter(lambda d: int(d)))
+          | st.sampled_from(["3/-1", "1/-1", "-2/-6", "-0/5", "007/010", "1/1", "-1/1"]))
+_LONG = "1" * 5000                  # past the interpreter's digit limit (3.11 and later)
+_NEAR = (st.sampled_from(["+1/2", "1/2/3", "1,2/3", "1/2,3/4", "\u0661/2", "1/0", "-3/-0",
+                          "", "/", "1/", "/2", " 1/2", "1/2 ", "1/2\n", "1//2", "--1/2",
+                          "0x1/2", "1_0/2", "1/2,", ",1/2", f"{_LONG}/1", f"1/{_LONG}"])
+         | st.none() | st.booleans() | st.integers(-3, 3) | st.just(1.5)
+         | st.just(["1/2"]) | st.just({"1/2": 0}))
+_NOT_A_ROW = st.sampled_from(["1/2", "", {"1/2": 0}, {}, None, 7, ("1/2",)])
+
+
+@st.composite
+def _fields(draw):
+    """A list of rows of rational strings, now and then with one near miss:
+    a bad entry, or a row that is no list."""
+    rows = draw(st.lists(st.lists(_VALID, max_size=4), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        if rows[i] and draw(st.booleans()):
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            rows[i][j] = draw(_NEAR)
+        else:
+            rows[i] = draw(_NOT_A_ROW)
+    return rows
+
+
+def _entry_by_entry(row, path):
+    """One row read entry by entry by the per-item loaders."""
+    return Poly([Fraction(n, d) for n, d in serialize._rationals(row, path)])
+
+
+def _outcome(read):
+    """read()'s Polys as canonical pairs, or its SchemaError's text and path."""
+    try:
+        return [(p.ints, p.denom) for p in read()]
+    except SchemaError as exc:
+        return str(exc), exc.path
+
+
 class TestSchemas:
+    @settings(max_examples=400, deadline=None)
+    @given(_fields())
+    @example([["1/-1"]])          # -1: the all-ones shortcut wants every q = 1
+    @example([["1/2,3/4"]])       # one entry with a comma is no two entries
+    @example([["1/2", "1/0"]])
+    @example([[f"{_LONG}/1"]])
+    @example([{"1/2": 0}])
+    def test_one_pass_reader_matches_the_per_item_loaders(self, rows):
+        want = _outcome(lambda: [_entry_by_entry(row, f"$.coeffs[{i}]")
+                                 for i, row in enumerate(rows)])
+        # the one pass declines exactly the fields the per-item loaders refuse
+        assert (serialize._polys(rows, lambda: None) is None) == isinstance(want, tuple)
+        n = len(rows)
+        assert _outcome(lambda: spectral_from_json(
+            {"n": n, "deg_m": 10 ** 6, "coeffs": rows}).coeffs) == want
+        parent = SpectralPoly(n, 0, (Poly.zero(),) * n)
+        assert _outcome(lambda: element_from_json(parent, rows, "$.coeffs").coords) == want
+        assert _outcome(lambda: [poly_from_json(rows[0], "$.f")]) == _outcome(
+            lambda: [_entry_by_entry(rows[0], "$.f")])
+        if n % 2:
+            return
+        # the same rows as u/v pairs of a twisted polynomial
+        pairs = [{"u": u, "v": v} for u, v in zip(rows[::2], rows[1::2])]
+        doc = {"m": n // 2, "deg_m": 10 ** 6, "cover": {"f": ["0/1", "1/1"]}, "pairs": pairs}
+
+        def by_pair():
+            return [_entry_by_entry(pair[k], f"$.pairs[{i}].{k}")
+                    for i, pair in enumerate(pairs) for k in "uv"]
+
+        def pairs_read():
+            return [p for pair in twisted_from_json(doc).pairs for p in pair]
+
+        assert _outcome(pairs_read) == _outcome(by_pair)
+
     def test_rational_round_trip(self):
         for q in (Fraction(-3, 7), Fraction(5), Fraction(4, -6)):
             text = f"{q.numerator}/{q.denominator}"
@@ -303,6 +381,19 @@ class TestCli:
 
     def test_unknown_command_exit_2(self):
         assert main(["bogus"]) == 2
+
+    def test_help_line_of_every_command(self, capsys):
+        # argparse lays help out a little differently from one Python release
+        # to the next; tests/test_corpus.py pins its bytes on one release
+        lines = {"pi0": "component group of the Prym variety",
+                 "endoscopy": "endoscopic dimension table and bound",
+                 "norm": "norm of an algebra element",
+                 "factor": "squarefree multiplicity profile",
+                 "galois": "degree-2 pushforward or splitting test",
+                 "verify": "run a seeded verification suite"}
+        assert main(["-h"]) == 0
+        rows = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()]
+        assert [r for r in rows if r and r[0] in lines] == [list(kv) for kv in lines.items()]
 
     def test_endoscopy(self, capsys):
         assert main(["endoscopy", "--n", "6", "--g", "2"]) == 0

@@ -478,6 +478,9 @@ class TestTrivialOperands:
             assert got is p
         assert p * zero is zero and zero * p is zero and zero / p is zero
         assert zero - p == -p
+        # a zero result that takes no shortcut is the shared zero too
+        assert Poly.zero() is p.one_like() - Poly.one()
+        assert p - p is zero and p + -p is zero and (p * p).divmod(p)[1] is zero
 
     @settings(max_examples=100, deadline=None)
     @given(tpolys, monic_tpolys, trivial_constants.filter(bool))
