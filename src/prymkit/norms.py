@@ -173,12 +173,16 @@ def norm_power_law(p: SpectralPoly, m: int, u: AlgebraElement) -> bool:
     return full == reduced ** m
 
 
+def factors_coprime(s_b: SpectralPoly, s_c: SpectralPoly) -> bool:
+    """Coprimality over Q(x), decided by the resultant."""
+    return not resultant(s_b.as_tpoly(), s_c.as_tpoly()).is_zero()
+
+
 def norm_component_law(s_b: SpectralPoly, s_c: SpectralPoly,
                        u: AlgebraElement) -> bool:
     """On the reducible algebra R[t]/(s_b * s_c) with coprime factors, the
     norm splits as the product of the two component norms."""
-    res = resultant(s_b.as_tpoly(), s_c.as_tpoly())
-    if res.is_zero():
+    if not factors_coprime(s_b, s_c):
         raise ValueError("factors are not coprime over Q(x)")
     prod_poly = spectral_mul(s_b, s_c)
     if u.parent != prod_poly:

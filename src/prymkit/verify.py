@@ -24,7 +24,6 @@ from .abelian import (
 from .covers import (
     DoubleCoverData,
     TwistedSpectralPoly,
-    factors_coprime,
     galois_pushforward,
     pullback_splits,
     squarefree_decompose,
@@ -33,6 +32,7 @@ from .covers import (
 from .norms import (
     AlgebraElement,
     SpectralPoly,
+    factors_coprime,
     norm_component_law,
     norm_element,
     norm_multiplicativity_check,

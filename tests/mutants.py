@@ -164,8 +164,16 @@ MUTANTS = [
      "",
      ["tests/test_polynomials.py"]),
     ("pseudo-division quotient not rescaled by the divisor's denominator", "polynomials.py",
-     "_poly([c * other.denom for c in q[::-1]], den * cb)",
-     "_poly(q[::-1], den * cb)",
+     "_poly([c * other.denom for c in q], den * cb)",
+     "_poly(q, den * cb)",
+     ["tests/test_polynomials.py"]),
+    ("pseudo-division scaled by one power of lc too few", "polynomials.py",
+     "s = b[-1] ** (self.degree - k + 1)",
+     "s = b[-1] ** (self.degree - k)",
+     ["tests/test_polynomials.py"]),
+    ("_rows scaling every Poly by the first one's denominator", "polynomials.py",
+     "[[a * (den // p.denom) for a in p.ints] for p in ps]",
+     "[[a * (den // ps[0].denom) for a in p.ints] for p in ps]",
      ["tests/test_polynomials.py"]),
     ("subresultant without the h update", "polynomials.py",
      "h = _quo(_ipow(g, delta), _ipow(h, delta - 1))",
@@ -213,7 +221,7 @@ MUTANTS = [
      "return _times(self, other.denom, abs(other.ints[0]))",
      ["tests/test_polynomials.py"]),
     ("0 - p returns p", "polynomials.py",
-     "return other if op is add else -other",
+     "return other if sign == 1 else -other",
      "return other",
      ["tests/test_polynomials.py"]),
     # -- polynomials: the Bareiss kernel, and its 2-adic exact division ---------
@@ -448,8 +456,12 @@ MUTANTS = [
      "            b = _poly(_mod([r * x for x in _add(g1, g2, -1)], m, sym=True), 1)\n",
      ["tests/test_covers.py"]),
     ("Zassenhaus pre-test without lc", "covers.py",
-     "if g[0] and rest.ints[-1] * rest.ints[0] % g[0]:",
-     "if g[0] and rest.ints[0] % g[0]:",
+     "if g[0] and rest[-1] * rest[0] % g[0]:",
+     "if g[0] and rest[0] % g[0]:",
+     ["tests/test_covers.py"]),
+    ("Zassenhaus trial accepted on its top remainder entry alone", "covers.py",
+     "if not any(rem):",
+     "if not rem[-1]:",
      ["tests/test_covers.py"]),
     ("no exact e*A^2 - B^2 = 4e*c^2*P check", "covers.py",
      "if a * a * e - b * b == p.scale(4 * e * c * c):",

@@ -25,13 +25,12 @@ from prymkit.covers import (
     _factor_over_quadratic_field,
     _poly_shift,
     _x_adic_lift,
-    factors_coprime,
     galois_pushforward,
     pullback_splits,
     squarefree_decompose,
     trace_translate,
 )
-from prymkit.norms import SpectralPoly, spectral_mul, spectral_pow
+from prymkit.norms import SpectralPoly, factors_coprime, spectral_mul, spectral_pow
 from prymkit.polynomials import (
     Poly, TPoly, _add, _bareiss, _divmod, _mod, _mul, horner, yun_squarefree)
 from prymkit.verify import (
@@ -826,6 +825,47 @@ class TestQuadraticFieldFactoring:
         # the minimal polynomial of sqrt 2 + sqrt 3, split over Q(sqrt 12)
         self._check(t(1, 0, -10, 0, 1) * t(-3, 1), d)
         assert len(self._check(t(1, 0, -10, 0, 1), Fraction(12))) == 2
+
+    # Zassenhaus over Q joins lifted factors, all linear, into each Q-factor,
+    # and tries a subset that passes the constant-term test but does not
+    # divide: over Q(i) (t^2 + 1)(t^2 + 4) and (t^2 + 1)(t^2 + 4)(t^2 + 9),
+    # monic, so a failing trial fails only in its remainder, and the
+    # non-monic (2t^2 + 1)(t^2 + 2) over Q(sqrt 12)
+    ZASSENHAUS = [([(1, 0, 1), (4, 0, 1)], Fraction(-1)),
+                  ([(1, 0, 1), (4, 0, 1), (9, 0, 1)], Fraction(-1)),
+                  ([(1, 0, 2), (2, 0, 1)], Fraction(12))]
+
+    @pytest.mark.parametrize("factors, d", ZASSENHAUS)
+    def test_zassenhaus_divides_integer_lists(self, factors, d, monkeypatch):
+        qq = functools.reduce(operator.mul, (self._t(*f) for f in factors))
+        lifted, trials = [], []
+        lifted_factors, zdivmod = covers._lifted_factors, covers._zdivmod
+
+        def recording_lift(*args):
+            out = lifted_factors(*args)
+            lifted.append(out[0])
+            return out
+
+        def recording_trial(a, b):
+            q, r = zdivmod(a, b)
+            trials.append((len(b) - 1, any(r)))
+            return q, r
+
+        def refuse(*args):
+            raise AssertionError("Poly.divmod on the factoring path")
+
+        with monkeypatch.context() as m:
+            m.setattr(covers, "_lifted_factors", recording_lift)
+            m.setattr(covers, "_zdivmod", recording_trial)
+            m.setattr(Poly, "divmod", refuse)
+            got = _factor_over_quadratic_field(qq, d)
+        assert all(len(g) == 2 for g in lifted[0])
+        assert any(deg >= 2 and not failed for deg, failed in trials)
+        assert any(failed for _, failed in trials)
+        assert sorted(got, key=repr) == sorted(_sympy_factors(qq, d), key=repr)
+        over_q = [g.a * g.a - (g.b * g.b).scale(d) if g.b else g.a
+                  for i, g in enumerate(got) if i <= got.index(g.conjugate())]
+        assert sorted(over_q, key=repr) == sorted(_sympy_factors_q(qq), key=repr)
 
     def test_split_needs_the_full_lift(self):
         # (t + 53)^2 - 16*162 = (t + 53 - 4 sqrt 162)(t + 53 + 4 sqrt 162),

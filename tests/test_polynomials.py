@@ -166,6 +166,28 @@ class TestPoly:
         assert Poly.x() ** 5 == Poly((0, 0, 0, 0, 0, 1))
         assert len(calls) == 3
 
+    def test_arithmetic_runs_on_the_integer_kernels(self, monkeypatch):
+        # a product of non-constant Polys is one _mul, a sum or difference
+        # one _add and a division one _zdivmod: Z[x] arithmetic written once
+        calls = []
+
+        def counting(name, kernel):
+            def run(*args):
+                calls.append(name)
+                return kernel(*args)
+            return run
+
+        for name in ("_mul", "_add", "_zdivmod"):
+            monkeypatch.setattr(polynomials, name, counting(name, getattr(polynomials, name)))
+        a, b = Poly((1, Fraction(1, 2))), Poly((Fraction(-1, 3), 0, 2))
+        assert a * b == Poly((Fraction(-1, 3), Fraction(-1, 6), 2, 1)) and calls == ["_mul"]
+        calls.clear()
+        assert a - b == Poly((Fraction(4, 3), Fraction(1, 2), -2)) and calls == ["_add"]
+        calls.clear()
+        assert a + b == Poly((Fraction(2, 3), Fraction(1, 2), 2)) and calls == ["_add"]
+        calls.clear()
+        assert b.divmod(a) == (Poly((-8, 4)), Poly((Fraction(23, 3),))) and calls == ["_zdivmod"]
+
     def test_squarefree_predicate(self):
         assert Poly((-1, 0, 1)).is_squarefree()
         assert not (Poly((0, 1)) * Poly((0, 1))).is_squarefree()
@@ -219,6 +241,9 @@ coeff_lists = st.lists(big_rationals, max_size=7).map(ref)
 divisors = coeff_lists.filter(bool)
 # non-monic divisors with fractional coefficients, the leading one negative
 FRACTIONAL = (Fraction(1, 3), Fraction(-2, 5), Fraction(-5, 6))
+# a divisor with a 40-bit leading coefficient, and a multiple of it
+WIDE = ref((3, -1, 2 ** 40 + 15))
+WIDE_MULTIPLE = ref_mul((Fraction(1, 2), -2, 5), WIDE)
 
 
 class TestPolyIntegerCore:
@@ -239,6 +264,10 @@ class TestPolyIntegerCore:
     @settings(max_examples=150, deadline=None)
     @given(coeff_lists, divisors)
     @example((1, 2, 3, 4), FRACTIONAL)
+    @example((1, 2, 3, 4), ref((6, -12, -18)))     # content 6, leading coefficient < 0
+    @example(WIDE_MULTIPLE, WIDE)                  # exact, by a 40-bit leading coefficient
+    @example((1, Fraction(2, 3)), FRACTIONAL)      # deg a < deg b
+    @example((), FRACTIONAL)                       # a zero dividend
     def test_divmod_by_non_monic_divisors(self, a, b):
         q, r = Poly(a).divmod(Poly(b))
         assert_canonical(q)
