@@ -6,9 +6,11 @@ t^(n-1), taken on integers: with denominators cleared, s_a and u are packed
 at one Kronecker point x = 2^k and the Bareiss kernel of polynomials.py
 gives the determinant there over Z, which unpacks exactly.  The
 multiplicativity, pullback, reduced and multiplicity laws are shipped as
-executable checks, together with a resultant cross-validation, the
-subresultant sequence on integer rows, which shares none of that route's
-code.
+executable checks.  The cross-check N = Res_t(s_a, U), which shares none of
+that route's code, is proved at one point: with A = D_a s_a and B = D_b U
+over Z, N D_a^(deg U) D_b^n - Res_t(A, B) is below N's part plus the Sylvester
+permanent ||A||_1^(deg U) ||B||_1^n, and at x = 2^k with 2^(k-1) above that,
+where lc_t(A) = D_a and lc_t(B) do not vanish, it is 0 iff its value is.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 from math import lcm, prod
 
 from .polynomials import (
-    Poly, TPoly, _bareiss, _pack, _poly, _unpack, _width, as_fraction, pseudo_remainder,
-    resultant)
+    Poly, TPoly, _bareiss, _pack, _poly, _rows, _subresultant, _unpack, _width, as_fraction,
+    horner, pseudo_remainder)
 
 
 class ParentMismatch(ValueError):
@@ -142,14 +144,32 @@ def norm_element(s_a: SpectralPoly, u: AlgebraElement) -> Poly:
     return _poly(_unpack(_bareiss(_columns(s_k, u_k))[1], k), (e * den ** (n - 1)) ** n)
 
 
-def norm_resultant_oracle(s_a: SpectralPoly, u: AlgebraElement) -> Poly:
-    """Independent route: for monic s_a, det(mu_u) equals Res_t(s_a, U)
-    where U is any t-polynomial representing u.  Computed by the
-    subresultant pseudo-remainder sequence on integer rows over Z[x]
-    (polynomials.resultant), each operand cleared of denominators by its own
-    lcm: no t -> t/D scaling, no Kronecker packing, no multiplication matrix
-    and no Bareiss determinant or 2-adic division of the main route."""
-    return resultant(s_a.as_tpoly(), u.as_tpoly())
+def _resultant_at(ra: list, rb: list, part: int = 0, den: int = 1) -> tuple[int, int]:
+    """(x, Res_t(ra, rb) at x) on integer rows, ra's top row a nonzero constant,
+    rb nonzero, x = 2^k with 2^(k-1) above part + den ||ra||_1^deg rb ||rb||_1^deg ra:
+    lc(rb), below that permanent, does not vanish at x, so the value is exact."""
+    size = lambda rows: sum(abs(c) for row in rows for c in row)
+    bound = part + den * size(ra) ** (len(rb) - 1) * size(rb) ** (len(ra) - 1)
+    x = 1 << (bound.bit_length() + 1)
+    at = lambda rows: [[v] if (v := horner(row, x, 0)) else [] for row in rows]
+    res = _subresultant(at(ra), at(rb))
+    return x, res[0] if res else 0
+
+
+def norm_resultant_oracle(s_a: SpectralPoly, u: AlgebraElement, norm: Poly) -> bool:
+    """Whether norm = Res_t(s_a, U) = det(mu_u), U the t-polynomial of u: with
+    s_a = A / D_a and U = B / D_b on integer rows, P = norm.ints D_a^m D_b^n -
+    norm.denom Res_t(A, B), m = deg U, has coefficients below N's part plus
+    norm.denom times the permanent, so P(x) = 0 iff P = 0 at _resultant_at's x:
+    P(x)'s balanced base-x digits are P's coefficients.  A zero U has norm 0,
+    and for a U constant in t the sequence takes no step and gives U^n."""
+    coords = u.as_tpoly().coeffs
+    if not coords:
+        return not norm.ints
+    (ra, da), (rb, db) = _rows(s_a.as_tpoly().coeffs), _rows(coords)
+    scale = da ** (len(rb) - 1) * db ** s_a.n
+    x, res = _resultant_at(ra, rb, sum(map(abs, norm.ints)) * scale, norm.denom)
+    return horner(norm.ints, x, 0) * scale == norm.denom * res
 
 
 def norm_multiplicativity_check(s_a: SpectralPoly, u: AlgebraElement,
@@ -174,8 +194,8 @@ def norm_power_law(p: SpectralPoly, m: int, u: AlgebraElement) -> bool:
 
 
 def factors_coprime(s_b: SpectralPoly, s_c: SpectralPoly) -> bool:
-    """Coprimality over Q(x), decided by the resultant."""
-    return not resultant(s_b.as_tpoly(), s_c.as_tpoly()).is_zero()
+    """Coprimality over Q(x): Res_t(s_b, s_c) is not 0 at _resultant_at's point."""
+    return _resultant_at(*(_rows(s.as_tpoly().coeffs)[0] for s in (s_b, s_c)))[1] != 0
 
 
 def norm_component_law(s_b: SpectralPoly, s_c: SpectralPoly,

@@ -247,8 +247,24 @@ MUTANTS = [
      ["tests/test_abelian.py"]),
     # -- norms: the oracle stands apart from the main route ----------------------
     ("resultant oracle answers by the main route", "norms.py",
-     "    return resultant(s_a.as_tpoly(), u.as_tpoly())\n",
-     "    return norm_element(s_a, u)\n",
+     "    coords = u.as_tpoly().coeffs\n",
+     "    return norm == norm_element(s_a, u)\n    coords = u.as_tpoly().coeffs\n",
+     ["tests/test_norms.py"]),
+    ("oracle's bound without N's part", "norms.py",
+     "sum(map(abs, norm.ints)) * scale, norm.denom)",
+     "0, norm.denom)",
+     ["tests/test_norms.py"]),
+    ("oracle's bound without the Sylvester permanent", "norms.py",
+     "    bound = part + den * size(ra) ** (len(rb) - 1) * size(rb) ** (len(ra) - 1)\n",
+     "    bound = part\n",
+     ["tests/test_norms.py"]),
+    ("oracle's point at 2^(k-2), not above the bound", "norms.py",
+     "x = 1 << (bound.bit_length() + 1)",
+     "x = 1 << (bound.bit_length() - 1)",
+     ["tests/test_norms.py"]),
+    ("factors_coprime at x = 2, below the bound", "norms.py",
+     "for s in (s_b, s_c)))[1] != 0",
+     "for s in (s_b, s_c)), 0, 0)[1] != 0",
      ["tests/test_norms.py"]),
     # -- polynomials: the squarefree certificate and integer lists mod m --------
     ("squarefree certificate taken at a prime dividing the leading numerator",

@@ -232,7 +232,7 @@ def test_5_norm_laws():
         for _ in range(50):
             s = parent()
             u = random_element(rng, s)
-            assert norm_element(s, u) == norm_resultant_oracle(s, u)
+            assert norm_resultant_oracle(s, u, norm_element(s, u))
 
     _run(5, "norm laws and resultant cross-check", 60.0, body)
 
@@ -316,7 +316,7 @@ def test_9_stall_regimes():
         rng = random.Random(9)
         s = SpectralPoly(5, 2, tuple(_exact_poly(rng, 2 * j) for j in range(1, 6)))
         u = AlgebraElement(s, tuple(_exact_poly(rng, 3) for _ in range(5)))
-        assert norm_element(s, u) == norm_resultant_oracle(s, u)
+        assert norm_resultant_oracle(s, u, norm_element(s, u))
 
         cover = DoubleCoverData(random_squarefree(rng))
         h = cover.half_degree

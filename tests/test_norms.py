@@ -12,6 +12,7 @@ from prymkit.norms import (
     AlgebraElement,
     ParentMismatch,
     SpectralPoly,
+    factors_coprime,
     mul_matrix,
     norm_component_law,
     norm_element,
@@ -22,7 +23,7 @@ from prymkit.norms import (
     spectral_mul,
     spectral_pow,
 )
-from prymkit.polynomials import Poly, TPoly
+from prymkit.polynomials import Poly, TPoly, resultant
 from prymkit.verify import random_element, random_poly, random_spectral
 
 X = Poly.x()
@@ -36,6 +37,12 @@ def one(s: SpectralPoly) -> AlgebraElement:
 def t_of(s: SpectralPoly) -> AlgebraElement:
     """t in Q[x][t]/(s), reduced mod s: -a_1 when n = 1."""
     return s.element_from_tpoly(TPoly((Poly.zero(), Poly.one()), Poly.zero()))
+
+
+def rational_poly(rng: random.Random, deg: int) -> Poly:
+    """A degree-deg Poly whose top coefficient, odd over even, is never an integer."""
+    return Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)]
+                + [Fraction(2 * rng.randint(-4, 4) + 1, rng.choice((2, 4, 6)))])
 
 
 def naive_det(m):
@@ -199,30 +206,23 @@ class TestNormLaws:
         for _ in range(25):
             s = random_spectral(rng)
             u = random_element(rng, s)
-            assert norm_element(s, u) == norm_resultant_oracle(s, u)
-
+            assert norm_resultant_oracle(s, u, norm_element(s, u))
 
     def test_resultant_oracle_with_denominators(self):
         # rational s_a and u: t is scaled by the lcm D of s_a's denominators
         # and u by E and powers of D before the integer determinant
         rng = random.Random(31)
-
-        def rational_poly(deg):
-            # the top coefficient, odd over even, is never an integer
-            return Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-                         for _ in range(deg)]
-                        + [Fraction(2 * rng.randint(-4, 4) + 1, rng.choice((2, 4, 6)))])
-
         for n in (1, 2, 3, 4, 5):
             for _ in range(4):
-                s = SpectralPoly(n, 1, tuple(rational_poly(j) for j in range(1, n + 1)))
-                u = AlgebraElement(s, tuple(rational_poly(1 if n > 3 else 2) for _ in range(n)))
-                assert norm_element(s, u) == norm_resultant_oracle(s, u)
+                s = SpectralPoly(n, 1, tuple(rational_poly(rng, j) for j in range(1, n + 1)))
+                u = AlgebraElement(s, tuple(rational_poly(rng, 1 if n > 3 else 2)
+                                            for _ in range(n)))
+                assert norm_resultant_oracle(s, u, norm_element(s, u))
 
     def test_resultant_oracle_shares_no_code_with_the_main_route(self, monkeypatch):
         # with the Bareiss kernel (under both of its names), the matrix
         # columns, the Kronecker packing and the 2-adic division each made
-        # to raise, the oracle still gives the main route's norm, which no
+        # to raise, the oracle still accepts the main route's norm, which no
         # longer runs
         rng = random.Random(37)
         cases = [(s, random_element(rng, s, 3)) for s in (
@@ -241,7 +241,7 @@ class TestNormLaws:
                                              "_divexact"])):
             for name in names:
                 monkeypatch.setattr(module, name, refuse)
-        assert [norm_resultant_oracle(s, u) for s, u in cases] == want
+        assert all(norm_resultant_oracle(s, u, w) for (s, u), w in zip(cases, want))
         with pytest.raises(AssertionError, match="main route"):
             norm_element(*cases[-1])
 
@@ -253,6 +253,86 @@ class TestNormLaws:
             assert norm_element(s, one(s).scale(2)) == Poly.constant(2 ** n)
             assert poly_matrix_det([[Poly.constant(2) if i == j else Poly.zero()
                                      for j in range(n)] for i in range(n)]) == 2 ** n
+
+
+class TestResultantCheck:
+    """norm_resultant_oracle decides N = Res_t(s_a, U) at one point 2^k,
+    and factors_coprime decides Res_t(s_b, s_c) != 0 at that point."""
+
+    def cases(self):
+        """(s_a, u) pairs with integer and with rational coefficients."""
+        rng = random.Random(41)
+        out = [(s, random_element(rng, s)) for s in (random_spectral(rng) for _ in range(8))]
+        for n in (1, 2, 3, 4):
+            s = SpectralPoly(n, 1, tuple(rational_poly(rng, j) for j in range(1, n + 1)))
+            out.append((s, AlgebraElement(s, tuple(rational_poly(rng, 2)
+                                                   for _ in range(n)))))
+        return out
+
+    def test_off_by_one_norms_rejected(self):
+        for s, u in self.cases():
+            norm = norm_element(s, u)
+            assert norm_resultant_oracle(s, u, norm)
+            top = Poly([0] * max(norm.degree, 0) + [1])
+            assert not norm_resultant_oracle(s, u, norm + Poly.one())
+            assert not norm_resultant_oracle(s, u, norm + top)
+
+    def test_a_wrong_norm_vanishing_at_a_power_of_two_rejected(self):
+        # N + x - 2^j agrees with N at x = 2^j only: the point must sit above
+        # N's own coefficients as well as the resultant's
+        for s, u in self.cases()[::3]:
+            norm = norm_element(s, u)
+            for j in range(1, 160):
+                assert not norm_resultant_oracle(s, u, norm + X - Poly.constant(2 ** j))
+
+    def test_zero_element(self):
+        rng = random.Random(43)
+        for s in (random_spectral(rng) for _ in range(5)):
+            zero = AlgebraElement(s, (Poly.zero(),) * s.n)
+            assert norm_element(s, zero) == Poly.zero()
+            assert norm_resultant_oracle(s, zero, Poly.zero())
+            assert not norm_resultant_oracle(s, zero, Poly.one())
+            assert not norm_resultant_oracle(s, zero, X)
+
+    def test_element_constant_in_t(self):
+        s = SpectralPoly(3, 1, (Poly([Fraction(1, 2)]), Poly([0, Fraction(-1, 3)]), Poly.zero()))
+        for j in range(1, 80):
+            c = (X - Poly.constant(2 ** j)).scale(Fraction(1, 7))
+            u = AlgebraElement(s, (c, Poly.zero(), Poly.zero()))
+            assert norm_element(s, u) == c ** 3
+            assert norm_resultant_oracle(s, u, c ** 3)
+            assert not norm_resultant_oracle(s, u, c ** 3 + Poly.one())
+            # N = 0 against a nonzero U that vanishes at x = 2^j
+            assert not norm_resultant_oracle(s, u, Poly.zero())
+
+    def test_zero_norm_against_a_nonzero_element(self):
+        for s, u in self.cases():
+            assert norm_resultant_oracle(s, u, Poly.zero()) == norm_element(s, u).is_zero()
+        s = SpectralPoly(2, 1, (Poly.zero(), -X))                      # t^2 - x
+        for j in range(1, 80):                                          # U = t - 2^j
+            u = AlgebraElement(s, (Poly.constant(-2 ** j), Poly.one()))
+            assert not norm_resultant_oracle(s, u, Poly.zero())
+
+    def test_factors_coprime_agrees_with_the_resultant(self):
+        rng = random.Random(47)
+        pairs = [(random_spectral(rng, 3), random_spectral(rng, 3)) for _ in range(30)]
+        pairs += [(SpectralPoly(n, 1, tuple(rational_poly(rng, j) for j in range(1, n + 1))),
+                   SpectralPoly(m, 1, tuple(rational_poly(rng, j) for j in range(1, m + 1))))
+                  for n, m in ((1, 2), (2, 2), (3, 1), (2, 3))]
+        # a shared factor b, with and without denominators
+        pairs += [(spectral_mul(b, c), spectral_mul(b, d))
+                  for (b, c), (d, _) in zip(pairs[::3], pairs[1::3])]
+        verdicts = [factors_coprime(b, c) for b, c in pairs]
+        assert verdicts == [not resultant(b.as_tpoly(), c.as_tpoly()).is_zero()
+                            for b, c in pairs]
+        assert verdicts.count(False) >= 12
+
+    def test_factors_coprime_above_every_small_point(self):
+        # Res_t(t - x, t - 2^j) = 2^j - x vanishes at x = 2^j alone
+        b = SpectralPoly(1, 1, (-X,))
+        assert not factors_coprime(b, b)
+        for j in range(1, 160):
+            assert factors_coprime(b, SpectralPoly(1, 1, (Poly.constant(-2 ** j),)))
 
 
 class TestQuasiFree:
