@@ -8,20 +8,15 @@ t-polynomials over Q[x] and d is f as a constant t-polynomial, so the
 product with the conjugate P - y*Q is P^2 - f*Q^2.  The same type over
 Q[t], A + sqrt(d0)*B, is a factor of q(x0, t) over the field Q(sqrt(d0)),
 d0 = f(x0), at a point x0; Surd.norm is a^2 - d*b^2, the pushforward and
-the splitter's certificate.  The splitter finds those factors from one lift
-of q(x0)'s factors mod a prime split in the field (linear ones as roots,
-by Newton's iteration, the rest by one Hensel tree; Zassenhaus over Q, then
-each even Q-factor split from its own lifted factors), and lifts a half
-A + sqrt(d0)*B in z = x - x0 to the witness's own series P, Q with P^2 -
+the splitter's certificate.  The splitter takes those factors from
+factoring.py, whose None is its one squarefree test of q(x0), and lifts a
+half A + sqrt(d0)*B in z = x - x0 to the witness's series P, Q with P^2 -
 f(x0 + z)*Q^2 = q(x0 + z), to a precision set by the block's own slope max
-ceil(deg c_i / (n - i)): on integer rows, through one fraction-free inverse
-of the lift's operator per candidate.  x0 is an integer, so specialising and
-shifting (a Taylor shift) at x0 run on integer numerators.
-Poly.is_squarefree, certified mod a small prime before any gcd over Z,
-tests f and q(x0); the l-adic factoring shares that certificate, its gcd
-mod p (no cofactor built) and the integer-list helpers in polynomials.py.
-Each answer is proved once, by Yun's certificate and W.norm() == q per
-block; re-multiplying blocks and re-pushing a witness are verify's checks.
+ceil(deg c_i / (n - i)), on integer rows, through one fraction-free inverse
+of the lift's operator per candidate.  x0 is an integer, so specialising
+and shifting (a Taylor shift) at x0 run on integer numerators.  Each answer
+is proved once, by Yun's certificate and W.norm() == q per block;
+re-multiplying blocks and re-pushing a witness are verify's checks.
 """
 
 from __future__ import annotations
@@ -30,15 +25,13 @@ import functools
 import itertools
 import math
 import operator
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .norms import SpectralPoly, spectral_mul, spectral_pow
 from .polynomials import (
-    Poly, TPoly, _add, _bareiss, _divmod, _gcd_mod, _mod, _mul, _poly, _rows, _squarefree_mod,
-    _zdivmod, horner, power, yun_squarefree)
+    Poly, TPoly, _add, _bareiss, _mul, _poly, _rows, horner, power, yun_squarefree)
 
 
 @dataclass(frozen=True)
@@ -187,12 +180,12 @@ def pullback_splits(cover: DoubleCoverData,
     profile of s_a: [(s_a, 1)] when s_a(x0, t) is squarefree at the first
     good point x0 (_good_points), which certifies that s_a, monic in t,
     has disc_t(s_a)(x0) != 0 and so is squarefree over Q(x); otherwise
-    Yun's decomposition over Q(x) (yun_squarefree).  Each squarefree
-    block is split over K at x0 for a certified s_a, else at its first good
-    point where it stays squarefree, factoring over the resulting quadratic
-    number field and Hensel-lifting each candidate half back to a
-    polynomial witness; a block with no witness contributes half its even
-    multiplicity y-free, and an odd one there rules out any witness.
+    Yun's decomposition over Q(x) (yun_squarefree).  A block of even degree
+    is split over K from its factors at x0 for a certified s_a, else at its
+    first good point where it stays squarefree, each candidate half
+    Hensel-lifted back to a polynomial witness; an odd-degree one has no
+    witness, and no point is sought for it.  A block with no witness gives
+    half its even multiplicity y-free; an odd one rules out any witness.
     The witness is the product W of the blocks' W_q, read back and not
     pushed forward: W_q * conj(W_q) = q was checked exactly (or W_q is a
     y-free q^(e/2)), and Yun's certificate proves prod q^e = s_a.
@@ -209,13 +202,13 @@ def pullback_splits(cover: DoubleCoverData,
         raise ValueError("pullback splitting needs even degree in t")
     m = s_a.n // 2
     s = s_a.as_tpoly()
-    point = next(_good_points(cover.f, s))
-    certified = point[2].is_squarefree()
+    points = _good_points(cover.f, s)
+    first = next(points)
+    certified = first[2] is not None
     acc = None
     for q, e in [(s, 1)] if certified else yun_squarefree(s):
-        if not certified:
-            point = next(p for p in _good_points(cover.f, q) if p[2].is_squarefree())
-        w = _split_squarefree_block(cover, q, point)
+        w = None if q.degree % 2 else _split_squarefree_block(
+            cover, q, itertools.chain([first], points) if certified else _good_points(cover.f, q))
         if w is None:
             if e % 2 != 0:
                 return None
@@ -237,8 +230,10 @@ def _is_square(q: Fraction) -> bool:
 
 
 def _good_points(f: Poly, q: TPoly):
-    """(x0, f(x0), q(x0, t)) at the good points x0 in the order 0, -1, 1,
-    -2, ...: those where f(x0) is a nonzero non-square, x0 an integer.
+    """(x0, f(x0), factors) at the good points x0 in the order 0, -1, 1,
+    -2, ...: those where f(x0) is a nonzero non-square, x0 an integer;
+    factors is factoring's for q(x0, t) over Q(sqrt(f(x0))), None where q(x0)
+    is not squarefree (imported here, so only the splitter loads factoring).
 
     Infinitely many, so a search for one where a squarefree q stays
     squarefree ends: q(x0) does at all x0 but the finitely many roots of
@@ -246,12 +241,15 @@ def _good_points(f: Poly, q: TPoly):
     F(x1) (Schur), and all but finitely many divide neither c nor Res(F, F')
     != 0 (f is squarefree).  Then p divides F(x) once at x1 or x1 + p, and
     at all x in its class mod p^2, where f(x) is a nonzero non-square."""
+    from .factoring import factor_over_quadratic_field
+
     rows, den = _rows(q.coeffs)
     for trial in itertools.count():
         x0 = (-1) ** trial * ((trial + 1) // 2)
         d0 = Fraction(horner(f.ints, x0, 0), f.denom)
         if d0 != 0 and not _is_square(d0):
-            yield x0, d0, _poly([horner(c, x0, 0) for c in rows], den)
+            yield x0, d0, factor_over_quadratic_field(
+                _poly([horner(c, x0, 0) for c in rows], den), d0)
 
 
 def _poly_shift(p: Poly, a: int) -> Poly:
@@ -330,224 +328,39 @@ def _x_adic_lift(s: list[Poly], a: Poly, b: Poly, F) -> tuple[list, list]:
             [b] + [_poly(q, e) for q, e in zip(qs[1:], es[1:])])
 
 
-# -- factoring over Q and over Q(sqrt(d)), on integer polynomials mod m
-# (the list helpers of polynomials.py)
+def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, points) -> Optional[Surd]:
+    """Witness for a squarefree monic block of even degree: a function W =
+    P + y*Q on the double cover, P monic in t, such that W * conj(W) = q, or
+    None when q has a factor that stays irreducible over the cover's
+    function field (which blocks any such factorization).
 
-
-def _prod(fs: list, m: int) -> list:
-    return functools.reduce(lambda acc, g: _mod(_mul(acc, g), m), fs, [1])
-
-
-def _powmod(a: list, k: int, f: list, p: int) -> list:
-    """a^k mod (f, p), f monic, for k >= 1 and a reduced with deg a < deg f:
-    per bit of k below the top, a square, a product by a if set, each reduced
-    mod f in place, building no quotient: 1.14-1.26x faster than _divmod's
-    remainder on the 1,694 calls of the galois corpus (Python 3.11.7)."""
-    n, h = len(f) - 1, a
-    for bit in bin(k)[3:]:
-        for x in (h, a) if bit == "1" else (h,):   # h*h, then h*a
-            r = _mul(h, x)
-            for i in range(len(r) - 1, n - 1, -1):
-                c = r[i] % p
-                if c:
-                    for j in range(n):
-                        r[i - n + j] -= c * f[j]
-            h = _mod(r[:n], p)
-    return h
-
-
-def _factor_mod(f: list, p: int) -> list:
-    """The monic irreducible factors of f, monic and squarefree mod the odd
-    prime p: those of degree i make up g = gcd(f, t^(p^i) - t) once smaller
-    degrees are divided out, and g splits by gcd(g, a^((p^i - 1)/2) - 1) for
-    random a seeded from f, by gcds with no cofactor (MCA Algs. 14.3, 14.8)."""
-    out, h, i, rng = [], [0, 1], 0, random.Random(hash(tuple(f)))
-    while len(f) > 2 * i + 2:
-        i += 1
-        h = _powmod(h, p, f, p)
-        g = _gcd_mod(f, _add(h, [0, 1], -1), p)[0]
-        f, todo = _divmod(f, g, p)[0], [g] * (len(g) > 1)
-        h = _divmod(h, f, p)[1]
-        while todo:
-            g = todo.pop()
-            if len(g) == i + 1:
-                out.append(g)
-                continue
-            a = [rng.randrange(p) for _ in g[1:]]
-            b = _gcd_mod(g, _add(_powmod(a, (p ** i - 1) // 2, g, p), [1], -1), p)[0]
-            todo += [b, _divmod(g, b, p)[0]] if 1 < len(b) < len(g) else [g]
-    return out + [f] * (len(f) > 1)
-
-
-def _hensel(f: list, fs: list, p: int, m: int) -> list:
-    """The monic factors of f mod m = p^(2^j) that are fs mod p, for f monic
-    and fs pairwise coprime with product f mod p: a factor tree (MCA §15.5)
-    of quadratic Hensel steps (MCA Alg. 15.10) on g*h = f and s*g + t*h = 1,
-    s and t rebuilt from _gcd_mod's quotients (MCA §3.2); _lifted_factors
-    gives it the factors of degree 2 and more."""
-    if len(fs) < 2:
-        return [_mod(f, m)] * len(fs)
-    k = len(fs) // 2
-    g, h = _prod(fs[:k], p), _prod(fs[k:], p)
-    t0, t = [], [1]
-    for c in _gcd_mod(g, h, p)[1]:      # t_i*h = r_i mod g along Euclid's remainders
-        t0, t = t, _mod(_add(t0, _mul(c, t), -1), p)
-    c, r = _divmod(_mul(t0, h), g, p)   # t0*h = c*g + r, r the last remainder, a unit
-    u = pow(r[0], -1, p)
-    q, s, t = p, [-x * u % p for x in c], [x * u % p for x in t0]
-    while q < m:
-        q *= q
-        e = _mod(_add(f, _mul(g, h), -1), q)
-        c, r = _divmod(_mul(s, e), h, q)
-        g, h = _mod(_add(g, _add(_mul(t, e), _mul(c, g))), q), _mod(_add(h, r), q)
-        if q >= m:
-            break   # s and t are read only by a further step
-        b = _mod(_add(_add(_mul(s, g), _mul(t, h)), [1], -1), q)
-        c, r = _divmod(_mul(s, b), h, q)
-        s, t = _mod(_add(s, r, -1), q), _mod(_add(t, _add(_mul(t, b), _mul(c, g)), -1), q)
-    return _hensel(g, fs[:k], p, m) + _hensel(h, fs[k:], p, m)
-
-
-def _newton_root(f: list, x: int, p: int, m: int) -> int:
-    """The root of f mod m = p^(2^j) that is x mod p, a simple root of f mod
-    p: x <- x - f(x)/f'(x) mod p^2, p^4, ..., m (Newton's iteration, MCA
-    §9.4), f(x) and f'(x) from one Horner pass."""
-    q = p
-    while q < m:
-        q, v, d = q * q, 0, 0
-        for c in reversed(f):
-            v, d = (v * x + c) % q, (d * x + v) % q
-        x = (x - v * pow(d, -1, q)) % q
-    return x
-
-
-def _lifted_factors(f: list, bound: int, e: int) -> tuple[list, int, int]:
-    """(fs, m, r): for the first odd prime l prime to e with e a square mod
-    l, lc(f) a unit and f squarefree mod l, fs are f's monic factors mod m,
-    the first l^(2^j) > bound, in _factor_mod's order, and r^2 = e mod m.
-    Primes failing the last two tests divide Res(f, f'), which is below
-    ((n + 1) max|f_i|)^(2n), so more of them prove it zero (ValueError).
-    r and x for each factor t - x mod l are lifted by _newton_root, the rest
-    by one Hensel tree from f / prod (t - x), an exact division mod m."""
-    bad = 2 * len(f) * (len(f) * max(map(abs, f))).bit_length()
-    for p in (p for p in itertools.count(3, 2)
-              if all(p % k for k in range(3, math.isqrt(p) + 1, 2))
-              and e % p and pow(e, p // 2, p) == 1):
-        if _squarefree_mod(f, p):
-            break
-        if (bad := bad - 1) < 0:
-            raise ValueError("cannot factor a polynomial that is not squarefree")
-    m, r = p, next(r for r in range(p) if (r * r - e) % p == 0)
-    while m <= bound:
-        m *= m
-    r = _newton_root([-e, 0, 1], r, p, m)
-    monic = _mod([c * pow(f[-1], -1, m) for c in f], m)
-    fs = _factor_mod(_mod(monic, p), p)
-    lin = {i: [-_newton_root(monic, -g[0], p, m) % m, 1] for i, g in enumerate(fs) if len(g) == 2}
-    rest, rem = _divmod(monic, _prod(lin.values(), m), m)
-    if rem:
-        raise ArithmeticError("a lifted root is not a root mod m")
-    lifted = iter(_hensel(rest, [g for g in fs if len(g) > 2], p, m))
-    return [lin[i] if i in lin else next(lifted) for i in range(len(fs))], m, r
-
-
-def _factor_over_quadratic_field(qq: Poly, d: Fraction) -> list[Surd]:
-    """Monic irreducible factors A + sqrt(d)*B over K = Q(sqrt(d)), d not a
-    square, of a squarefree rational qq, as Surds over Q[t], sorted.
-
-    The primitive f = c*t^n + ... of qq is factored mod the first prime l
-    that splits in K (e = num(d)*den(d) = r^2 mod l) and keeps f squarefree,
-    and lifted once, mod l^M > 2^(n+1)*(||f||_2 + 1)*max(c, sqrt|e| + 1).  By
-    Gauss's lemma over the integers of K, c*G is integral for a monic factor
-    G of f over K, with coefficients at most 2^k*||f||_2 (Landau-Mignotte,
-    MCA §6.6).  So over Q (Zassenhaus, MCA Alg. 15.19) c times k lifted
-    factors, in the symmetric range, is a factor when its primitive part
-    divides f, tried only when its constant term divides c*f(0), as a
-    factor's does (Gauss's lemma).  A Q-factor P = G*conj(G), of even
-    degree 2k, splits over K (Belabas, van Hoeij, Kluners and Steel, JTNB
-    21, 2009) through its own lifted factors: sqrt(e) -> r embeds K in Q_l,
-    taking G = a + b*sqrt(e) and conj(G) to complementary products G1, G2,
-    so A = c*(G1 + G2) and B = c*r*(G1 - G2) are 2c*a and 2c*b*e (|B| <=
-    2^(k+1)*||f||_2*sqrt|e|, k <= n/2) in the symmetric range, and e*A^2 -
-    B^2 = 4e*c^2*P decides it exactly.  Only subsets with P's first lifted
-    factor are tried, as conj swaps G1 and G2."""
-    f = list(qq.monic().ints)
-    c, n, e = f[-1], len(f) - 1, d.numerator * d.denominator
-    bound = (2 ** (n + 1) * (math.isqrt(sum(x * x for x in f)) + 1) *
-             max(c, math.isqrt(abs(e)) + 1))
-    fs, m, r = _lifted_factors(f, bound, e)
-    over_q, left, k, rest = [], list(range(len(fs))), 1, f
-    while 2 * k <= len(left):
-        for sub in itertools.combinations(left, k):
-            g = _mod([rest[-1] * x for x in _prod([fs[i] for i in sub], m)], m, sym=True)
-            if g[0] and rest[-1] * rest[0] % g[0]:
-                continue    # g(0) divides lc(rest)*rest(0) if g is a factor
-            cg = math.gcd(*g)
-            quo, rem = _zdivmod(rest, [x // cg for x in g])
-            if not any(rem):    # the primitive g divides the primitive rest over Z
-                over_q.append((_poly(g, g[-1]), sub))
-                rest, left = quo, [i for i in left if i not in sub]
-                break
-        else:
-            k += 1
-    out = []
-    for p, sub in over_q + [(_poly(list(rest), rest[-1]), left)]:
-        picks = itertools.chain.from_iterable(
-            itertools.combinations(sub[1:], j) for j in range(len(sub)))
-        for pick in picks if p.degree % 2 == 0 else ():
-            if sum(len(fs[i]) - 1 for i in (sub[0],) + pick) != p.degree // 2:
-                continue
-            g1 = _prod([fs[i] for i in (sub[0],) + pick], m)
-            g2 = _prod([fs[i] for i in sub[1:] if i not in pick], m)
-            a = _poly(_mod([c * x for x in _add(g1, g2)], m, sym=True), 1)
-            b = _poly(_mod([c * r * x for x in _add(g1, g2, -1)], m, sym=True), 1)
-            if a * a * e - b * b == p.scale(4 * e * c * c):
-                h = Surd(a.scale(Fraction(1, 2 * c)), b.scale(Fraction(1, 2 * c * d.numerator)), d)
-                out += [h, h.conjugate()]
-                break
-        else:
-            out.append(Surd(p, Poly.zero(), d))
-    return sorted(out, key=lambda g: (g.a.degree, list(itertools.zip_longest(
-        g.a.coeffs, g.b.coeffs, fillvalue=Fraction(0)))))
-
-
-def _split_squarefree_block(cover: DoubleCoverData, q: TPoly, point) -> Optional[Surd]:
-    """Witness for a squarefree monic block: a function W = P + y*Q on the
-    double cover, P monic in t, such that W * conj(W) = q, or None when q
-    has a factor that stays irreducible over the cover's function field
-    (which blocks any such factorization).
-
-    Strategy: at point = (x0, f(x0), q(x0, t)), a good point (_good_points)
-    where q stays squarefree, factor q(x0) over K = Q(sqrt(f(x0))) with
-    _factor_over_quadratic_field (one l-adic lift, l split in K), each
-    factor a Surd A + sqrt(f(x0))*B over Q[t].  As q(x0) = W(x0) *
-    conj(W(x0)) is squarefree, a witness exists only if no factor is
-    self-conjugate, and W(x0) then takes one factor from each conjugate
-    pair; as W and conj(W) are interchangeable, it takes factor 0's partner,
-    and 2^(pairs - 1) halves remain, products of Surds.  Each is
-    Hensel-lifted against f(x0 + z), z = x - x0, to the series P, Q of the
-    witness's own parts (_x_adic_lift), once per candidate; W is read off
-    them exactly and certified by W.norm() = q.  Its degree is
-    bounded by q's own slope s = max ceil(deg c_i / (n - i)) over q = t^n +
-    sum c_i t^i: a root of q has pole order at most s (in units of that of
-    x), as its t^n term would otherwise outgrow the rest, so u_j and v_j
-    have degree at most j*s <= half*s, and half*s + 1 terms hold them.
-    q is monic in t, so a squarefree q(x0) means disc_t(q)(x0) != 0: q is
+    Strategy: points are q's good points (_good_points) from the first; at
+    the first, x0, where q stays squarefree, q(x0) comes factored over K =
+    Q(sqrt(f(x0))), each factor a Surd A + sqrt(f(x0))*B over Q[t].  As
+    q(x0) = W(x0) * conj(W(x0)) is squarefree, a witness exists only if no
+    factor is self-conjugate, and W(x0) then takes one factor from each
+    conjugate pair; as W and conj(W) are interchangeable, it takes factor
+    0's partner, and 2^(pairs - 1) halves remain, products of Surds.  Each
+    is Hensel-lifted against f(x0 + z), z = x - x0, to the series P, Q of
+    the witness's own parts (_x_adic_lift), once per candidate; W is read
+    off them exactly and certified by W.norm() = q.  Its degree is bounded
+    by q's own slope s = max ceil(deg c_i / (n - i)) over q = t^n + sum c_i
+    t^i: a root of q has pole order at most s (in units of that of x), as
+    its t^n term would otherwise outgrow the rest, so u_j and v_j have
+    degree at most j*s <= half*s, and half*s + 1 terms hold them.  q is
+    monic in t, so a squarefree q(x0) means disc_t(q)(x0) != 0: q is
     squarefree over Q(x).  As W is in Q[x][y][t], the self-conjugate test
     holds at every such point: with two or more pairs 3 more are tried before
     any lift (Hilbert irreducibility: few split every factor of a q with no W)."""
-    if q.degree % 2 != 0:
-        return None
     n, half, f = q.degree, q.degree // 2, cover.f
-    x0, d0, qq = point
+    squarefree = (p for p in points if p[2] is not None)
+    x0, _d0, factors = next(squarefree)
 
-    factors = _factor_over_quadratic_field(qq, d0)
     partner = [factors.index(g.conjugate()) for g in factors]
     if any(i == j for i, j in enumerate(partner)):
         return None
-    further = (p for p in _good_points(f, q) if p[0] != x0 and p[2].is_squarefree())
-    for _x1, d1, q1 in itertools.islice(further, 3 if len(factors) > 2 else 0):
-        if any(not g.b for g in _factor_over_quadratic_field(q1, d1)):
+    for _x1, _d1, further in itertools.islice(squarefree, 3 if len(factors) > 2 else 0):
+        if any(not g.b for g in further):
             return None
 
     slope = max([0] + [-(-c.degree // (n - i)) for i, c in enumerate(q.coeffs[:n])])

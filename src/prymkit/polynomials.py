@@ -11,31 +11,27 @@ and ``tpoly_to_poly_coeffs``.  By a monic divisor ``pseudo_remainder`` is
 the t-remainder.
 
 There is one gcd over Q, ``_igcd``, the heuristic gcd GCDHEU (Char, Geddes
-and Gonnet 1989) on integer numerators: under ``Poly.gcd``, the Q fallback of
-``Poly.is_squarefree`` and Yun's loop, run on integers at one Kronecker point
-x = 2^k (MCA section 8.4).
+and Gonnet 1989) on integer numerators: under ``Poly.gcd`` and so
+``Poly.is_squarefree``, factoring.py's squarefree decision and Yun's loop,
+run on integers at one Kronecker point x = 2^k (MCA section 8.4).
 
 Z[x] arithmetic is written once, on integer lists, so a faster kernel
 (a Kronecker product for large operands) goes in one place: ``_mul`` is the
 one product, ``_add`` the one sum, ``_zdivmod`` the one division over Z and
 ``_rows`` the one clearing of Polys over their lcm (but for a sum's pair,
-faster by hand).  Poly's *, + and -, its divmod (classic pseudo-division:
-one exact _zdivmod), ``_prem`` and covers.py's Zassenhaus trials and lift
-call them; apart stay ``_quo``, a faster exact quotient, and ``_divmod``,
-division in Z/m.  ``resultant`` and ``pseudo_remainder`` take
-t-polynomials with Poly coefficients and run on ``_rows``: row i is the
-integer list of the coefficient of t^i, products go through ``_mul`` and
-exact quotients through ``_quo``, and one Poly is built per coefficient of
-the result.  The subresultant sequence is exact over Z[x], so no rational
-function in x is formed.  ``horner`` and ``power`` serve any ring; they and
-TPoly arithmetic hand Poly mostly trivial operands: a zero, unit or
-constant one, told apart by its number of numerators, costs one scan of the
-other's, and a sum with the shared ``zero`` or a product or quotient by
-``one`` returns an operand itself; every zero that ``_poly`` builds is that
-shared ``zero``.
-``_bareiss``, beside the Kronecker packing, is the one fraction-free
-elimination over Z: the norm's and verify's determinants and the lift's
-inverse in covers.py; its large steps divide 2-adically by ``_divexact``.
+faster by hand), for Poly's *, + and - and divmod (classic pseudo-division),
+``_prem``, covers.py's lift and factoring.py; ``_quo`` is a faster exact
+quotient.  ``resultant`` and ``pseudo_remainder`` run on ``_rows`` (row i
+is the integer list of the coefficient of t^i), exactly over Z[x], and
+build one Poly per coefficient of the result.  ``horner`` and ``power``
+serve any ring; they and TPoly arithmetic hand Poly mostly trivial
+operands: a zero, unit or constant one, told apart by its number of
+numerators, costs one scan of the other's, and a sum with the shared
+``zero`` or a product or quotient by ``one`` returns an operand itself;
+every zero that ``_poly`` builds is that shared ``zero``.  ``_bareiss``,
+beside the Kronecker packing, is the one fraction-free elimination over Z:
+the norm's and verify's determinants and the lift's inverse in covers.py;
+its large steps divide 2-adically by ``_divexact``.
 """
 
 from __future__ import annotations
@@ -272,10 +268,8 @@ class Poly:
         return _poly(_deriv(self.ints), self.denom)
 
     def is_squarefree(self) -> bool:
-        """No repeated factor over Q: certified mod a prime p from 3 to 13
-        (_squarefree_mod), else by Poly.gcd(F, F') = 1 (GCL Thm 7.7; see _igcd)."""
-        return bool(self.ints) and (any(_squarefree_mod(self.ints, p) for p in (3, 5, 7, 11, 13))
-                                    or self.gcd(self.derivative()).degree <= 0)
+        """No repeated factor over Q: Poly.gcd(F, F') = 1 (GCL Thm 7.7; see _igcd)."""
+        return bool(self.ints) and self.gcd(self.derivative()).degree <= 0
 
     def __repr__(self):
         if self.is_zero():
@@ -336,9 +330,8 @@ def _times(p: Poly, n: int, d: int) -> Poly:
     return _poly([a * n for a in p.ints], p.denom * d)
 
 
-# -- integer polynomials as lists of ints, ascending: packed into one int at
-# x = 2^k (Kronecker substitution), and mod m for the squarefree test above
-# and covers.py, with no trailing zeros and, reduced, entries in [0, m)
+# -- integer polynomials as lists of ints, ascending, packed into one int at
+# x = 2^k (Kronecker substitution); factoring.py reduces them mod m
 
 
 def _width(bound: int) -> int:
@@ -432,14 +425,6 @@ def _deriv(a: Sequence) -> list:
     return [i * c for i, c in enumerate(a)][1:]
 
 
-def _mod(a: Sequence, m: int, sym: bool = False) -> list:
-    """a mod m, with entries in (-m/2, m/2] when sym."""
-    a = [c % m for c in a]
-    while a and not a[-1]:
-        a.pop()
-    return [c - m if 2 * c > m else c for c in a] if sym else a
-
-
 def _add(a: list, b: list, k: int = 1) -> list:
     """a + k*b, perhaps with trailing zeros."""
     out = list(a) + [0] * (len(b) - len(a))
@@ -495,38 +480,6 @@ def _igcd(a: Sequence, b: Sequence) -> tuple[list, list, list]:
         if not any(ra + rb):
             return [c * x for x in h], [ca // c * x for x in qa], [cb // c * x for x in qb]
         k *= 2
-
-
-def _divmod(a: list, b: list, m: int) -> tuple[list, list]:
-    """Quotient and remainder of a by b mod m, lc(b) a unit mod m.  a need
-    not be reduced; the quotient's entries are, but top entries of a that
-    vanish mod m leave zeros at its top.  Division in Z/m, not _zdivmod's Z."""
-    r, n, u = list(a), len(b) - 1, pow(b[-1], -1, m)
-    q = [0] * max(len(r) - n, 0)
-    for i in reversed(range(len(q))):
-        c = q[i] = r[i + n] * u % m
-        for j in range(n):
-            r[i + j] -= c * b[j]
-    return q, _mod(r[:n], m)
-
-
-def _gcd_mod(a: Sequence, b: Sequence, p: int) -> tuple[list, list]:
-    """(g, qs): g = gcd(a, b) mod the prime p, monic (or []), and the quotients
-    of Euclid's remainders r_(i+1) = r_(i-1) - q_i*r_i, left as they fall:
-    only g is made monic, and no cofactor is built (covers._hensel's is
-    rebuilt from qs)."""
-    r0, r1, qs = _mod(a, p), _mod(b, p), []
-    while r1:
-        q, r = _divmod(r0, r1, p)
-        qs.append(q)
-        r0, r1 = r1, r
-    return [c * pow(r0[-1], -1, p) % p for c in r0] if r0 else r0, qs
-
-
-def _squarefree_mod(f: Sequence, p: int) -> bool:
-    """f keeps its degree and gcd(f, f') = 1 mod the prime p, so disc(f) !=
-    0 mod p: f, nonzero, is squarefree."""
-    return bool(f[-1] % p) and len(_gcd_mod(f, _deriv(f), p)[0]) == 1
 
 
 class RatFunc:
@@ -761,9 +714,9 @@ def _ipow(a: list, e: int) -> list:
 
 def _quo(a: list, b: list) -> list:
     """a / b, an exact quotient: from the top down, updating only the entries
-    of a that later quotient entries read, none of the remainder's: 1.9x
-    _zdivmod's speed on the resultant's 3,863 quotients over the norm corpus
-    (Python 3.11.7, 2 cores), and 1.22x on the n = 16 norm oracle."""
+    of a that later quotient entries read, none of the remainder's.  A
+    one-entry b divides entrywise, the only branch norms' one-point check
+    takes, as its rows are integers; the loop serves ``resultant`` over Z[x]."""
     n, lb = len(b) - 1, b[-1]
     if not n:
         return a if lb == 1 else [x // lb for x in a]

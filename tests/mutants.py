@@ -266,19 +266,10 @@ MUTANTS = [
      "for s in (s_b, s_c)))[1] != 0",
      "for s in (s_b, s_c)), 0, 0)[1] != 0",
      ["tests/test_norms.py"]),
-    # -- polynomials: the squarefree certificate and integer lists mod m --------
-    ("squarefree certificate taken at a prime dividing the leading numerator",
-     "polynomials.py",
-     "return bool(f[-1] % p) and len(",
-     "return len(",
-     ["tests/test_polynomials.py"]),
-    ("gcd mod p without its final normalisation", "polynomials.py",
-     "    return [c * pow(r0[-1], -1, p) % p for c in r0] if r0 else r0, qs\n",
-     "    return r0, qs\n",
-     ["tests/test_polynomials.py"]),
-    ("no squarefree test over Q once every prime fails", "polynomials.py",
-     "or self.gcd(self.derivative()).degree <= 0)",
-     "or False)",
+    # -- polynomials: the squarefree test over Q -----------------------------------
+    ("is_squarefree without its gcd over Z", "polynomials.py",
+     "return bool(self.ints) and self.gcd(self.derivative()).degree <= 0",
+     "return bool(self.ints)",
      ["tests/test_polynomials.py"]),
     ("gcd over Q not made monic", "polynomials.py",
      "return _poly(g, g[-1]) if g else _ZERO",
@@ -298,10 +289,6 @@ MUTANTS = [
     ("gcd point 2^K above min norm + 2, not 2 * min norm + 2", "polynomials.py",
      "k = (2 * min(",
      "k = (min(",
-     ["tests/test_polynomials.py"]),
-    ("integer division mod m leaves its remainder unreduced", "polynomials.py",
-     "    return q, _mod(r[:n], m)\n",
-     "    return q, r[:n]\n",
      ["tests/test_polynomials.py"]),
     # -- covers: R[sqrt(d)] arithmetic -----------------------------------------
     ("Surd skips the different-covers check", "covers.py",
@@ -324,28 +311,21 @@ MUTANTS = [
      "for q, mult in yun_squarefree(s.as_tpoly())[:-1]))",
      ["tests/test_covers.py"]),
     # -- covers: the Galois splitter ---------------------------------------------
-    ("certify without the squarefree test at x0", "covers.py",
-     "certified = point[2].is_squarefree()",
-     "certified = True",
-     ["tests/test_covers.py"]),
     ("certify at the second good point", "covers.py",
-     "    point = next(_good_points(cover.f, s))\n",
-     "    points = _good_points(cover.f, s)\n"
-     "    point = next(points) and next(points)\n",
+     "    first = next(points)\n",
+     "    first = next(points) and next(points)\n",
      ["tests/test_covers.py"]),
     ("good points sought in a bounded window", "covers.py",
      "for trial in itertools.count():",
      "for trial in range(0, 40 * (q.degree + f.degree + 4)):",
      ["tests/test_covers.py"]),
-    ("no Yun fallback: s split whole at its first good point", "covers.py",
-     "    for q, e in [(s, 1)] if certified else yun_squarefree(s):\n"
-     "        if not certified:\n",
-     "    for q, e in [(s, 1)]:\n"
-     "        if False:\n",
+    ("Yun's blocks taken with multiplicity 1", "covers.py",
+     "else yun_squarefree(s):",
+     "else [(q, 1) for q, _ in yun_squarefree(s)]:",
      ["tests/test_covers.py"]),
-    ("Yun block split at its first good point, squarefree or not", "covers.py",
-     "for p in _good_points(cover.f, q) if p[2].is_squarefree()",
-     "for p in _good_points(cover.f, q)",
+    ("block split at its first good point, squarefree or not", "covers.py",
+     "squarefree = (p for p in points if p[2] is not None)",
+     "squarefree = iter(points)",
      ["tests/test_covers.py"]),
     ("x-adic lift drops the 2 of the operator 2*(a*P_k - F_0*b*Q_k)", "covers.py",
      "e = 2 * D * den",
@@ -392,8 +372,8 @@ MUTANTS = [
      "if False:",
      ["tests/test_covers.py"]),
     ("no further points before the candidate lifts", "covers.py",
-     "itertools.islice(further, 3 if len(factors) > 2 else 0)",
-     "itertools.islice(further, 0)",
+     "itertools.islice(squarefree, 3 if len(factors) > 2 else 0)",
+     "itertools.islice(squarefree, 0)",
      ["tests/test_covers.py"]),
     ("Taylor shift one pass short", "covers.py",
      "    for i in range(len(c) - 1):\n",
@@ -415,75 +395,101 @@ MUTANTS = [
      "if v and v.degree > j * self.deg_m - h:",
      "if v.degree > j * self.deg_m - h:",
      ["tests/test_covers.py"]),
-    # -- covers: factoring over Q and over Q(sqrt(d)) ---------------------------
-    ("no bad prime allowed before the squarefree one", "covers.py",
-     "    bad = 2 * len(f) * (len(f) * max(map(abs, f))).bit_length()\n",
-     "    bad = 0\n",
-     ["tests/test_covers.py"]),
-    ("recombination only over single factors", "covers.py",
+    # -- factoring: arithmetic mod m ----------------------------------------------
+    ("gcd mod p without its final normalisation", "factoring.py",
+     "    return [c * pow(r0[-1], -1, p) % p for c in r0] if r0 else r0, qs\n",
+     "    return r0, qs\n",
+     ["tests/test_polynomials.py"]),
+    ("integer division mod m leaves its remainder unreduced", "factoring.py",
+     "    return q, _mod(r[:n], m)\n",
+     "    return q, r[:n]\n",
+     ["tests/test_polynomials.py"]),
+    # -- factoring: the one squarefree decision at a point ------------------------
+    # a mutant that lets a non-squarefree f into the prime search loops
+    # forever, so the decision's rows run only tests whose inputs end it
+    ("squarefree test mod p taken at a prime dividing the leading numerator",
+     "factoring.py",
+     "return bool(f[-1] % p) and len(",
+     "return len(",
+     ["tests/test_covers.py::TestFactorOverQ::test_squarefree_past_failing_primes"]),
+    ("gcd fallback skipped: f factored at the first split prime, squarefree there or not",
+     "factoring.py",
+     "    if not _squarefree_mod(f, p):\n",
+     "    if False:\n",
+     ["tests/test_covers.py::TestFactorOverQ::test_not_squarefree_refused"]),
+    ("gcd fallback's verdict inverted", "factoring.py",
+     "if len(_igcd(f, _deriv(f))[0]) > 1:",
+     "if len(_igcd(f, _deriv(f))[0]) == 1:",
+     ["tests/test_covers.py::TestFactorOverQ::test_squarefree_past_failing_primes"]),
+    ("l accepted past a failing prime without the squarefree test mod l", "factoring.py",
+     "p = next(p for p in primes if _squarefree_mod(f, p))",
+     "p = next(primes)",
+     ["tests/test_covers.py::TestFactorOverQ::test_squarefree_past_failing_primes"]),
+    # -- factoring: over Q and over Q(sqrt(d)) -----------------------------------
+    ("recombination only over single factors", "factoring.py",
      "        else:\n            k += 1\n",
      "        else:\n            break\n",
      ["tests/test_covers.py"]),
-    ("the lift one squaring short", "covers.py",
+    ("the lift one squaring short", "factoring.py",
      "    while m <= bound:\n",
      "    while m * m <= bound:\n",
      ["tests/test_covers.py"]),
-    ("Hensel step without the s, t update", "covers.py",
+    ("Hensel step without the s, t update", "factoring.py",
      "        s, t = _mod(_add(s, r, -1), q), _mod(_add(t, _add(_mul(t, b), _mul(c, g)), -1), q)\n",
      "",
      ["tests/test_covers.py"]),
-    ("Hensel lift stops one step early", "covers.py",
+    ("Hensel lift stops one step early", "factoring.py",
      "        if q >= m:\n",
      "        if q * q >= m:\n",
      ["tests/test_covers.py"]),
-    ("prime chosen without the square test", "covers.py",
-     "and e % p and pow(e, p // 2, p) == 1):",
-     "and e % p):",
+    ("prime chosen without the square test", "factoring.py",
+     "and e % p and pow(e, p // 2, p) == 1)",
+     "and e % p)",
      ["tests/test_covers.py"]),
-    ("sqrt(e) not lifted past mod l", "covers.py",
+    ("sqrt(e) not lifted past mod l", "factoring.py",
      "    r = _newton_root([-e, 0, 1], r, p, m)\n",
      "",
      ["tests/test_covers.py"]),
-    ("Newton stops one modulus early", "covers.py",
+    ("Newton stops one modulus early", "factoring.py",
      "    q = p\n    while q < m:\n",
      "    q = p\n    while q * q < m:\n",
      ["tests/test_covers.py"]),
-    ("Newton step with f' replaced by 1", "covers.py",
+    ("Newton step with f' replaced by 1", "factoring.py",
      "x = (x - v * pow(d, -1, q)) % q",
      "x = (x - v) % q",
      ["tests/test_covers.py"]),
-    ("one root left out of the cofactor division", "covers.py",
+    ("one root left out of the cofactor division", "factoring.py",
      "_prod(lin.values(), m)",
      "_prod(list(lin.values())[1:], m)",
      ["tests/test_covers.py"]),
-    ("Hensel cofactors s, t not divided by the last remainder", "covers.py",
+    ("Hensel cofactors s, t not divided by the last remainder", "factoring.py",
      "    u = pow(r[0], -1, p)\n",
      "    u = 1\n",
      ["tests/test_covers.py"]),
-    ("bound without its max(c, isqrt|e| + 1) factor", "covers.py",
+    ("bound without its max(c, isqrt|e| + 1) factor", "factoring.py",
      "    bound = (2 ** (n + 1) * (math.isqrt(sum(x * x for x in f)) + 1) *\n"
      "             max(c, math.isqrt(abs(e)) + 1))\n",
      "    bound = 2 ** (n + 1) * (math.isqrt(sum(x * x for x in f)) + 1)\n",
      ["tests/test_covers.py"]),
-    ("c dropped from A and B", "covers.py",
+    ("c dropped from A and B", "factoring.py",
      "            a = _poly(_mod([c * x for x in _add(g1, g2)], m, sym=True), 1)\n"
      "            b = _poly(_mod([c * r * x for x in _add(g1, g2, -1)], m, sym=True), 1)\n",
      "            a = _poly(_mod(_add(g1, g2), m, sym=True), 1)\n"
      "            b = _poly(_mod([r * x for x in _add(g1, g2, -1)], m, sym=True), 1)\n",
      ["tests/test_covers.py"]),
-    ("Zassenhaus pre-test without lc", "covers.py",
+    ("Zassenhaus pre-test without lc", "factoring.py",
      "if g[0] and rest[-1] * rest[0] % g[0]:",
      "if g[0] and rest[0] % g[0]:",
      ["tests/test_covers.py"]),
-    ("Zassenhaus trial accepted on its top remainder entry alone", "covers.py",
+    ("Zassenhaus trial accepted on its top remainder entry alone", "factoring.py",
      "if not any(rem):",
      "if not rem[-1]:",
      ["tests/test_covers.py"]),
-    ("no exact e*A^2 - B^2 = 4e*c^2*P check", "covers.py",
+    ("no exact e*A^2 - B^2 = 4e*c^2*P check", "factoring.py",
      "if a * a * e - b * b == p.scale(4 * e * c * c):",
      "if True:",
      ["tests/test_covers.py"]),
-    ("even-degree Q-factors kept whole over K", "covers.py",
+    ("even-degree Q-factors kept whole over K", "factoring.py",
      "for pick in picks if p.degree % 2 == 0 else ():",
      "for pick in ():",
      ["tests/test_covers.py"]),

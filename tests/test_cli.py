@@ -526,19 +526,19 @@ class TestCli:
                                         name, draws, m, seed, lifts):
         # the exact report, witness included: the candidate order and the
         # lift decide which of several witnesses is printed
-        from prymkit import covers
+        from prymkit import covers, factoring
         calls = {"factors": [], "lifts": 0}
-        factor, lift = covers._factor_over_quadratic_field, covers._x_adic_lift
+        factor, lift = factoring.factor_over_quadratic_field, covers._x_adic_lift
 
         def counting_factor(*args):
             out = factor(*args)
-            calls["factors"].append(len(out))
+            calls["factors"].append(None if out is None else len(out))
             return out
 
         def counting_lift(*args):
             calls["lifts"] += 1
             return lift(*args)
-        monkeypatch.setattr(covers, "_factor_over_quadratic_field", counting_factor)
+        monkeypatch.setattr(factoring, "factor_over_quadratic_field", counting_factor)
         monkeypatch.setattr(covers, "_x_adic_lift", counting_lift)
         cover = DoubleCoverData(X - 3)
         rng = random.Random(seed)
@@ -553,8 +553,9 @@ class TestCli:
         assert calls["lifts"] == lifts
         if lifts > 1:
             # three pairs at x0 = 0, then one pair and no self-conjugate
-            # factor at each of three further good points
-            assert calls["factors"] == [6, 2, 2, 2]
+            # factor at each of three further good points where the block
+            # stays squarefree: at x0 = 1 it does not, and factoring says None
+            assert calls["factors"] == [6, 2, None, 2, 2]
 
     def test_galois_never_builds_an_algebraic_field(self, tmp_path, capsys, monkeypatch):
         # the splitter factors over Q(sqrt(d)) on its own, through a prime
@@ -816,7 +817,7 @@ _LOADED = {
     "endoscopy": {"abelian", "spectral"},
     "norm": {"polynomials", "norms"},
     "factor": {"polynomials", "norms", "covers"},
-    "galois": {"polynomials", "norms", "covers"},
+    "galois": {"polynomials", "norms", "covers", "factoring"},
     "verify": {"abelian", "spectral", "polynomials", "norms", "covers", "verify"},
 }
 

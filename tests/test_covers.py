@@ -2,6 +2,7 @@
 translation, power/product maps, and the degree-2 Galois machinery."""
 
 import functools
+import importlib.util
 import math
 import operator
 import random
@@ -10,19 +11,19 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from prymkit import covers, polynomials
+from prymkit import covers, factoring, polynomials
 from prymkit.covers import (
     DoubleCoverData,
     FactoredSpectral,
     Surd,
     TwistedSpectralPoly,
-    _factor_over_quadratic_field,
     _poly_shift,
     _x_adic_lift,
     galois_pushforward,
@@ -30,10 +31,12 @@ from prymkit.covers import (
     squarefree_decompose,
     trace_translate,
 )
+from prymkit.factoring import _divmod, _mod, factor_over_quadratic_field
 from prymkit.norms import SpectralPoly, factors_coprime, spectral_mul, spectral_pow
-from prymkit.polynomials import (
-    Poly, TPoly, _add, _bareiss, _divmod, _mod, _mul, horner, yun_squarefree)
+from prymkit.polynomials import Poly, TPoly, _add, _bareiss, _mul, horner, yun_squarefree
+from prymkit.serialize import cover_from_json, spectral_from_json
 from prymkit.verify import (
+    random_poly,
     random_spectral,
     random_squarefree,
     random_twisted,
@@ -505,22 +508,56 @@ class TestPullbackSplits:
         assert len(calls) == 1
 
     def test_certified_split_tests_its_point_once(self, monkeypatch):
-        # the block is split at the point that certified s, so q(x0) itself
-        # is tested once; squarefree tests of other polynomials do not count
+        # the block is split from the factors that certified s at its first
+        # good point x0 = 0: q(x0) is factored once, and Poly.is_squarefree
+        # runs on no point's q(x0)
         cover = DoubleCoverData(X * X - 3)
         s = galois_pushforward(cover, random_twisted(random.Random(3), cover, 3, deg_m=1))
-        _x0, _d0, qq = next(covers._good_points(cover.f, s.as_tpoly()))
-        calls = []
-        is_squarefree = Poly.is_squarefree
+        qq = Poly([at(c, 0) for c in s.as_tpoly().coeffs])
+        factored, tested = [], []
+        factor, is_squarefree = factoring.factor_over_quadratic_field, Poly.is_squarefree
+
+        def counting_factor(p, d):
+            factored.append(p)
+            return factor(p, d)
 
         def counting(p):
-            if p == qq:
-                calls.append(p)
+            tested.append(p)
             return is_squarefree(p)
+        monkeypatch.setattr(factoring, "factor_over_quadratic_field", counting_factor)
         monkeypatch.setattr(Poly, "is_squarefree", counting)
         w = pullback_splits(cover, s)
         assert w is not None and galois_pushforward(cover, w) == s
-        assert len(calls) == 1
+        assert factored[0] == qq and factored.count(qq) == 1
+        assert tested == []
+
+    def test_squarefree_mod_only_in_the_prime_search(self, monkeypatch):
+        # split-accept and split-reject inputs 0..49 of bench/gen.py: every
+        # squarefree test mod p is one of the l search's, 133 in all
+        spec = importlib.util.spec_from_file_location(
+            "_bench_gen", Path(__file__).resolve().parent.parent / "bench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        searching, calls = [False], []
+        lifted_factors, squarefree_mod = factoring._lifted_factors, factoring._squarefree_mod
+
+        def search(*args):
+            searching[0] = True
+            try:
+                return lifted_factors(*args)
+            finally:
+                searching[0] = False
+
+        def counting(f, p):
+            calls.append(searching[0])
+            return squarefree_mod(f, p)
+        monkeypatch.setattr(factoring, "_lifted_factors", search)
+        monkeypatch.setattr(factoring, "_squarefree_mod", counting)
+        for kind in ("split-accept", "split-reject"):
+            for i in range(50):
+                _argv, doc = gen.make_input(kind, i)
+                pullback_splits(cover_from_json(doc["cover"]), spectral_from_json(doc["spectral"]))
+        assert all(calls) and len(calls) == 133
 
     def test_degenerate_first_point_falls_back(self, monkeypatch):
         # (t^2 - x)((t - x - 1)^2 - x) is squarefree over Q(x), but at the
@@ -592,7 +629,7 @@ class TestFactorOverQ:
 
     @classmethod
     def _check(cls, p):
-        got = _factor_over_quadratic_field(p, cls.D)
+        got = factor_over_quadratic_field(p, cls.D)
         over_q = [g.a * g.a - (g.b * g.b).scale(cls.D) if g.b else g.a
                   for i, g in enumerate(got) if i <= got.index(g.conjugate())]
         assert sorted(over_q, key=repr) == sorted(_sympy_factors_q(p), key=repr), p
@@ -623,12 +660,51 @@ class TestFactorOverQ:
         assert len(self._check(p1 * p2 * t(-1, 3) * t(2, 0, -5))) == 4
 
     def test_not_squarefree_refused(self):
-        # squarefree mod no prime: the search gives up after the bad primes
-        # split in K that a nonzero Res(f, f') could account for
+        # not squarefree mod the first split prime, and the gcd over Z
+        # finds the square: None, with no prime searched further
         t = TestQuadraticFieldFactoring._t
         for d in (self.D, Fraction(12)):
-            with pytest.raises(ValueError):
-                _factor_over_quadratic_field(t(1, 1) * t(1, 1) * t(3, 0, 1), d)
+            assert factor_over_quadratic_field(t(1, 1) * t(1, 1) * t(3, 0, 1), d) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.fractions(-6, 6, max_denominator=3), min_size=1,
+                                       max_size=3),
+                              st.integers(-3, 3).filter(bool), st.integers(1, 3)),
+                    min_size=1, max_size=4),
+           st.fractions(-20, 20, max_denominator=6).filter(bool),
+           st.sampled_from((Fraction(-1), Fraction(-7, 5), Fraction(2), Fraction(12))))
+    @example([([1], 1, 1), ([2], 2, 1)], Fraction(-3), Fraction(-1))     # -6(t + 1)^2
+    @example([([0, 5], -1, 1), ([3], 1, 2)], Fraction(15), Fraction(12))
+    @example([([1, 1], 5, 1)], Fraction(1), Fraction(-1))                 # fails at l = 5
+    def test_none_exactly_when_sympy_finds_a_square(self, parts, content, d):
+        # products with and without squares, with content and negative
+        # leading coefficients; sympy's sqf_list over QQ is the reference
+        qq = Poly.constant(content)
+        for low, lc, e in parts:
+            qq = qq * Poly(low + [lc]) ** e
+        assume(qq.degree <= 12)
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(qq.coeffs)]
+        _c, sqf = sympy.Poly(coeffs, sympy.Symbol("t"), domain=sympy.QQ).sqf_list()
+        got = factor_over_quadratic_field(qq, d)
+        assert (got is None) == any(k > 1 for _g, k in sqf)
+        if got is not None:
+            assert functools.reduce(operator.mul, got) == Surd(qq.monic(), Poly.zero(), d)
+
+    def test_squarefree_past_failing_primes(self, monkeypatch):
+        # over Q(i) the split primes are 5, 13, 17, ...: 5t^2 + t + 1 fails
+        # at 5 (its leading coefficient), 65t^2 + t + 1 and t^2 + 65 (a root
+        # repeated mod 5 and 13) at 5 and 13; the gcd over Z finds each
+        # squarefree, and l is the next split prime that keeps it so
+        primes, factor_mod = [], factoring._factor_mod
+
+        def recording(f, p):
+            primes.append(p)
+            return factor_mod(f, p)
+        monkeypatch.setattr(factoring, "_factor_mod", recording)
+        t = TestQuadraticFieldFactoring._t
+        for p in (t(1, 1, 5), t(1, 1, 65), t(65, 0, 1)):
+            TestQuadraticFieldFactoring._check(p, self.D)
+        assert primes == [13, 17, 17]
 
     def test_factor_needs_the_full_lift(self):
         # l = 5, which splits in Q(i), and the lift goes to 5^16.  One
@@ -648,7 +724,8 @@ class TestFactorOverQ:
         # once, the linear one by Newton's method and the quadratics as the
         # two leaves of one Hensel tree
         mods, roots, leaves, depths, depth = [], [], [], [], [0]
-        factor_mod, newton_root, hensel = covers._factor_mod, covers._newton_root, covers._hensel
+        factor_mod, newton_root = factoring._factor_mod, factoring._newton_root
+        hensel = factoring._hensel
 
         def counting_factor_mod(*args):
             mods.append(factor_mod(*args))
@@ -668,11 +745,11 @@ class TestFactorOverQ:
                 return out
             finally:
                 depth[0] -= 1
-        monkeypatch.setattr(covers, "_factor_mod", counting_factor_mod)
-        monkeypatch.setattr(covers, "_newton_root", counting_newton_root)
-        monkeypatch.setattr(covers, "_hensel", counting_hensel)
+        monkeypatch.setattr(factoring, "_factor_mod", counting_factor_mod)
+        monkeypatch.setattr(factoring, "_newton_root", counting_newton_root)
+        monkeypatch.setattr(factoring, "_hensel", counting_hensel)
         t = TestQuadraticFieldFactoring._t
-        got = _factor_over_quadratic_field(t(1, 0, -10, 0, 1) * t(-3, 1), Fraction(12))
+        got = factor_over_quadratic_field(t(1, 0, -10, 0, 1) * t(-3, 1), Fraction(12))
         assert len(mods) == 1 and sorted(map(len, mods[0])) == [2, 3, 3]
         assert len(roots) == 1 and len(leaves) == 2 and depths.count(0) == 1
         assert len(got) == 3
@@ -693,12 +770,12 @@ def _tree_xgcd(a: list, b: list, p: int) -> tuple[list, list]:
 def _tree_lift(f: list, fs: list, p: int, m: int) -> list:
     """Every factor in fs lifted through one Hensel factor tree (MCA §15.5,
     Alg. 15.10), linear ones included, with its own extended Euclid: the
-    reference for covers._lifted_factors, whose Newton roots and cofactors
+    reference for factoring._lifted_factors, whose Newton roots and cofactors
     must give the same factors."""
     if len(fs) == 1:
         return [_mod(f, m)]
     k = len(fs) // 2
-    g, h = covers._prod(fs[:k], p), covers._prod(fs[k:], p)
+    g, h = factoring._prod(fs[:k], p), factoring._prod(fs[k:], p)
     q, t = p, _tree_xgcd(g, h, p)[1]
     s = _divmod(_add([1], _mul(t, h), -1), g, p)[0]
     while q < m:
@@ -713,7 +790,7 @@ def _tree_lift(f: list, fs: list, p: int, m: int) -> list:
 
 
 class TestLiftedFactors:
-    """covers._lifted_factors against the factor tree alone: f is built
+    """factoring._lifted_factors against the factor tree alone: f is built
     squarefree mod a chosen prime l, from distinct roots and random monic
     factors of degree 2-4, and e, the square of the odd primes below l,
     makes l the prime it picks."""
@@ -735,13 +812,13 @@ class TestLiftedFactors:
                               [[-x, 1] for x in roots] + [g + [1] for g in others], [1])
         assume(1 <= len(f0) - 1 <= 10 and c % p)
         f = [c * x for x in _add(f0, [p * y for y in noise[:len(f0) - 1]])]
-        assume(polynomials._squarefree_mod(f, p))
+        assume(factoring._squarefree_mod(f, p))
         e = functools.reduce(operator.mul, (q for q in (3, 5, 7, 11) if q < p), 1) ** 2
-        fs, m, r = covers._lifted_factors(f, bound, e)
+        fs, m, r = factoring._lifted_factors(f, bound, e)
         assert m > bound and (m == p or math.isqrt(m) ** 2 == m <= bound * bound)
         assert (r * r - e) % m == 0
         monic = _mod([x * pow(f[-1], -1, m) for x in f], m)
-        mod_l = covers._factor_mod(_mod(monic, p), p)
+        mod_l = factoring._factor_mod(_mod(monic, p), p)
         assert fs == _tree_lift(monic, mod_l, p, m)
         assert [_mod(g, p) for g in fs] == mod_l
 
@@ -756,10 +833,10 @@ class TestLiftedFactors:
         # one node of the tree on g*h mod p: its s and t, rebuilt from the
         # gcd's quotients, must make g*h = f mod p^2, p^4, ..., m
         g, h = _mod(low_g + [1], p), _mod(low_h + [1], p)
-        assume(len(polynomials._gcd_mod(g, h, p)[0]) == 1)
+        assume(len(factoring._gcd_mod(g, h, p)[0]) == 1)
         f = _add(_mul(g, h), [p * y for y in noise[:len(g) + len(h) - 2]])
         m = p ** 2 ** j
-        got = covers._hensel(f, [g, h], p, m)
+        got = factoring._hensel(f, [g, h], p, m)
         assert [_mod(x, p) for x in got] == [g, h]
         assert all(x[-1] == 1 and x == _mod(x, m) for x in got)
         assert _mod(_add(f, _mul(*got), -1), m) == []
@@ -796,7 +873,7 @@ class TestQuadraticFieldFactoring:
 
     @staticmethod
     def _check(qq, d):
-        got = _factor_over_quadratic_field(qq, d)
+        got = factor_over_quadratic_field(qq, d)
         assert sorted(got, key=repr) == sorted(_sympy_factors(qq, d), key=repr), (qq, d)
         assert [g.a.degree for g in got] == sorted(g.a.degree for g in got)
         return got
@@ -839,7 +916,7 @@ class TestQuadraticFieldFactoring:
     def test_zassenhaus_divides_integer_lists(self, factors, d, monkeypatch):
         qq = functools.reduce(operator.mul, (self._t(*f) for f in factors))
         lifted, trials = [], []
-        lifted_factors, zdivmod = covers._lifted_factors, covers._zdivmod
+        lifted_factors, zdivmod = factoring._lifted_factors, factoring._zdivmod
 
         def recording_lift(*args):
             out = lifted_factors(*args)
@@ -855,10 +932,10 @@ class TestQuadraticFieldFactoring:
             raise AssertionError("Poly.divmod on the factoring path")
 
         with monkeypatch.context() as m:
-            m.setattr(covers, "_lifted_factors", recording_lift)
-            m.setattr(covers, "_zdivmod", recording_trial)
+            m.setattr(factoring, "_lifted_factors", recording_lift)
+            m.setattr(factoring, "_zdivmod", recording_trial)
             m.setattr(Poly, "divmod", refuse)
-            got = _factor_over_quadratic_field(qq, d)
+            got = factor_over_quadratic_field(qq, d)
         assert all(len(g) == 2 for g in lifted[0])
         assert any(deg >= 2 and not failed for deg, failed in trials)
         assert any(failed for _, failed in trials)
@@ -970,6 +1047,64 @@ class TestSplitOracle:
         )
 
 
+class TestLinearCoverOracle:
+    """Ground truth for "splits" on y^2 = a*x + b from sympy alone, sharing
+    no code with covers or factoring.  With x = (z^2 - b)/a, Q[x, y]/(y^2 -
+    f) is Q[z], y = z and conjugation is z -> -z, so s_a has a witness iff
+    every irreducible factor of s_a(x(z), t) over Q that z -> -z fixes has
+    even multiplicity."""
+
+    @staticmethod
+    def _oracle(f: Poly, s: SpectralPoly) -> bool:
+        z, t = sympy.symbols("z t")
+
+        def expr(p: Poly, at):
+            return sum(sympy.Rational(c.numerator, c.denominator) * at ** i
+                       for i, c in enumerate(p.coeffs))
+        b, a = f.coeffs
+        x = (z * z - sympy.Rational(b.numerator, b.denominator)) / sympy.Rational(
+            a.numerator, a.denominator)
+        lifted = t ** s.n + sum(expr(c, x) * t ** (s.n - j) for j, c in enumerate(s.coeffs, 1))
+        _c, factors = sympy.factor_list(sympy.expand(lifted), z, t)
+        for g, e in factors:
+            fixed = (sympy.Poly(g, z, t, domain=sympy.QQ).monic()
+                     == sympy.Poly(g.subs(z, -z), z, t, domain=sympy.QQ).monic())
+            if fixed and e % 2:
+                return False
+        return True
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.fractions(-4, 4, max_denominator=3).filter(bool),
+           st.fractions(-4, 4, max_denominator=3), st.integers(0, 10 ** 6),
+           st.lists(st.tuples(st.sampled_from(("push", "inert", "linear")),
+                              st.integers(1, 2)), min_size=1, max_size=3))
+    @example(Fraction(1), Fraction(0), 0, [("inert", 1)])
+    @example(Fraction(2), Fraction(-1), 1, [("push", 1), ("inert", 2)])
+    @example(Fraction(-1, 2), Fraction(3), 2, [("linear", 1), ("push", 1)])
+    def test_splits_agrees_with_the_z_line(self, a, b, seed, pieces):
+        # s_a a product of pushforwards, random quadratics (mostly inert on
+        # the cover) and linear factors, each to the power 1 or 2, and one
+        # more linear factor when the degree is odd
+        cover, rng = DoubleCoverData(Poly([b, a])), random.Random(seed)
+        s = None
+        for kind, e in pieces:
+            if kind == "push":
+                piece = galois_pushforward(cover, random_twisted(rng, cover, 1, 1))
+            elif kind == "inert":
+                piece = spoly(2, 1, random_poly(rng, 1), random_poly(rng, 2))
+            else:
+                piece = spoly(1, 1, random_poly(rng, 1))
+            piece = spectral_pow(piece, e)
+            s = piece if s is None else spectral_mul(s, piece)
+        if s.n % 2:
+            s = spectral_mul(s, spoly(1, 1, random_poly(rng, 1)))
+        assume(s.n <= 8)
+        w = pullback_splits(cover, s)
+        assert (w is not None) == self._oracle(cover.f, s)
+        if w is not None:
+            assert galois_pushforward(cover, w) == s
+
+
 def _stall_adversary(k: int) -> tuple[DoubleCoverData, SpectralPoly]:
     """c_k(t) + x on y^2 = x - 3, c_k = prod_{i=1..k} ((t + i)^2 + 3i^2):
     k conjugate pairs over Q(sqrt(-3)) at x0 = 0, and no witness."""
@@ -1009,7 +1144,7 @@ class TestSplitterStall:
 
     def test_k6_rejected_without_a_lift(self, monkeypatch):
         calls = {"factors": [], "lifts": 0}
-        factor, lift = covers._factor_over_quadratic_field, covers._x_adic_lift
+        factor, lift = factoring.factor_over_quadratic_field, covers._x_adic_lift
 
         def counting_factor(*args):
             out = factor(*args)
@@ -1019,7 +1154,7 @@ class TestSplitterStall:
         def counting_lift(*args):
             calls["lifts"] += 1
             return lift(*args)
-        monkeypatch.setattr(covers, "_factor_over_quadratic_field", counting_factor)
+        monkeypatch.setattr(factoring, "factor_over_quadratic_field", counting_factor)
         monkeypatch.setattr(covers, "_x_adic_lift", counting_lift)
         assert pullback_splits(*_stall_adversary(6)) is None
         # six pairs of linear factors at x0 = 0; at the next good point,

@@ -10,13 +10,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from prymkit import polynomials
-from prymkit.covers import _powmod
+from prymkit.factoring import _divmod, _gcd_mod, _powmod
 from prymkit.polynomials import (
     Poly,
     RatFunc,
     TPoly,
-    _divmod,
-    _gcd_mod,
     _igcd,
     _mul,
     _pack,
@@ -331,8 +329,7 @@ SMALL_PRIMES = (3, 5, 7, 11, 13)
 
 
 class TestSquarefreeCertificate:
-    """Poly.is_squarefree, certified mod a prime from 3 to 13 or by the gcd
-    over Z, against Euclid over Fraction."""
+    """Poly.is_squarefree, gcd(F, F') = 1 over Z, against Euclid over Fraction."""
 
     @settings(max_examples=200, deadline=None)
     @given(coeff_lists)
@@ -355,26 +352,25 @@ class TestSquarefreeCertificate:
     @example(7, 0, (1, 1), False)
     def test_leading_numerator_divisible_by_a_small_prime(self, prime, c, h, square):
         # for c prime to p, (p*x + c)^2 reduces mod p to the constant c^2: a
-        # check at that prime would call every such square squarefree
+        # test mod that prime would call every such square squarefree
         lin = Poly((c, prime))
         p = (lin * lin if square else lin) * Poly(h)
         assert p.is_squarefree() == ref_squarefree(p.coeffs)
 
-    def test_every_prime_fails_then_gcd_over_z(self, monkeypatch):
-        # t^2 - 15015 and t^2 - 2 are squarefree; 15015 = 3*5*7*11*13
-        # divides disc(t^2 - 15015), so only that one reaches the gcd over Z
+    def test_one_gcd_over_z(self, monkeypatch):
+        # each test is one gcd with F', whatever small primes divide disc F
+        # (15015 = 3*5*7*11*13 divides disc(t^2 - 15015)) or the leading
+        # numerator (15015*(x - 1)^2); the zero polynomial takes none
         calls, gcd_q = [], Poly.gcd
         monkeypatch.setattr(Poly, "gcd", lambda a, b: calls.append(a) or gcd_q(a, b))
         assert Poly((-15015, 0, 1)).is_squarefree() and len(calls) == 1
-        assert Poly((-2, 0, 1)).is_squarefree() and len(calls) == 1
-        # 15015*(x - 1)^2: each prime divides the leading numerator
-        assert not Poly((15015, -30030, 15015)).is_squarefree() and len(calls) == 2
-        assert not Poly.zero().is_squarefree()
+        assert Poly((-2, 0, 1)).is_squarefree() and len(calls) == 2
+        assert not Poly((15015, -30030, 15015)).is_squarefree() and len(calls) == 3
+        assert not Poly.zero().is_squarefree() and len(calls) == 3
 
     def test_integer_roots_to_degree_280_without_euclid(self):
-        # prod_{|i| <= 140, i != 3} (x - i): each prime 3..13 divides two
-        # roots' difference, so every certificate fails and the gcd with f'
-        # is taken by _igcd
+        # prod_{|i| <= 140, i != 3} (x - i): the gcd with f' is taken by
+        # _igcd, the heuristic gcd, with no Euclid
         f = Poly.one()
         for i in range(-140, 141):
             f = f * Poly((-i, 1)) if i != 3 else f
