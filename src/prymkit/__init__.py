@@ -15,10 +15,10 @@ _EXPORTS = {name: module for module, names in (
                 "preimage_mul smith_normal_form structure subgroup_from_generators"),
     ("covers", "DoubleCoverData FactoredSpectral TwistedSpectralPoly galois_pushforward "
                "pullback_splits squarefree_decompose trace_translate"),
-    ("norms", "AlgebraElement ParentMismatch SpectralPoly mul_matrix norm_component_law "
+    ("norms", "AlgebraElement ParentMismatch SpectralPoly norm_component_law "
               "norm_element norm_multiplicativity_check norm_power_law "
               "norm_resultant_oracle spectral_mul spectral_pow"),
-    ("polynomials", "Poly RatFunc TPoly resultant yun_squarefree"),
+    ("polynomials", "Poly TPoly yun_squarefree"),
     ("spectral", "ComponentData DescriptorError EndoscopyReport InvariantViolation "
                  "SpectralCoverDescriptor ambient_modulus endoscopic_dim endoscopy_report "
                  "gamma_in_k is_cn_cover phi_surjection pi0_prym prym_component_group "

@@ -2,9 +2,9 @@
 
 A subgroup of (Z/M)^(2g) is stored as its canonical generators: the rows
 of the Hermite basis of its preimage lattice in Z^(2g) whose pivot is below
-M.  The other basis rows are exactly M*e_c and stay implicit (``basis``
-derives them); since that basis is unique for the subgroup, two subgroups
-are equal iff their stored generators are.  Every subgroup is built by the
+M.  The other basis rows are exactly M*e_c and stay implicit; since that
+basis is unique for the subgroup, two subgroups are equal iff their stored
+generators are.  Every subgroup is built by the
 Hermite form modulo M, which eliminates only these rows, never a stacked
 M*I, and all work stays modulo M.  [m]^(-1)(H) is spanned by H's generators
 over m and the (M/m)*e_c.  Intersection and kernel are one restriction
@@ -211,10 +211,10 @@ class TorsionSubgroup:
     """Subgroup of a TorsionAmbient, held as its canonical generators: the
     rows of the Hermite basis of its preimage lattice in Z^rank (a lattice
     containing M*Z^rank) whose pivot is below M.  Every other basis row is
-    exactly M*e_c, so it is left implicit; ``basis`` puts it back.  The
-    Hermite basis is unique for the subgroup, so equality of subgroups is
-    equality of the dataclass (same ambient, identical generators).  The
-    rows are stored as tuples, so no caller can change them.
+    exactly M*e_c, so it is left implicit.  The Hermite basis is unique for
+    the subgroup, so equality of subgroups is equality of the dataclass
+    (same ambient, identical generators).  The rows are stored as tuples,
+    so no caller can change them.
     """
 
     ambient: TorsionAmbient
@@ -222,14 +222,6 @@ class TorsionSubgroup:
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(map(tuple, self.generators)))
-
-    @property
-    def basis(self) -> tuple[tuple[int, ...], ...]:
-        """The Hermite basis of the preimage lattice: the generators, and
-        M*e_c at each column c where no generator has its pivot."""
-        M, k = self.ambient.M, self.ambient.rank
-        by_pivot = {next(c for c, e in enumerate(r) if e): r for r in self.generators}
-        return tuple(by_pivot.get(c, tuple(M * (j == c) for j in range(k))) for c in range(k))
 
     @property
     def exponent(self) -> int:

@@ -104,13 +104,6 @@ class Surd:
         if self.d is not other.d and self.d != other.d:
             raise ValueError("operands live on different double covers")
 
-    def __add__(self, other: "Surd") -> "Surd":
-        self._check(other)
-        return Surd(self.a + other.a, self.b + other.b, self.d)
-
-    def __neg__(self) -> "Surd":
-        return Surd(-self.a, -self.b, self.d)
-
     def __mul__(self, other: "Surd") -> "Surd":
         self._check(other)
         return Surd(self.a * other.a + self.d * (self.b * other.b),

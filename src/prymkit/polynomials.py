@@ -11,34 +11,32 @@ and ``tpoly_to_poly_coeffs``.  By a monic divisor ``pseudo_remainder`` is
 the t-remainder.
 
 There is one gcd over Q, ``_igcd``, the heuristic gcd GCDHEU (Char, Geddes
-and Gonnet 1989) on integer numerators: under ``Poly.gcd`` and so
-``Poly.is_squarefree``, factoring.py's squarefree decision and Yun's loop,
-run on integers at one Kronecker point x = 2^k (MCA section 8.4).
+and Gonnet 1989) on integer numerators: ``Poly.is_squarefree``,
+factoring.py's squarefree decision and Yun's loop run on integers at one
+Kronecker point x = 2^k (MCA section 8.4).
 
 Z[x] arithmetic is written once, on integer lists, so a faster kernel
 (a Kronecker product for large operands) goes in one place: ``_mul`` is the
 one product, ``_add`` the one sum, ``_zdivmod`` the one division over Z and
 ``_rows`` the one clearing of Polys over their lcm (but for a sum's pair,
-faster by hand), for Poly's *, + and - and divmod (classic pseudo-division),
-``_prem``, covers.py's lift and factoring.py; ``_quo`` is a faster exact
-quotient.  ``resultant`` and ``pseudo_remainder`` run on ``_rows`` (row i
-is the integer list of the coefficient of t^i), exactly over Z[x], and
-build one Poly per coefficient of the result.  ``horner`` and ``power``
-serve any ring; they and TPoly arithmetic hand Poly mostly trivial
-operands: a zero, unit or constant one, told apart by its number of
-numerators, costs one scan of the other's, and a sum with the shared
-``zero`` or a product or quotient by ``one`` returns an operand itself;
-every zero that ``_poly`` builds is that shared ``zero``.  ``_bareiss``,
-beside the Kronecker packing, is the one fraction-free elimination over Z:
-the norm's and verify's determinants and the lift's inverse in covers.py;
-its large steps divide 2-adically by ``_divexact``.
+faster by hand), for Poly's *, + and -, ``_prem``, ``_quo``, covers.py's
+lift and factoring.py.  ``resultant`` and ``pseudo_remainder`` run on
+``_rows`` (row i is the integer list of the coefficient of t^i), exactly
+over Z[x], and build one Poly per coefficient of the result.  ``horner``
+and ``power`` serve any ring; they and TPoly arithmetic hand Poly mostly
+trivial operands: a zero, unit or constant one, told apart by its number
+of numerators, costs one scan of the other's, and a sum with the shared
+``zero`` or a product by ``one`` returns an operand itself; every zero
+that ``_poly`` builds is that shared ``zero``.  ``_bareiss``, beside the
+Kronecker packing, is the one fraction-free elimination over Z: the norm's
+and verify's determinants and the lift's inverse in covers.py; its large
+steps divide 2-adically by ``_divexact``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import sub
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, str]
@@ -198,9 +196,6 @@ class Poly:
     def __sub__(self, other):
         return self._plus(other, -1)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
@@ -220,56 +215,14 @@ class Poly:
         c = as_fraction(c)
         return _times(self, c.numerator, c.denominator)
 
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Euclidean division over Q, by classic pseudo-division over Z: for
-        B = other's numerators over their content cb and s = lc(B)^(deg self
-        - deg other + 1), s * ints = Q * B + R in Z[x], every step of one
-        _zdivmod exact, and the quotient and remainder are Q * other.denom /
-        (s * denom * cb) and R / (s * denom), unique over Q."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        k = other.degree
-        if self.degree < k:
-            return _ZERO, self
-        cb = gcd(*other.ints)
-        b = [c // cb for c in other.ints]
-        s = b[-1] ** (self.degree - k + 1)
-        q, r = _zdivmod([c * s for c in self.ints], b)
-        den = s * self.denom
-        return _poly([c * other.denom for c in q], den * cb), _poly(r, den)
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
-
-    def __truediv__(self, other):
-        """Exact division; raises if the quotient is not polynomial."""
-        other = Poly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if len(other.ints) == 1:
-            return _times(self, other.denom, other.ints[0])
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
-
-    def gcd(self, other: "Poly") -> "Poly":
-        """Monic gcd: _igcd's on the numerators, whose candidate is the gcd once it
-        divides both (GCL Thm 7.7), in a loop that ends (see _igcd)."""
-        g = _igcd(self.ints, other.ints)[0]
-        return _poly(g, g[-1]) if g else _ZERO
-
     def monic(self) -> "Poly":
         if self.is_zero():
             raise ValueError("cannot normalize the zero polynomial")
         return _poly(list(self.ints), self.ints[-1])
 
-    def derivative(self) -> "Poly":
-        return _poly(_deriv(self.ints), self.denom)
-
     def is_squarefree(self) -> bool:
-        """No repeated factor over Q: Poly.gcd(F, F') = 1 (GCL Thm 7.7; see _igcd)."""
-        return bool(self.ints) and self.gcd(self.derivative()).degree <= 0
+        """No repeated factor over Q: gcd(F, F') = 1 over Z (GCL Thm 7.7; see _igcd)."""
+        return bool(self.ints) and len(_igcd(self.ints, _deriv(self.ints))[0]) == 1
 
     def __repr__(self):
         if self.is_zero():
@@ -599,8 +552,8 @@ class TPoly:
     """Dense polynomial in the spectral variable t over an exact coefficient ring.
 
     Coefficients are any objects implementing +, -, *, an integer scalar on
-    the left (i * c), is_zero() and one_like() (the unit of their ring);
-    ``monic`` alone also needs /.  Ascending order, no trailing zeros.
+    the left (i * c), is_zero() and one_like() (the unit of their ring).
+    Ascending order, no trailing zeros.
     """
 
     __slots__ = ("coeffs", "czero")
@@ -670,12 +623,6 @@ class TPoly:
     def __pow__(self, k: int) -> "TPoly":
         return power(self, k, TPoly((self.czero.one_like(),), self.czero))
 
-    def monic(self) -> "TPoly":
-        """Divide by the leading coefficient, which must divide every
-        coefficient exactly (always so over a field)."""
-        lc = self.lc
-        return TPoly(tuple(c / lc for c in self.coeffs), self.czero)
-
     def map_coeffs(self, fn, new_zero) -> "TPoly":
         return TPoly(tuple(fn(c) for c in self.coeffs), new_zero)
 
@@ -713,19 +660,12 @@ def _ipow(a: list, e: int) -> list:
 
 
 def _quo(a: list, b: list) -> list:
-    """a / b, an exact quotient: from the top down, updating only the entries
-    of a that later quotient entries read, none of the remainder's.  A
-    one-entry b divides entrywise, the only branch norms' one-point check
-    takes, as its rows are integers; the loop serves ``resultant`` over Z[x]."""
-    n, lb = len(b) - 1, b[-1]
-    if not n:
-        return a if lb == 1 else [x // lb for x in a]
-    r, q = list(a), [0] * (len(a) - n)
-    for i in reversed(range(len(q))):
-        c = q[i] = r[i + n] // lb
-        lo = max(i, n)
-        r[lo:i + n] = map(sub, r[lo:i + n], [c * y for y in b[lo - i:n]])
-    return q
+    """a / b, an exact quotient.  A one-entry b divides entrywise, the only
+    branch norms' one-point check takes, as its rows are integers; a longer
+    b, met only by ``resultant`` over Z[x], goes to _zdivmod."""
+    if len(b) == 1:
+        return a if b[0] == 1 else [x // b[0] for x in a]
+    return _zdivmod(a, b)[0]
 
 
 def _prem(a: list, b: list) -> list:
@@ -808,7 +748,8 @@ def yun_squarefree(p: TPoly) -> list[tuple[TPoly, int]]:
     which ends past the roots of the blocks' discriminants and resultants."""
     if p.degree < 1:
         return []
-    p = p.monic()
+    if p.lc != 1:
+        raise ValueError("Yun's decomposition needs a monic p")
     n, den = p.degree, lcm(*(c.denom for c in p.coeffs))
     rows = [[a * (den ** (n - j) // c.denom) for a in c.ints] for j, c in enumerate(p.coeffs)]
     top = max(abs(a) for row in rows for a in row)

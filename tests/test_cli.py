@@ -826,12 +826,12 @@ _PUBLIC_NAMES = """
     dual_of_inclusion hermite_normal_form intersect preimage_mul smith_normal_form
     structure subgroup_from_generators DoubleCoverData FactoredSpectral
     TwistedSpectralPoly galois_pushforward pullback_splits squarefree_decompose
-    trace_translate AlgebraElement ParentMismatch SpectralPoly mul_matrix
-    norm_component_law norm_element norm_multiplicativity_check norm_power_law
-    norm_resultant_oracle spectral_mul spectral_pow Poly RatFunc TPoly resultant
-    yun_squarefree ComponentData DescriptorError EndoscopyReport InvariantViolation
-    SpectralCoverDescriptor ambient_modulus endoscopic_dim endoscopy_report gamma_in_k
-    is_cn_cover phi_surjection pi0_prym prym_component_group variant_bound""".split()
+    trace_translate AlgebraElement ParentMismatch SpectralPoly norm_component_law
+    norm_element norm_multiplicativity_check norm_power_law norm_resultant_oracle
+    spectral_mul spectral_pow Poly TPoly yun_squarefree ComponentData
+    DescriptorError EndoscopyReport InvariantViolation SpectralCoverDescriptor
+    ambient_modulus endoscopic_dim endoscopy_report gamma_in_k is_cn_cover
+    phi_surjection pi0_prym prym_component_group variant_bound""".split()
 
 
 class TestImportGraph:

@@ -35,6 +35,7 @@ import functools
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import platform
@@ -226,6 +227,33 @@ def test_corpus_group_is_byte_identical(group, corpus_env):
 
 def test_digest_file_lists_every_group():
     assert sorted(json.loads(DIGESTS.read_text())) == sorted(GROUPS)
+
+
+# names that only bench/spans.py binds: no command and no verify suite
+# calls them, so none of the runs below may reach one
+BENCH_ONLY = [("polynomials", "RatFunc.__init__"), ("polynomials", "tpoly_over_ratfunc"),
+              ("polynomials", "tpoly_to_poly_coeffs"), ("polynomials", "resultant"),
+              ("abelian", "left_kernel"), ("norms", "mul_matrix"),
+              ("norms", "poly_matrix_det"), ("abelian", "TorsionAmbient.torsion_subgroup")]
+
+
+def test_bench_only_names_unreached(corpus_env, monkeypatch, tmp_path):
+    # the first input of each generator and each suite at seed 0, run as
+    # they stand and then with every bench-only name patched to raise
+    argvs = [argv for kind, (command, _) in GENERATED.items()
+             for argv in itertools.islice(cases(f"{command}/{kind}/json", tmp_path), 1)]
+    argvs += [["verify", "--suite", suite, "--seed", "0"] for suite in SUITES]
+    want = [run_case(argv) for argv in argvs]
+    assert all(code == 0 for code, _, _ in want)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a bench-only name was reached")
+
+    for module, name in BENCH_ONLY:
+        owner, _, attr = name.rpartition(".")
+        target = importlib.import_module(f"prymkit.{module}")
+        monkeypatch.setattr(getattr(target, owner) if owner else target, attr, forbidden)
+    assert [run_case(argv) for argv in argvs] == want
 
 
 if __name__ == "__main__":

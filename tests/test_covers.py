@@ -363,8 +363,6 @@ class TestSurd:
         a = Surd(X, Poly.one(), X * X - 1)
         b = Surd(X, Poly.one(), X * X - 2)
         with pytest.raises(ValueError):
-            a + b
-        with pytest.raises(ValueError):
             a * b
 
     def test_pushforward_on_another_cover_rejected(self):
@@ -390,7 +388,6 @@ class TestSurd:
             assert (x * y).conjugate() == x.conjugate() * y.conjugate()
             assert (x * y) * _inv(y) == x
             assert x.conjugate().conjugate() == x
-            assert (x + y).conjugate() == x.conjugate() + y.conjugate()
 
     def test_norm_is_the_conjugate_product(self):
         # on the cover (Q[x][t], d = f) and at a point (Q[t], d = f(x0))
@@ -582,7 +579,7 @@ class TestPullbackSplits:
 
         def negated(*args):
             w = split(*args)
-            return None if w is None else -w
+            return None if w is None else Surd(-w.a, -w.b, w.d)
         monkeypatch.setattr(covers, "_split_squarefree_block", negated)
         calls = self._count_yun(monkeypatch)
         cover = DoubleCoverData(X * X - 3)
@@ -928,13 +925,9 @@ class TestQuadraticFieldFactoring:
             trials.append((len(b) - 1, any(r)))
             return q, r
 
-        def refuse(*args):
-            raise AssertionError("Poly.divmod on the factoring path")
-
         with monkeypatch.context() as m:
             m.setattr(factoring, "_lifted_factors", recording_lift)
             m.setattr(factoring, "_zdivmod", recording_trial)
-            m.setattr(Poly, "divmod", refuse)
             got = factor_over_quadratic_field(qq, d)
         assert all(len(g) == 2 for g in lifted[0])
         assert any(deg >= 2 and not failed for deg, failed in trials)
@@ -1349,7 +1342,7 @@ class TestXAdicLift:
         _, Q = _x_adic_lift([a * a - (b * b).scale(d), Poly.one()], a, b, (d,))
         v = Q[1]
         assert v.degree < a.degree
-        assert (v * b.scale(-2 * d)) % a == Poly.one()
+        assert sympy.rem(self._sympy(v * b.scale(-2 * d), x), sa).as_expr() == 1
         want = sympy.invert(sb, sa)
         assert v == Poly([Fraction(int(c.p), int(c.q)) for c in reversed(want.all_coeffs())])
 
@@ -1369,7 +1362,8 @@ class TestGoodPoints:
         # i != 3, is squarefree and no square, so there is none
         cover = DoubleCoverData(X - 3)
         p = functools.reduce(operator.mul, (X - i for i in range(-140, 141)))
-        rest = p / (X - 3)
-        assert rest.degree == 280 and rest.denom == 1
+        q, r = polynomials._zdivmod(p.ints, [-3, 1])
+        rest = Poly(q)
+        assert not any(r) and rest.degree == 280 and rest.denom == 1
         assert all(horner(rest.ints, i, 0) == 0 for i in range(-140, 141) if i != 3)
         assert pullback_splits(cover, spoly(2, 142, Poly.zero(), -p)) is None

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+import sympy
 
 from prymkit import norms, polynomials
 from prymkit.norms import (
@@ -89,22 +90,27 @@ class TestMulMatrix:
         assert m[1] == [Poly.one(), Poly.zero(), Poly.zero()]
         assert m[2] == [Poly.zero(), Poly.one(), Poly.zero()]
 
-    def test_reduction_divides_no_coefficient(self, monkeypatch):
-        # s_a is monic in t, so reducing u * t^j mod s_a needs no Poly division
+    def test_reduction_divides_no_coefficient(self):
+        # s_a is monic in t, so u * t^j mod s_a is a remainder over the ring
+        # Q[x], with no coefficient divided: column j against sympy's
+        x, t = sympy.symbols("x t")
         rng = random.Random(4)
         s = SpectralPoly(4, 2, tuple(random_poly(rng, 2 * j) for j in range(1, 5)))
         u = random_element(rng, s)
-        calls = []
-        orig = Poly.divmod
 
-        def counting(self, other):
-            calls.append(1)
-            return orig(self, other)
+        def expr(p):
+            return sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+                       for i, c in enumerate(p.coeffs))
 
-        monkeypatch.setattr(Poly, "divmod", counting)
+        ring = sympy.QQ[x]
+        sa = sympy.Poly(sum(expr(c) * t ** i for i, c in enumerate(s.as_tpoly().coeffs)),
+                        t, domain=ring)
+        ue = sympy.Poly(sum(expr(c) * t ** i for i, c in enumerate(u.coords)), t, domain=ring)
         m = mul_matrix(s, u)
-        assert calls == []
-        assert m[0][0] == u.coords[0]
+        for j in range(s.n):
+            want = (ue * sympy.Poly(t ** j, t, domain=ring)).rem(sa).all_coeffs()[::-1]
+            want += [0] * (s.n - len(want))
+            assert [sympy.expand(expr(m[i][j]) - want[i]) for i in range(s.n)] == [0] * s.n, j
 
     def test_parent_mismatch(self):
         s1 = SpectralPoly(2, 1, (Poly.zero(), -X))
