@@ -11,6 +11,8 @@ that route's code, is proved at one point: with A = D_a s_a and B = D_b U
 over Z, N D_a^(deg U) D_b^n - Res_t(A, B) is below N's part plus the Sylvester
 permanent ||A||_1^(deg U) ||B||_1^n, and at x = 2^k with 2^(k-1) above that,
 where lc_t(A) = D_a and lc_t(B) do not vanish, it is 0 iff its value is.
+polynomials' integer resultant engine gives Res_t(A, B)(x) from the values
+of A's and B's coefficients at x, which are read from s_a and u directly.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from math import lcm, prod
 
 from .polynomials import (
-    Poly, TPoly, _bareiss, _pack, _poly, _rows, _subresultant, _unpack, _width, as_fraction,
+    Poly, TPoly, _bareiss, _pack, _poly, _resultant_at, _rows, _unpack, _width, as_fraction,
     horner, pseudo_remainder)
 
 
@@ -144,18 +146,6 @@ def norm_element(s_a: SpectralPoly, u: AlgebraElement) -> Poly:
     return _poly(_unpack(_bareiss(_columns(s_k, u_k))[1], k), (e * den ** (n - 1)) ** n)
 
 
-def _resultant_at(ra: list, rb: list, part: int = 0, den: int = 1) -> tuple[int, int]:
-    """(x, Res_t(ra, rb) at x) on integer rows, ra's top row a nonzero constant,
-    rb nonzero, x = 2^k with 2^(k-1) above part + den ||ra||_1^deg rb ||rb||_1^deg ra:
-    lc(rb), below that permanent, does not vanish at x, so the value is exact."""
-    size = lambda rows: sum(abs(c) for row in rows for c in row)
-    bound = part + den * size(ra) ** (len(rb) - 1) * size(rb) ** (len(ra) - 1)
-    x = 1 << (bound.bit_length() + 1)
-    at = lambda rows: [[v] if (v := horner(row, x, 0)) else [] for row in rows]
-    res = _subresultant(at(ra), at(rb))
-    return x, res[0] if res else 0
-
-
 def norm_resultant_oracle(s_a: SpectralPoly, u: AlgebraElement, norm: Poly) -> bool:
     """Whether norm = Res_t(s_a, U) = det(mu_u), U the t-polynomial of u: with
     s_a = A / D_a and U = B / D_b on integer rows, P = norm.ints D_a^m D_b^n -
@@ -163,11 +153,11 @@ def norm_resultant_oracle(s_a: SpectralPoly, u: AlgebraElement, norm: Poly) -> b
     norm.denom times the permanent, so P(x) = 0 iff P = 0 at _resultant_at's x:
     P(x)'s balanced base-x digits are P's coefficients.  A zero U has norm 0,
     and for a U constant in t the sequence takes no step and gives U^n."""
-    coords = u.as_tpoly().coeffs
-    if not coords:
+    m = max((i for i, c in enumerate(u.coords) if c), default=-1)
+    if m < 0:
         return not norm.ints
-    (ra, da), (rb, db) = _rows(s_a.as_tpoly().coeffs), _rows(coords)
-    scale = da ** (len(rb) - 1) * db ** s_a.n
+    (ra, da), (rb, db) = _rows((*s_a.coeffs[::-1], Poly.one())), _rows(u.coords[:m + 1])
+    scale = da ** m * db ** s_a.n
     x, res = _resultant_at(ra, rb, sum(map(abs, norm.ints)) * scale, norm.denom)
     return horner(norm.ints, x, 0) * scale == norm.denom * res
 
@@ -195,7 +185,7 @@ def norm_power_law(p: SpectralPoly, m: int, u: AlgebraElement) -> bool:
 
 def factors_coprime(s_b: SpectralPoly, s_c: SpectralPoly) -> bool:
     """Coprimality over Q(x): Res_t(s_b, s_c) is not 0 at _resultant_at's point."""
-    return _resultant_at(*(_rows(s.as_tpoly().coeffs)[0] for s in (s_b, s_c)))[1] != 0
+    return _resultant_at(*(_rows((*s.coeffs[::-1], Poly.one()))[0] for s in (s_b, s_c)))[1] != 0
 
 
 def norm_component_law(s_b: SpectralPoly, s_c: SpectralPoly,

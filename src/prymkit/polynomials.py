@@ -19,10 +19,13 @@ Z[x] arithmetic is written once, on integer lists, so a faster kernel
 (a Kronecker product for large operands) goes in one place: ``_mul`` is the
 one product, ``_add`` the one sum, ``_zdivmod`` the one division over Z and
 ``_rows`` the one clearing of Polys over their lcm (but for a sum's pair,
-faster by hand), for Poly's *, + and -, ``_prem``, ``_quo``, covers.py's
-lift and factoring.py.  ``resultant`` and ``pseudo_remainder`` run on
-``_rows`` (row i is the integer list of the coefficient of t^i), exactly
-over Z[x], and build one Poly per coefficient of the result.  ``horner``
+faster by hand), for Poly's *, + and -, ``_prem``, covers.py's lift and
+factoring.py.  ``pseudo_remainder`` runs on ``_rows`` (row i is the integer
+list of the coefficient of t^i), exactly over Z[x], and builds one Poly per
+coefficient of the result.  ``_subresultant`` is the one resultant engine,
+on plain integers: ``_resultant_at`` hands it the rows' values at one point
+x = 2^k above the Sylvester permanent, for norms.py's check and coprimality
+test and for ``resultant``, which unpacks the value.  ``horner``
 and ``power`` serve any ring; they and TPoly arithmetic hand Poly mostly
 trivial operands: a zero, unit or constant one, told apart by its number
 of numerators, costs one scan of the other's, and a sum with the shared
@@ -651,23 +654,6 @@ def _rows(ps: Sequence) -> tuple[list, int]:
     return [[a * (den // p.denom) for a in p.ints] for p in ps], den
 
 
-def _ipow(a: list, e: int) -> list:
-    """a^e by e - 1 products."""
-    out = a if e else [1]
-    for _ in range(e - 1):
-        out = _mul(out, a)
-    return out
-
-
-def _quo(a: list, b: list) -> list:
-    """a / b, an exact quotient.  A one-entry b divides entrywise, the only
-    branch norms' one-point check takes, as its rows are integers; a longer
-    b, met only by ``resultant`` over Z[x], goes to _zdivmod."""
-    if len(b) == 1:
-        return a if b[0] == 1 else [x // b[0] for x in a]
-    return _zdivmod(a, b)[0]
-
-
 def _prem(a: list, b: list) -> list:
     """lc(b)^(len a - len b + 1) * a mod b on rows, a itself when shorter."""
     r, (*d, lb) = list(a), b
@@ -687,30 +673,49 @@ def _prem(a: list, b: list) -> list:
     return r
 
 
-def _subresultant(a: list, b: list) -> list:
-    """Res_t(a, b) over Z[x] for nonzero rows, by the subresultant pseudo-
-    remainder sequence (Collins 1967; Brown-Traub 1971) of a and b ordered
-    so that deg a >= deg b: each step replaces (a, b) by (b, prem(a, b) /
-    (g * h^delta)), and the bookkeeping of g and h keeps every quotient
-    exact over Z[x].  sign is the product of (-1)^(deg a * deg b) over the
-    swap and the steps."""
-    sign, g, h = 1, [1], [1]
+def _subresultant(a: list, b: list) -> int:
+    """Res(a, b) over Z for integer lists whose last entries are nonzero, by
+    the subresultant pseudo-remainder sequence (Collins 1967; Brown-Traub
+    1971) of a and b ordered so that deg a >= deg b: each step replaces
+    (a, b) by (b, prem(a, b) / (g * h^delta)), and the bookkeeping of g and
+    h keeps every quotient exact.  sign is the product of (-1)^(deg a *
+    deg b) over the swap and the steps.  For the values of two t-polynomials
+    over Z[x] at a point x it is the value of Res_t there, as long as
+    neither leading coefficient in t vanishes at x."""
+    sign, g, h = 1, 1, 1
     if len(a) < len(b):
         a, b, sign = b, a, (-1) ** ((len(a) - 1) * (len(b) - 1))
     while len(b) > 1:
         delta = len(a) - len(b)
         if not (len(a) % 2 or len(b) % 2):
             sign = -sign
-        r = _prem(a, b)
+        r, (*d, lb) = list(a), b
+        for j in reversed(range(delta + 1)):    # prem(a, b): r <- lb * r - lc(r) * t^j * b
+            c = r.pop()
+            r = [x * lb for x in r[:j]] + [x * lb - c * y for x, y in zip(r[j:], d)]
+        while r and not r[-1]:
+            r.pop()
         if not r:
-            return []
-        divisor = _mul(g, _ipow(h, delta))
-        a, b = b, [_quo(c, divisor) for c in r]
+            return 0
+        q = g * h ** delta
+        a, b = b, [c // q for c in r]
         g = a[-1]
         if delta:
-            h = _quo(_ipow(g, delta), _ipow(h, delta - 1))
-    res = _quo(_ipow(b[0], len(a) - 1), _ipow(h, max(len(a) - 2, 0)))
-    return res if sign == 1 else [-c for c in res]
+            h = g ** delta // h ** (delta - 1)
+    return sign * b[0] ** (len(a) - 1) // h ** max(len(a) - 2, 0)
+
+
+def _resultant_at(ra: list, rb: list, part: int = 0, den: int = 1) -> tuple[int, int]:
+    """(x, Res_t(ra, rb) at x) for nonzero rows over Z[x], x = 2^k with
+    2^(k-1) above part + den * ||ra||_1^deg rb * ||rb||_1^deg ra, the
+    Sylvester permanent, which bounds Res_t's coefficients.  The engine
+    takes the rows' values at x, exact as long as lc_t(ra) and lc_t(rb) do
+    not vanish there: each is below the permanent when the other operand's
+    t-degree is positive, and otherwise part must be above it."""
+    size = lambda rows: sum(sum(map(abs, row)) for row in rows)
+    bound = part + den * size(ra) ** (len(rb) - 1) * size(rb) ** (len(ra) - 1)
+    x = 1 << (bound.bit_length() + 1)
+    return x, _subresultant([horner(row, x, 0) for row in ra], [horner(row, x, 0) for row in rb])
 
 
 def pseudo_remainder(a: TPoly, b: TPoly) -> TPoly:
@@ -728,13 +733,15 @@ def pseudo_remainder(a: TPoly, b: TPoly) -> TPoly:
 
 
 def resultant(a: TPoly, b: TPoly) -> Poly:
-    """Res_t(a, b) for Poly coefficients, by the subresultant sequence on
-    the integer rows of a = A / D_a and b = B / D_b: Res(A, B) = D_a^(deg b)
-    * D_b^(deg a) * Res(a, b), so one Poly is built, over that denominator."""
+    """Res_t(a, b) for Poly coefficients.  On the integer rows of a = A / D_a
+    and b = B / D_b, Res(A, B) = D_a^(deg b) * D_b^(deg a) * Res(a, b) has
+    coefficients below _resultant_at's bound, so it unpacks from its value
+    at that point, taken above lc_t(A) and lc_t(B) as well."""
     if a.is_zero() or b.is_zero():
         return _ZERO
     (ra, da), (rb, db) = _rows(a.coeffs), _rows(b.coeffs)
-    return _poly(_subresultant(ra, rb), da ** b.degree * db ** a.degree)
+    x, res = _resultant_at(ra, rb, sum(map(abs, ra[-1] + rb[-1])))
+    return _poly(_unpack(res, x.bit_length() - 1), da ** b.degree * db ** a.degree)
 
 
 def yun_squarefree(p: TPoly) -> list[tuple[TPoly, int]]:

@@ -168,12 +168,20 @@ MUTANTS = [
      "[[a * (den // ps[0].denom) for a in p.ints] for p in ps]",
      ["tests/test_polynomials.py"]),
     ("subresultant without the h update", "polynomials.py",
-     "h = _quo(_ipow(g, delta), _ipow(h, delta - 1))",
-     "h = _ipow(g, delta)",
+     "h = g ** delta // h ** (delta - 1)",
+     "h = g ** delta",
      ["tests/test_polynomials.py"]),
-    ("exact quotient by a longer divisor read as the remainder", "polynomials.py",
-     "return _zdivmod(a, b)[0]",
-     "return _zdivmod(a, b)[1]",
+    ("subresultant's pseudo-remainder without its lc(b) factor", "polynomials.py",
+     "r = [x * lb for x in r[:j]] + [x * lb - c * y for x, y in zip(r[j:], d)]",
+     "r = r[:j] + [x - c * y for x, y in zip(r[j:], d)]",
+     ["tests/test_polynomials.py"]),
+    ("subresultant step without its sign flip", "polynomials.py",
+     "        if not (len(a) % 2 or len(b) % 2):\n            sign = -sign\n",
+     "",
+     ["tests/test_polynomials.py"]),
+    ("resultant's point without the lc term", "polynomials.py",
+     "_resultant_at(ra, rb, sum(map(abs, ra[-1] + rb[-1])))",
+     "_resultant_at(ra, rb)",
      ["tests/test_polynomials.py"]),
     ("resultant's content scale with the exponents swapped", "polynomials.py",
      "da ** b.degree * db ** a.degree",
@@ -245,18 +253,19 @@ MUTANTS = [
      ["tests/test_abelian.py"]),
     # -- norms: the oracle stands apart from the main route ----------------------
     ("resultant oracle answers by the main route", "norms.py",
-     "    coords = u.as_tpoly().coeffs\n",
-     "    return norm == norm_element(s_a, u)\n    coords = u.as_tpoly().coeffs\n",
+     "    m = max((i for i, c in enumerate(u.coords) if c), default=-1)\n",
+     "    return norm == norm_element(s_a, u)\n"
+     "    m = max((i for i, c in enumerate(u.coords) if c), default=-1)\n",
      ["tests/test_norms.py"]),
     ("oracle's bound without N's part", "norms.py",
      "sum(map(abs, norm.ints)) * scale, norm.denom)",
      "0, norm.denom)",
      ["tests/test_norms.py"]),
-    ("oracle's bound without the Sylvester permanent", "norms.py",
+    ("oracle's bound without the Sylvester permanent", "polynomials.py",
      "    bound = part + den * size(ra) ** (len(rb) - 1) * size(rb) ** (len(ra) - 1)\n",
      "    bound = part\n",
      ["tests/test_norms.py"]),
-    ("oracle's point at 2^(k-2), not above the bound", "norms.py",
+    ("oracle's point at 2^(k-2), not above the bound", "polynomials.py",
      "x = 1 << (bound.bit_length() + 1)",
      "x = 1 << (bound.bit_length() - 1)",
      ["tests/test_norms.py"]),

@@ -24,7 +24,7 @@ from prymkit.norms import (
     spectral_mul,
     spectral_pow,
 )
-from prymkit.polynomials import Poly, TPoly, resultant
+from prymkit.polynomials import Poly, TPoly
 from prymkit.verify import random_element, random_poly, random_spectral
 
 X = Poly.x()
@@ -328,10 +328,35 @@ class TestResultantCheck:
         # a shared factor b, with and without denominators
         pairs += [(spectral_mul(b, c), spectral_mul(b, d))
                   for (b, c), (d, _) in zip(pairs[::3], pairs[1::3])]
+        x, t = sympy.symbols("x t")
+
+        def expr(s):
+            return sum(sympy.Rational(c.numerator, c.denominator) * x ** i * t ** j
+                       for j, p in enumerate(s.as_tpoly().coeffs) for i, c in enumerate(p.coeffs))
+
         verdicts = [factors_coprime(b, c) for b, c in pairs]
-        assert verdicts == [not resultant(b.as_tpoly(), c.as_tpoly()).is_zero()
+        assert verdicts == [sympy.expand(sympy.resultant(expr(b), expr(c), t)) != 0
                             for b, c in pairs]
         assert verdicts.count(False) >= 12
+
+    def test_oracle_runs_on_no_row_kernel(self, monkeypatch):
+        # the engine is scalar: with the Z[x] kernels _mul, _add and _zdivmod
+        # made to raise, the oracle and factors_coprime give the verdicts
+        # they gave before
+        claims = [(s, u, w) for s, u in self.cases()
+                  for w in (norm_element(s, u), norm_element(s, u) + Poly.one(), Poly.zero())]
+        b = SpectralPoly(2, 1, (Poly([Fraction(1, 2)]), Poly([0, Fraction(-1, 3)])))
+        pairs = [(b, b), (b, SpectralPoly(1, 1, (X,)))]
+        want = [norm_resultant_oracle(*c) for c in claims], [factors_coprime(*p) for p in pairs]
+
+        def refuse(*args):
+            raise AssertionError("the engine reached a Z[x] kernel")
+
+        for name in ("_mul", "_add", "_zdivmod"):
+            monkeypatch.setattr(polynomials, name, refuse)
+        got = [norm_resultant_oracle(*c) for c in claims], [factors_coprime(*p) for p in pairs]
+        assert got == want
+        assert set(want[0]) == set(want[1]) == {True, False}
 
     def test_factors_coprime_above_every_small_point(self):
         # Res_t(t - x, t - 2^j) = 2^j - x vanishes at x = 2^j alone

@@ -9,6 +9,7 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.subresultants_qq_zz import res as sympy_sylvester_res
 
 from prymkit import polynomials
 from prymkit.factoring import _divmod, _gcd_mod, _powmod
@@ -21,7 +22,7 @@ from prymkit.polynomials import (
     _igcd,
     _mul,
     _pack,
-    _quo,
+    _subresultant,
     _unpack,
     _zdivmod,
     horner,
@@ -174,8 +175,8 @@ class TestPoly:
 
     def test_arithmetic_runs_on_the_integer_kernels(self, monkeypatch):
         # a product of non-constant Polys is one _mul, a sum or difference
-        # one _add, and _quo by a divisor of more than one entry one
-        # _zdivmod: Z[x] arithmetic written once
+        # one _add, and the gcd's division check two _zdivmod: Z[x]
+        # arithmetic written once
         calls = []
 
         def counting(name, kernel):
@@ -193,7 +194,7 @@ class TestPoly:
         calls.clear()
         assert a + b == Poly((Fraction(2, 3), Fraction(1, 2), 2)) and calls == ["_add"]
         calls.clear()
-        assert polynomials._quo([-1, -1, 6, 3], [2, 1]) == [-1, 0, 3] and calls == ["_zdivmod"]
+        assert Poly((-1, 0, 1)).is_squarefree() and calls == ["_zdivmod", "_zdivmod"]
 
     def test_squarefree_predicate(self):
         assert Poly((-1, 0, 1)).is_squarefree()
@@ -292,11 +293,12 @@ class TestPolyIntegerCore:
     @given(coeff_lists, divisors, big_rationals)
     @example((1,), FRACTIONAL, Fraction(1, 7))
     def test_exact_division(self, a, b, c):
-        # _quo, the exact quotient over Z, on the numerators; a constant
-        # added to a multiple of a non-constant b leaves a remainder
+        # _zdivmod, the division over Z, on the numerators: a product
+        # divides exactly, and a constant added to a multiple of a
+        # non-constant b leaves a remainder
         pa, pb = Poly(a).ints, Poly(b).ints
         prod = _mul(pa, pb)
-        assert _quo(prod, pb) == list(pa)
+        assert _zdivmod(prod, pb) == (list(pa), [0] * len(prod))
         if len(b) > 1 and c:
             assert any(_zdivmod(_add(prod, [c.numerator]), pb)[1])
 
@@ -618,6 +620,73 @@ class TestResultant:
         for x0 in (Fraction(-1), Fraction(1, 2), Fraction(2)):
             assert sylvester_resultant_at(a, b, x0) == 0
 
+    def test_point_above_a_vanishing_leading_coefficient(self, monkeypatch):
+        # a = (x - 8)t + 1 against b = 2: the permanent is 2, so the bare
+        # bound would put the point at x = 8, where lc_t(a) vanishes.  A
+        # constant's resultant is its power by a's length, which hides that
+        # in the value, so a spy checks the engine's own condition: every
+        # operand it is handed has a nonzero leading entry
+        a, b = tp((1,), (-8, 1)), tp((2,))
+        engine, tops = polynomials._subresultant, []
+
+        def spy(p, q):
+            tops.extend((p[-1], q[-1]))
+            return engine(p, q)
+
+        monkeypatch.setattr(polynomials, "_subresultant", spy)
+        for p, q in ((a, b), (b, a)):
+            res = resultant(p, q)
+            assert res == Poly.constant(2)
+            for x0 in (Fraction(0), Fraction(8), Fraction(1, 2)):
+                assert at(res, x0) == sylvester_resultant_at(p, q, x0)
+        assert tops and all(tops)
+
+    def test_abnormal_sequence_pinned(self):
+        # Res_t(t^4 + x, t^3 + 1) = x^3 + 1: prem(t^4 + x, t^3 + 1) = x - t,
+        # so the sequence's second step drops two degrees (delta = 2)
+        for x in range(-6, 7):
+            assert _subresultant([x, 0, 0, 0, 1], [1, 0, 0, 1]) == x ** 3 + 1
+            assert _subresultant([1, 0, 0, 1], [x, 0, 0, 0, 1]) == x ** 3 + 1
+        a, b = tp((0, 1), (), (), (), (1,)), tp((1,), (), (), (1,))
+        assert resultant(a, b) == Poly((1, 0, 0, 1))
+
+
+def sympy_res(a: list, b: list) -> int:
+    """Res(a, b) over ZZ as sympy's Sylvester determinant.  sympy's
+    ``resultant`` is not the reference: its subresultant sequence swaps the
+    operands when deg a < deg b and drops the sign (-1)^(deg a * deg b)
+    (Res(t, t^3 + 1) comes out -1 on sympy 1.14)."""
+    t = sympy.Symbol("t")
+    return int(sympy_sylvester_res(*(sympy.Poly(v[::-1], t).as_expr() for v in (a, b)), t))
+
+
+# integer lists with a nonzero last entry, the engine's operands
+engine_ints = st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70))
+engine_lists = st.tuples(st.lists(engine_ints, max_size=5),
+                         engine_ints.filter(bool)).map(lambda p: p[0] + [p[1]])
+
+
+class TestResultantEngine:
+    """_subresultant, the one resultant engine, on plain integers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(engine_lists, engine_lists, st.one_of(st.just([]), engine_lists))
+    @example([3, 1, -2], [1, -3], [])               # non-monic, negative leading entries
+    @example([1, 2, 3], [-4], [])                   # deg b = 0: (-4)^2
+    @example([7], [-4], [])                         # both constant: 1
+    @example([1, 2, -3], [2, 0, 5], [])             # equal degrees
+    @example([5, -1], [-1, 2, 0, 2, 2, -4], [])     # deg a < deg b, the sign of the swap
+    @example([4, -5, 2, -2], [1, 1, 5, -3, 0, 3], [])
+    @example([1, 1], [2, -1], [-1, 2])              # a shared root: 0
+    def test_against_sympy(self, a, b, w):
+        # a planted common factor w of positive degree makes the result 0
+        if len(w) > 1:
+            a, b = _mul(a, w), _mul(b, w)
+        got = _subresultant(a, b)
+        assert got == sympy_res(a, b)
+        if len(w) > 1:
+            assert got == 0
+
 
 class TestKronecker:
     @settings(max_examples=200, deadline=None)
@@ -722,8 +791,7 @@ class TestIgcd:
 
 
 class TestZdivmod:
-    """The one division over Z, which also serves _quo's divisors of more
-    than one entry, against sympy's div over ZZ and over QQ."""
+    """The one division over Z, against sympy's div over ZZ and over QQ."""
 
     @settings(max_examples=300, deadline=None)
     @given(zz_lists, zz_lists.filter(bool), zz_lists, st.booleans())
